@@ -77,7 +77,6 @@ class VermaSlice:
         ]
         # killed[n]: reduced echelon rows of the quotiented-away subspace
         self.killed = [([], []) for _ in range(cutoff + 1)]
-        self.quotient_history: list[tuple[int, int]] = []
         self.stable_under_cutoff = True
 
     # -- bases -----------------------------------------------------------
@@ -122,77 +121,71 @@ class VermaSlice:
 
     # -- raw generator actions (ambient coordinates) -----------------------
 
+    def _act(self, n: int, target: int, vec: list, images) -> list:
+        """Scatter a degree-n vector into degree `target`.  ``images(mono)``
+        gives the image of x^mono (x) w as triples (monomial, h, coefficient),
+        meaning coefficient * x^monomial (x) rho(h) w."""
+        d = self.irrep.dim
+        index = self._mono_index[target]
+        out = [ZERO] * self.full_dim(target)
+        blocks: dict[int, list] = {}
+        for p, v in enumerate(vec):
+            if v:
+                blocks.setdefault(p // d, []).append((p % d, v))
+        for mi, block in blocks.items():
+            for tgt_mono, h, coef in images(self._monos[n][mi]):
+                tgt = index[tgt_mono] * d
+                rho = self.irrep.matrix(h)
+                for k, v in block:
+                    vc = v * coef
+                    for k2, row in enumerate(rho):
+                        if row[k]:
+                            out[tgt + k2] = out[tgt + k2] + vc * row[k]
+        return out
+
     def apply_x_full(self, i: int, n: int, vec: list) -> list:
         """Action of x_i (0-based) from degree n to n + 1."""
         if n + 1 > self.cutoff:
             raise CutoffExceeded(
                 f"x-action leaves the truncation (degree {n} -> {n + 1} > {self.cutoff})"
             )
-        out = [ZERO] * self.full_dim(n + 1)
-        d = self.irrep.dim
-        for mi, mono in enumerate(self._monos[n]):
+
+        def images(mono):
             up = list(mono)
             up[i] += 1
-            tgt = self._mono_index[n + 1][tuple(up)] * d
-            src = mi * d
-            for k in range(d):
-                if vec[src + k]:
-                    out[tgt + k] = out[tgt + k] + vec[src + k]
-        return out
+            return ((tuple(up), 0, ONE),)
+
+        return self._act(n, n + 1, vec, images)
 
     def apply_y_full(self, i: int, n: int, vec: list) -> list:
         """Action of y_i (0-based) from degree n to n - 1, via straightening."""
         if n == 0:
             return []
-        alg = self.algebra
-        d = self.irrep.dim
-        ydeg = tuple(1 if t == i else 0 for t in range(alg.dim))
-        out = [ZERO] * self.full_dim(n - 1)
-        for mi, mono in enumerate(self._monos[n]):
-            src = mi * d
-            if not any(vec[src + k] for k in range(d)):
-                continue
-            for (a_mono, h, b_deg), coef in alg._straighten_ji(ydeg, mono).items():
-                if any(b_deg):
-                    continue
-                tgt = self._mono_index[n - 1][a_mono] * d
-                rho = self.irrep.matrix(h)
-                for k in range(d):
-                    v = vec[src + k]
-                    if not v:
-                        continue
-                    vc = v * coef
-                    for k2 in range(d):
-                        if rho[k2][k]:
-                            out[tgt + k2] = out[tgt + k2] + vc * rho[k2][k]
-        return out
+        straighten = self.algebra._straighten_ji
+        ydeg = tuple(1 if t == i else 0 for t in range(self.algebra.dim))
+
+        def images(mono):
+            return [
+                (a_mono, h, coef)
+                for (a_mono, h, b_deg), coef in straighten(ydeg, mono).items()
+                if not any(b_deg)
+            ]
+
+        return self._act(n, n - 1, vec, images)
 
     def apply_g_full(self, g: int, n: int, vec: list) -> list:
-        alg = self.algebra
-        d = self.irrep.dim
-        rho = self.irrep.matrix(g)
-        out = [ZERO] * self.full_dim(n)
-        for mi, mono in enumerate(self._monos[n]):
-            src = mi * d
-            if not any(vec[src + k] for k in range(d)):
-                continue
-            for a_mono, coef in alg.act_on_x_monomial(g, mono).items():
-                tgt = self._mono_index[n][a_mono] * d
-                for k in range(d):
-                    v = vec[src + k]
-                    if not v:
-                        continue
-                    vc = v * coef
-                    for k2 in range(d):
-                        if rho[k2][k]:
-                            out[tgt + k2] = out[tgt + k2] + vc * rho[k2][k]
-        return out
+        """Action of the group element g on degree n."""
+        act = self.algebra.act_on_x_monomial
+
+        def images(mono):
+            return [(a_mono, g, coef) for a_mono, coef in act(g, mono).items()]
+
+        return self._act(n, n, vec, images)
 
     def apply_term_full(self, term, coef, n: int, vec: list):
         """One PBW monomial acting from degree n; returns (degree, vector)."""
         ideg, g, jdeg = term
         alg = self.algebra
-        d = self.irrep.dim
         jtot = sum(jdeg)
         target = n - jtot + sum(ideg)
         if target > self.cutoff:
@@ -201,29 +194,20 @@ class VermaSlice:
             )
         if target < 0 or jtot > n:
             return target, []
-        out = [ZERO] * self.full_dim(target)
-        for mi, mono in enumerate(self._monos[n]):
-            src = mi * d
-            if not any(vec[src + k] for k in range(d)):
-                continue
+
+        def images(mono):
+            # x^I g y^J x^mono = sum x^I (g . x^A) gh, over the y-free terms
+            out = []
             for (a_mono, h, b_deg), scoef in alg._straighten_ji(jdeg, mono).items():
                 if any(b_deg):
                     continue
                 gh = alg.group.mul(g, h)
-                rho = self.irrep.matrix(gh)
                 for a2, ca in alg.act_on_x_monomial(g, a_mono).items():
                     tgt_mono = tuple(a + b for a, b in zip(ideg, a2))
-                    tgt = self._mono_index[target][tgt_mono] * d
-                    cc = coef * scoef * ca
-                    for k in range(d):
-                        v = vec[src + k]
-                        if not v:
-                            continue
-                        vc = v * cc
-                        for k2 in range(d):
-                            if rho[k2][k]:
-                                out[tgt + k2] = out[tgt + k2] + vc * rho[k2][k]
-        return target, out
+                    out.append((tgt_mono, gh, coef * scoef * ca))
+            return out
+
+        return target, self._act(n, target, vec, images)
 
     # -- public module action ----------------------------------------------
 
@@ -269,7 +253,6 @@ class VermaSlice:
                 linalg.extend_echelon(
                     span_rows, span_pivots, self.apply_g_full(g, n, v)
                 )
-        added = 0
         current = span_rows
         for m in range(n, self.cutoff + 1):
             if m > n:
@@ -285,9 +268,7 @@ class VermaSlice:
                 break
             krows, kpivots = self.killed[m]
             for v in current:
-                if linalg.extend_echelon(krows, kpivots, list(v)):
-                    added += 1
-        self.quotient_history.append((n, added))
+                linalg.extend_echelon(krows, kpivots, list(v))
 
     # -- characters ----------------------------------------------------------
 
@@ -662,9 +643,6 @@ class OrderGraph:
     labels: list
     c_values: dict
     edges: list
-
-    def successors(self, label: str):
-        return [e for w, e in self.edges if w == label]
 
 
 def _integer_difference(a: Scalar, b: Scalar):

@@ -233,14 +233,6 @@ class ReflectionFunction:
             raise ValueError("values must cover exactly the reflection classes")
         self.by_class = by_class
 
-    @classmethod
-    def constant(cls, group, reflections, value) -> "ReflectionFunction":
-        return cls(group, reflections, [Scalar.rational(value)])
-
-    @classmethod
-    def zero(cls, group, reflections) -> "ReflectionFunction":
-        return cls.constant(group, reflections, 0)
-
     def __call__(self, element_index: int) -> Scalar:
         return self.by_class[self.group.class_of[element_index]]
 

@@ -28,23 +28,8 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     return out
 
 
-def mat_vec(a: Matrix, v: Vector) -> Vector:
-    out = []
-    for row in a:
-        acc = ZERO
-        for x, y in zip(row, v):
-            if x and y:
-                acc = acc + x * y
-        out.append(acc)
-    return out
-
-
 def identity(n: int) -> Matrix:
     return [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
-
-
-def mat_sub(a: Matrix, b: Matrix) -> Matrix:
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
 def mat_eq(a: Matrix, b: Matrix) -> bool:

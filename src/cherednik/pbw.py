@@ -15,7 +15,7 @@ terminates; associativity is covered by the test suite.
 from __future__ import annotations
 
 from .groups import GroupAction, PseudoReflection, ReflectionFunction, find_reflections
-from .scalars import Scalar, ZERO, ONE, tokenize, ExprError
+from .scalars import Scalar, ZERO, ONE, ExprError, parse_expression
 
 Term = tuple  # (I, g, J): multidegree tuple, group index, multidegree tuple
 
@@ -35,6 +35,15 @@ def term_sort_key(term: Term):
 
 def _add_deg(a, b):
     return tuple(x + y for x, y in zip(a, b))
+
+
+def _accumulate(terms: dict, key, value) -> None:
+    """Add value to terms[key], dropping the key when the sum cancels."""
+    s = terms.get(key, ZERO) + value
+    if s:
+        terms[key] = s
+    else:
+        terms.pop(key, None)
 
 
 class PBWElement:
@@ -64,11 +73,7 @@ class PBWElement:
         other = self.algebra._coerce(other)
         out = dict(self.terms)
         for k, v in other.terms.items():
-            s = out.get(k, ZERO) + v
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
+            _accumulate(out, k, v)
         return PBWElement(self.algebra, out)
 
     __radd__ = __add__
@@ -152,6 +157,8 @@ class CherednikAlgebra:
         self._refl_data = [
             (r.index, self.c(r.index), r.covector, r.vector) for r in self.reflections
         ]
+        # M(g)^T, whose rows give the action on the y generators
+        self._transposed = [tuple(zip(*m)) for m in group.matrices]
         self._act_a_cache: dict = {}
         self._act_b_cache: dict = {}
         self._single_cache: dict = {}
@@ -209,9 +216,21 @@ class CherednikAlgebra:
     # -- linear action on polynomial generators ---------------------------
 
     def act_on_x_monomial(self, g: int, deg: tuple) -> dict:
-        """Expansion of g acting on the A-monomial x^deg (dual action)."""
+        """Expansion of g acting on the A-monomial x^deg (dual action):
+        g(x_b) = sum_i M(g^-1)[b][i] x_i."""
+        rows = self.group.matrices[self.group.inv(g)]
+        return self._act_on_monomial(self._act_a_cache, rows, g, deg)
+
+    def act_on_y_monomial(self, g: int, deg: tuple) -> dict:
+        """Expansion of g acting on the B-monomial y^deg (matrix action):
+        g(y_b) = sum_i M(g)[i][b] y_i."""
+        return self._act_on_monomial(self._act_b_cache, self._transposed[g], g, deg)
+
+    def _act_on_monomial(self, cache: dict, rows, g: int, deg: tuple) -> dict:
+        """Expansion of a monomial under the linear substitution sending the
+        b-th generator to sum_i rows[b][i] (i-th generator); cached by (g, deg)."""
         key = (g, deg)
-        cached = self._act_a_cache.get(key)
+        cached = cache.get(key)
         if cached is not None:
             return cached
         if not any(deg):
@@ -220,52 +239,16 @@ class CherednikAlgebra:
             b = next(k for k, e in enumerate(deg) if e)
             rest = list(deg)
             rest[b] -= 1
-            prev = self.act_on_x_monomial(g, tuple(rest))
-            # g(x_b) = sum_i M(g^-1)[b][i] x_i
-            row = self.group.matrices[self.group.inv(g)][b]
+            prev = self._act_on_monomial(cache, rows, g, tuple(rest))
+            row = rows[b]
             result: dict = {}
             for mono, coef in prev.items():
                 for idx, entry in enumerate(row):
                     if entry:
                         up = list(mono)
                         up[idx] += 1
-                        k2 = tuple(up)
-                        s = result.get(k2, ZERO) + coef * entry
-                        if s:
-                            result[k2] = s
-                        else:
-                            result.pop(k2, None)
-        self._act_a_cache[key] = result
-        return result
-
-    def act_on_y_monomial(self, g: int, deg: tuple) -> dict:
-        """Expansion of g acting on the B-monomial y^deg (matrix action)."""
-        key = (g, deg)
-        cached = self._act_b_cache.get(key)
-        if cached is not None:
-            return cached
-        if not any(deg):
-            result = {deg: ONE}
-        else:
-            b = next(k for k, e in enumerate(deg) if e)
-            rest = list(deg)
-            rest[b] -= 1
-            prev = self.act_on_y_monomial(g, tuple(rest))
-            mat = self.group.matrices[g]
-            result = {}
-            for mono, coef in prev.items():
-                for idx in range(self.dim):
-                    entry = mat[idx][b]
-                    if entry:
-                        up = list(mono)
-                        up[idx] += 1
-                        k2 = tuple(up)
-                        s = result.get(k2, ZERO) + coef * entry
-                        if s:
-                            result[k2] = s
-                        else:
-                            result.pop(k2, None)
-        self._act_b_cache[key] = result
+                        _accumulate(result, tuple(up), coef * entry)
+        cache[key] = result
         return result
 
     # -- straightening ---------------------------------------------------
@@ -287,29 +270,21 @@ class CherednikAlgebra:
             rest[b] -= 1
             rest = tuple(rest)
             result = {}
-
-            def bump(k, v):
-                s = result.get(k, ZERO) + v
-                if s:
-                    result[k] = s
-                else:
-                    result.pop(k, None)
-
             # x_b * (y_a * x^rest)
             for (A, h, B), coef in self._straighten_single(a, rest).items():
                 up = list(A)
                 up[b] += 1
-                bump((tuple(up), h, B), coef)
+                _accumulate(result, (tuple(up), h, B), coef)
             # + delta_ab * x^rest
             if a == b:
-                bump((rest, 0, zero_deg), ONE)
+                _accumulate(result, (rest, 0, zero_deg), ONE)
             # - sum over reflections
             for s_idx, c_val, alpha, coroot in self._refl_data:
                 coef = c_val * alpha[a] * coroot[b]
                 if not coef:
                     continue
                 for mono, sub_coef in self.act_on_x_monomial(s_idx, rest).items():
-                    bump((mono, s_idx, zero_deg), -coef * sub_coef)
+                    _accumulate(result, (mono, s_idx, zero_deg), -coef * sub_coef)
         self._single_cache[key] = result
         return result
 
@@ -336,12 +311,7 @@ class CherednikAlgebra:
                         self.group.inv(h), B2
                     ).items():
                         k2 = (A2, table[h2][h], _add_deg(B3, B))
-                        total = coef * coef2 * coef3
-                        s = result.get(k2, ZERO) + total
-                        if s:
-                            result[k2] = s
-                        else:
-                            result.pop(k2, None)
+                        _accumulate(result, k2, coef * coef2 * coef3)
         self._ji_cache[key] = result
         return result
 
@@ -364,11 +334,7 @@ class CherednikAlgebra:
                         # y^B * g2 = g2 * (g2^-1 . y^B)
                         for B2, cb in self.act_on_y_monomial(g2inv, B).items():
                             key = (_add_deg(i1, A2), table[gh][g2], _add_deg(B2, j2))
-                            s = out.get(key, ZERO) + lead * cb
-                            if s:
-                                out[key] = s
-                            else:
-                                out.pop(key, None)
+                            _accumulate(out, key, lead * cb)
         self._check_blowup(out)
         return PBWElement(self, out)
 
@@ -462,113 +428,31 @@ class CherednikAlgebra:
         Factors may appear in any order; the expression is evaluated as a
         product in the algebra, so non-canonical words straighten themselves.
         """
-        tokens = tokenize(text)
-        if not tokens:
-            raise ExprError("empty element expression")
-        parser = _ElementParser(tokens, self)
-        value = parser.parse_sum()
-        if parser.pos != len(tokens):
-            raise ExprError(f"trailing input in element expression {text!r}")
-        return value
+        return parse_expression(text, self._parse_atom, _invert_scalar_element, "element")
 
-
-class _ElementParser:
-    def __init__(self, tokens, algebra: CherednikAlgebra):
-        self.tokens = tokens
-        self.pos = 0
-        self.algebra = algebra
-
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else (None, None)
-
-    def take(self):
-        tok = self.peek()
-        self.pos += 1
-        return tok
-
-    def parse_sum(self) -> PBWElement:
-        sign = 1
-        if self.peek() == ("op", "-"):
-            self.take()
-            sign = -1
-        elif self.peek() == ("op", "+"):
-            self.take()
-        acc = self.parse_product() * sign
-        while True:
-            kind, text = self.peek()
-            if (kind, text) == ("op", "+"):
-                self.take()
-                acc = acc + self.parse_product()
-            elif (kind, text) == ("op", "-"):
-                self.take()
-                acc = acc - self.parse_product()
-            else:
-                return acc
-
-    def parse_product(self) -> PBWElement:
-        acc = self.parse_power()
-        while True:
-            kind, text = self.peek()
-            if (kind, text) == ("op", "*"):
-                self.take()
-                acc = acc * self.parse_power()
-            elif (kind, text) == ("op", "/"):
-                self.take()
-                div = self.parse_power()
-                acc = acc * _invert_scalar_element(div)
-            else:
-                return acc
-
-    def parse_power(self) -> PBWElement:
-        base = self.parse_atom()
-        if self.peek() == ("op", "^"):
-            self.take()
-            sign = 1
-            if self.peek() == ("op", "-"):
-                self.take()
-                sign = -1
-            kind, text = self.take()
-            if kind != "int":
-                raise ExprError("exponent must be an integer")
-            k = int(text)
-            if sign < 0:
-                return _invert_scalar_element(base) ** k
-            return base**k
-        return base
-
-    def parse_atom(self) -> PBWElement:
-        alg = self.algebra
-        kind, text = self.take()
+    def _parse_atom(self, kind: str, text: str):
+        """An int or a name (z, x1, y2, g3) of the element syntax; None if unknown."""
         if kind == "int":
-            return alg.scalar(int(text))
-        if kind == "name":
-            if text == "z":
-                if alg.field_ell <= 1:
-                    raise ExprError("z requires a cyclotomic coefficient field")
-                return alg.scalar(Scalar.zeta(alg.field_ell))
-            head, digits = text[0], text[1:]
-            if head in "xyg" and digits.isdigit():
-                idx = int(digits)
-                if head == "x":
-                    if not 1 <= idx <= alg.dim:
-                        raise ExprError(f"x index out of range in {text!r}")
-                    return alg.x(idx)
-                if head == "y":
-                    if not 1 <= idx <= alg.dim:
-                        raise ExprError(f"y index out of range in {text!r}")
-                    return alg.y(idx)
-                if not 0 <= idx < len(alg.group):
-                    raise ExprError(f"group index out of range in {text!r}")
-                return alg.g(idx)
-            raise ExprError(f"unknown symbol {text!r} in element expression")
-        if (kind, text) == ("op", "("):
-            inner = self.parse_sum()
-            if self.take() != ("op", ")"):
-                raise ExprError("missing closing parenthesis")
-            return inner
-        if (kind, text) == ("op", "-"):
-            return -self.parse_atom()
-        raise ExprError(f"unexpected token {text!r} in element expression")
+            return self.scalar(int(text))
+        if text == "z":
+            if self.field_ell <= 1:
+                raise ExprError("z requires a cyclotomic coefficient field")
+            return self.scalar(Scalar.zeta(self.field_ell))
+        head, digits = text[0], text[1:]
+        if head not in "xyg" or not digits.isdigit():
+            return None
+        idx = int(digits)
+        if head == "x":
+            if not 1 <= idx <= self.dim:
+                raise ExprError(f"x index out of range in {text!r}")
+            return self.x(idx)
+        if head == "y":
+            if not 1 <= idx <= self.dim:
+                raise ExprError(f"y index out of range in {text!r}")
+            return self.y(idx)
+        if not 0 <= idx < len(self.group):
+            raise ExprError(f"group index out of range in {text!r}")
+        return self.g(idx)
 
 
 def _data_field(alg: CherednikAlgebra) -> int:

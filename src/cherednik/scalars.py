@@ -24,6 +24,7 @@ __all__ = [
     "hensel_embed",
     "val",
     "parse_scalar",
+    "parse_expression",
     "cyclotomic_polynomial",
     "SplittingError",
     "DivisionByZero",
@@ -309,10 +310,12 @@ class Scalar:
         )
 
     def __hash__(self):
+        # rational values hash like the int or Fraction they equal
+        if self.ell == 1:
+            if self.den == 1:
+                return hash(self.coeffs[0])
+            return hash(Fraction(self.coeffs[0], self.den))
         return hash((self.ell, self.coeffs, self.den))
-
-    def is_positive_integer(self) -> bool:
-        return self.is_integer() and self.coeffs[0] > 0
 
     # -- display -------------------------------------------------------
 
@@ -445,9 +448,6 @@ class Valuation:
     def infinite(cls) -> "Valuation":
         return cls(INF, True)
 
-    def __add__(self, other: "Valuation") -> "Valuation":
-        return Valuation(self.value + other.value, self.exact and other.exact)
-
 
 def _vp_int(n: int, p: int) -> int:
     v = 0
@@ -542,11 +542,25 @@ def tokenize(text: str) -> list[tuple[str, str]]:
     return tokens
 
 
-class _ScalarParser:
-    def __init__(self, tokens, ell: int):
+class _ExprParser:
+    """Recursive descent over the shared expression grammar:
+
+        sum     := [+|-] product {(+|-) product}
+        product := power {(*|/) power}
+        power   := atom [^ [-] int]
+        atom    := int | name | ( sum ) | - atom
+
+    The caller supplies ``atom(kind, text)``, which resolves an int or name
+    token (None for an unknown name), ``invert``, used for ``/`` and negative
+    powers, and the ``noun`` that error messages name.
+    """
+
+    def __init__(self, tokens, atom, invert, noun: str):
         self.tokens = tokens
         self.pos = 0
-        self.ell = ell
+        self.atom = atom
+        self.invert = invert
+        self.noun = noun
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else (None, None)
@@ -556,67 +570,61 @@ class _ScalarParser:
         self.pos += 1
         return tok
 
-    def parse_sum(self) -> Scalar:
+    def parse_sum(self):
         sign = 1
-        kind, text = self.peek()
-        if (kind, text) == ("op", "-"):
+        if self.peek() == ("op", "-"):
             self.take()
             sign = -1
-        elif (kind, text) == ("op", "+"):
+        elif self.peek() == ("op", "+"):
             self.take()
         acc = self.parse_product() * sign
         while True:
-            kind, text = self.peek()
-            if (kind, text) == ("op", "+"):
+            tok = self.peek()
+            if tok == ("op", "+"):
                 self.take()
                 acc = acc + self.parse_product()
-            elif (kind, text) == ("op", "-"):
+            elif tok == ("op", "-"):
                 self.take()
                 acc = acc - self.parse_product()
             else:
                 return acc
 
-    def parse_product(self) -> Scalar:
+    def parse_product(self):
         acc = self.parse_power()
         while True:
-            kind, text = self.peek()
-            if (kind, text) == ("op", "*"):
+            tok = self.peek()
+            if tok == ("op", "*"):
                 self.take()
                 acc = acc * self.parse_power()
-            elif (kind, text) == ("op", "/"):
+            elif tok == ("op", "/"):
                 self.take()
-                div = self.parse_power()
-                if not div:
-                    raise DivisionByZero("division by zero in expression")
-                acc = acc / div
+                acc = acc * self.invert(self.parse_power())
             else:
                 return acc
 
-    def parse_power(self) -> Scalar:
+    def parse_power(self):
         base = self.parse_atom()
-        kind, text = self.peek()
-        if (kind, text) == ("op", "^"):
+        if self.peek() == ("op", "^"):
             self.take()
-            sign = 1
-            if self.peek() == ("op", "-"):
+            negative = self.peek() == ("op", "-")
+            if negative:
                 self.take()
-                sign = -1
             kind, text = self.take()
             if kind != "int":
                 raise ExprError("exponent must be an integer")
-            return base ** (sign * int(text))
+            k = int(text)
+            if negative and k:
+                base = self.invert(base)
+            return base**k
         return base
 
-    def parse_atom(self) -> Scalar:
+    def parse_atom(self):
         kind, text = self.take()
-        if kind == "int":
-            return Scalar.rational(int(text))
-        if kind == "name":
-            if text == "z":
-                if self.ell <= 1:
-                    raise ExprError("z requires a cyclotomic coefficient field")
-                return Scalar.zeta(self.ell)
-            raise ExprError(f"unknown symbol {text!r} in scalar expression")
+        if kind in ("int", "name"):
+            value = self.atom(kind, text)
+            if value is None:
+                raise ExprError(f"unknown symbol {text!r} in {self.noun} expression")
+            return value
         if (kind, text) == ("op", "("):
             inner = self.parse_sum()
             if self.take() != ("op", ")"):
@@ -624,16 +632,37 @@ class _ScalarParser:
             return inner
         if (kind, text) == ("op", "-"):
             return -self.parse_atom()
-        raise ExprError(f"unexpected token {text!r} in scalar expression")
+        raise ExprError(f"unexpected token {text!r} in {self.noun} expression")
+
+
+def parse_expression(text: str, atom, invert, noun: str):
+    """Parse a whole expression with the shared grammar (see _ExprParser)."""
+    tokens = tokenize(text)
+    if not tokens:
+        raise ExprError(f"empty {noun} expression")
+    parser = _ExprParser(tokens, atom, invert, noun)
+    value = parser.parse_sum()
+    if parser.pos != len(tokens):
+        raise ExprError(f"trailing input in {noun} expression {text!r}")
+    return value
+
+
+def _invert_scalar(x: Scalar) -> Scalar:
+    if not x:
+        raise ExprError("division by zero in scalar expression")
+    return x.inverse()
 
 
 def parse_scalar(text: str, ell: int = 1) -> Scalar:
     """Parse an exact scalar expression such as ``-3/2`` or ``(1 + 2*z^2)/5``."""
-    tokens = tokenize(text)
-    if not tokens:
-        raise ExprError("empty scalar expression")
-    parser = _ScalarParser(tokens, ell)
-    value = parser.parse_sum()
-    if parser.pos != len(tokens):
-        raise ExprError(f"trailing input in scalar expression {text!r}")
-    return value
+
+    def atom(kind, name):
+        if kind == "int":
+            return Scalar.rational(int(name))
+        if name == "z":
+            if ell <= 1:
+                raise ExprError("z requires a cyclotomic coefficient field")
+            return Scalar.zeta(ell)
+        return None
+
+    return parse_expression(text, atom, _invert_scalar, "scalar")

@@ -170,8 +170,20 @@ class TestDunklOracle:
                 n = rng.randint(1, 10)
                 vec = random_vector(slice_, rng, n)
                 for i in range(1, alg.dim + 1):
-                    assert dunkl_action(slice_, i, vec) == verma_action(
-                        slice_, alg.y(i), vec
+                    lowered = dunkl_action(slice_, i, vec)
+                    assert lowered == verma_action(slice_, alg.y(i), vec)
+                    # the special paths used by singular_vectors,
+                    # kill_submodule and trace agree with the oracle too
+                    assert mv_eq(lowered, {n - 1: slice_.apply_y_full(i - 1, n, vec[n])})
+                    if n < slice_.cutoff:
+                        assert mv_eq(
+                            verma_action(slice_, alg.x(i), vec),
+                            {n + 1: slice_.apply_x_full(i - 1, n, vec[n])},
+                        )
+                for k in range(len(alg.group)):
+                    assert mv_eq(
+                        verma_action(slice_, alg.g(k), vec),
+                        {n: slice_.apply_g_full(k, n, vec[n])},
                     )
 
     def test_general_direction_vector(self):

@@ -212,6 +212,16 @@ class TestExitCodes:
         missing.write_text("field = rational\n")  # no group
         assert main(["order", "--config", str(missing)]) == 2
 
+    def test_zero_divisor_is_two(self, tmp_path):
+        cfg = tmp_path / "job.cfg"
+        for c_text in ("1/0", "0^-1"):
+            cfg.write_text(f"group = cyclic:2\nc = {c_text}\n")
+            assert main(["order", "--config", str(cfg)]) == 2
+        group_file = tmp_path / "zero_group.txt"
+        group_file.write_text("dimension = 1\nbegin generator\n1/0\nend\n")
+        cfg.write_text(f"group = file:{group_file}\nc = 0\n")
+        assert main(["reflections", "--config", str(cfg)]) == 2
+
     def test_computation_error_is_three(self, tmp_path):
         # a generator of infinite order overflows the closure cap
         group_file = tmp_path / "bad_group.txt"

@@ -178,6 +178,10 @@ class TestCanonicalForm:
     def test_equality_is_canonical_form_equality(self):
         assert Scalar.from_coords(1, [2], 4) == Scalar.rational(Fraction(1, 2))
         assert hash(Scalar.from_coords(1, [2], 4)) == hash(Scalar.rational(Fraction(1, 2)))
+        for plain in (0, 3, -7, Fraction(1, 2), Fraction(-5, 3)):
+            x = Scalar.rational(plain)
+            assert x == plain and hash(x) == hash(plain)
+            assert {x: "v"}.get(plain) == "v"
 
 
 class TestValuation:
