@@ -75,6 +75,11 @@ def term_weight(coeff: Scalar, term, params_level: int, params_r: int, ctx) -> f
     return v.value - params_level * sum(term[0]) - params_r * sum(term[2])
 
 
+def _min_weight(terms: dict, m: int, r: int, ctx) -> float:
+    """The least term_weight over terms; INF when there are none."""
+    return min((term_weight(c, t, m, r, ctx) for t, c in terms.items()), default=INF)
+
+
 class BanachElement:
     """A norm-truncated element: exact stored PBW terms at one level, plus a
     tail bound tau meaning every omitted term has weighted valuation >= tau."""
@@ -113,8 +118,7 @@ class BanachElement:
         return PBWElement(self.algebra, dict(self.terms))
 
     def min_weight(self) -> float:
-        weights = self.weights()
-        return min(weights.values()) if weights else INF
+        return _min_weight(self.terms, self.params.level, self.params.r, self.params.ctx)
 
     def __eq__(self, other):
         if not isinstance(other, BanachElement):
@@ -185,8 +189,11 @@ class LatticeReport:
 
     level: int
     r: int
-    passed: bool
     violations: list = field(default_factory=list)
+
+    @property
+    def passed(self) -> bool:
+        return not self.violations
 
     def ensure(self):
         if not self.passed:
@@ -206,52 +213,46 @@ def lattice_check(algebra: CherednikAlgebra, ctx: PadicContext, m: int, r: int) 
     for i in range(algebra.dim):
         gens.append((f"p^{r}*y{i + 1}", algebra.y(i + 1) * p**r))
 
-    def min_weight(el: PBWElement) -> float:
-        worst = INF
-        for term, coeff in el.terms.items():
-            worst = min(worst, term_weight(coeff, term, m, r, ctx))
-        return worst
-
+    # each ordered product is formed once; only weights are kept, and
+    # [b, a] = -[a, b] has the weight of [a, b]
+    prod_w, comm_w = {}, {}
+    for i, (_, a) in enumerate(gens):
+        for j, (_, b) in enumerate(gens[i:], i):
+            ab = a * b
+            ba = b * a if j > i else ab
+            prod_w[i, j] = _min_weight(ab.terms, m, r, ctx)
+            prod_w[j, i] = _min_weight(ba.terms, m, r, ctx)
+            comm_w[i, j] = comm_w[j, i] = _min_weight((ab - ba).terms, m, r, ctx)
     violations = []
-    for name_a, a in gens:
-        for name_b, b in gens:
-            prod = a * b
-            w = min_weight(prod)
-            if w < 0:
-                violations.append((f"{name_a} * {name_b}", int(w)))
-            comm = prod - b * a
-            w = min_weight(comm)
-            if w < 0:
-                violations.append((f"[{name_a}, {name_b}]", int(w)))
-    return LatticeReport(m, r, not violations, violations)
+    for i, (name_a, _) in enumerate(gens):
+        for j, (name_b, _) in enumerate(gens):
+            if prod_w[i, j] < 0:
+                violations.append((f"{name_a} * {name_b}", int(prod_w[i, j])))
+            if comm_w[i, j] < 0:
+                violations.append((f"[{name_a}, {name_b}]", int(comm_w[i, j])))
+    return LatticeReport(m, r, violations)
 
 
-def choose_r(
-    algebra: CherednikAlgebra,
-    ctx: PadicContext,
-    m: int,
-    prev_r: int | None = None,
-) -> int:
-    """The lowering weight for level m: max(r(m-1) + 1, m + rho_c), bumped
-    until the lattice check passes."""
+def choose_r(algebra: CherednikAlgebra, ctx: PadicContext, m: int) -> int:
+    """The lowering weight r(m) that level_tower certifies for level m."""
     if m < 0:
         raise ValueError("level must be >= 0")
-    if prev_r is None:
-        prev_r = choose_r(algebra, ctx, m - 1) if m > 0 else 0
-    r = max(prev_r + 1, m + rho_c(algebra, ctx), 1)
-    while not lattice_check(algebra, ctx, m, r).passed:
-        r += 1
-    return r
+    return level_tower(algebra, ctx, m)[m].r
 
 
 def level_tower(algebra: CherednikAlgebra, ctx: PadicContext, top: int) -> list:
-    """LevelParams for levels 0..top with a strictly increasing r sequence."""
+    """LevelParams for levels 0..top.  Level m starts at
+    r = max(r(m-1) + 1, m + rho_c) (with r(-1) = 0) and bumps r until the
+    lattice check passes, so every r is certified and the sequence strictly
+    increases."""
+    rho = rho_c(algebra, ctx)
     out = []
-    prev = 0
+    r = 0
     for m in range(top + 1):
-        r = choose_r(algebra, ctx, m, prev_r=prev if m > 0 else None)
+        r = max(r + 1, m + rho)
+        while not lattice_check(algebra, ctx, m, r).passed:
+            r += 1
         out.append(LevelParams(m, r, ctx))
-        prev = r
     return out
 
 
@@ -260,35 +261,31 @@ class WeightDecomposition:
     """Components of a truncated element by inner degree |I| - |J|."""
 
     components: dict
-    weights: tuple
+
+    @property
+    def weights(self) -> tuple:
+        return tuple(self.components)
 
     def resummed(self) -> BanachElement:
         parts = list(self.components.values())
         if not parts:
             raise ValueError("empty decomposition")
-        acc = parts[0]
-        for extra in parts[1:]:
-            acc = BanachElement(
-                acc.algebra,
-                acc.params,
-                {**acc.terms, **extra.terms},
-                min(acc.tau, extra.tau),
-            )
-        return acc
+        terms = {}
+        for part in parts:
+            terms.update(part.terms)
+        tau = min(part.tau for part in parts)
+        return BanachElement(parts[0].algebra, parts[0].params, terms, tau)
 
 
 def weight_decompose_banach(x: BanachElement) -> WeightDecomposition:
     """Collect stored terms by weight; each component keeps the level and
     tail bound, and its norm exponent is at least the whole element's."""
-    buckets: dict[int, dict] = {}
-    for term, coeff in x.terms.items():
-        n = sum(term[0]) - sum(term[2])
-        buckets.setdefault(n, {})[term] = coeff
-    components = {
-        n: BanachElement(x.algebra, x.params, terms, x.tau)
-        for n, terms in sorted(buckets.items())
-    }
-    return WeightDecomposition(components, tuple(sorted(buckets)))
+    return WeightDecomposition(
+        {
+            n: BanachElement(x.algebra, x.params, part.terms, x.tau)
+            for n, part in x.to_pbw().grade_decompose().items()
+        }
+    )
 
 
 def transition(x: BanachElement, target: LevelParams) -> BanachElement:
@@ -308,8 +305,11 @@ def transition(x: BanachElement, target: LevelParams) -> BanachElement:
 
 @dataclass
 class CoadmissibleReport:
-    passed: bool
     failing_level: int | None = None
+
+    @property
+    def passed(self) -> bool:
+        return self.failing_level is None
 
     def ensure(self):
         if not self.passed:
@@ -326,8 +326,8 @@ def coadmissible_check(family) -> CoadmissibleReport:
             raise ValueError("family levels must be consecutive")
         moved = transition(high, low.params)
         if moved.terms != low.terms:
-            return CoadmissibleReport(False, high.params.level)
-    return CoadmissibleReport(True)
+            return CoadmissibleReport(high.params.level)
+    return CoadmissibleReport()
 
 
 @dataclass
@@ -358,6 +358,8 @@ def analytic_verma_slice(
     slice_ = VermaSlice(algebra, irrep, cutoff)
     ctx = params.ctx
     m = params.level
+    x_scale = Scalar.rational(ctx.prime) ** m
+    y_scale = Scalar.rational(ctx.prime) ** params.r
 
     def column_exponent(vec, degree: int) -> float:
         worst = INF
@@ -380,14 +382,14 @@ def analytic_verma_slice(
             if n + 1 <= cutoff:
                 for i in range(algebra.dim):
                     img = slice_.apply_x_full(i, n, unit)
-                    img = [x * Scalar.rational(ctx.prime) ** m for x in img]
+                    img = [x * x_scale for x in img]
                     record(
                         f"p^{m}*x{i + 1}", column_exponent(img, n + 1) - src_exp
                     )
             if n > 0:
                 for i in range(algebra.dim):
                     img = slice_.apply_y_full(i, n, unit)
-                    img = [x * Scalar.rational(ctx.prime) ** params.r for x in img]
+                    img = [x * y_scale for x in img]
                     record(
                         f"p^{params.r}*y{i + 1}", column_exponent(img, n - 1) - src_exp
                     )

@@ -235,6 +235,13 @@ def _banach_level(cfg: JobConfig, algebra: CherednikAlgebra, level: int):
     return tower[level]
 
 
+def _norm_text(element: banach.BanachElement) -> str:
+    try:
+        return str(banach.gauss_norm(element))
+    except banach.TailDominated as exc:
+        return f"tail-dominated (>= {exc.tau})"
+
+
 def _cmd_norm(cfg: JobConfig) -> Report:
     algebra = build_algebra(cfg)
     level = cfg.get_int("level", minimum=0)
@@ -246,11 +253,7 @@ def _cmd_norm(cfg: JobConfig) -> Report:
     ):
         mono = algebra.element({term: element.terms[term]})
         rows.append((str(mono), int(weight), level))
-    try:
-        exponent = str(banach.gauss_norm(element))
-    except banach.TailDominated as exc:
-        exponent = f"tail-dominated (>= {exc.tau})"
-    extra = {"norm_exponent": exponent, "r": str(params.r), "tau": str(element.tau)}
+    extra = {"norm_exponent": _norm_text(element), "r": str(params.r), "tau": str(element.tau)}
     return Report("norm", ("term", "weighted_valuation", "level"), rows, extra=extra)
 
 
@@ -259,12 +262,8 @@ def _cmd_lattice_check(cfg: JobConfig) -> Report:
     lo, hi = cfg.level_range()
     ctx = build_context(cfg)
     tower = banach.level_tower(algebra, ctx, hi)
-    rows = []
-    for params in tower[lo : hi + 1]:
-        report = banach.lattice_check(algebra, ctx, params.level, params.r)
-        rows.append((params.level, params.r, "pass" if report.passed else "fail", ""))
-        for desc, exponent in report.violations:
-            rows.append((params.level, params.r, "violation", f"{desc} -> {exponent}"))
+    # level_tower returns only r values whose lattice check passed
+    rows = [(params.level, params.r, "pass", "") for params in tower[lo : hi + 1]]
     return Report("lattice-check", ("level", "r", "status", "detail"), rows)
 
 
@@ -274,14 +273,10 @@ def _cmd_ws_decompose(cfg: JobConfig) -> Report:
     params = _banach_level(cfg, algebra, level)
     element = banach.BanachElement.from_pbw(parse_job_element(cfg, algebra), params)
     decomposition = banach.weight_decompose_banach(element)
-    rows = []
-    for weight in decomposition.weights:
-        component = decomposition.components[weight]
-        try:
-            exponent = str(banach.gauss_norm(component))
-        except banach.TailDominated as exc:
-            exponent = f"tail-dominated (>= {exc.tau})"
-        rows.append((weight, exponent, str(component.to_pbw())))
+    rows = [
+        (weight, _norm_text(component), str(component.to_pbw()))
+        for weight, component in decomposition.components.items()
+    ]
     return Report("ws-decompose", ("weight", "exponent", "component"), rows)
 
 

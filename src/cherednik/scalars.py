@@ -632,6 +632,8 @@ class _ExprParser:
             return inner
         if (kind, text) == ("op", "-"):
             return -self.parse_atom()
+        if kind is None:
+            raise ExprError(f"{self.noun} expression ended where an operand was expected")
         raise ExprError(f"unexpected token {text!r} in {self.noun} expression")
 
 

@@ -166,8 +166,11 @@ class TestLatticeCheck:
         alg = make_algebra("cyclic:2", 1, [Fraction(1, 5)])
         report = lattice_check(alg, CTX5, 0, 0)
         assert not report.passed
-        assert any("y1" in desc and "x1" in desc for desc, _ in report.violations)
-        assert all(exp < 0 for _, exp in report.violations)
+        assert report.violations == [
+            ("[p^0*x1, p^0*y1]", -1),
+            ("p^0*y1 * p^0*x1", -1),
+            ("[p^0*y1, p^0*x1]", -1),
+        ]
         with pytest.raises(LatticeViolation):
             report.ensure()
 
@@ -176,6 +179,10 @@ class TestLatticeCheck:
             alg = make_algebra("cyclic:2", 1, cs)
             for params in level_tower(alg, CTX5, 2):
                 assert lattice_check(alg, CTX5, params.level, params.r).passed
+        s3 = make_algebra("s3", 1, [Fraction(1, 2)])
+        ctx3 = PadicContext(3, 64)
+        for params in level_tower(s3, ctx3, 2):
+            assert lattice_check(s3, ctx3, params.level, params.r).passed
 
 
 class TestWeightDecomposition:

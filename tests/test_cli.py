@@ -112,7 +112,7 @@ class TestRunCommand:
         cfg = parse_config("group = cyclic:2\nc = 1/5\nprime = 5\nlevels = 0..2\n")
         cfg.command = "lattice-check"
         rows = run_command(cfg).rows
-        assert [r[2] for r in rows] == ["pass", "pass", "pass"]
+        assert rows == [(0, 1, "pass", ""), (1, 2, "pass", ""), (2, 3, "pass", "")]
 
     def test_ws_decompose(self):
         cfg = parse_config(

@@ -281,8 +281,9 @@ class TestScalarExpressions:
     def test_rejects_garbage(self):
         with pytest.raises(ExprError):
             parse_scalar("z", 1)
-        with pytest.raises(ExprError):
-            parse_scalar("1 +", 1)
+        for text in ("1 +", "2*", "-", "1/"):
+            with pytest.raises(ExprError, match="scalar expression ended where an operand"):
+                parse_scalar(text, 1)
         with pytest.raises(ExprError):
             parse_scalar("q3", 1)
         with pytest.raises(ExprError):
