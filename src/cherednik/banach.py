@@ -175,9 +175,7 @@ def rho_c(algebra: CherednikAlgebra, ctx: PadicContext) -> int:
     which r(m) must exceed m so the weighted Dunkl data is integral."""
     worst = INF
     for r in algebra.reflections:
-        coeff = Scalar.rational(2) * algebra.c(r.index) / (ONE - r.eigenvalue)
-        v = val(coeff, ctx)
-        worst = min(worst, v.value)
+        worst = min(worst, val(algebra.reflection_coefficient(r), ctx).value)
     if worst == INF:
         return 0
     return max(0, -int(worst))

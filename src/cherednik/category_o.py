@@ -107,7 +107,7 @@ class VermaSlice:
 
     def reduce(self, n: int, vec: list) -> list:
         rows, pivots = self.killed[n]
-        return linalg.reduce_against(vec, rows, pivots) if rows else list(vec)
+        return linalg.reduce_against(vec, rows, pivots)
 
     def to_free(self, n: int, vec: list) -> list:
         reduced = self.reduce(n, vec)
@@ -582,8 +582,7 @@ def singular_vectors(slice_: VermaSlice, n: int) -> SingularSpace:
                     coef = weight * irr.character[group.inv(g)]
                     if not coef:
                         continue
-                    img = slice_.apply_g_full(g, n, v)
-                    acc = [x + coef * y for x, y in zip(acc, img)]
+                    linalg.axpy(acc, coef, slice_.apply_g_full(g, n, v))
                 projected.append(slice_.to_free(n, acc))
             basis = linalg.rref(projected)[0]
             if basis:
@@ -665,10 +664,10 @@ def highest_weight_order(algebra: CherednikAlgebra, irreps=None) -> OrderGraph:
 
 
 def blocks(algebra: CherednikAlgebra, irreps=None) -> list:
-    """Partition of the irrep labels by the symmetrized integer-linkage graph."""
-    irreps = list(irreps) if irreps is not None else list(algebra.irreps)
-    c_values = {irr.label: c_scalar(algebra, irr) for irr in irreps}
-    labels = [i.label for i in irreps]
+    """Partition of the irrep labels by the symmetrized integer-linkage
+    graph: the connected components of the highest-weight order."""
+    graph = highest_weight_order(algebra, irreps)
+    labels = graph.labels
     parent = {lbl: lbl for lbl in labels}
 
     def find(x):
@@ -677,13 +676,10 @@ def blocks(algebra: CherednikAlgebra, irreps=None) -> list:
             x = parent[x]
         return x
 
-    for a in labels:
-        for b in labels:
-            diff = _integer_difference(c_values[a], c_values[b])
-            if diff is not None and diff != 0:
-                ra, rb = find(a), find(b)
-                if ra != rb:
-                    parent[ra] = rb
+    for a, b in graph.edges:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[ra] = rb
     groups: dict[str, list] = {}
     for lbl in labels:
         groups.setdefault(find(lbl), []).append(lbl)

@@ -41,32 +41,12 @@ def _freeze(rows) -> Matrix:
     return tuple(tuple(Scalar.rational(x) if not isinstance(x, Scalar) else x for x in row) for row in rows)
 
 
-def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    n = len(a)
-    m = len(b[0])
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(m):
-            acc = ZERO
-            for k in range(len(b)):
-                if a[i][k] and b[k][j]:
-                    acc = acc + a[i][k] * b[k][j]
-            row.append(acc)
-        out.append(tuple(row))
-    return tuple(out)
-
-
-def _mat_identity(n: int) -> Matrix:
-    return tuple(tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n))
-
-
 def _is_integral(mat: Matrix) -> bool:
     return all(x.den == 1 for row in mat for x in row)
 
 
 def _is_invertible(mat: Matrix) -> bool:
-    return linalg.rank([list(row) for row in mat]) == len(mat)
+    return linalg.rank(mat) == len(mat)
 
 
 class GroupAction:
@@ -133,7 +113,7 @@ def enumerate_group(generators, cap: int = 10_000) -> GroupAction:
         if not _is_invertible(g):
             raise ValueError("generators must be invertible")
 
-    ident = _mat_identity(n)
+    ident = linalg.identity(n)
     elements = [ident]
     index = {ident: 0}
     words = [()]
@@ -142,7 +122,7 @@ def enumerate_group(generators, cap: int = 10_000) -> GroupAction:
         nxt = []
         for ei in frontier:
             for gi, g in enumerate(gens):
-                prod = _mat_mul(elements[ei], g)
+                prod = linalg.mat_mul(elements[ei], g)
                 if prod not in index:
                     if len(elements) >= cap:
                         raise CapExceeded(f"group closure exceeds cap {cap}")
@@ -156,7 +136,7 @@ def enumerate_group(generators, cap: int = 10_000) -> GroupAction:
     table = [[0] * size for _ in range(size)]
     for a in range(size):
         for b in range(size):
-            prod = _mat_mul(elements[a], elements[b])
+            prod = linalg.mat_mul(elements[a], elements[b])
             table[a][b] = index[prod]
     inverse = [0] * size
     for a in range(size):
@@ -264,9 +244,9 @@ def irrep_from_generators(label: str, gen_matrices, group: GroupAction) -> Irrep
     d = len(gens[0])
     mats = []
     for word in group.words:
-        m = _mat_identity(d)
+        m = linalg.identity(d)
         for gi in word:
-            m = _mat_mul(m, gens[gi])
+            m = linalg.mat_mul(m, gens[gi])
         mats.append(m)
     candidate = Irrep(
         label,
@@ -284,7 +264,7 @@ def validate_irrep(candidate: Irrep, group: GroupAction) -> Irrep:
         raise ValueError("one matrix per group element is required")
     for a in range(len(group)):
         for b in range(len(group)):
-            if _mat_mul(mats[a], mats[b]) != mats[group.mul(a, b)]:
+            if linalg.mat_mul(mats[a], mats[b]) != mats[group.mul(a, b)]:
                 raise NotHomomorphism(
                     f"irrep {candidate.label!r} violates the group law at ({a}, {b})"
                 )
@@ -308,12 +288,8 @@ def isotypic_projector(irrep: Irrep, action_matrices, group: GroupAction):
         coef = weight * irrep.character[group.inv(g)]
         if not coef:
             continue
-        mat = action_matrices[g]
-        for i in range(size):
-            row = mat[i]
-            for j in range(size):
-                if row[j]:
-                    acc[i][j] = acc[i][j] + coef * row[j]
+        for arow, row in zip(acc, action_matrices[g]):
+            linalg.axpy(arow, coef, row)
     return acc
 
 

@@ -1,10 +1,14 @@
 """Small exact linear algebra toolkit over Scalar coefficients.
 
-Matrices are lists of row lists; everything is computed over the exact
+Matrices are sequences of rows; everything is computed over the exact
 coefficient field, so ranks, kernels and echelon forms are literal.
+`extend_echelon` is the one Gauss-Jordan step; `rref`, `rank` and
+`nullspace` are built on it.
 """
 
 from __future__ import annotations
+
+from bisect import bisect
 
 from .scalars import ZERO, ONE
 
@@ -12,24 +16,28 @@ Vector = list
 Matrix = list
 
 
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    rows, inner, cols = len(a), len(b), len(b[0]) if b else 0
-    out = [[ZERO] * cols for _ in range(rows)]
-    for i in range(rows):
-        arow = a[i]
-        orow = out[i]
-        for k in range(inner):
-            aik = arow[k]
+def axpy(vec: Vector, f, row: Vector) -> None:
+    """vec += f * row in place, touching only the nonzero entries of row."""
+    for j, y in enumerate(row):
+        if y:
+            vec[j] = vec[j] + f * y
+
+
+def mat_mul(a: Matrix, b: Matrix) -> tuple:
+    """Product as a tuple of row tuples, so it can serve as a dict key."""
+    cols = len(b[0]) if b else 0
+    out = []
+    for arow in a:
+        orow = [ZERO] * cols
+        for aik, brow in zip(arow, b):
             if aik:
-                brow = b[k]
-                for j in range(cols):
-                    if brow[j]:
-                        orow[j] = orow[j] + aik * brow[j]
-    return out
+                axpy(orow, aik, brow)
+        out.append(tuple(orow))
+    return tuple(out)
 
 
-def identity(n: int) -> Matrix:
-    return [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
+def identity(n: int) -> tuple:
+    return tuple(tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n))
 
 
 def mat_eq(a: Matrix, b: Matrix) -> bool:
@@ -37,27 +45,14 @@ def mat_eq(a: Matrix, b: Matrix) -> bool:
 
 
 def rref(rows: Matrix) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form; returns (nonzero rows, pivot columns)."""
-    rows = [list(r) for r in rows]
+    """Reduced row echelon form; returns (nonzero rows, pivot columns).
+
+    It depends only on the row space, not on the order of the rows."""
+    out: Matrix = []
     pivots: list[int] = []
-    r = 0
-    ncols = len(rows[0]) if rows else 0
-    for col in range(ncols):
-        pivot_row = next((i for i in range(r, len(rows)) if rows[i][col]), None)
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = rows[r][col].inverse()
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][col]:
-                f = rows[i][col]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(col)
-        r += 1
-        if r == len(rows):
-            break
-    return rows[:r], pivots
+    for row in rows:
+        extend_echelon(out, pivots, row)
+    return out, pivots
 
 
 def rank(rows: Matrix) -> int:
@@ -88,8 +83,7 @@ def reduce_against(vec: Vector, rows: Matrix, pivots: list[int]) -> Vector:
     vec = list(vec)
     for row, p in zip(rows, pivots):
         if vec[p]:
-            f = vec[p]
-            vec = [x - f * y for x, y in zip(vec, row)]
+            axpy(vec, -vec[p], row)
     return vec
 
 
@@ -100,12 +94,11 @@ def extend_echelon(rows: Matrix, pivots: list[int], vec: Vector) -> bool:
     if lead is None:
         return False
     inv = red[lead].inverse()
-    red = [x * inv for x in red]
+    red = [x * inv if x else x for x in red]
     for row in rows:
         if row[lead]:
-            f = row[lead]
-            row[:] = [x - f * y for x, y in zip(row, red)]
-    at = next((k for k, p in enumerate(pivots) if p > lead), len(pivots))
+            axpy(row, -row[lead], red)
+    at = bisect(pivots, lead)
     rows.insert(at, red)
     pivots.insert(at, lead)
     return True

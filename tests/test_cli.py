@@ -1,11 +1,15 @@
 """Config parsing, command dispatch, report emission, determinism, and the
 documented exit codes."""
 
+import ast
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import cherednik
 from cherednik.cli import build_algebra, emit_report, main, run_command
 from cherednik.config import ParseError, ValidationError, parse_config
 
@@ -282,3 +286,25 @@ def test_group_file_job(tmp_path):
     cfg.command = "decomp-matrix"
     rows = set(run_command(cfg).rows)
     assert ("triv", "sgn", 1) in rows
+
+
+def test_runtime_imports_only_stdlib():
+    """The package itself imports nothing outside the standard library;
+    relative imports of its own modules are allowed."""
+    sources = sorted(Path(cherednik.__file__).parent.glob("*.py"))
+    assert sources
+    outside = []
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            outside += [
+                (path.name, name)
+                for name in names
+                if name.split(".")[0] not in sys.stdlib_module_names
+            ]
+    assert outside == []
