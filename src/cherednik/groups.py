@@ -100,7 +100,13 @@ class GroupAction:
 
 
 def enumerate_group(generators, cap: int = 10_000) -> GroupAction:
-    """Breadth-first closure of a list of invertible integral matrices."""
+    """Breadth-first closure of a list of invertible integral matrices.
+
+    The closure records step[a][i], the index of element a times generator i,
+    and how each element was first reached.  The multiplication table is
+    filled from those steps alone: if b was first reached as b' * s, then
+    a * b = (a * b') * s, and b' comes before b in breadth-first order.
+    """
     gens = [_freeze(g) for g in generators]
     if not gens:
         raise ValueError("at least one generator is required")
@@ -117,34 +123,37 @@ def enumerate_group(generators, cap: int = 10_000) -> GroupAction:
     elements = [ident]
     index = {ident: 0}
     words = [()]
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for ei in frontier:
-            for gi, g in enumerate(gens):
-                prod = linalg.mat_mul(elements[ei], g)
-                if prod not in index:
-                    if len(elements) >= cap:
-                        raise CapExceeded(f"group closure exceeds cap {cap}")
-                    index[prod] = len(elements)
-                    elements.append(prod)
-                    words.append(words[ei] + (gi,))
-                    nxt.append(index[prod])
-        frontier = nxt
+    origin = [None]  # (element, generator) that first reached each element
+    step = []
+    a = 0
+    while a < len(elements):
+        row = []
+        for gi, g in enumerate(gens):
+            prod = linalg.mat_mul(elements[a], g)
+            b = index.get(prod)
+            if b is None:
+                if len(elements) >= cap:
+                    raise CapExceeded(f"group closure exceeds cap {cap}")
+                b = index[prod] = len(elements)
+                elements.append(prod)
+                words.append(words[a] + (gi,))
+                origin.append((a, gi))
+            row.append(b)
+        step.append(row)
+        a += 1
 
     size = len(elements)
-    table = [[0] * size for _ in range(size)]
+    reached = origin[1:]
+    table = []
     for a in range(size):
-        for b in range(size):
-            prod = linalg.mat_mul(elements[a], elements[b])
-            table[a][b] = index[prod]
-    inverse = [0] * size
-    for a in range(size):
-        inverse[a] = next(b for b in range(size) if table[a][b] == 0)
+        row = [a]
+        for parent, gi in reached:
+            row.append(step[row[parent]][gi])
+        table.append(tuple(row))
+    inverse = tuple(row.index(0) for row in table)
 
     action = GroupAction(
-        n, tuple(elements), tuple(tuple(r) for r in table), tuple(inverse), tuple(words),
-        tuple(index[g] for g in gens),
+        n, tuple(elements), tuple(table), inverse, tuple(words), tuple(step[0])
     )
     if size <= 200 and not action.check_associative():
         raise ValueError("multiplication table failed the associativity check")
@@ -258,15 +267,28 @@ def irrep_from_generators(label: str, gen_matrices, group: GroupAction) -> Irrep
 
 
 def validate_irrep(candidate: Irrep, group: GroupAction) -> Irrep:
-    """Check the homomorphism property and irreducibility (character norm 1)."""
+    """Check the homomorphism property and irreducibility (character norm 1).
+
+    The group law is checked as rho(identity) = I and rho(a) rho(s) = rho(a s)
+    for every element a and generator s.  That implies rho(a) rho(b) = rho(a b)
+    for every pair: write b as a word in the generators and induct on its
+    length.  The empty word is rho(identity) = I.  For b = b' s the checked
+    law gives rho(b) = rho(b') rho(s), so by induction
+    rho(a) rho(b) = rho(a b') rho(s), which the checked law at a b' equals
+    rho(a b).
+    """
     mats = candidate.matrices
     if len(mats) != len(group):
         raise ValueError("one matrix per group element is required")
+    if mats[group.identity] != linalg.identity(candidate.dim):
+        raise NotHomomorphism(
+            f"irrep {candidate.label!r} violates the group law at the identity"
+        )
     for a in range(len(group)):
-        for b in range(len(group)):
-            if linalg.mat_mul(mats[a], mats[b]) != mats[group.mul(a, b)]:
+        for s in group.generators:
+            if linalg.mat_mul(mats[a], mats[s]) != mats[group.mul(a, s)]:
                 raise NotHomomorphism(
-                    f"irrep {candidate.label!r} violates the group law at ({a}, {b})"
+                    f"irrep {candidate.label!r} violates the group law at ({a}, {s})"
                 )
     chi = candidate.character
     norm = sum((chi[g] * chi[group.inv(g)] for g in range(len(group))), ZERO)

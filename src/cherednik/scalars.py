@@ -137,11 +137,10 @@ class Scalar:
     def rational(cls, value) -> "Scalar":
         if isinstance(value, Scalar):
             return value
-        if isinstance(value, int):
-            return cls._make(1, [value], 1)
-        if isinstance(value, Fraction):
-            return cls._make(1, [value.numerator], value.denominator)
-        raise TypeError(f"cannot build a Scalar from {type(value).__name__}")
+        out = _operand(value)
+        if out is None:
+            raise TypeError(f"cannot build a Scalar from {type(value).__name__}")
+        return out
 
     @classmethod
     def zeta(cls, ell: int, power: int = 1) -> "Scalar":
@@ -162,27 +161,6 @@ class Scalar:
             coeffs += [0] * (euler_phi(ell) - len(coeffs))
             coeffs = _reduce_mod_cyclotomic(coeffs, ell)
         return cls._make(ell, coeffs, den)
-
-    # -- coercion ------------------------------------------------------
-
-    def _lift(self, ell: int) -> "Scalar":
-        if self.ell == ell:
-            return self
-        if self.ell != 1:
-            raise FieldMismatch(
-                f"cannot mix Q(zeta_{self.ell}) and Q(zeta_{ell}) values"
-            )
-        coeffs = [self.coeffs[0]] + [0] * (euler_phi(ell) - 1)
-        return Scalar(ell, tuple(coeffs), self.den)
-
-    def _pair(self, other) -> tuple["Scalar", "Scalar"]:
-        if not isinstance(other, Scalar):
-            other = Scalar.rational(other)
-        if self.ell == other.ell:
-            return self, other
-        if self.ell == 1:
-            return self._lift(other.ell), other
-        return self, other._lift(self.ell)
 
     # -- predicates ----------------------------------------------------
 
@@ -207,18 +185,43 @@ class Scalar:
         return self.coeffs[0]
 
     # -- arithmetic ----------------------------------------------------
+    #
+    # A rational operand never leaves Q: it meets a cyclotomic one by scaling
+    # its coordinates (products) or through coordinate 0 alone (sums), so only
+    # a product of two cyclotomic values is reduced modulo Phi_ell.  Scalars
+    # are immutable, so x + 0, x * 1 and x * 0 return an operand as it is.
+
+    def _combine(self, other: "Scalar", sign: int) -> "Scalar":
+        """self + sign * other for sign = 1 or -1."""
+        a_ell, b_ell = self.ell, other.ell
+        if b_ell == 1 and not other.coeffs[0]:
+            return self
+        if a_ell == 1 and not self.coeffs[0]:
+            return other if sign > 0 else -other
+        ad, bd = self.den, other.den
+        f = ad if sign > 0 else -ad  # the factor on other's coordinates
+        if b_ell == 1:
+            n = other.coeffs[0] * f
+            if a_ell == 1:
+                return Scalar._make(1, [self.coeffs[0] * bd + n], ad * bd)
+            coeffs = [c * bd for c in self.coeffs]
+            coeffs[0] += n
+        elif a_ell == 1:
+            coeffs = [c * f for c in other.coeffs]
+            coeffs[0] += self.coeffs[0] * bd
+            a_ell = b_ell
+        elif a_ell == b_ell:
+            coeffs = [x * bd + y * f for x, y in zip(self.coeffs, other.coeffs)]
+        else:
+            raise FieldMismatch(f"cannot mix Q(zeta_{b_ell}) and Q(zeta_{a_ell}) values")
+        return Scalar._make(a_ell, coeffs, ad * bd)
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)) or isinstance(other, Scalar):
-            a, b = self._pair(other)
-        else:
-            return NotImplemented
-        if a.ell == 1:
-            return Scalar._make(
-                1, [a.coeffs[0] * b.den + b.coeffs[0] * a.den], a.den * b.den
-            )
-        coeffs = [x * b.den + y * a.den for x, y in zip(a.coeffs, b.coeffs)]
-        return Scalar._make(a.ell, coeffs, a.den * b.den)
+        if type(other) is not Scalar:
+            other = _operand(other)
+            if other is None:
+                return NotImplemented
+        return self._combine(other, 1)
 
     __radd__ = __add__
 
@@ -226,28 +229,48 @@ class Scalar:
         return Scalar(self.ell, tuple(-c for c in self.coeffs), self.den)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction, Scalar)):
-            return self + (-Scalar.rational(other) if not isinstance(other, Scalar) else -other)
-        return NotImplemented
+        if type(other) is not Scalar:
+            other = _operand(other)
+            if other is None:
+                return NotImplemented
+        return self._combine(other, -1)
 
     def __rsub__(self, other):
-        return (-self) + other
+        other = _operand(other)
+        if other is None:
+            return NotImplemented
+        return other._combine(self, -1)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)) or isinstance(other, Scalar):
-            a, b = self._pair(other)
+        if type(other) is not Scalar:
+            other = _operand(other)
+            if other is None:
+                return NotImplemented
+        a_ell, b_ell = self.ell, other.ell
+        if b_ell == 1:
+            a, b = self, other
+        elif a_ell == 1:
+            a, b = other, self
+        elif a_ell == b_ell:
+            n = len(self.coeffs)
+            raw = [0] * (2 * n - 1)
+            for i, x in enumerate(self.coeffs):
+                if x:
+                    for j, y in enumerate(other.coeffs):
+                        if y:
+                            raw[i + j] += x * y
+            return Scalar._make(
+                a_ell, _reduce_mod_cyclotomic(raw, a_ell), self.den * other.den
+            )
         else:
-            return NotImplemented
-        if a.ell == 1:
-            return Scalar._make(1, [a.coeffs[0] * b.coeffs[0]], a.den * b.den)
-        n = len(a.coeffs)
-        raw = [0] * (2 * n - 1)
-        for i, x in enumerate(a.coeffs):
-            if x:
-                for j, y in enumerate(b.coeffs):
-                    if y:
-                        raw[i + j] += x * y
-        return Scalar._make(a.ell, _reduce_mod_cyclotomic(raw, a.ell), a.den * b.den)
+            raise FieldMismatch(f"cannot mix Q(zeta_{b_ell}) and Q(zeta_{a_ell}) values")
+        # b is rational and scales the coordinates of a
+        n, d = b.coeffs[0], b.den
+        if d == 1 and (n == 1 or not n):
+            return a if n else b
+        if a.ell == 1 and a.den == 1 and a.coeffs[0] == 1:
+            return b
+        return Scalar._make(a.ell, [c * n for c in a.coeffs], a.den * d)
 
     __rmul__ = __mul__
 
@@ -275,34 +298,38 @@ class Scalar:
         return Scalar.from_coords(self.ell, ints, den)
 
     def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Scalar.rational(other)
-        if isinstance(other, Scalar):
-            return self * other.inverse()
-        return NotImplemented
+        if type(other) is not Scalar:
+            other = _operand(other)
+            if other is None:
+                return NotImplemented
+        return self * other.inverse()
 
     def __rtruediv__(self, other):
-        return self.inverse() * other
+        other = _operand(other)
+        if other is None:
+            return NotImplemented
+        return other * self.inverse()
 
     def __pow__(self, k: int):
         if k < 0:
             return self.inverse() ** (-k)
-        out = Scalar.rational(1)
+        out = ONE
         base = self
         while k:
             if k & 1:
                 out = out * base
-            base = base * base
             k >>= 1
+            if k:
+                base = base * base
         return out
 
     # -- comparisons ---------------------------------------------------
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Scalar.rational(other)
-        if not isinstance(other, Scalar):
-            return NotImplemented
+        if type(other) is not Scalar:
+            other = _operand(other)
+            if other is None:
+                return NotImplemented
         return (
             self.ell == other.ell
             and self.den == other.den
@@ -377,6 +404,14 @@ def _polysub_q(a, b):
     a = list(a) + [Fraction(0)] * (n - len(a))
     b = list(b) + [Fraction(0)] * (n - len(b))
     return [x - y for x, y in zip(a, b)]
+
+
+def _operand(value) -> Scalar | None:
+    """The Scalar that an int or Fraction operand stands for; None for any
+    other type.  Both keep their values in lowest terms already."""
+    if isinstance(value, (int, Fraction)):
+        return Scalar(1, (value.numerator,), value.denominator)
+    return None
 
 
 ZERO = Scalar.rational(0)

@@ -22,6 +22,7 @@ from cherednik.groups import (
     isotypic_projector,
     load_group_file,
     regular_representation,
+    validate_irrep,
 )
 from cherednik.scalars import Scalar, ZERO, ONE
 
@@ -59,6 +60,23 @@ class TestEnumeration:
 
     def test_associativity_spot_check(self):
         assert enumerate_group(S3_GENS).check_associative()
+
+    @pytest.mark.parametrize(
+        "spec,ell", [("cyclic:6", 6), ("dihedral:5", 5), ("dihedral:8", 8), ("s3", 1), ("s4", 1)]
+    )
+    def test_tables_match_matrix_products(self, spec, ell):
+        # the table is filled from the closure's steps; check it against the matrices
+        group, _ = builtin_group(spec, ell)
+        mats = group.matrices
+        gens = [mats[g] for g in group.generators]
+        for a in range(len(group)):
+            for b in range(len(group)):
+                assert mats[group.mul(a, b)] == linalg.mat_mul(mats[a], mats[b])
+            assert linalg.mat_mul(mats[a], mats[group.inv(a)]) == mats[group.identity]
+            word = linalg.identity(group.dimension)
+            for gi in group.words[a]:
+                word = linalg.mat_mul(word, gens[gi])
+            assert word == mats[a]
 
 
 class TestReflections:
@@ -203,8 +221,6 @@ class TestIrreps:
             b = sgn.matrix(g)[0][0]
             mats.append(((a, ZERO), (ZERO, b)))
         candidate = Irrep("triv+sgn", 2, tuple(mats), tuple(m[0][0] + m[1][1] for m in mats))
-        from cherednik.groups import validate_irrep
-
         with pytest.raises(NotIrreducible):
             validate_irrep(candidate, group)
 
@@ -213,6 +229,46 @@ class TestIrreps:
         bad = [[[Scalar.rational(2)]]]
         with pytest.raises(NotHomomorphism):
             irrep_from_generators("bad", bad, group)
+
+    @pytest.mark.parametrize("spec,ell", [("s3", 1), ("dihedral:5", 5), ("s4", 1)])
+    def test_corrupted_non_generator_matrix_rejected(self, spec, ell):
+        group, irreps = builtin_group(spec, ell)
+        std = next(w for w in irreps if w.dim > 1)
+        for g in range(len(group)):
+            if g == group.identity or g in group.generators:
+                continue
+            mats = list(std.matrices)
+            mats[g] = tuple(tuple(-x for x in row) for row in mats[g])
+            candidate = Irrep(std.label, std.dim, tuple(mats), std.character)
+            with pytest.raises(NotHomomorphism, match="violates the group law at \\("):
+                validate_irrep(candidate, group)
+
+    @pytest.mark.parametrize("spec", ["s3", "s4"])
+    def test_law_is_checked_at_every_generator(self, spec):
+        # the generators are conjugate transpositions, so no character gives
+        # one of them -1 and the others 1
+        group, _ = builtin_group(spec)
+        k = len(group.generators)
+        for bad in range(k):
+            gens = [[[-1]] if i == bad else [[1]] for i in range(k)]
+            with pytest.raises(NotHomomorphism):
+                irrep_from_generators("mixed", gens, group)
+
+    def test_identity_must_act_as_identity(self):
+        # rho = 0 satisfies rho(a) rho(s) = rho(a s) but is no representation
+        group, _ = builtin_group("cyclic:2")
+        zero = ((ZERO,),)
+        candidate = Irrep("zero", 1, (zero, zero), (ZERO, ZERO))
+        with pytest.raises(NotHomomorphism, match="at the identity"):
+            validate_irrep(candidate, group)
+
+    @pytest.mark.parametrize("spec,ell", [("s3", 1), ("dihedral:6", 6), ("s4", 1)])
+    def test_builtin_irreps_respect_every_pair(self, spec, ell):
+        group, irreps = builtin_group(spec, ell)
+        for w in irreps:
+            for a in range(len(group)):
+                for b in range(len(group)):
+                    assert linalg.mat_mul(w.matrix(a), w.matrix(b)) == w.matrix(group.mul(a, b))
 
     @pytest.mark.parametrize(
         "spec,ell",

@@ -6,11 +6,13 @@ implementation of the skew group ring over the Weyl algebra, which reorders
 generators with the closed binomial formula instead of rewriting.
 """
 
+import functools
 import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cherednik.groups import (
     ReflectionFunction,
@@ -24,7 +26,7 @@ from cherednik.pbw import (
     CoefficientBlowup,
     monomials,
 )
-from cherednik.scalars import Scalar, ZERO, ONE, ExprError
+from cherednik.scalars import Scalar, ZERO, ONE, ExprError, euler_phi
 
 
 def make_algebra(spec, ell, c_values):
@@ -343,6 +345,58 @@ class TestElementSyntax:
         for text in ("1 +", "x1 +"):
             with pytest.raises(ExprError, match="element expression ended where an operand"):
                 alg.parse_element(text)
+
+
+PROPERTY_ALGEBRAS = {
+    "s3": ("s3", 1, [Fraction(1, 3)]),
+    "dihedral:5": ("dihedral:5", 5, [Scalar.from_coords(5, [1, 1], 3)]),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def property_algebra(name):
+    return make_algebra(*PROPERTY_ALGEBRAS[name])
+
+
+@st.composite
+def pbw_elements(draw, alg, max_exponent, max_terms):
+    """A sum of 1 to max_terms PBW monomials with small exponents and nonzero
+    coefficients in the algebra's field."""
+    ell = alg.field_ell
+    exponents = st.tuples(*[st.integers(0, max_exponent)] * alg.dim)
+    if ell > 1:
+        d = euler_phi(ell)
+        coeffs = st.builds(
+            Scalar.from_coords,
+            st.just(ell),
+            st.lists(st.integers(-2, 2), min_size=d, max_size=d).filter(any),
+            st.integers(1, 3),
+        )
+    else:
+        coeffs = st.builds(Fraction, st.integers(-4, 4).filter(bool), st.integers(1, 4))
+    terms = st.tuples(exponents, st.integers(0, len(alg.group) - 1), exponents, coeffs)
+    out = alg.zero()
+    for i, g, j, coeff in draw(st.lists(terms, min_size=1, max_size=max_terms)):
+        out = out + alg.monomial(i, g, j, coeff)
+    return out
+
+
+class TestProperties:
+    @pytest.mark.parametrize("name", sorted(PROPERTY_ALGEBRAS))
+    @settings(derandomize=True, deadline=None, max_examples=20)
+    @given(data=st.data())
+    def test_multiplication_is_associative(self, name, data):
+        alg = property_algebra(name)
+        a, b, c = (data.draw(pbw_elements(alg, 1, 2)) for _ in range(3))
+        assert (a * b) * c == a * (b * c)
+
+    @pytest.mark.parametrize("name", sorted(PROPERTY_ALGEBRAS))
+    @settings(derandomize=True, deadline=None, max_examples=25)
+    @given(data=st.data())
+    def test_format_then_parse_is_identity(self, name, data):
+        alg = property_algebra(name)
+        a = data.draw(pbw_elements(alg, 2, 3))
+        assert alg.parse_element(alg.format_element(a)) == a
 
 
 def test_monomials_enumeration():

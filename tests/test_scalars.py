@@ -6,14 +6,17 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given, settings, strategies as st
 
 from cherednik.scalars import (
     DivisionByZero,
     ExprError,
     FieldMismatch,
     INF,
+    ONE,
     PadicContext,
     Scalar,
+    ZERO,
     SplittingError,
     cyclotomic_polynomial,
     euler_phi,
@@ -151,6 +154,162 @@ class TestFieldArithmetic:
                 coeffs = [int(c) for c in prod.all_coeffs()[::-1]]
                 coeffs += [0] * (d - len(coeffs))
                 assert ours == Scalar.from_coords(ell, coeffs)
+
+
+FIELDS = (1, 3, 4, 5, 8)
+
+
+def examples(n):
+    """Derandomized hypothesis settings: the same n examples on every run."""
+    return settings(derandomize=True, deadline=None, max_examples=n)
+
+
+@st.composite
+def operands(draw, ell, kinds=("int", "fraction", "rational", "field")):
+    """An int, a Fraction, a rational Scalar or a Scalar over Q(zeta_ell)."""
+    kind = draw(st.sampled_from(kinds))
+    n, d = draw(st.integers(-9, 9)), draw(st.integers(1, 9))
+    if kind == "int":
+        return n
+    if kind == "fraction":
+        return Fraction(n, d)
+    if kind == "rational" or ell == 1:
+        return Scalar.rational(Fraction(n, d))
+    dim = euler_phi(ell)
+    coeffs = draw(st.lists(st.integers(-9, 9), min_size=dim, max_size=dim))
+    return Scalar.from_coords(ell, coeffs, draw(st.integers(-9, 9).filter(bool)))
+
+
+def scalars(ell):
+    return operands(ell, ("rational", "field"))
+
+
+def coords(value, ell):
+    """Coordinates over the power basis of Q(zeta_ell) as Fractions."""
+    d = euler_phi(ell)
+    if not isinstance(value, Scalar):
+        return [Fraction(value)] + [Fraction(0)] * (d - 1)
+    out = [Fraction(c, value.den) for c in value.coeffs]
+    return out + [Fraction(0)] * (d - len(out))
+
+
+def schoolbook(a, b, ell):
+    """Product of two coordinate lists: polynomial product, then long division by Phi_ell."""
+    raw = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            raw[i + j] += x * y
+    phi = cyclotomic_polynomial(ell)
+    d = len(phi) - 1
+    for i in range(len(raw) - 1, d - 1, -1):
+        c = raw[i]
+        for j, p in enumerate(phi):
+            raw[i - d + j] -= c * p
+    return raw[:d]
+
+
+def assert_canonical(value, ell):
+    assert type(value) is Scalar
+    assert value.den > 0
+    assert math.gcd(value.den, *value.coeffs) == 1
+    rational = not any(coords(value, ell)[1:])
+    assert (value.ell == 1) == rational
+    assert len(value.coeffs) == (1 if rational else euler_phi(ell))
+
+
+class TestDispatchProperties:
+    @examples(60)
+    @given(st.data())
+    def test_field_axioms_with_mixed_operands(self, data):
+        ell = data.draw(st.sampled_from(FIELDS))
+        x = data.draw(scalars(ell))
+        y, z = data.draw(operands(ell)), data.draw(operands(ell))
+        results = [
+            x + y, y + x, x - y, y - x, x * y, y * x,
+            (x + y) + z, x + (y + z), (x * y) * z, x * (y * z),
+            x * (y + z), x * y + x * z, (x - y) + y, -(x - y),
+        ]
+        for r in results:
+            assert_canonical(r, ell)
+        assert x + y == y + x
+        assert x * y == y * x
+        assert (x + y) + z == x + (y + z)
+        assert (x * y) * z == x * (y * z)
+        assert x * (y + z) == x * y + x * z
+        assert (x - y) + y == x
+        assert y - x == -(x - y)
+        assert x - x == 0
+        if x:
+            assert x * x.inverse() == 1
+            assert (y / x) * x == y
+        if y:
+            assert (x / y) * y == x
+
+    @examples(60)
+    @given(st.data())
+    def test_results_match_coordinate_arithmetic(self, data):
+        ell = data.draw(st.sampled_from(FIELDS))
+        x, y = data.draw(scalars(ell)), data.draw(operands(ell))
+        cx, cy = coords(x, ell), coords(y, ell)
+        assert coords(x + y, ell) == [a + b for a, b in zip(cx, cy)]
+        assert coords(y + x, ell) == [a + b for a, b in zip(cx, cy)]
+        assert coords(x - y, ell) == [a - b for a, b in zip(cx, cy)]
+        assert coords(y - x, ell) == [b - a for a, b in zip(cx, cy)]
+        assert coords(x * y, ell) == schoolbook(cx, cy, ell)
+
+    @examples(60)
+    @given(st.data())
+    def test_rational_times_cyclotomic_is_schoolbook_product(self, data):
+        ell = data.draw(st.sampled_from(FIELDS[1:]))
+        q = data.draw(operands(ell, ("int", "fraction", "rational")))
+        z = data.draw(operands(ell, ("field",)))
+        expected = schoolbook(coords(q, ell), coords(z, ell), ell)
+        for product in (q * z, z * q):
+            assert_canonical(product, ell)
+            assert coords(product, ell) == expected
+
+    @examples(40)
+    @given(st.data())
+    def test_one_and_zero_are_identities(self, data):
+        ell = data.draw(st.sampled_from(FIELDS))
+        x = data.draw(scalars(ell))
+        for same in (x * 1, 1 * x, x * ONE, ONE * x, x + 0, 0 + x, x + ZERO, ZERO + x, x - 0):
+            assert same == x
+            assert_canonical(same, ell)
+        for zero in (x * 0, 0 * x, x * ZERO, ZERO * x, x - x):
+            assert zero == 0 and zero.ell == 1
+        assert 0 - x == -x
+        assert x**0 == 1 and x**1 == x
+
+    @examples(30)
+    @given(scalars(3), scalars(4))
+    def test_mixed_cyclotomic_fields_are_rejected(self, a, b):
+        if a.is_rational or b.is_rational:
+            return
+        for op in (
+            lambda u, v: u + v,
+            lambda u, v: u - v,
+            lambda u, v: u * v,
+            lambda u, v: u / v,
+        ):
+            with pytest.raises(FieldMismatch):
+                op(a, b)
+            with pytest.raises(FieldMismatch):
+                op(b, a)
+
+    @examples(20)
+    @given(st.sampled_from(FIELDS).flatmap(scalars), st.sampled_from((1.5, 0.0, "1", "z")))
+    def test_other_operand_types_are_rejected(self, x, other):
+        for op in (
+            lambda u, v: u + v,
+            lambda u, v: u - v,
+            lambda u, v: u * v,
+            lambda u, v: u / v,
+        ):
+            with pytest.raises(TypeError):
+                op(x, other)
+            with pytest.raises(TypeError):
+                op(other, x)
 
 
 class TestCanonicalForm:
