@@ -11,6 +11,7 @@ are coordinates on the surviving (non-pivot) basis positions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from . import linalg
 from .groups import Irrep
@@ -33,27 +34,15 @@ class InconsistentTruncation(RuntimeError):
 # module vectors: {degree: dense coordinate list}
 
 
-def mv_add(a: dict, b: dict) -> dict:
-    out = {n: list(v) for n, v in a.items()}
-    for n, v in b.items():
-        if n in out:
-            out[n] = [x + y for x, y in zip(out[n], v)]
-        else:
-            out[n] = list(v)
-    return _mv_prune(out)
-
-
 def mv_scale(a: dict, s) -> dict:
     s = s if isinstance(s, Scalar) else Scalar.rational(s)
     return _mv_prune({n: [x * s for x in v] for n, v in a.items()})
 
 
-def mv_is_zero(a: dict) -> bool:
-    return all(not x for v in a.values() for x in v)
-
-
 def mv_eq(a: dict, b: dict) -> bool:
-    return mv_is_zero(mv_add(a, mv_scale(b, -1)))
+    """Equality of module vectors; a missing degree reads as zero.  Scalars
+    are canonical, so equal values compare equal entry by entry."""
+    return _mv_prune(a) == _mv_prune(b)
 
 
 def _mv_prune(a: dict) -> dict:
@@ -77,7 +66,25 @@ class VermaSlice:
         ]
         # killed[n]: reduced echelon rows of the quotiented-away subspace
         self.killed = [([], []) for _ in range(cutoff + 1)]
-        self.stable_under_cutoff = True
+
+    @cached_property
+    def singular_isotypes(self) -> dict:
+        """Degree n -> labels of the irreps E with c_E - c_lambda = n.
+
+        The Euler element acts by c_lambda + n on degree n and by c_E on an
+        E-singular vector, so singular vectors (in this slice or any graded
+        quotient of it) exist only at the degrees listed here, and only of
+        the listed isotypes.  Without an irrep table every degree is listed,
+        with no labels."""
+        alg = self.algebra
+        if not alg.irreps:
+            return {n: [] for n in range(self.cutoff + 1)}
+        out: dict[int, list] = {}
+        for irr in alg.irreps:
+            n = _integer_difference(c_scalar(alg, irr), self.c_value)
+            if n is not None and 0 <= n <= self.cutoff:
+                out.setdefault(n, []).append(irr.label)
+        return out
 
     # -- bases -----------------------------------------------------------
 
@@ -237,38 +244,24 @@ class VermaSlice:
 
     # -- quotienting --------------------------------------------------------
 
-    def kill_submodule(self, n: int, seed_vectors: list):
-        """Quotient by the submodule generated inside the truncation by the
-        given degree-n vectors (ambient coordinates).
+    def kill_submodule(self, n: int, vectors: list):
+        """One upward step of a quotient: extend the killed degree-n subspace
+        by x_i . killed[n - 1] for every i, then by the given degree-n
+        vectors (ambient coordinates).
 
-        The seeds are closed under the group action, then pushed upward with
-        the raising operators level by level; the group closure is preserved
-        along the way because g . x_i v lies in sum_j x_j (G . v).
-        """
-        group = self.algebra.group
-        span_rows: list = []
-        span_pivots: list = []
-        for v in seed_vectors:
-            for g in range(len(group)):
-                linalg.extend_echelon(
-                    span_rows, span_pivots, self.apply_g_full(g, n, v)
-                )
-        current = span_rows
-        for m in range(n, self.cutoff + 1):
-            if m > n:
-                nxt_rows: list = []
-                nxt_pivots: list = []
-                for v in current:
-                    for i in range(self.algebra.dim):
-                        linalg.extend_echelon(
-                            nxt_rows, nxt_pivots, self.apply_x_full(i, m - 1, v)
-                        )
-                current = nxt_rows
-            if not current:
-                break
-            krows, kpivots = self.killed[m]
-            for v in current:
-                linalg.extend_echelon(krows, kpivots, list(v))
+        Called for n = 1, 2, ... in turn, this keeps the killed part closed
+        under the x's.  It is G-stable when the given vectors span a G-stable
+        space modulo it, as a joint kernel of the y's does, since x . J is
+        G-stable whenever J is."""
+        krows, kpivots = self.killed[n]
+        if n:
+            for row in self.killed[n - 1][0]:
+                for i in range(self.algebra.dim):
+                    linalg.extend_echelon(
+                        krows, kpivots, self.apply_x_full(i, n - 1, row)
+                    )
+        for v in vectors:
+            linalg.extend_echelon(krows, kpivots, v)
 
     # -- characters ----------------------------------------------------------
 
@@ -320,9 +313,6 @@ class GradedCharacter:
     def multiplicity(self, degree: int, label: str) -> int:
         return self.data.get(degree, {}).get(label, 0)
 
-    def degrees(self):
-        return sorted(self.data)
-
     def rows(self):
         for n in sorted(self.data):
             for label in sorted(self.data[n]):
@@ -340,17 +330,11 @@ class GradedCharacter:
 
 
 def c_scalar(algebra: CherednikAlgebra, irrep: Irrep) -> Scalar:
-    """The scalar by which the central Euler part acts on the irrep,
-    verified against the direct matrix action."""
-    total = ZERO
-    for r in algebra.reflections:
-        total = total + algebra.reflection_coefficient(r) * irrep.character[r.index]
-    value = Scalar.rational(algebra.dim) / 2 - total / irrep.dim
-    # the matrix of the central part must be value * Id
+    """The scalar by which the central Euler part dim/2 - sum_s kappa_s s
+    acts on the irrep, read off its matrix, which must be scalar."""
     d = irrep.dim
-    mat = [[ZERO] * d for _ in range(d)]
-    for i in range(d):
-        mat[i][i] = Scalar.rational(algebra.dim) / 2
+    half = Scalar.rational(algebra.dim) / 2
+    mat = [[half if i == j else ZERO for j in range(d)] for i in range(d)]
     for r in algebra.reflections:
         coef = algebra.reflection_coefficient(r)
         rho = irrep.matrix(r.index)
@@ -358,13 +342,11 @@ def c_scalar(algebra: CherednikAlgebra, irrep: Irrep) -> Scalar:
             for j in range(d):
                 if rho[i][j]:
                     mat[i][j] = mat[i][j] - coef * rho[i][j]
-    for i in range(d):
-        for j in range(d):
-            expected = value if i == j else ZERO
-            if mat[i][j] != expected:
-                raise NotScalarAction(
-                    f"central Euler part is not scalar on irrep {irrep.label!r}"
-                )
+    value = mat[0][0]
+    if mat != [[value if i == j else ZERO for j in range(d)] for i in range(d)]:
+        raise NotScalarAction(
+            f"central Euler part is not scalar on irrep {irrep.label!r}"
+        )
     return value
 
 
@@ -540,10 +522,12 @@ class SingularSpace:
 
 
 def _kernel_at_degree(slice_: VermaSlice, n: int) -> list:
+    """Joint kernel of the y's on degree n, in free coordinates; empty at a
+    degree where the Euler rule leaves no room for a singular vector."""
     if n == 0:
         return [list(row) for row in linalg.identity(slice_.dim(0))]
     cols = slice_.dim(n)
-    if cols == 0:
+    if cols == 0 or n not in slice_.singular_isotypes:
         return []
     stacked = []
     images = []
@@ -564,16 +548,20 @@ def _kernel_at_degree(slice_: VermaSlice, n: int) -> list:
 
 
 def singular_vectors(slice_: VermaSlice, n: int) -> SingularSpace:
-    """Deterministic basis of the degree-n singular space with isotypic labels."""
+    """Deterministic basis of the degree-n singular space with isotypic labels.
+
+    Only the isotypes the Euler rule allows at degree n are projected out;
+    every other isotypic piece of the kernel is zero."""
     if n > slice_.cutoff:
         raise CutoffExceeded(f"degree {n} exceeds the cutoff {slice_.cutoff}")
     alg = slice_.algebra
     group = alg.group
     kernel = _kernel_at_degree(slice_, n)
     components: dict[str, list] = {}
-    if kernel and alg.irreps:
-        lifted = [slice_.lift(n, v) for v in kernel]
-        for irr in alg.irreps:
+    lifted = [slice_.lift(n, v) for v in kernel]
+    labels = slice_.singular_isotypes.get(n, [])
+    for irr in alg.irreps:
+        if irr.label in labels:
             weight = Scalar.rational(irr.dim) / len(group)
             projected = []
             for v in lifted:
@@ -591,20 +579,24 @@ def singular_vectors(slice_: VermaSlice, n: int) -> SingularSpace:
 
 
 def simple_quotient_slice(algebra: CherednikAlgebra, irrep: Irrep, cutoff: int):
-    """Iteratively quotient the Verma slice by submodules generated by
-    positive-degree singular vectors until a clean pass; returns the
-    truncated simple module and its graded character."""
+    """The simple quotient L(lambda) in degrees 0..cutoff and its graded
+    character, built in one pass upward through the degrees.
+
+    The radical J of the Verma module satisfies J_0 = 0 and J_n = {v in
+    degree n : y_i . v in J_{n-1} for all i} (Dunkl, de Jeu and Opdam).  So
+    J_n is R_n = sum_i x_i . J_{n-1} plus the lifts of the joint kernel of
+    the y's from degree n modulo R_n to degree n - 1 modulo J_{n-1}; that
+    kernel is nonzero only at the degrees `singular_isotypes` lists.  J_n
+    depends only on degrees <= n, so the truncation is exact."""
     slice_ = VermaSlice(algebra, irrep, cutoff)
-    while True:
-        found = False
-        for n in range(1, cutoff + 1):
-            kernel = _kernel_at_degree(slice_, n)
-            if kernel:
-                found = True
-                slice_.kill_submodule(n, [slice_.lift(n, v) for v in kernel])
-        if not found:
-            break
-    slice_.stable_under_cutoff = True
+    for n in range(1, cutoff + 1):
+        slice_.kill_submodule(n, [])
+        # lift every kernel vector first: `lift` reads the free positions
+        # from the killed rows that the lifts then extend
+        lifts = [slice_.lift(n, v) for v in _kernel_at_degree(slice_, n)]
+        rows, pivots = slice_.killed[n]
+        for v in lifts:
+            linalg.extend_echelon(rows, pivots, v)
     return slice_, slice_.graded_character()
 
 
@@ -614,19 +606,18 @@ def verma_character(algebra: CherednikAlgebra, irrep: Irrep, cutoff: int) -> Gra
 
 
 def hom_dim(irrep: Irrep, slice_: VermaSlice) -> int:
-    """Multiplicity of the irrep in the singular vectors across all degrees,
-    i.e. the truncated dimension of Hom from its Verma module."""
-    total = 0
-    for n in range(slice_.cutoff + 1):
-        space = singular_vectors(slice_, n)
-        comp = space.components.get(irrep.label)
-        if comp:
-            if len(comp) % irrep.dim:
-                raise InconsistentTruncation(
-                    f"isotypic piece of {irrep.label!r} has broken dimension"
-                )
-            total += len(comp) // irrep.dim
-    return total
+    """Multiplicity of the irrep in the singular vectors, i.e. the truncated
+    dimension of Hom from its Verma module.  The Euler rule puts them all in
+    the one degree c(irrep) - c_lambda."""
+    n = _integer_difference(c_scalar(slice_.algebra, irrep), slice_.c_value)
+    if n is None or not 0 <= n <= slice_.cutoff:
+        return 0
+    comp = singular_vectors(slice_, n).components.get(irrep.label, [])
+    if len(comp) % irrep.dim:
+        raise InconsistentTruncation(
+            f"isotypic piece of {irrep.label!r} has broken dimension"
+        )
+    return len(comp) // irrep.dim
 
 
 # ---------------------------------------------------------------------------

@@ -116,9 +116,6 @@ class PBWElement:
             n: PBWElement(self.algebra, terms) for n, terms in sorted(out.items())
         }
 
-    def degrees(self):
-        return sorted({sum(i) - sum(j) for (i, g, j) in self.terms})
-
     def __str__(self):
         return self.algebra.format_element(self)
 
@@ -157,6 +154,11 @@ class CherednikAlgebra:
         self._refl_data = [
             (r.index, self.c(r.index), r.covector, r.vector) for r in self.reflections
         ]
+        # the Euler coefficient kappa_s = 2c(s)/(1 - lambda_s^-1) per reflection
+        self._kappa = {
+            r.index: 2 * self.c(r.index) / (ONE - r.eigenvalue.inverse())
+            for r in self.reflections
+        }
         # M(g)^T, whose rows give the action on the y generators
         self._transposed = [tuple(zip(*m)) for m in group.matrices]
         self._act_a_cache: dict = {}
@@ -383,7 +385,7 @@ class CherednikAlgebra:
 
     def reflection_coefficient(self, r: PseudoReflection) -> Scalar:
         """The Euler coefficient kappa_s = 2c(s)/(1 - lambda_s^-1)."""
-        return (Scalar.rational(2) * self.c(r.index)) / (ONE - r.eigenvalue.inverse())
+        return self._kappa[r.index]
 
     def poly_trace(self, g: int, degree: int) -> Scalar:
         """Trace of g on the degree-n slice of the polynomial algebra A."""

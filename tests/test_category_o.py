@@ -21,7 +21,6 @@ from cherednik.category_o import (
     dunkl_action,
     highest_weight_order,
     hom_dim,
-    mv_add,
     mv_eq,
     mv_scale,
     simple_quotient_slice,
@@ -127,11 +126,16 @@ class TestVermaAction:
         slice_ = VermaSlice(alg, irrep_of(alg, "standard"), 8)
         rng = random.Random(5)
         a = alg.y(1) * alg.x(2) + alg.g(3)
-        u = random_vector(slice_, rng, 4)
-        v = random_vector(slice_, rng, 4)
-        lhs = verma_action(slice_, a, mv_add(u, v))
-        rhs = mv_add(verma_action(slice_, a, u), verma_action(slice_, a, v))
-        assert mv_eq(lhs, rhs)
+        u = random_vector(slice_, rng, 4)[4]
+        v = random_vector(slice_, rng, 4)[4]
+        s, t = Scalar.rational(2), Scalar.rational(Fraction(-1, 3))
+
+        def image(vec):
+            # a has inner degree 0, so the image stays in degree 4
+            return verma_action(slice_, a, {4: vec}).get(4, [ZERO] * slice_.dim(4))
+
+        combo = [s * x + t * y for x, y in zip(u, v)]
+        assert image(combo) == [s * x + t * y for x, y in zip(image(u), image(v))]
 
     def test_cutoff_exceeded(self):
         alg = make_algebra("cyclic:2", 1, [Fraction(1, 2)])
@@ -225,6 +229,29 @@ def brute_force_singular_dims(alg, w, cutoff):
     return dims
 
 
+def contravariant_form_dims(alg, w, cutoff):
+    """Oracle: dim L(w)_n is the rank of v -> (y^a . v)_{|a| = n} in degree 0
+    (Dunkl, de Jeu and Opdam 1994), with the commuting y's applied by the
+    Dunkl route only, so neither straightening nor the quotient code is used."""
+    slice_ = VermaSlice(alg, w, cutoff)
+    zero = [ZERO] * w.dim
+    dims = [w.dim]
+    for n in range(1, cutoff + 1):
+        rows = []
+        for j in range(slice_.dim(n)):
+            # (last y index applied, vector): each multi-index a once
+            layer = [(0, slice_.basis_vector(n, j))]
+            for _ in range(n):
+                layer = [
+                    (i, dunkl_action(slice_, i + 1, v))
+                    for last, v in layer
+                    for i in range(last, alg.dim)
+                ]
+            rows.append([x for _, v in layer for x in v.get(0, zero)])
+        dims.append(linalg.rank(rows))
+    return dims
+
+
 class TestSingularVectors:
     def test_degree_zero_is_the_irrep(self):
         alg = make_algebra("s3", 1, [Fraction(1, 3)])
@@ -248,12 +275,38 @@ class TestSingularVectors:
             assert singular_vectors(slice_, n).dimension == 0
 
     def test_matches_brute_force_dunkl_kernels(self):
-        alg = make_algebra("s3", 1, [Fraction(1, 3)])
-        for w in alg.irreps:
-            oracle = brute_force_singular_dims(alg, w, 8)
-            slice_ = VermaSlice(alg, w, 8)
-            for n in range(1, 9):
-                assert singular_vectors(slice_, n).dimension == oracle[n]
+        # The unfiltered Dunkl kernel vanishes off the degrees n = c_E - c_lambda;
+        # at those degrees it is the singular space, and the projections onto
+        # the allowed isotypes add up to all of it.
+        for spec, ell, cs in (
+            ("s3", 1, [Fraction(1, 3)]),
+            ("s3", 1, [Fraction(1, 2)]),
+            ("cyclic:2", 1, [Fraction(3, 2)]),
+            ("cyclic:3", 3, [1, 1]),
+            ("dihedral:5", 5, [Fraction(1, 5)]),
+        ):
+            alg = make_algebra(spec, ell, cs)
+            for w in alg.irreps:
+                oracle = brute_force_singular_dims(alg, w, 8)
+                slice_ = VermaSlice(alg, w, 8)
+                for n in range(1, 9):
+                    if n not in slice_.singular_isotypes:
+                        assert oracle[n] == 0, (spec, w.label, n)
+                        continue
+                    space = singular_vectors(slice_, n)
+                    assert space.dimension == oracle[n], (spec, w.label, n)
+                    assert sum(map(len, space.components.values())) == oracle[n]
+
+    def test_without_irrep_table_every_degree_is_searched(self):
+        alg = make_algebra("cyclic:2", 1, [Fraction(3, 2)])
+        bare = CherednikAlgebra(alg.group, alg.c)
+        triv = irrep_of(alg, "triv")
+        slice_, bare_slice = VermaSlice(alg, triv, 8), VermaSlice(bare, triv, 8)
+        assert set(bare_slice.singular_isotypes) == set(range(9))
+        for n in range(9):
+            space = singular_vectors(bare_slice, n)
+            assert space.components == {}
+            assert space.vectors == singular_vectors(slice_, n).vectors
 
     def test_echelon_form_is_deterministic(self):
         alg = make_algebra("cyclic:2", 1, [Fraction(3, 2)])
@@ -271,7 +324,6 @@ class TestSimpleQuotients:
         quotient, character = simple_quotient_slice(alg, irrep_of(alg, "triv"), 20)
         assert [quotient.dim(n) for n in range(21)] == [1] + [0] * 20
         assert list(character.rows()) == [(0, "triv", 1)]
-        assert quotient.stable_under_cutoff
 
     def test_order_two_generic_parameter(self):
         alg = make_algebra("cyclic:2", 1, [Fraction(1, 3)])
@@ -293,9 +345,12 @@ class TestSimpleQuotients:
     def test_higher_singular_vector_kills_tail(self):
         # at c = 3/2 the first singular vector of the trivial Verma sits in
         # degree 3, so the simple quotient has dimensions 1, 1, 1, 0, ...
+        # (cutoff 3 puts that degree at the edge of the truncation)
         alg = make_algebra("cyclic:2", 1, [Fraction(3, 2)])
-        quotient, _ = simple_quotient_slice(alg, irrep_of(alg, "triv"), 12)
-        assert [quotient.dim(n) for n in range(13)] == [1, 1, 1] + [0] * 10
+        for cutoff in (3, 12):
+            quotient, _ = simple_quotient_slice(alg, irrep_of(alg, "triv"), cutoff)
+            dims = [quotient.dim(n) for n in range(cutoff + 1)]
+            assert dims == [1, 1, 1] + [0] * (cutoff - 2)
 
     def test_exactness_bookkeeping(self):
         alg = make_algebra("s3", 1, [Fraction(1, 3)])
@@ -311,6 +366,22 @@ class TestSimpleQuotients:
             quotient, character = simple_quotient_slice(alg, w, 10)
             for n in range(11):
                 assert character.dimension(n, alg.irreps) == quotient.dim(n)
+
+    @pytest.mark.parametrize(
+        "spec,ell,cs,cutoff",
+        [
+            ("s3", 1, [Fraction(1, 3)], 6),
+            ("s3", 1, [Fraction(1, 2)], 6),
+            ("dihedral:5", 5, [Fraction(1, 5)], 6),
+            ("s4", 1, [Fraction(1, 2)], 3),
+        ],
+    )
+    def test_dims_match_contravariant_form(self, spec, ell, cs, cutoff):
+        alg = make_algebra(spec, ell, cs)
+        for w in alg.irreps:
+            quotient, _ = simple_quotient_slice(alg, w, cutoff)
+            expected = contravariant_form_dims(alg, w, cutoff)
+            assert [quotient.dim(n) for n in range(cutoff + 1)] == expected
 
 
 class TestHomDim:
