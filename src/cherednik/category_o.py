@@ -69,21 +69,22 @@ class VermaSlice:
 
     @cached_property
     def singular_isotypes(self) -> dict:
-        """Degree n -> labels of the irreps E with c_E - c_lambda = n.
+        """Degree n -> labels of the listed irreps E with c_E - c_lambda = n.
 
         The Euler element acts by c_lambda + n on degree n and by c_E on an
         E-singular vector, so singular vectors (in this slice or any graded
-        quotient of it) exist only at the degrees listed here, and only of
-        the listed isotypes.  Without an irrep table every degree is listed,
-        with no labels."""
+        quotient of it) of a listed isotype exist only at its degree here.
+        When the irrep table is not known to be complete (an empty table
+        included), an unlisted isotype may be singular in any degree, so
+        every degree 0..cutoff is a key."""
         alg = self.algebra
-        if not alg.irreps:
-            return {n: [] for n in range(self.cutoff + 1)}
         out: dict[int, list] = {}
         for irr in alg.irreps:
             n = _integer_difference(c_scalar(alg, irr), self.c_value)
             if n is not None and 0 <= n <= self.cutoff:
                 out.setdefault(n, []).append(irr.label)
+        if not _complete_table(alg):
+            out = {n: out.get(n, []) for n in range(self.cutoff + 1)}
         return out
 
     # -- bases -----------------------------------------------------------
@@ -244,23 +245,23 @@ class VermaSlice:
 
     # -- quotienting --------------------------------------------------------
 
-    def kill_submodule(self, n: int, vectors: list):
-        """One upward step of a quotient: extend the killed degree-n subspace
-        by x_i . killed[n - 1] for every i, then by the given degree-n
-        vectors (ambient coordinates).
+    def kill_submodule(self, n: int):
+        """One upward step of the simple quotient, for n >= 1: given the
+        radical J_{n-1} in killed[n - 1], make killed[n] the radical J_n.
 
-        Called for n = 1, 2, ... in turn, this keeps the killed part closed
-        under the x's.  It is G-stable when the given vectors span a G-stable
-        space modulo it, as a joint kernel of the y's does, since x . J is
+        It adds R_n = sum_i x_i . J_{n-1}, then the lifts of the joint kernel
+        of the y's from degree n modulo R_n to degree n - 1 modulo J_{n-1}.
+        No G-closure is needed: that kernel is G-stable, and x . J is
         G-stable whenever J is."""
         krows, kpivots = self.killed[n]
-        if n:
-            for row in self.killed[n - 1][0]:
-                for i in range(self.algebra.dim):
-                    linalg.extend_echelon(
-                        krows, kpivots, self.apply_x_full(i, n - 1, row)
-                    )
-        for v in vectors:
+        for row in self.killed[n - 1][0]:
+            for i in range(self.algebra.dim):
+                linalg.extend_echelon(
+                    krows, kpivots, self.apply_x_full(i, n - 1, row)
+                )
+        # lift every kernel vector first: `lift` reads the free positions
+        # from the killed rows that the lifts then extend
+        for v in [self.lift(n, v) for v in _kernel_at_degree(self, n)]:
             linalg.extend_echelon(krows, kpivots, v)
 
     # -- characters ----------------------------------------------------------
@@ -530,18 +531,13 @@ def _kernel_at_degree(slice_: VermaSlice, n: int) -> list:
     if cols == 0 or n not in slice_.singular_isotypes:
         return []
     stacked = []
-    images = []
     for i in range(slice_.algebra.dim):
-        col_imgs = []
-        for j in range(cols):
-            vec = slice_.lift(n, [ONE if t == j else ZERO for t in range(cols)])
-            img = slice_.apply_y_full(i, n, vec)
-            col_imgs.append(slice_.to_free(n - 1, img))
-        images.append(col_imgs)
-    rows_out = slice_.dim(n - 1)
-    for i in range(slice_.algebra.dim):
-        for r in range(rows_out):
-            stacked.append([images[i][j][r] for j in range(cols)])
+        images = [
+            slice_.to_free(n - 1, slice_.apply_y_full(i, n, slice_.lift(n, unit)))
+            for unit in linalg.identity(cols)
+        ]
+        # one row per coordinate of degree n - 1, one column per unit vector
+        stacked.extend(list(row) for row in zip(*images))
     if not stacked:
         return [list(row) for row in linalg.identity(cols)]
     return linalg.nullspace(stacked)
@@ -583,20 +579,13 @@ def simple_quotient_slice(algebra: CherednikAlgebra, irrep: Irrep, cutoff: int):
     character, built in one pass upward through the degrees.
 
     The radical J of the Verma module satisfies J_0 = 0 and J_n = {v in
-    degree n : y_i . v in J_{n-1} for all i} (Dunkl, de Jeu and Opdam).  So
-    J_n is R_n = sum_i x_i . J_{n-1} plus the lifts of the joint kernel of
-    the y's from degree n modulo R_n to degree n - 1 modulo J_{n-1}; that
+    degree n : y_i . v in J_{n-1} for all i} (Dunkl, de Jeu and Opdam), so
+    `kill_submodule(n)` builds J_n from J_{n-1} for n = 1, 2, ...; the new
     kernel is nonzero only at the degrees `singular_isotypes` lists.  J_n
     depends only on degrees <= n, so the truncation is exact."""
     slice_ = VermaSlice(algebra, irrep, cutoff)
     for n in range(1, cutoff + 1):
-        slice_.kill_submodule(n, [])
-        # lift every kernel vector first: `lift` reads the free positions
-        # from the killed rows that the lifts then extend
-        lifts = [slice_.lift(n, v) for v in _kernel_at_degree(slice_, n)]
-        rows, pivots = slice_.killed[n]
-        for v in lifts:
-            linalg.extend_echelon(rows, pivots, v)
+        slice_.kill_submodule(n)
     return slice_, slice_.graded_character()
 
 
@@ -609,15 +598,15 @@ def hom_dim(irrep: Irrep, slice_: VermaSlice) -> int:
     """Multiplicity of the irrep in the singular vectors, i.e. the truncated
     dimension of Hom from its Verma module.  The Euler rule puts them all in
     the one degree c(irrep) - c_lambda."""
-    n = _integer_difference(c_scalar(slice_.algebra, irrep), slice_.c_value)
-    if n is None or not 0 <= n <= slice_.cutoff:
-        return 0
-    comp = singular_vectors(slice_, n).components.get(irrep.label, [])
-    if len(comp) % irrep.dim:
-        raise InconsistentTruncation(
-            f"isotypic piece of {irrep.label!r} has broken dimension"
-        )
-    return len(comp) // irrep.dim
+    for n, labels in slice_.singular_isotypes.items():
+        if irrep.label in labels:
+            comp = singular_vectors(slice_, n).components.get(irrep.label, [])
+            if len(comp) % irrep.dim:
+                raise InconsistentTruncation(
+                    f"isotypic piece of {irrep.label!r} has broken dimension"
+                )
+            return len(comp) // irrep.dim
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -640,6 +629,17 @@ def _integer_difference(a: Scalar, b: Scalar):
     if diff.is_integer():
         return diff.as_int()
     return None
+
+
+def _complete_table(algebra: CherednikAlgebra) -> bool:
+    """Whether the irrep table lists every irrep of the group: its irreps
+    are validated irreducible, so distinct characters whose dimensions'
+    squares sum to the group order are all of them."""
+    irreps = algebra.irreps
+    return (
+        sum(irr.dim**2 for irr in irreps) == len(algebra.group)
+        and len({irr.character for irr in irreps}) == len(irreps)
+    )
 
 
 def highest_weight_order(algebra: CherednikAlgebra, irreps=None) -> OrderGraph:

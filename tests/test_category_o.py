@@ -33,6 +33,7 @@ from cherednik.groups import (
     ReflectionFunction,
     builtin_group,
     find_reflections,
+    load_group_file,
 )
 from cherednik.pbw import CherednikAlgebra
 from cherednik.scalars import Scalar, ZERO, ONE
@@ -366,6 +367,29 @@ class TestSimpleQuotients:
             quotient, character = simple_quotient_slice(alg, w, 10)
             for n in range(11):
                 assert character.dimension(n, alg.irreps) == quotient.dim(n)
+
+    @pytest.mark.parametrize(
+        "second",
+        ["", "begin irrep triv2 dim=1\ngen\n1\nend\n"],
+        ids=["triv-only", "triv-twice"],
+    )
+    def test_incomplete_irrep_table_searches_every_degree(self, second):
+        # The table lists triv only (or triv twice, whose squared dimensions
+        # still sum to the group order).  At c = 3/2 the sgn-type singular
+        # vector of Delta(triv) sits in degree 3, a degree no listed isotype
+        # allows, and the quotient must still kill it.
+        text = "dimension = 1\nbegin generator\n-1\nend\n"
+        text += "begin irrep triv dim=1\ngen\n1\nend\n" + second
+        group, irreps = load_group_file(text)
+        c = ReflectionFunction(group, find_reflections(group), [Fraction(3, 2)])
+        alg = CherednikAlgebra(group, c, irreps=irreps)
+        triv = irreps[0]
+        quotient, character = simple_quotient_slice(alg, triv, 8)
+        assert [quotient.dim(n) for n in range(9)] == [1, 1, 1] + [0] * 6
+        assert character.multiplicity(2, "triv") == 1
+        space = singular_vectors(VermaSlice(alg, triv, 8), 3)
+        assert space.dimension == 1 and space.components == {}
+        assert hom_dim(triv, VermaSlice(alg, triv, 8)) == 1
 
     @pytest.mark.parametrize(
         "spec,ell,cs,cutoff",
