@@ -267,29 +267,38 @@ class VermaSlice:
     # -- characters ----------------------------------------------------------
 
     def trace(self, g: int, n: int) -> Scalar:
-        """Trace of the group element g on the degree-n quotient slice."""
-        amb = self.algebra.poly_trace(g, n) * self.irrep.character[g]
-        rows, pivots = self.killed[n]
-        if not rows:
-            return amb
-        killed_tr = ZERO
-        for row, p in zip(rows, pivots):
-            killed_tr = killed_tr + self.apply_g_full(g, n, row)[p]
-        return amb - killed_tr
+        """Trace of the group element g on the degree-n quotient slice: the
+        Verma part chi_lambda(g) h_n(g), with h_n(g) the Molien coefficient,
+        minus the pivot coordinate of g . row for each killed row."""
+        h = self.algebra.molien_coefficients(g, self.cutoff)
+        total = h[n] * self.irrep.character[g]
+        d, monos, rho = self.irrep.dim, self._monos[n], self.irrep.matrix(g)
+        act = self.algebra.act_on_x_monomial
+        for row, p in zip(*self.killed[n]):
+            target, rho_row = monos[p // d], rho[p % d]
+            for q, v in enumerate(row):
+                if v and rho_row[q % d]:
+                    coef = act(g, monos[q // d]).get(target)
+                    if coef:
+                        total = total - v * coef * rho_row[q % d]
+        return total
 
     def graded_character(self) -> "GradedCharacter":
+        """Multiplicities from one trace per conjugacy class: the multiplicity
+        of E in degree n is sum_C |C| chi_E(g_C^-1) tr(g_C) / |G|."""
         alg = self.algebra
         if not alg.irreps:
             raise ValueError("the algebra carries no irrep table")
         group = alg.group
+        reps = [(cls[0], len(cls)) for cls in group.conjugacy_classes]
         data: dict[int, dict[str, int]] = {}
         for n in range(self.cutoff + 1):
-            traces = [self.trace(g, n) for g in range(len(group))]
+            traces = [(g, size * self.trace(g, n)) for g, size in reps]
             level: dict[str, int] = {}
             for irr in alg.irreps:
                 acc = ZERO
-                for g in range(len(group)):
-                    acc = acc + irr.character[group.inv(g)] * traces[g]
+                for g, weighted in traces:
+                    acc = acc + irr.character[group.inv(g)] * weighted
                 mult = acc / len(group)
                 if mult:
                     if not mult.is_integer() or mult.as_int() < 0:
@@ -590,7 +599,8 @@ def simple_quotient_slice(algebra: CherednikAlgebra, irrep: Irrep, cutoff: int):
 
 
 def verma_character(algebra: CherednikAlgebra, irrep: Irrep, cutoff: int) -> GradedCharacter:
-    """Graded character of the untruncated-action Verma slice."""
+    """Graded character of the Verma slice: chi_lambda times the Molien
+    series, class by class; no module action is involved."""
     return VermaSlice(algebra, irrep, cutoff).graded_character()
 
 

@@ -21,6 +21,10 @@ class CapExceeded(RuntimeError):
     """Closure enumeration exceeded the configured size cap."""
 
 
+class InfiniteOrder(CapExceeded):
+    """A generator has infinite order, so no closure cap can be met."""
+
+
 class NonIntegralEntry(ValueError):
     """A generator matrix has an entry outside the ring of integers."""
 
@@ -45,8 +49,22 @@ def _is_integral(mat: Matrix) -> bool:
     return all(x.den == 1 for row in mat for x in row)
 
 
-def _is_invertible(mat: Matrix) -> bool:
-    return linalg.rank(mat) == len(mat)
+def _determinant(mat: Matrix) -> Scalar:
+    """Determinant by Gaussian elimination."""
+    rows = [list(row) for row in mat]
+    det = ONE
+    for col in range(len(rows)):
+        pivot = next((r for r in range(col, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            return ZERO
+        if pivot != col:
+            rows[col], rows[pivot] = rows[pivot], rows[col]
+            det = -det
+        det = det * rows[col][col]
+        for row in rows[col + 1 :]:
+            if row[col]:
+                linalg.axpy(row, -row[col] / rows[col][col], rows[col])
+    return det
 
 
 class GroupAction:
@@ -111,13 +129,20 @@ def enumerate_group(generators, cap: int = 10_000) -> GroupAction:
     if not gens:
         raise ValueError("at least one generator is required")
     n = len(gens[0])
-    for g in gens:
+    for number, g in enumerate(gens, 1):
         if len(g) != n or any(len(row) != n for row in g):
             raise ValueError("generators must be square matrices of equal size")
         if not _is_integral(g):
             raise NonIntegralEntry("generator entries must be algebraic integers")
-        if not _is_invertible(g):
+        det = _determinant(g)
+        if not det:
             raise ValueError("generators must be invertible")
+        # every root of unity in Q(zeta_l) is a 2l-th root of unity
+        if det ** (2 * det.ell) != ONE:
+            raise InfiniteOrder(
+                f"generator {number} of {len(gens)} has infinite order: "
+                f"its determinant {det} is not a root of unity"
+            )
 
     ident = linalg.identity(n)
     elements = [ident]

@@ -165,6 +165,7 @@ class CherednikAlgebra:
         self._act_b_cache: dict = {}
         self._single_cache: dict = {}
         self._ji_cache: dict = {}
+        self._molien: dict = {}
         self._euler = None
 
     # -- element constructors -------------------------------------------
@@ -387,12 +388,23 @@ class CherednikAlgebra:
         """The Euler coefficient kappa_s = 2c(s)/(1 - lambda_s^-1)."""
         return self._kappa[r.index]
 
-    def poly_trace(self, g: int, degree: int) -> Scalar:
-        """Trace of g on the degree-n slice of the polynomial algebra A."""
-        total = ZERO
-        for mono in monomials(self.dim, degree):
-            total = total + self.act_on_x_monomial(g, mono).get(mono, ZERO)
-        return total
+    def molien_coefficients(self, g: int, cutoff: int) -> list:
+        """Traces h_0..h_cutoff of g on the degree slices of A, the Molien
+        series 1/det(1 - t g|h*), by Newton's identity
+        n h_n = sum_{k=1..n} tr(g^k|h*) h_{n-k}; g acts on the x's through
+        M(g^-1), so tr(g^k|h*) = tr M(g^-k)."""
+        h = self._molien.get(g, [])
+        if len(h) <= cutoff:
+            group, power, traces = self.group, self.group.identity, [None]
+            for _ in range(cutoff):
+                power = group.mul(power, group.inv(g))
+                mat = group.matrices[power]
+                traces.append(sum((mat[i][i] for i in range(self.dim)), ZERO))
+            h = [ONE]
+            for n in range(1, cutoff + 1):
+                h.append(sum((traces[k] * h[n - k] for k in range(1, n + 1)), ZERO) / n)
+            self._molien[g] = h
+        return h[: cutoff + 1]
 
     # -- text form ---------------------------------------------------------
 

@@ -319,6 +319,85 @@ class TestSingularVectors:
         assert space.vectors[0][0] == ONE
 
 
+def triv_file_algebra(second=""):
+    """cyclic:2 at c = 3/2 from a group file whose irrep table lists triv
+    only, followed by `second` (more irrep blocks)."""
+    text = "dimension = 1\nbegin generator\n-1\nend\n"
+    text += "begin irrep triv dim=1\ngen\n1\nend\n" + second
+    group, irreps = load_group_file(text)
+    c = ReflectionFunction(group, find_reflections(group), [Fraction(3, 2)])
+    return CherednikAlgebra(group, c, irreps=irreps)
+
+
+def elementwise_character(slice_):
+    """Oracle: the graded character from the trace of every group element,
+    each read off the matrix of g on the quotient in free coordinates, with
+    every column pushed through `apply_g_full`."""
+    alg = slice_.algebra
+    group = alg.group
+    data = {}
+    for n in range(slice_.cutoff + 1):
+        traces = []
+        for g in range(len(group)):
+            trace = ZERO
+            for i, unit in enumerate(linalg.identity(slice_.dim(n))):
+                image = slice_.apply_g_full(g, n, slice_.lift(n, list(unit)))
+                trace = trace + slice_.to_free(n, image)[i]
+            traces.append(trace)
+        level = {}
+        for irr in alg.irreps:
+            total = sum(
+                (irr.character[group.inv(g)] * t for g, t in enumerate(traces)), ZERO
+            )
+            mult = total / len(group)
+            if mult:
+                level[irr.label] = mult.as_int()
+        data[n] = level
+    return GradedCharacter(data)
+
+
+CHARACTER_CASES = [
+    pytest.param(lambda: make_algebra("s3", 1, [Fraction(1, 2)]), 8, id="s3-half"),
+    pytest.param(lambda: make_algebra("s4", 1, [Fraction(1, 2)]), 5, id="s4-half"),
+    pytest.param(
+        lambda: make_algebra("dihedral:5", 5, [Fraction(1, 5)]), 10, id="dihedral5"
+    ),
+    pytest.param(
+        lambda: make_algebra("cyclic:6", 6, [Fraction(1, 6)]), 8, id="cyclic6"
+    ),
+    pytest.param(triv_file_algebra, 8, id="triv-only-file"),
+]
+
+
+class TestCharacters:
+    """Characters from one trace per conjugacy class, with the Molien series
+    for the Verma part and pivot coordinates for the killed part, against
+    traces of every group element through the module action."""
+
+    @pytest.mark.parametrize("build,cutoff", CHARACTER_CASES)
+    def test_simple_characters_match_elementwise_traces(self, build, cutoff):
+        alg = build()
+        for w in alg.irreps:
+            quotient, character = simple_quotient_slice(alg, w, cutoff)
+            assert character == elementwise_character(quotient), w.label
+
+    @pytest.mark.parametrize("build,cutoff", CHARACTER_CASES)
+    def test_trace_is_a_class_function(self, build, cutoff):
+        alg = build()
+        for w in alg.irreps:
+            quotient, _ = simple_quotient_slice(alg, w, cutoff)
+            for n in range(cutoff + 1):
+                for cls in alg.group.conjugacy_classes:
+                    traces = {quotient.trace(g, n) for g in cls}
+                    assert len(traces) == 1, (w.label, n, cls)
+
+    def test_verma_character_matches_elementwise_traces(self):
+        alg = make_algebra("dihedral:5", 5, [Fraction(1, 5)])
+        for w in alg.irreps:
+            expected = elementwise_character(VermaSlice(alg, w, 6))
+            assert verma_character(alg, w, 6) == expected
+
+
 class TestSimpleQuotients:
     def test_order_two_half_parameter(self):
         alg = make_algebra("cyclic:2", 1, [Fraction(1, 2)])
@@ -378,12 +457,8 @@ class TestSimpleQuotients:
         # still sum to the group order).  At c = 3/2 the sgn-type singular
         # vector of Delta(triv) sits in degree 3, a degree no listed isotype
         # allows, and the quotient must still kill it.
-        text = "dimension = 1\nbegin generator\n-1\nend\n"
-        text += "begin irrep triv dim=1\ngen\n1\nend\n" + second
-        group, irreps = load_group_file(text)
-        c = ReflectionFunction(group, find_reflections(group), [Fraction(3, 2)])
-        alg = CherednikAlgebra(group, c, irreps=irreps)
-        triv = irreps[0]
+        alg = triv_file_algebra(second)
+        triv = alg.irreps[0]
         quotient, character = simple_quotient_slice(alg, triv, 8)
         assert [quotient.dim(n) for n in range(9)] == [1, 1, 1] + [0] * 6
         assert character.multiplicity(2, "triv") == 1

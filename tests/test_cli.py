@@ -227,7 +227,8 @@ class TestExitCodes:
         assert main(["reflections", "--config", str(cfg)]) == 2
 
     def test_computation_error_is_three(self, tmp_path):
-        # a generator of infinite order overflows the closure cap
+        # a generator of infinite order is a computational limit, found
+        # from its determinant before the closure starts
         group_file = tmp_path / "bad_group.txt"
         group_file.write_text("dimension = 1\nbegin generator\n2\nend\n")
         cfg = tmp_path / "job.cfg"

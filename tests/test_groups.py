@@ -9,6 +9,7 @@ import pytest
 from cherednik import linalg
 from cherednik.groups import (
     CapExceeded,
+    InfiniteOrder,
     Irrep,
     NonIntegralEntry,
     NotHomomorphism,
@@ -48,6 +49,22 @@ class TestEnumeration:
     def test_cap(self):
         with pytest.raises(CapExceeded):
             enumerate_group(S3_GENS, cap=3)
+
+    @pytest.mark.parametrize(
+        "generator",
+        [[[2]], [[1, 0], [0, 3]], [[Scalar.zeta(5) + 1]], [[2 * Scalar.zeta(6) - 1]]],
+        ids=["two", "three", "one-plus-zeta5", "sqrt-minus-three"],
+    )
+    def test_determinant_off_the_roots_of_unity_rejected(self, generator):
+        # the closure never starts, so the default cap is never approached
+        with pytest.raises(InfiniteOrder, match="generator 2 of 2"):
+            enumerate_group([linalg.identity(len(generator)), generator])
+
+    def test_unipotent_generator_meets_the_cap(self):
+        # det 1 passes the determinant rule, so the closure cap is the backstop
+        with pytest.raises(CapExceeded) as info:
+            enumerate_group([[[1, 1], [0, 1]]], cap=50)
+        assert not isinstance(info.value, InfiniteOrder)
 
     def test_non_integral_entries_rejected(self):
         with pytest.raises(NonIntegralEntry):

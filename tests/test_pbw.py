@@ -404,3 +404,30 @@ def test_monomials_enumeration():
     assert len(degs) == 6
     assert all(sum(d) == 2 for d in degs)
     assert len(set(degs)) == 6
+
+
+def monomial_trace(alg, g, degree):
+    """Oracle: the trace of g on the degree slice of A, monomial by monomial,
+    as the diagonal coefficient of g . x^m for each monomial m."""
+    return sum(
+        (alg.act_on_x_monomial(g, m).get(m, ZERO) for m in monomials(alg.dim, degree)),
+        ZERO,
+    )
+
+
+BUILTIN_FAMILIES = (
+    [(f"cyclic:{ell}", ell) for ell in range(1, 13)]
+    + [(f"dihedral:{ell}", ell) for ell in range(3, 9)]
+    + [("s3", 1), ("s4", 1)]
+)
+
+
+@pytest.mark.parametrize("spec,ell", BUILTIN_FAMILIES)
+def test_molien_coefficients_match_monomial_traces(spec, ell):
+    alg = make_algebra(spec, ell, [Fraction(1, 3)])
+    for g in range(len(alg.group)):
+        expected = [monomial_trace(alg, g, n) for n in range(7)]
+        # a longer request recomputes; a shorter one slices the cached series
+        assert alg.molien_coefficients(g, 2) == expected[:3], g
+        assert alg.molien_coefficients(g, 6) == expected, g
+        assert alg.molien_coefficients(g, 3) == expected[:4], g
