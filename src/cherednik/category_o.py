@@ -15,7 +15,7 @@ from functools import cached_property
 
 from . import linalg
 from .groups import Irrep
-from .pbw import CherednikAlgebra, PBWElement, monomials
+from .pbw import CherednikAlgebra, PBWElement
 from .scalars import Scalar, ZERO, ONE
 
 
@@ -60,10 +60,9 @@ class VermaSlice:
         self.irrep = irrep
         self.cutoff = cutoff
         self.c_value = c_scalar(algebra, irrep)
-        self._monos = [list(monomials(algebra.dim, n)) for n in range(cutoff + 1)]
-        self._mono_index = [
-            {m: i for i, m in enumerate(level)} for level in self._monos
-        ]
+        levels = [algebra.monomial_table(n) for n in range(cutoff + 1)]
+        self._monos = [monos for monos, _ in levels]
+        self._mono_index = [index for _, index in levels]
         # killed[n]: reduced echelon rows of the quotiented-away subspace
         self.killed = [([], []) for _ in range(cutoff + 1)]
 
@@ -129,27 +128,41 @@ class VermaSlice:
 
     # -- raw generator actions (ambient coordinates) -----------------------
 
-    def _act(self, n: int, target: int, vec: list, images) -> list:
-        """Scatter a degree-n vector into degree `target`.  ``images(mono)``
-        gives the image of x^mono (x) w as triples (monomial, h, coefficient),
-        meaning coefficient * x^monomial (x) rho(h) w."""
+    def _act(self, n: int, target: int, vec: list, images, out=None, scale=ONE) -> list:
+        """Scatter scale times a degree-n vector into degree `target`, adding
+        into `out` when it is given.  ``images(mono)`` gives the image of
+        x^mono (x) w as a flat tuple (pos, h, coefficient, ...), meaning
+        coefficient * x^M (x) rho(h) w with M at position pos of the
+        degree-`target` monomials."""
         d = self.irrep.dim
-        index = self._mono_index[target]
-        out = [ZERO] * self.full_dim(target)
+        if out is None:
+            out = [ZERO] * self.full_dim(target)
         blocks: dict[int, list] = {}
         for p, v in enumerate(vec):
-            if v:
-                blocks.setdefault(p // d, []).append((p % d, v))
+            if v is not ZERO and v:
+                blocks.setdefault(p // d, []).append(
+                    (p % d, v if scale is ONE else v * scale)
+                )
+        monos, columns = self._monos[n], self._rho_columns
         for mi, block in blocks.items():
-            for tgt_mono, h, coef in images(self._monos[n][mi]):
-                tgt = index[tgt_mono] * d
-                rho = self.irrep.matrix(h)
+            image = images(monos[mi])
+            for t in range(0, len(image), 3):
+                tgt, cols, coef = image[t] * d, columns[image[t + 1]], image[t + 2]
                 for k, v in block:
                     vc = v * coef
-                    for k2, row in enumerate(rho):
-                        if row[k]:
-                            out[tgt + k2] = out[tgt + k2] + vc * row[k]
+                    for k2, entry in cols[k]:
+                        out[tgt + k2] = out[tgt + k2] + vc * entry
         return out
+
+    @cached_property
+    def _rho_columns(self) -> list:
+        """Per group element h, the nonzero entries (row, entry) of each
+        column of rho(h)."""
+        d = self.irrep.dim
+        return [
+            [[(k2, row[k]) for k2, row in enumerate(m) if row[k]] for k in range(d)]
+            for m in self.irrep.matrices
+        ]
 
     def apply_x_full(self, i: int, n: int, vec: list) -> list:
         """Action of x_i (0-based) from degree n to n + 1."""
@@ -157,11 +170,12 @@ class VermaSlice:
             raise CutoffExceeded(
                 f"x-action leaves the truncation (degree {n} -> {n + 1} > {self.cutoff})"
             )
+        index = self._mono_index[n + 1]
 
         def images(mono):
             up = list(mono)
             up[i] += 1
-            return ((tuple(up), 0, ONE),)
+            return (index[tuple(up)], 0, ONE)
 
         return self._act(n, n + 1, vec, images)
 
@@ -171,12 +185,14 @@ class VermaSlice:
             return []
         straighten = self.algebra._straighten_ji
         ydeg = tuple(1 if t == i else 0 for t in range(self.algebra.dim))
+        index = self._mono_index[n - 1]
 
         def images(mono):
             return [
-                (a_mono, h, coef)
+                x
                 for (a_mono, h, b_deg), coef in straighten(ydeg, mono).items()
                 if not any(b_deg)
+                for x in (index[a_mono], h, coef)
             ]
 
         return self._act(n, n - 1, vec, images)
@@ -184,55 +200,50 @@ class VermaSlice:
     def apply_g_full(self, g: int, n: int, vec: list) -> list:
         """Action of the group element g on degree n."""
         act = self.algebra.act_on_x_monomial
+        index = self._mono_index[n]
 
         def images(mono):
-            return [(a_mono, g, coef) for a_mono, coef in act(g, mono).items()]
+            return [
+                x for a_mono, coef in act(g, mono).items() for x in (index[a_mono], g, coef)
+            ]
 
         return self._act(n, n, vec, images)
 
-    def apply_term_full(self, term, coef, n: int, vec: list):
-        """One PBW monomial acting from degree n; returns (degree, vector)."""
-        ideg, g, jdeg = term
-        alg = self.algebra
+    def apply_term_full(self, term, coef, n: int, vec: list, out=None):
+        """One PBW monomial acting from degree n; returns (degree, vector).
+        The image is added into `out`, a dense vector of the target degree,
+        when it is given; otherwise into a new one.  A term that kills
+        degree n returns `out` as it is (None when not given)."""
+        ideg, _, jdeg = term
         jtot = sum(jdeg)
         target = n - jtot + sum(ideg)
         if target > self.cutoff:
             raise CutoffExceeded(
                 f"term raises degree {n} beyond the truncation {self.cutoff}"
             )
-        if target < 0 or jtot > n:
-            return target, []
-
-        def images(mono):
-            # x^I g y^J x^mono = sum x^I (g . x^A) gh, over the y-free terms
-            out = []
-            for (a_mono, h, b_deg), scoef in alg._straighten_ji(jdeg, mono).items():
-                if any(b_deg):
-                    continue
-                gh = alg.group.mul(g, h)
-                for a2, ca in alg.act_on_x_monomial(g, a_mono).items():
-                    tgt_mono = tuple(a + b for a, b in zip(ideg, a2))
-                    out.append((tgt_mono, gh, coef * scoef * ca))
-            return out
-
-        return target, self._act(n, target, vec, images)
+        if jtot > n:
+            return target, out
+        image = self.algebra.act_on_verma_monomial
+        return target, self._act(
+            n, target, vec, lambda mono: image(term, mono), out, coef
+        )
 
     # -- public module action ----------------------------------------------
 
     def apply_element(self, a: PBWElement, mv: dict) -> dict:
-        """Module action of a PBW element on a vector in slice coordinates."""
+        """Module action of a PBW element on a vector in slice coordinates:
+        every term is added into one accumulator per target degree."""
         if a.algebra is not self.algebra:
             raise ValueError("element belongs to a different algebra")
         acc: dict[int, list] = {}
         for n, freevec in mv.items():
             vec = self.lift(n, freevec) if self.quotiented else list(freevec)
             for term, coef in a.terms.items():
-                tgt, img = self.apply_term_full(term, coef, n, vec)
-                if not img or not any(img):
-                    continue
-                if tgt in acc:
-                    acc[tgt] = [x + y for x, y in zip(acc[tgt], img)]
-                else:
+                ideg, _, jdeg = term
+                tgt, img = self.apply_term_full(
+                    term, coef, n, vec, acc.get(n + sum(ideg) - sum(jdeg))
+                )
+                if img is not None:
                     acc[tgt] = img
         if self.quotiented:
             acc = {n: self.to_free(n, v) for n, v in acc.items()}

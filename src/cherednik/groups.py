@@ -197,6 +197,26 @@ class PseudoReflection:
     vector: tuple
 
 
+def _rank_one(diff: Matrix) -> bool:
+    """rank = 1 without elimination: the matrix is nonzero and every 2x2
+    minor through a fixed nonzero entry diff[p][q] vanishes.  Those minors
+    say that each row is diff[i][q] / diff[p][q] times row p, which forces
+    every other 2x2 minor to vanish as well."""
+    p = next((i for i, r in enumerate(diff) if any(r)), None)
+    if p is None:
+        return False
+    row = diff[p]
+    q = next(j for j, x in enumerate(row) if x)
+    lead = row[q]
+    return all(
+        r[j] * lead == r[q] * row[j]
+        for i, r in enumerate(diff)
+        if i != p
+        for j in range(len(row))
+        if j != q
+    )
+
+
 def find_reflections(group: GroupAction) -> list[PseudoReflection]:
     """All elements with rank(g - 1) = 1, with normalized eigen-data."""
     out = []
@@ -205,7 +225,7 @@ def find_reflections(group: GroupAction) -> list[PseudoReflection]:
         if gi == group.identity:
             continue
         diff = [[mat[i][j] - (ONE if i == j else ZERO) for j in range(n)] for i in range(n)]
-        if linalg.rank(diff) != 1:
+        if not _rank_one(diff):
             continue
         row = next(r for r in diff if any(r))
         lead = next(x for x in row if x)

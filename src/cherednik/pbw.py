@@ -14,6 +14,8 @@ terminates; associativity is covered by the test suite.
 
 from __future__ import annotations
 
+from operator import add
+
 from .groups import GroupAction, PseudoReflection, ReflectionFunction, find_reflections
 from .scalars import Scalar, ZERO, ONE, ExprError, parse_expression
 
@@ -34,7 +36,7 @@ def term_sort_key(term: Term):
 
 
 def _add_deg(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def _accumulate(terms: dict, key, value) -> None:
@@ -165,6 +167,9 @@ class CherednikAlgebra:
         self._act_b_cache: dict = {}
         self._single_cache: dict = {}
         self._ji_cache: dict = {}
+        self._verma_cache: dict = {}
+        # degree n -> (monomials(dim, n) as a list, monomial -> position)
+        self._mono_table: dict = {}
         self._molien: dict = {}
         self._euler = None
 
@@ -316,6 +321,46 @@ class CherednikAlgebra:
                         k2 = (A2, table[h2][h], _add_deg(B3, B))
                         _accumulate(result, k2, coef * coef2 * coef3)
         self._ji_cache[key] = result
+        return result
+
+    def monomial_table(self, n: int) -> tuple:
+        """The degree-n monomials in `monomials(dim, n)` order and the map from
+        each to its position; one shared table per algebra."""
+        cached = self._mono_table.get(n)
+        if cached is None:
+            level = list(monomials(self.dim, n))
+            cached = self._mono_table.setdefault(
+                n, (level, {m: p for p, m in enumerate(level)})
+            )
+        return cached
+
+    def act_on_verma_monomial(self, term: Term, mono: tuple) -> tuple:
+        """Image of the PBW monomial x^I g y^J on x^mono (x) w in a standard
+        module, as a flat tuple (pos, h, coef, pos, h, coef, ...) meaning
+        sum coef * x^M (x) h w, M the monomial at pos in `monomial_table` of
+        degree |mono| + |I| - |J|.  It comes from the y-free terms of
+        y^J x^mono moved past g, does not depend on w, and is cached by
+        (term, mono).  Empty when |J| > |mono|."""
+        key = (term, mono)
+        cached = self._verma_cache.get(key)
+        if cached is not None:
+            return cached
+        ideg, g, jdeg = term
+        degree = sum(mono) + sum(ideg) - sum(jdeg)
+        merged: dict = {}
+        if sum(jdeg) <= sum(mono):
+            table = self.group.mult_table[g]
+            # x^I g y^J x^mono = sum x^I (g . x^A) gh over the terms x^A h
+            for (A, h, B), scoef in self._straighten_ji(jdeg, mono).items():
+                if any(B):
+                    continue
+                for A2, ca in self.act_on_x_monomial(g, A).items():
+                    _accumulate(merged, (_add_deg(ideg, A2), table[h]), scoef * ca)
+        index = self.monomial_table(degree)[1] if merged else None
+        result = tuple(
+            x for (M, h), coef in merged.items() for x in (index[M], h, coef)
+        )
+        self._verma_cache[key] = result
         return result
 
     def multiply(self, a: PBWElement, b: PBWElement) -> PBWElement:

@@ -145,6 +145,93 @@ class TestVermaAction:
             verma_action(slice_, alg.x(1), slice_.basis_vector(3, 0))
 
 
+# each irrep has a radical below the cutoff, so its simple quotient is a
+# proper quotient with nonzero degrees above the radical's first degree
+MODULE_ACTION_CASES = (
+    ("s3", 1, Fraction(1, 2), "triv"),
+    ("dihedral:5", 5, Fraction(1, 5), "rho1"),
+)
+
+
+def mixed_terms(alg, rng, count=5):
+    """Seeded PBW terms x^I g y^J with |I|, |J| <= 1 and mixed group parts,
+    as a plain dict that any algebra on the same group can take."""
+    out = {}
+    for _ in range(count):
+        ideg, jdeg = [0] * alg.dim, [0] * alg.dim
+        if rng.random() < 0.6:
+            ideg[rng.randrange(alg.dim)] = 1
+        if rng.random() < 0.6:
+            jdeg[rng.randrange(alg.dim)] = 1
+        g = rng.randrange(len(alg.group))
+        out[(tuple(ideg), g, tuple(jdeg))] = Fraction(rng.randint(1, 4), rng.randint(1, 3))
+    return out
+
+
+class TestModuleAction:
+    CUTOFF = 6
+
+    def make_slice(self, alg, label, quotient):
+        w = irrep_of(alg, label)
+        if not quotient:
+            return VermaSlice(alg, w, self.CUTOFF)
+        slice_, _ = simple_quotient_slice(alg, w, self.CUTOFF)
+        assert slice_.quotiented
+        return slice_
+
+    @pytest.mark.parametrize("quotient", [False, True])
+    @pytest.mark.parametrize("spec,ell,c,label", MODULE_ACTION_CASES)
+    def test_product_acts_as_composition(self, spec, ell, c, label, quotient):
+        alg = make_algebra(spec, ell, [c])
+        slice_ = self.make_slice(alg, label, quotient)
+        rng = random.Random(21)
+        for _ in range(3):
+            a = alg.element(mixed_terms(alg, rng))
+            b = alg.element(mixed_terms(alg, rng))
+            for degree in range(self.CUTOFF - 1):
+                if not slice_.dim(degree):
+                    continue
+                v = random_vector(slice_, rng, degree)
+                once = verma_action(slice_, a * b, v)
+                twice = verma_action(slice_, a, verma_action(slice_, b, v))
+                assert mv_eq(once, twice), (a, b, degree)
+
+    @pytest.mark.parametrize("quotient", [False, True])
+    @pytest.mark.parametrize("spec,ell,c,label", MODULE_ACTION_CASES)
+    def test_results_do_not_depend_on_warm_caches(self, spec, ell, c, label, quotient):
+        rng = random.Random(34)
+        warm = make_algebra(spec, ell, [c])
+        elements = [mixed_terms(warm, rng) for _ in range(3)]
+        # warm the Verma image cache through another irrep's slice
+        other_irrep = next(w for w in warm.irreps if w.label != label)
+        other = VermaSlice(warm, other_irrep, self.CUTOFF)
+        for terms in elements:
+            for n in range(self.CUTOFF):
+                verma_action(other, warm.element(terms), {n: [ONE] * other.dim(n)})
+        cold = make_algebra(spec, ell, [c])
+        results = []
+        for alg in (warm, cold):
+            slice_ = self.make_slice(alg, label, quotient)
+            vec_rng = random.Random(55)
+            results.append(
+                [
+                    verma_action(slice_, alg.element(terms), random_vector(slice_, vec_rng, n))
+                    for terms in elements
+                    for n in range(self.CUTOFF)
+                ]
+            )
+        assert results[0] == results[1]
+
+    @pytest.mark.parametrize("quotient", [False, True])
+    def test_raising_term_exceeds_cutoff(self, quotient):
+        alg = make_algebra("s3", 1, [Fraction(1, 2)])
+        slice_ = self.make_slice(alg, "triv", quotient)
+        # the raising term comes after terms that stay inside the truncation
+        a = alg.y(1) + alg.g(1) + 3 + alg.x(2) * alg.g(2)
+        with pytest.raises(CutoffExceeded):
+            verma_action(slice_, a, slice_.basis_vector(self.CUTOFF, 0))
+
+
 class TestDunklOracle:
     def test_degree_one_vanishing(self):
         alg = make_algebra("cyclic:2", 1, [Fraction(1, 2)])

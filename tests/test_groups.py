@@ -366,3 +366,44 @@ def test_random_matrix_group_reflections_are_well_defined():
         group = enumerate_group(gens)
         assert len(group) == 6
         assert len(find_reflections(group)) == 3
+
+
+REFLECTION_FAMILIES = (
+    [(f"cyclic:{ell}", ell) for ell in range(1, 13)]
+    + [(f"dihedral:{ell}", ell) for ell in range(3, 9)]
+    + [("s3", 1), ("s4", 1)]
+)
+
+
+def _minus_identity(mat):
+    n = len(mat)
+    return [[mat[i][j] - (ONE if i == j else ZERO) for j in range(n)] for i in range(n)]
+
+
+@pytest.mark.parametrize("spec,ell", REFLECTION_FAMILIES)
+def test_reflections_are_exactly_the_rank_one_elements(spec, ell):
+    # the minor test in find_reflections against exact elimination
+    group, _ = builtin_group(spec, ell)
+    expected = [
+        g
+        for g, mat in enumerate(group.matrices)
+        if g != group.identity and linalg.rank(_minus_identity(mat)) == 1
+    ]
+    assert [r.index for r in find_reflections(group)] == expected
+
+
+def test_rank_one_minor_test_matches_elimination():
+    from cherednik.groups import _rank_one
+
+    rng = random.Random(11)
+    for _ in range(300):
+        n = rng.randint(1, 3)
+        # a sum of k outer products has rank <= k; k = 0..2 covers 0, 1, 2
+        mat = [[ZERO] * n for _ in range(n)]
+        for _ in range(rng.randint(0, 2)):
+            u = [rng.randint(-2, 2) for _ in range(n)]
+            v = [rng.randint(-2, 2) for _ in range(n)]
+            for i in range(n):
+                for j in range(n):
+                    mat[i][j] = mat[i][j] + Scalar.rational(u[i] * v[j])
+        assert _rank_one(mat) == (linalg.rank(mat) == 1), mat

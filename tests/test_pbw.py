@@ -406,6 +406,40 @@ def test_monomials_enumeration():
     assert len(set(degs)) == 6
 
 
+@pytest.mark.parametrize(
+    "spec,ell,c", [("s3", 1, Fraction(1, 2)), ("dihedral:5", 5, Fraction(1, 5))]
+)
+def test_verma_monomial_action_is_the_y_free_part_of_the_product(spec, ell, c):
+    # x^I g y^J acts on x^mono (x) w by the B = 0 terms of x^I g y^J * x^mono
+    alg = make_algebra(spec, ell, [c])
+    rng = random.Random(13)
+    terms = list(alg.euler_element().terms)
+    for _ in range(8):
+        ideg = _random_multideg(rng, alg.dim, rng.randint(0, 2))
+        jdeg = _random_multideg(rng, alg.dim, rng.randint(0, 2))
+        terms.append((ideg, rng.randrange(1, len(alg.group)), jdeg))
+    zero = alg._zero_deg
+    for degree in range(8):
+        assert alg.monomial_table(degree)[0] == list(monomials(alg.dim, degree))
+    for term in terms:
+        for degree in range(6):
+            target = degree + sum(term[0]) - sum(term[2])
+            for mono in monomials(alg.dim, degree):
+                product = alg.multiply(alg.monomial(*term), alg.monomial(mono, 0, zero))
+                expected = {
+                    (A, h): coef for (A, h, B), coef in product.terms.items() if not any(B)
+                }
+                image = alg.act_on_verma_monomial(term, mono)
+                level = list(monomials(alg.dim, target)) if target >= 0 else []
+                got = {}
+                for t in range(0, len(image), 3):
+                    pos, h, coef = image[t : t + 3]
+                    assert coef and (level[pos], h) not in got
+                    got[(level[pos], h)] = coef
+                assert got == expected, (term, mono)
+                assert alg.act_on_verma_monomial(term, mono) is image
+
+
 def monomial_trace(alg, g, degree):
     """Oracle: the trace of g on the degree slice of A, monomial by monomial,
     as the diagonal coefficient of g . x^m for each monomial m."""
