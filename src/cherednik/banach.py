@@ -15,10 +15,10 @@ from dataclasses import dataclass, field
 from .category_o import VermaSlice, mv_eq, mv_scale, verma_action
 from .groups import Irrep
 from .pbw import CherednikAlgebra, PBWElement
-from .scalars import INF, PadicContext, Scalar, ZERO, ONE, val
+from .scalars import INF, ComputationLimit, PadicContext, Scalar, ZERO, ONE, val
 
 
-class TailDominated(ArithmeticError):
+class TailDominated(ComputationLimit, ArithmeticError):
     """Every stored term sits at or beyond the tail bound; the norm is only
     known to lie in [tau, infinity).  Increase the precision."""
 
@@ -27,7 +27,7 @@ class TailDominated(ArithmeticError):
         self.tau = tau
 
 
-class LatticeViolation(RuntimeError):
+class LatticeViolation(ComputationLimit):
     """A lattice generator product escapes the unit ball."""
 
     def __init__(self, violations):
@@ -38,11 +38,11 @@ class LatticeViolation(RuntimeError):
         self.violations = violations
 
 
-class UnboundedGenerator(RuntimeError):
+class UnboundedGenerator(ComputationLimit):
     """A generator has negative operator-norm exponent on the unit lattice."""
 
 
-class IncompatibleFamily(RuntimeError):
+class IncompatibleFamily(ComputationLimit):
     """A cross-level family fails the transition compatibility check."""
 
     def __init__(self, level: int):

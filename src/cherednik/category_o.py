@@ -16,18 +16,18 @@ from functools import cached_property
 from . import linalg
 from .groups import Irrep
 from .pbw import CherednikAlgebra, PBWElement
-from .scalars import Scalar, ZERO, ONE
+from .scalars import Scalar, ZERO, ONE, ComputationLimit, InvalidInput
 
 
-class CutoffExceeded(RuntimeError):
+class CutoffExceeded(ComputationLimit):
     """A raising operator left the degree truncation."""
 
 
-class NotScalarAction(ValueError):
+class NotScalarAction(InvalidInput):
     """The central Euler part does not act as a scalar on a candidate irrep."""
 
 
-class InconsistentTruncation(RuntimeError):
+class InconsistentTruncation(ComputationLimit):
     """The character system is unsolvable at this cutoff; increase it."""
 
 

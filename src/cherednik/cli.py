@@ -12,11 +12,6 @@ from . import __version__
 from . import banach, category_o
 from .config import JobConfig, ParseError, ValidationError, parse_config
 from .groups import (
-    EigenvalueNotInField,
-    GroupFileError,
-    NonIntegralEntry,
-    NotHomomorphism,
-    NotIrreducible,
     ReflectionFunction,
     builtin_group,
     find_reflections,
@@ -24,9 +19,10 @@ from .groups import (
 )
 from .pbw import CherednikAlgebra
 from .scalars import (
+    ComputationLimit,
     ExprError,
+    InvalidInput,
     PadicContext,
-    SplittingError,
     parse_scalar,
 )
 
@@ -44,17 +40,6 @@ COMMANDS = (
     "ws-decompose",
     "coadmissible-check",
 )
-
-_COMPUTATION_ERRORS = (
-    category_o.CutoffExceeded,
-    category_o.InconsistentTruncation,
-    banach.LatticeViolation,
-    banach.UnboundedGenerator,
-    banach.IncompatibleFamily,
-    ArithmeticError,
-    RuntimeError,
-)
-
 
 @dataclass
 class Report:
@@ -84,9 +69,9 @@ def build_algebra(cfg: JobConfig) -> CherednikAlgebra:
                 group, irreps = load_group_file(handle.read(), ell)
         else:
             group, irreps = builtin_group(spec, ell)
+    except InvalidInput:
+        raise
     except (ValueError, OSError) as exc:
-        if isinstance(exc, GroupFileError):
-            raise
         raise ValidationError("group", str(exc)) from exc
     reflections = find_reflections(group)
     c_text = cfg.get("c")
@@ -108,7 +93,7 @@ def build_context(cfg: JobConfig) -> PadicContext:
     prime = cfg.get_int("prime")
     try:
         return PadicContext(prime, cfg.precision(), field_ell(cfg))
-    except (SplittingError, ValueError) as exc:
+    except ValueError as exc:
         raise ValidationError("prime", str(exc)) from exc
 
 
@@ -379,27 +364,21 @@ def main(argv=None) -> int:
 
     try:
         report = run_command(cfg)
-    except (
-        ParseError,
-        ValidationError,
-        GroupFileError,
-        EigenvalueNotInField,
-        ExprError,
-        NonIntegralEntry,
-        NotHomomorphism,
-        NotIrreducible,
-        category_o.NotScalarAction,
-    ) as exc:
+    except InvalidInput as exc:
         print(f"cherednik: invalid job: {exc}", file=sys.stderr)
         return 2
-    except _COMPUTATION_ERRORS as exc:
+    except ComputationLimit as exc:
         print(f"cherednik: computation failed: {exc}", file=sys.stderr)
         return 3
 
     text = emit_report(report, args.format)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            print(f"cherednik: cannot write report: {exc}", file=sys.stderr)
+            return 1
     else:
         sys.stdout.write(text)
     return 0

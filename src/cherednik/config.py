@@ -10,6 +10,8 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 
+from .scalars import InvalidInput
+
 KNOWN_KEYS = {
     "group",
     "field",
@@ -26,7 +28,7 @@ KNOWN_KEYS = {
 }
 
 
-class ParseError(ValueError):
+class ParseError(InvalidInput):
     """Malformed configuration text."""
 
     def __init__(self, line: int, message: str):
@@ -34,7 +36,7 @@ class ParseError(ValueError):
         self.line = line
 
 
-class ValidationError(ValueError):
+class ValidationError(InvalidInput):
     """A field is missing or holds an unusable value."""
 
     def __init__(self, key: str, message: str):

@@ -12,12 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import linalg
-from .scalars import Scalar, ZERO, ONE, parse_scalar, ExprError
+from .scalars import Scalar, ZERO, ONE, parse_scalar, ComputationLimit, ExprError, InvalidInput
 
 Matrix = tuple  # tuple of row tuples of Scalar
 
 
-class CapExceeded(RuntimeError):
+class CapExceeded(ComputationLimit):
     """Closure enumeration exceeded the configured size cap."""
 
 
@@ -25,19 +25,19 @@ class InfiniteOrder(CapExceeded):
     """A generator has infinite order, so no closure cap can be met."""
 
 
-class NonIntegralEntry(ValueError):
+class NonIntegralEntry(InvalidInput):
     """A generator matrix has an entry outside the ring of integers."""
 
 
-class EigenvalueNotInField(ValueError):
+class EigenvalueNotInField(InvalidInput):
     """A reflection eigenvalue does not lie in the declared coefficient field."""
 
 
-class NotHomomorphism(ValueError):
+class NotHomomorphism(InvalidInput):
     """Candidate representation matrices do not respect the group law."""
 
 
-class NotIrreducible(ValueError):
+class NotIrreducible(InvalidInput):
     """Candidate representation has character norm > 1."""
 
 
@@ -500,7 +500,7 @@ def builtin_group(spec: str, field_ell: int = 1):
 # ---------------------------------------------------------------------------
 
 
-class GroupFileError(ValueError):
+class GroupFileError(InvalidInput):
     """Malformed group/representation data file."""
 
     def __init__(self, line: int, message: str):

@@ -17,16 +17,16 @@ from __future__ import annotations
 from operator import add
 
 from .groups import GroupAction, PseudoReflection, ReflectionFunction, find_reflections
-from .scalars import Scalar, ZERO, ONE, ExprError, parse_expression
+from .scalars import Scalar, ZERO, ONE, CherednikError, ComputationLimit, ExprError, parse_expression
 
 Term = tuple  # (I, g, J): multidegree tuple, group index, multidegree tuple
 
 
-class AlgebraMismatch(ValueError):
+class AlgebraMismatch(CherednikError, ValueError):
     """Operands belong to different algebra instances."""
 
 
-class CoefficientBlowup(RuntimeError):
+class CoefficientBlowup(ComputationLimit):
     """A coefficient exceeded the configured bit-size guard."""
 
 
@@ -46,6 +46,26 @@ def _accumulate(terms: dict, key, value) -> None:
         terms[key] = s
     else:
         terms.pop(key, None)
+
+
+def _chain(cache: dict, key, deg: tuple, start: dict, step) -> dict:
+    """The value at deg of a table cached under key(degree), filled without
+    recursion: walk down by lowering the first nonzero exponent b until a
+    cached degree or degree zero (whose value is start), then cache every
+    degree on the way up as step(value below, b, degree below)."""
+    path = []
+    value = None
+    while value is None and any(deg):
+        b = next(k for k, e in enumerate(deg) if e)
+        path.append((deg, b))
+        deg = deg[:b] + (deg[b] - 1,) + deg[b + 1 :]
+        value = cache.get(key(deg))
+    if value is None:
+        value = cache[key(deg)] = start
+    for up, b in reversed(path):
+        value = cache[key(up)] = step(value, b, deg)
+        deg = up
+    return value
 
 
 class PBWElement:
@@ -237,17 +257,11 @@ class CherednikAlgebra:
     def _act_on_monomial(self, cache: dict, rows, g: int, deg: tuple) -> dict:
         """Expansion of a monomial under the linear substitution sending the
         b-th generator to sum_i rows[b][i] (i-th generator); cached by (g, deg)."""
-        key = (g, deg)
-        cached = cache.get(key)
+        cached = cache.get((g, deg))
         if cached is not None:
             return cached
-        if not any(deg):
-            result = {deg: ONE}
-        else:
-            b = next(k for k, e in enumerate(deg) if e)
-            rest = list(deg)
-            rest[b] -= 1
-            prev = self._act_on_monomial(cache, rows, g, tuple(rest))
+
+        def step(prev, b, _):
             row = rows[b]
             result: dict = {}
             for mono, coef in prev.items():
@@ -256,30 +270,23 @@ class CherednikAlgebra:
                         up = list(mono)
                         up[idx] += 1
                         _accumulate(result, tuple(up), coef * entry)
-        cache[key] = result
-        return result
+            return result
+
+        return _chain(cache, lambda d: (g, d), deg, {self._zero_deg: ONE}, step)
 
     # -- straightening ---------------------------------------------------
 
     def _straighten_single(self, a: int, ideg: tuple) -> dict:
         """PBW expansion of y_a * x^ideg as {(A, h, B): coeff}."""
-        key = (a, ideg)
-        cached = self._single_cache.get(key)
+        cached = self._single_cache.get((a, ideg))
         if cached is not None:
             return cached
         zero_deg = self._zero_deg
-        if not any(ideg):
-            ydeg = list(zero_deg)
-            ydeg[a] = 1
-            result = {(zero_deg, 0, tuple(ydeg)): ONE}
-        else:
-            b = next(k for k, e in enumerate(ideg) if e)
-            rest = list(ideg)
-            rest[b] -= 1
-            rest = tuple(rest)
-            result = {}
+
+        def step(prev, b, rest):
+            result: dict = {}
             # x_b * (y_a * x^rest)
-            for (A, h, B), coef in self._straighten_single(a, rest).items():
+            for (A, h, B), coef in prev.items():
                 up = list(A)
                 up[b] += 1
                 _accumulate(result, (tuple(up), h, B), coef)
@@ -293,35 +300,32 @@ class CherednikAlgebra:
                     continue
                 for mono, sub_coef in self.act_on_x_monomial(s_idx, rest).items():
                     _accumulate(result, (mono, s_idx, zero_deg), -coef * sub_coef)
-        self._single_cache[key] = result
-        return result
+            return result
+
+        start = {(zero_deg, 0, zero_deg[:a] + (1,) + zero_deg[a + 1 :]): ONE}
+        return _chain(self._single_cache, lambda d: (a, d), ideg, start, step)
 
     def _straighten_ji(self, jdeg: tuple, ideg: tuple) -> dict:
-        """PBW expansion of y^jdeg * x^ideg."""
-        key = (jdeg, ideg)
-        cached = self._ji_cache.get(key)
+        """PBW expansion of y^jdeg * x^ideg, filled along jdeg with ideg fixed
+        as y_c * (y^(jdeg - e_c) * x^ideg)."""
+        cached = self._ji_cache.get((jdeg, ideg))
         if cached is not None:
             return cached
-        if not any(jdeg):
-            result = {(ideg, 0, self._zero_deg): ONE}
-        else:
-            c = max(k for k, e in enumerate(jdeg) if e)
-            rest = list(jdeg)
-            rest[c] -= 1
-            rest = tuple(rest)
-            result = {}
-            table = self.group.mult_table
-            for (A, h, B), coef in self._straighten_single(c, ideg).items():
-                inner = self._straighten_ji(rest, A)
-                for (A2, h2, B2), coef2 in inner.items():
-                    # y^B2 * h = h * (h^-1 . y^B2)
-                    for B3, coef3 in self.act_on_y_monomial(
-                        self.group.inv(h), B2
-                    ).items():
-                        k2 = (A2, table[h2][h], _add_deg(B3, B))
-                        _accumulate(result, k2, coef * coef2 * coef3)
-        self._ji_cache[key] = result
-        return result
+        table, inv = self.group.mult_table, self.group.inv
+
+        def step(prev, c, _):
+            result: dict = {}
+            # y_c * x^A h y^B = sum x^A2 h2 y^B2 h y^B, y^B2 h = h (h^-1 . y^B2)
+            for (A, h, B), coef in prev.items():
+                hinv = inv(h)
+                for (A2, h2, B2), coef2 in self._straighten_single(c, A).items():
+                    lead, gh = coef * coef2, table[h2][h]
+                    for B3, coef3 in self.act_on_y_monomial(hinv, B2).items():
+                        _accumulate(result, (A2, gh, _add_deg(B3, B)), lead * coef3)
+            return result
+
+        start = {(ideg, 0, self._zero_deg): ONE}
+        return _chain(self._ji_cache, lambda d: (d, ideg), jdeg, start, step)
 
     def monomial_table(self, n: int) -> tuple:
         """The degree-n monomials in `monomials(dim, n)` order and the map from

@@ -26,6 +26,9 @@ __all__ = [
     "parse_scalar",
     "parse_expression",
     "cyclotomic_polynomial",
+    "CherednikError",
+    "InvalidInput",
+    "ComputationLimit",
     "SplittingError",
     "DivisionByZero",
     "FieldMismatch",
@@ -33,19 +36,31 @@ __all__ = [
 ]
 
 
-class SplittingError(ValueError):
+class CherednikError(Exception):
+    """Root of the package's own exception classes."""
+
+
+class InvalidInput(CherednikError, ValueError):
+    """The job's input is unusable; the command line exits 2."""
+
+
+class ComputationLimit(CherednikError, RuntimeError):
+    """A named computational limit was reached; the command line exits 3."""
+
+
+class SplittingError(CherednikError, ValueError):
     """The prime does not split the requested cyclotomic field (p != 1 mod ell)."""
 
 
-class DivisionByZero(ZeroDivisionError):
+class DivisionByZero(CherednikError, ZeroDivisionError):
     """Inversion or division by the zero scalar."""
 
 
-class FieldMismatch(ValueError):
+class FieldMismatch(CherednikError, ValueError):
     """Operands declared over incompatible coefficient fields."""
 
 
-class ExprError(ValueError):
+class ExprError(InvalidInput):
     """Malformed scalar or element expression."""
 
 

@@ -10,8 +10,10 @@ from pathlib import Path
 import pytest
 
 import cherednik
+from cherednik import banach, category_o, cli, groups, pbw
 from cherednik.cli import build_algebra, emit_report, main, run_command
 from cherednik.config import ParseError, ValidationError, parse_config
+from cherednik.scalars import CherednikError, ComputationLimit, ExprError, InvalidInput
 
 MINIMAL = """
 group = cyclic:2
@@ -248,6 +250,58 @@ class TestExitCodes:
         target = tmp_path / "report.tsv"
         assert main(["blocks", "--config", str(cfg), "--out", str(target)]) == 0
         assert "triv, sgn" in target.read_text()
+
+    def test_unwritable_out_is_one(self, tmp_path, capsys):
+        cfg = tmp_path / "job.cfg"
+        cfg.write_text(MINIMAL)
+        target = tmp_path / "missing-dir" / "report.tsv"
+        assert main(["blocks", "--config", str(cfg), "--out", str(target)]) == 1
+        assert "cherednik: cannot write report:" in capsys.readouterr().err
+        assert not target.exists()
+
+    @pytest.mark.parametrize("exc", [RuntimeError, ZeroDivisionError, RecursionError])
+    def test_bug_ends_in_traceback(self, exc, tmp_path, monkeypatch):
+        # only the two package roots map to exit codes; anything else is a bug
+        def handler(cfg):
+            raise exc("a bug, not a limit")
+
+        monkeypatch.setitem(cli._HANDLERS, "order", handler)
+        cfg = tmp_path / "job.cfg"
+        cfg.write_text(MINIMAL)
+        with pytest.raises(exc, match="a bug, not a limit"):
+            main(["order", "--config", str(cfg)])
+
+
+@pytest.mark.parametrize(
+    "cls,root,builtin",
+    [
+        (ParseError, InvalidInput, ValueError),
+        (ValidationError, InvalidInput, ValueError),
+        (ExprError, InvalidInput, ValueError),
+        (groups.GroupFileError, InvalidInput, ValueError),
+        (groups.NonIntegralEntry, InvalidInput, ValueError),
+        (groups.EigenvalueNotInField, InvalidInput, ValueError),
+        (groups.NotHomomorphism, InvalidInput, ValueError),
+        (groups.NotIrreducible, InvalidInput, ValueError),
+        (category_o.NotScalarAction, InvalidInput, ValueError),
+        (category_o.CutoffExceeded, ComputationLimit, RuntimeError),
+        (category_o.InconsistentTruncation, ComputationLimit, RuntimeError),
+        (groups.CapExceeded, ComputationLimit, RuntimeError),
+        (groups.InfiniteOrder, ComputationLimit, RuntimeError),
+        (pbw.CoefficientBlowup, ComputationLimit, RuntimeError),
+        (banach.LatticeViolation, ComputationLimit, RuntimeError),
+        (banach.UnboundedGenerator, ComputationLimit, RuntimeError),
+        (banach.IncompatibleFamily, ComputationLimit, RuntimeError),
+        (banach.TailDominated, ComputationLimit, ArithmeticError),
+    ],
+)
+def test_exception_roots(cls, root, builtin):
+    # exit 2 is InvalidInput, exit 3 is ComputationLimit; the old built-in
+    # base stays, so existing `except ValueError` style callers still work
+    assert issubclass(cls, root) and issubclass(cls, CherednikError)
+    assert issubclass(cls, builtin)
+    other = ComputationLimit if root is InvalidInput else InvalidInput
+    assert not issubclass(cls, other)
 
 
 class TestPrecisionOverride:

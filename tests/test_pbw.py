@@ -6,14 +6,17 @@ implementation of the skew group ring over the Weyl algebra, which reorders
 generators with the closed binomial formula instead of rewriting.
 """
 
+import contextlib
 import functools
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cherednik.cli import main
 from cherednik.groups import (
     ReflectionFunction,
     PseudoReflection,
@@ -465,3 +468,88 @@ def test_molien_coefficients_match_monomial_traces(spec, ell):
         assert alg.molien_coefficients(g, 2) == expected[:3], g
         assert alg.molien_coefficients(g, 6) == expected, g
         assert alg.molien_coefficients(g, 3) == expected[:4], g
+
+
+@contextlib.contextmanager
+def recursion_limit_near_current_depth(headroom=100):
+    """Lower the recursion limit to the current stack depth plus headroom, so
+    anything that recurses once per degree fails at a few hundred degrees."""
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + headroom)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(old)
+
+
+class TestDeepDegrees:
+    """The straightening tables are filled by a loop over degree, so elements
+    of very high degree need no stack depth (the completions hold such
+    elements).  For even n the reflection terms cancel on cyclic:2:
+    y x^n = x^n y + n x^(n-1) and y^n x = x y^n + n y^(n-1)."""
+
+    def test_lowering_past_a_deep_power(self):
+        alg = make_algebra("cyclic:2", 1, [Fraction(1, 2)])
+        with recursion_limit_near_current_depth():
+            product = alg.y(1) * alg.x(1, 1500)
+        assert product == alg.element({((1499,), 0, (0,)): 1500, ((1500,), 0, (1,)): 1})
+
+    def test_deep_power_past_raising(self):
+        alg = make_algebra("cyclic:2", 1, [Fraction(1, 2)])
+        with recursion_limit_near_current_depth():
+            product = alg.y(1, 1200) * alg.x(1)
+        assert product == alg.element({((0,), 0, (1199,)): 1200, ((1,), 0, (1200,)): 1})
+
+    def test_group_action_on_a_deep_monomial(self):
+        # on cyclic:7, g acts on x by M(g^-1) and on y by M(g)
+        alg = make_algebra("cyclic:7", 7, [Fraction(1, 7)])
+        g = 1
+        with recursion_limit_near_current_depth():
+            on_x = alg.act_on_x_monomial(g, (1500,))
+            on_y = alg.act_on_y_monomial(g, (1500,))
+        ex, ey = ONE, ONE
+        for _ in range(1500):
+            ex = ex * alg.group.matrices[alg.group.inv(g)][0][0]
+            ey = ey * alg.group.matrices[g][0][0]
+        assert ex != ONE
+        assert on_x == {(1500,): ex} and on_y == {(1500,): ey}
+
+    def test_deep_ws_decompose_job(self, tmp_path, capsys):
+        cfg = tmp_path / "deep.cfg"
+        cfg.write_text(
+            "group = cyclic:2\nc = 1/2\nprime = 3\nlevel = 0\nelement = y1*x1^1500\n"
+        )
+        with recursion_limit_near_current_depth():
+            code = main(["ws-decompose", "--config", str(cfg)])
+        rows = capsys.readouterr().out.splitlines()[-2:]
+        assert code == 0
+        assert rows == ["weight\texponent\tcomponent", "1499\t-1\t1500*x1^1499 + x1^1500*y1"]
+
+
+def _all_multidegrees(n, top):
+    return [d for k in range(top + 1) for d in monomials(n, k)]
+
+
+@pytest.mark.parametrize(
+    "spec,ell,c", [("s3", 1, Fraction(1, 2)), ("dihedral:5", 5, Fraction(1, 5))]
+)
+def test_straightening_cache_does_not_depend_on_fill_order(spec, ell, c):
+    # every (J, I) with |J|, |I| <= 3, filled upward on one fresh algebra and
+    # downward on another; each value is also the left-nested product
+    # y_c1 * (y_c2 * (... * x^I)) of single generators
+    up, down = make_algebra(spec, ell, [c]), make_algebra(spec, ell, [c])
+    degs = _all_multidegrees(up.dim, 3)
+    pairs = [(j, i) for j in degs for i in degs]  # increasing (|J|, |I|)
+    filled = {p: up._straighten_ji(*p) for p in pairs}
+    for p in reversed(pairs):
+        down._straighten_ji(*p)
+    zero = up._zero_deg
+    for (jdeg, ideg), value in filled.items():
+        assert down._straighten_ji(jdeg, ideg) == value, (jdeg, ideg)
+        nested = up.monomial(ideg, 0, zero)
+        for c_idx in reversed([k for k, e in enumerate(jdeg) for _ in range(e)]):
+            nested = up.y(c_idx + 1) * nested
+        assert up.element(value) == nested, (jdeg, ideg)
