@@ -76,22 +76,16 @@ class VermaSlice:
         When the irrep table is not known to be complete (an empty table
         included), an unlisted isotype may be singular in any degree, so
         every degree 0..cutoff is a key."""
-        alg = self.algebra
         out: dict[int, list] = {}
-        for irr in alg.irreps:
-            n = _integer_difference(c_scalar(alg, irr), self.c_value)
+        for label, c_e in _c_values(self.algebra).items():
+            n = _integer_difference(c_e, self.c_value)
             if n is not None and 0 <= n <= self.cutoff:
-                out.setdefault(n, []).append(irr.label)
-        if not _complete_table(alg):
+                out.setdefault(n, []).append(label)
+        if not _complete_table(self.algebra):
             out = {n: out.get(n, []) for n in range(self.cutoff + 1)}
         return out
 
     # -- bases -----------------------------------------------------------
-
-    def basis(self, n: int):
-        """Degree-n basis labels (monomial, irrep slot) of the ambient slice."""
-        d = self.irrep.dim
-        return [(m, k) for m in self._monos[n] for k in range(d)]
 
     def full_dim(self, n: int) -> int:
         return len(self._monos[n]) * self.irrep.dim
@@ -102,9 +96,6 @@ class VermaSlice:
     @property
     def quotiented(self) -> bool:
         return any(rows for rows, _ in self.killed)
-
-    def _pos(self, n: int, mono, k: int) -> int:
-        return self._mono_index[n][mono] * self.irrep.dim + k
 
     def free_positions(self, n: int) -> list[int]:
         pivots = set(self.killed[n][1])
@@ -126,15 +117,17 @@ class VermaSlice:
             out[p] = x
         return out
 
-    # -- raw generator actions (ambient coordinates) -----------------------
+    # -- the module action (ambient coordinates) ----------------------------
 
-    def _act(self, n: int, target: int, vec: list, images, out=None, scale=ONE) -> list:
-        """Scatter scale times a degree-n vector into degree `target`, adding
-        into `out` when it is given.  ``images(mono)`` gives the image of
-        x^mono (x) w as a flat tuple (pos, h, coefficient, ...), meaning
-        coefficient * x^M (x) rho(h) w with M at position pos of the
-        degree-`target` monomials."""
+    def _act(self, term, n: int, target: int, vec: list, out=None, scale=ONE) -> list:
+        """Scatter scale times the image of the PBW monomial term = (I, g, J)
+        on a degree-n vector into degree `target` = n + |I| - |J|, adding
+        into `out` when it is given.  The image of x^mono (x) w is the
+        algebra's cached `act_on_verma_monomial(term, mono)`, a flat tuple
+        (pos, h, coefficient, ...) meaning coefficient * x^M (x) rho(h) w
+        with M at position pos of the degree-`target` monomials."""
         d = self.irrep.dim
+        verma_image = self.algebra.act_on_verma_monomial
         if out is None:
             out = [ZERO] * self.full_dim(target)
         blocks: dict[int, list] = {}
@@ -145,7 +138,7 @@ class VermaSlice:
                 )
         monos, columns = self._monos[n], self._rho_columns
         for mi, block in blocks.items():
-            image = images(monos[mi])
+            image = verma_image(term, monos[mi])
             for t in range(0, len(image), 3):
                 tgt, cols, coef = image[t] * d, columns[image[t + 1]], image[t + 2]
                 for k, v in block:
@@ -165,49 +158,28 @@ class VermaSlice:
         ]
 
     def apply_x_full(self, i: int, n: int, vec: list) -> list:
-        """Action of x_i (0-based) from degree n to n + 1."""
+        """Action of x_i (0-based), the term (e_i, 1, 0), from degree n to n + 1."""
         if n + 1 > self.cutoff:
             raise CutoffExceeded(
                 f"x-action leaves the truncation (degree {n} -> {n + 1} > {self.cutoff})"
             )
-        index = self._mono_index[n + 1]
-
-        def images(mono):
-            up = list(mono)
-            up[i] += 1
-            return (index[tuple(up)], 0, ONE)
-
-        return self._act(n, n + 1, vec, images)
+        alg = self.algebra
+        term = (_unit(alg.dim, i), alg.group.identity, alg._zero_deg)
+        return self._act(term, n, n + 1, vec)
 
     def apply_y_full(self, i: int, n: int, vec: list) -> list:
-        """Action of y_i (0-based) from degree n to n - 1, via straightening."""
+        """Action of y_i (0-based), the term (0, 1, e_i), from degree n to
+        n - 1; degree 0 maps to the empty vector."""
         if n == 0:
             return []
-        straighten = self.algebra._straighten_ji
-        ydeg = tuple(1 if t == i else 0 for t in range(self.algebra.dim))
-        index = self._mono_index[n - 1]
-
-        def images(mono):
-            return [
-                x
-                for (a_mono, h, b_deg), coef in straighten(ydeg, mono).items()
-                if not any(b_deg)
-                for x in (index[a_mono], h, coef)
-            ]
-
-        return self._act(n, n - 1, vec, images)
+        alg = self.algebra
+        term = (alg._zero_deg, alg.group.identity, _unit(alg.dim, i))
+        return self._act(term, n, n - 1, vec)
 
     def apply_g_full(self, g: int, n: int, vec: list) -> list:
-        """Action of the group element g on degree n."""
-        act = self.algebra.act_on_x_monomial
-        index = self._mono_index[n]
-
-        def images(mono):
-            return [
-                x for a_mono, coef in act(g, mono).items() for x in (index[a_mono], g, coef)
-            ]
-
-        return self._act(n, n, vec, images)
+        """Action of the group element g, the term (0, g, 0), on degree n."""
+        zero = self.algebra._zero_deg
+        return self._act((zero, g, zero), n, n, vec)
 
     def apply_term_full(self, term, coef, n: int, vec: list, out=None):
         """One PBW monomial acting from degree n; returns (degree, vector).
@@ -223,10 +195,7 @@ class VermaSlice:
             )
         if jtot > n:
             return target, out
-        image = self.algebra.act_on_verma_monomial
-        return target, self._act(
-            n, target, vec, lambda mono: image(term, mono), out, coef
-        )
+        return target, self._act(term, n, target, vec, out, coef)
 
     # -- public module action ----------------------------------------------
 
@@ -369,6 +338,19 @@ def c_scalar(algebra: CherednikAlgebra, irrep: Irrep) -> Scalar:
             f"central Euler part is not scalar on irrep {irrep.label!r}"
         )
     return value
+
+
+def _c_values(algebra: CherednikAlgebra) -> dict:
+    """Irrep label -> c_E for the irreps the algebra lists, computed on
+    first use and kept on the algebra (only once every value is known)."""
+    table = algebra._c_table
+    if not table:
+        table.update({irr.label: c_scalar(algebra, irr) for irr in algebra.irreps})
+    return table
+
+
+def _unit(dim: int, i: int) -> tuple:
+    return tuple(int(t == i) for t in range(dim))
 
 
 def verma_action(slice_: VermaSlice, a: PBWElement, mv: dict) -> dict:
@@ -572,23 +554,22 @@ def singular_vectors(slice_: VermaSlice, n: int) -> SingularSpace:
         raise CutoffExceeded(f"degree {n} exceeds the cutoff {slice_.cutoff}")
     alg = slice_.algebra
     group = alg.group
+    zero = alg._zero_deg
     kernel = _kernel_at_degree(slice_, n)
     components: dict[str, list] = {}
-    lifted = [slice_.lift(n, v) for v in kernel]
     labels = slice_.singular_isotypes.get(n, [])
     for irr in alg.irreps:
         if irr.label in labels:
+            # the isotypic projector dim E / |G| sum_g chi_E(g^-1) g
             weight = Scalar.rational(irr.dim) / len(group)
-            projected = []
-            for v in lifted:
-                acc = [ZERO] * slice_.full_dim(n)
-                for g in range(len(group)):
-                    coef = weight * irr.character[group.inv(g)]
-                    if not coef:
-                        continue
-                    linalg.axpy(acc, coef, slice_.apply_g_full(g, n, v))
-                projected.append(slice_.to_free(n, acc))
-            basis = linalg.rref(projected)[0]
+            projector = alg.element(
+                {
+                    (zero, g, zero): weight * irr.character[group.inv(g)]
+                    for g in range(len(group))
+                }
+            )
+            projected = [slice_.apply_element(projector, {n: v}).get(n) for v in kernel]
+            basis = linalg.rref([v for v in projected if v])[0]
             if basis:
                 components[irr.label] = basis
     return SingularSpace(n, kernel, components)
@@ -663,22 +644,22 @@ def _complete_table(algebra: CherednikAlgebra) -> bool:
     )
 
 
-def highest_weight_order(algebra: CherednikAlgebra, irreps=None) -> OrderGraph:
-    irreps = list(irreps) if irreps is not None else list(algebra.irreps)
-    c_values = {irr.label: c_scalar(algebra, irr) for irr in irreps}
+def highest_weight_order(algebra: CherednikAlgebra) -> OrderGraph:
+    c_values = dict(_c_values(algebra))
+    labels = [irr.label for irr in algebra.irreps]
     edges = []
-    for w in irreps:
-        for e in irreps:
-            diff = _integer_difference(c_values[e.label], c_values[w.label])
+    for w in labels:
+        for e in labels:
+            diff = _integer_difference(c_values[e], c_values[w])
             if diff is not None and diff > 0:
-                edges.append((w.label, e.label))
-    return OrderGraph([i.label for i in irreps], c_values, edges)
+                edges.append((w, e))
+    return OrderGraph(labels, c_values, edges)
 
 
-def blocks(algebra: CherednikAlgebra, irreps=None) -> list:
+def blocks(algebra: CherednikAlgebra) -> list:
     """Partition of the irrep labels by the symmetrized integer-linkage
     graph: the connected components of the highest-weight order."""
-    graph = highest_weight_order(algebra, irreps)
+    graph = highest_weight_order(algebra)
     labels = graph.labels
     parent = {lbl: lbl for lbl in labels}
 
@@ -711,22 +692,17 @@ def decompose_verma_character(
     irreps = algebra.irreps
     if not irreps:
         raise ValueError("the algebra carries no irrep table")
-    c_values = {irr.label: c_scalar(algebra, irr) for irr in irreps}
-    shifts = {}
-    for irr in irreps:
-        diff = _integer_difference(c_values[irr.label], c_values[irrep.label])
-        if diff is not None and 0 <= diff <= cutoff:
-            shifts[irr.label] = diff
+    verma = VermaSlice(algebra, irrep, cutoff)
+    shifts = {
+        label: n for n, labels in verma.singular_isotypes.items() for label in labels
+    }
     if simple_characters is None:
         simple_characters = {}
         for irr in irreps:
             if irr.label in shifts:
                 _, ch = simple_quotient_slice(algebra, irr, cutoff)
                 simple_characters[irr.label] = ch
-    residual = {
-        n: dict(level)
-        for n, level in verma_character(algebra, irrep, cutoff).data.items()
-    }
+    residual = {n: dict(level) for n, level in verma.graded_character().data.items()}
     mults = {irr.label: 0 for irr in irreps}
     for d in range(cutoff + 1):
         level = residual.setdefault(d, {})

@@ -191,6 +191,8 @@ class CherednikAlgebra:
         # degree n -> (monomials(dim, n) as a list, monomial -> position)
         self._mono_table: dict = {}
         self._molien: dict = {}
+        # irrep label -> c_E for the listed irreps, filled by category_o
+        self._c_table: dict = {}
         self._euler = None
 
     # -- element constructors -------------------------------------------

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from cherednik import linalg
+from cherednik import category_o, linalg
 from cherednik.category_o import (
     CutoffExceeded,
     GradedCharacter,
@@ -97,6 +97,11 @@ class TestCScalar:
         fake = Irrep("fake", 2, mats, tuple(m[0][0] + m[1][1] for m in mats))
         with pytest.raises(NotScalarAction):
             c_scalar(alg, fake)
+        # a failed fill of the per-algebra c_E table leaves nothing behind
+        listed = CherednikAlgebra(alg.group, alg.c, irreps=[triv, fake])
+        for _ in range(2):
+            with pytest.raises(NotScalarAction):
+                highest_weight_order(listed)
 
 
 class TestVermaAction:
@@ -114,6 +119,8 @@ class TestVermaAction:
                 for k in range(w.dim):
                     for i in range(1, alg.dim + 1):
                         assert verma_action(slice_, alg.y(i), slice_.basis_vector(0, k)) == {}
+                        # the named entry point maps degree 0 to the empty vector
+                        assert slice_.apply_y_full(i - 1, 0, slice_.basis_vector(0, k)[0]) == []
 
     def test_euler_acts_by_weight(self):
         alg = make_algebra("cyclic:2", 1, [Fraction(1, 2)])
@@ -143,6 +150,8 @@ class TestVermaAction:
         slice_ = VermaSlice(alg, irrep_of(alg, "triv"), 3)
         with pytest.raises(CutoffExceeded):
             verma_action(slice_, alg.x(1), slice_.basis_vector(3, 0))
+        with pytest.raises(CutoffExceeded):
+            slice_.apply_x_full(0, 3, slice_.basis_vector(3, 0)[3])
 
 
 # each irrep has a radical below the cutoff, so its simple quotient is a
@@ -202,23 +211,34 @@ class TestModuleAction:
         rng = random.Random(34)
         warm = make_algebra(spec, ell, [c])
         elements = [mixed_terms(warm, rng) for _ in range(3)]
-        # warm the Verma image cache through another irrep's slice
+        # warm the Verma image cache through another irrep's slice; PBW
+        # elements, the x, y and g actions and the isotypic projectors all
+        # read that one cache
         other_irrep = next(w for w in warm.irreps if w.label != label)
         other = VermaSlice(warm, other_irrep, self.CUTOFF)
-        for terms in elements:
+        generators = [warm.x(i) + warm.y(i) for i in range(1, warm.dim + 1)]
+        for a in [warm.element(terms) for terms in elements] + generators:
             for n in range(self.CUTOFF):
-                verma_action(other, warm.element(terms), {n: [ONE] * other.dim(n)})
+                verma_action(other, a, {n: [ONE] * other.dim(n)})
+        for n in range(self.CUTOFF + 1):
+            singular_vectors(other, n)
+        simple_quotient_slice(warm, other_irrep, self.CUTOFF)
         cold = make_algebra(spec, ell, [c])
         results = []
         for alg in (warm, cold):
             slice_ = self.make_slice(alg, label, quotient)
+            verma = VermaSlice(alg, irrep_of(alg, label), self.CUTOFF)
             vec_rng = random.Random(55)
             results.append(
-                [
-                    verma_action(slice_, alg.element(terms), random_vector(slice_, vec_rng, n))
-                    for terms in elements
-                    for n in range(self.CUTOFF)
-                ]
+                (
+                    [
+                        verma_action(slice_, alg.element(terms), random_vector(slice_, vec_rng, n))
+                        for terms in elements
+                        for n in range(self.CUTOFF)
+                    ],
+                    simple_quotient_slice(alg, irrep_of(alg, label), self.CUTOFF)[0].killed,
+                    [singular_vectors(verma, n).components for n in range(self.CUTOFF + 1)],
+                )
             )
         assert results[0] == results[1]
 
@@ -610,6 +630,27 @@ class TestOrderAndBlocks:
             alg = make_algebra(spec, ell, cs)
             graph = highest_weight_order(alg)
             assert all(w != e for w, e in graph.edges)
+
+    def test_c_values_computed_once_per_algebra(self, monkeypatch):
+        alg = make_algebra("s4", 1, [Fraction(1, 2)])
+        calls = []
+        real = category_o.c_scalar
+
+        def counting(algebra, irrep):
+            calls.append(irrep.label)
+            return real(algebra, irrep)
+
+        monkeypatch.setattr(category_o, "c_scalar", counting)
+        first = highest_weight_order(alg)
+        first.c_values.clear()  # the graph holds a copy of the table
+        blocks(alg)
+        for w in alg.irreps:
+            # c_value is the slice's one call; singular_isotypes reads the table
+            assert VermaSlice(alg, w, 4).singular_isotypes
+        assert calls == [w.label for w in alg.irreps] * 2
+        assert highest_weight_order(alg).c_values == {
+            w.label: real(alg, w) for w in alg.irreps
+        }
 
     def test_blocks_refine_order_connectivity(self):
         alg = make_algebra("s3", 1, [Fraction(1, 3)])
