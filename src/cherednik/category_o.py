@@ -263,31 +263,36 @@ class VermaSlice:
                         total = total - v * coef * rho_row[q % d]
         return total
 
-    def graded_character(self) -> "GradedCharacter":
-        """Multiplicities from one trace per conjugacy class: the multiplicity
-        of E in degree n is sum_C |C| chi_E(g_C^-1) tr(g_C) / |G|."""
+    def multiplicities(self, n: int) -> dict:
+        """Label -> multiplicity of each listed irrep E occurring in the
+        degree-n quotient slice, from one trace per conjugacy class:
+        sum_C |C| chi_E(g_C^-1) tr(g_C) / |G|."""
         alg = self.algebra
-        if not alg.irreps:
-            raise ValueError("the algebra carries no irrep table")
         group = alg.group
-        reps = [(cls[0], len(cls)) for cls in group.conjugacy_classes]
-        data: dict[int, dict[str, int]] = {}
-        for n in range(self.cutoff + 1):
-            traces = [(g, size * self.trace(g, n)) for g, size in reps]
-            level: dict[str, int] = {}
-            for irr in alg.irreps:
-                acc = ZERO
-                for g, weighted in traces:
-                    acc = acc + irr.character[group.inv(g)] * weighted
-                mult = acc / len(group)
-                if mult:
-                    if not mult.is_integer() or mult.as_int() < 0:
-                        raise InconsistentTruncation(
-                            f"non-integral multiplicity {mult} at degree {n}"
-                        )
-                    level[irr.label] = mult.as_int()
-            data[n] = level
-        return GradedCharacter(data)
+        traces = [
+            (cls[0], len(cls) * self.trace(cls[0], n)) for cls in group.conjugacy_classes
+        ]
+        level: dict[str, int] = {}
+        for irr in alg.irreps:
+            acc = ZERO
+            for g, weighted in traces:
+                acc = acc + irr.character[group.inv(g)] * weighted
+            mult = acc / len(group)
+            if mult:
+                if not mult.is_integer() or mult.as_int() < 0:
+                    raise InconsistentTruncation(
+                        f"non-integral multiplicity {mult} at degree {n}"
+                    )
+                level[irr.label] = mult.as_int()
+        return level
+
+    def graded_character(self) -> "GradedCharacter":
+        """Multiplicities from one trace per conjugacy class and degree."""
+        if not self.algebra.irreps:
+            raise ValueError("the algebra carries no irrep table")
+        return GradedCharacter(
+            {n: self.multiplicities(n) for n in range(self.cutoff + 1)}
+        )
 
     def weights(self) -> list:
         """The occurring generalized eigenvalues of the Euler element."""
@@ -524,55 +529,137 @@ class SingularSpace:
         return len(self.vectors)
 
 
-def _kernel_at_degree(slice_: VermaSlice, n: int) -> list:
+def _kernel_at_degree(slice_: VermaSlice, n: int, parts: dict | None = None) -> list:
     """Joint kernel of the y's on degree n, in free coordinates; empty at a
-    degree where the Euler rule leaves no room for a singular vector."""
+    degree where the Euler rule leaves no room for a singular vector.  With
+    a complete irrep table it is the direct sum of the isotypic parts that
+    `_singular_parts` finds (or the parts passed in, already found);
+    otherwise the kernel on the whole degree."""
     if n == 0:
         return [list(row) for row in linalg.identity(slice_.dim(0))]
-    cols = slice_.dim(n)
-    if cols == 0 or n not in slice_.singular_isotypes:
+    if slice_.dim(n) == 0 or n not in slice_.singular_isotypes:
         return []
+    if not _complete_table(slice_.algebra):
+        return _y_kernel(slice_, n, _free_units(slice_, n))
+    if parts is None:
+        parts = _singular_parts(slice_, n)
+    return linalg.rref([row for part in parts.values() for row in part])[0]
+
+
+def _free_units(slice_: VermaSlice, n: int) -> list:
+    """The Verma basis vectors at the free positions of degree n, in ambient
+    coordinates; they are reduced against the killed rows."""
+    full = slice_.full_dim(n)
+    out = []
+    for p in slice_.free_positions(n):
+        unit = [ZERO] * full
+        unit[p] = ONE
+        out.append(unit)
+    return out
+
+
+def _y_kernel(slice_: VermaSlice, n: int, block: list) -> list:
+    """Coefficient vectors, in reduced echelon form, of the combinations of
+    the degree-n block vectors (ambient coordinates) that every y_i sends
+    into killed[n - 1]."""
     stacked = []
-    for i in range(slice_.algebra.dim):
-        images = [
-            slice_.to_free(n - 1, slice_.apply_y_full(i, n, slice_.lift(n, unit)))
-            for unit in linalg.identity(cols)
-        ]
-        # one row per coordinate of degree n - 1, one column per unit vector
-        stacked.extend(list(row) for row in zip(*images))
+    if n:
+        for i in range(slice_.algebra.dim):
+            images = [
+                slice_.to_free(n - 1, slice_.apply_y_full(i, n, b)) for b in block
+            ]
+            # one row per coordinate of degree n - 1, one column per block vector
+            stacked.extend(list(row) for row in zip(*images))
     if not stacked:
-        return [list(row) for row in linalg.identity(cols)]
+        return [list(row) for row in linalg.identity(len(block))]
     return linalg.nullspace(stacked)
+
+
+def _singular_parts(slice_: VermaSlice, n: int) -> dict:
+    """Label -> reduced echelon basis, in free coordinates, of the E-part of
+    the degree-n singular space, for each listed E that the Euler rule
+    allows at degree n and that occurs there.
+
+    A vector is singular when every y_i sends it into killed[n - 1]; that
+    kernel is G-stable.  Its E-part is the G-span of its intersection with
+    the image of the primitive idempotent e_E = dim E / |G| sum_g
+    rho_E(g^-1)[0][0] g (Serre, Linear Representations of Finite Groups,
+    2.7), and that image has the multiplicity m_E of E as its dimension.
+    So the y's act on m_E block vectors only, and the G-span stops at
+    dim E times the number of kernel vectors."""
+    labels = slice_.singular_isotypes.get(n, [])
+    if not labels or slice_.dim(n) == 0:
+        return {}
+    mults = slice_.multiplicities(n)
+    free = slice_.free_positions(n)
+    parts: dict[str, list] = {}
+    for irr in slice_.algebra.irreps:
+        m = mults.get(irr.label, 0)
+        if irr.label not in labels or not m:
+            continue
+        block = _isotypic_block(slice_, irr, n, m)
+        kernel = linalg.mat_mul(_y_kernel(slice_, n, block), block)
+        if kernel:
+            span = _g_span(slice_, n, kernel, irr.dim * len(kernel))
+            # the rows vanish on the killed pivots, so dropping those
+            # columns keeps them in reduced echelon form
+            parts[irr.label] = [[row[p] for p in free] for row in span]
+    return parts
+
+
+def _isotypic_block(slice_: VermaSlice, irr: Irrep, n: int, m: int) -> list:
+    """A basis of e_E applied to degree n modulo killed[n], as m vectors in
+    ambient coordinates reduced against the killed rows: the images of free
+    unit vectors, taken until they span m dimensions."""
+    alg = slice_.algebra
+    group, zero = alg.group, alg._zero_deg
+    weight = Scalar.rational(irr.dim) / len(group)
+    terms = []
+    for g in range(len(group)):
+        entry = irr.matrix(group.inv(g))[0][0]
+        if entry:
+            terms.append(((zero, g, zero), weight * entry))
+    rows: list = []
+    pivots: list = []
+    for unit in _free_units(slice_, n):
+        image = None
+        for term, coef in terms:
+            image = slice_._act(term, n, n, unit, image, coef)
+        linalg.extend_echelon(rows, pivots, slice_.reduce(n, image))
+        if len(rows) == m:
+            return rows
+    raise RuntimeError(
+        f"e_{irr.label} spans {len(rows)} < {m} dimensions in degree {n}"
+    )
+
+
+def _g_span(slice_: VermaSlice, n: int, vectors: list, dim: int) -> list:
+    """Reduced echelon basis (ambient coordinates, reduced against the
+    killed rows) of the G-span of the vectors, which has dimension dim."""
+    rows: list = []
+    pivots: list = []
+    for g in range(len(slice_.algebra.group)):
+        for v in vectors:
+            image = slice_.apply_g_full(g, n, v)
+            linalg.extend_echelon(rows, pivots, slice_.reduce(n, image))
+            if len(rows) == dim:
+                return rows
+    raise RuntimeError(
+        f"the G-span has {len(rows)} < {dim} dimensions in degree {n}"
+    )
 
 
 def singular_vectors(slice_: VermaSlice, n: int) -> SingularSpace:
     """Deterministic basis of the degree-n singular space with isotypic labels.
 
-    Only the isotypes the Euler rule allows at degree n are projected out;
-    every other isotypic piece of the kernel is zero."""
+    The components are the parts of the isotypes the Euler rule allows at
+    degree n; every other isotypic piece of the kernel is zero.  When the
+    irrep table is incomplete, the kernel is taken on the whole degree, so
+    it may hold unlisted isotypes that no component names."""
     if n > slice_.cutoff:
         raise CutoffExceeded(f"degree {n} exceeds the cutoff {slice_.cutoff}")
-    alg = slice_.algebra
-    group = alg.group
-    zero = alg._zero_deg
-    kernel = _kernel_at_degree(slice_, n)
-    components: dict[str, list] = {}
-    labels = slice_.singular_isotypes.get(n, [])
-    for irr in alg.irreps:
-        if irr.label in labels:
-            # the isotypic projector dim E / |G| sum_g chi_E(g^-1) g
-            weight = Scalar.rational(irr.dim) / len(group)
-            projector = alg.element(
-                {
-                    (zero, g, zero): weight * irr.character[group.inv(g)]
-                    for g in range(len(group))
-                }
-            )
-            projected = [slice_.apply_element(projector, {n: v}).get(n) for v in kernel]
-            basis = linalg.rref([v for v in projected if v])[0]
-            if basis:
-                components[irr.label] = basis
-    return SingularSpace(n, kernel, components)
+    parts = _singular_parts(slice_, n)
+    return SingularSpace(n, _kernel_at_degree(slice_, n, parts), parts)
 
 
 def simple_quotient_slice(algebra: CherednikAlgebra, irrep: Irrep, cutoff: int):
@@ -636,12 +723,15 @@ def _integer_difference(a: Scalar, b: Scalar):
 def _complete_table(algebra: CherednikAlgebra) -> bool:
     """Whether the irrep table lists every irrep of the group: its irreps
     are validated irreducible, so distinct characters whose dimensions'
-    squares sum to the group order are all of them."""
-    irreps = algebra.irreps
-    return (
-        sum(irr.dim**2 for irr in irreps) == len(algebra.group)
-        and len({irr.character for irr in irreps}) == len(irreps)
-    )
+    squares sum to the group order are all of them.  Computed on first use
+    and kept on the algebra."""
+    if algebra._table_complete is None:
+        irreps = algebra.irreps
+        algebra._table_complete = (
+            sum(irr.dim**2 for irr in irreps) == len(algebra.group)
+            and len({irr.character for irr in irreps}) == len(irreps)
+        )
+    return algebra._table_complete
 
 
 def highest_weight_order(algebra: CherednikAlgebra) -> OrderGraph:

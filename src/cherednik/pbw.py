@@ -193,6 +193,8 @@ class CherednikAlgebra:
         self._molien: dict = {}
         # irrep label -> c_E for the listed irreps, filled by category_o
         self._c_table: dict = {}
+        # whether the listed irreps are all of the group's, set by category_o
+        self._table_complete: bool | None = None
         self._euler = None
 
     # -- element constructors -------------------------------------------
@@ -356,8 +358,13 @@ class CherednikAlgebra:
         merged: dict = {}
         if sum(jdeg) <= sum(mono):
             table = self.group.mult_table[g]
+            straight = (
+                self._straighten_ji(jdeg, mono)
+                if any(jdeg)
+                else {(mono, self.group.identity, self._zero_deg): ONE}
+            )
             # x^I g y^J x^mono = sum x^I (g . x^A) gh over the terms x^A h
-            for (A, h, B), scoef in self._straighten_ji(jdeg, mono).items():
+            for (A, h, B), scoef in straight.items():
                 if any(B):
                     continue
                 for A2, ca in self.act_on_x_monomial(g, A).items():

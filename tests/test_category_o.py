@@ -37,6 +37,7 @@ from cherednik.groups import (
 )
 from cherednik.pbw import CherednikAlgebra
 from cherednik.scalars import Scalar, ZERO, ONE
+from test_pbw import monomial_trace
 
 
 def make_algebra(spec, ell, c_values):
@@ -212,8 +213,8 @@ class TestModuleAction:
         warm = make_algebra(spec, ell, [c])
         elements = [mixed_terms(warm, rng) for _ in range(3)]
         # warm the Verma image cache through another irrep's slice; PBW
-        # elements, the x, y and g actions and the isotypic projectors all
-        # read that one cache
+        # elements, the x, y and g actions and the idempotents e_E of
+        # singular_vectors all read that one cache
         other_irrep = next(w for w in warm.irreps if w.label != label)
         other = VermaSlice(warm, other_irrep, self.CUTOFF)
         generators = [warm.x(i) + warm.y(i) for i in range(1, warm.dim + 1)]
@@ -241,6 +242,22 @@ class TestModuleAction:
                 )
             )
         assert results[0] == results[1]
+
+    def test_y_free_terms_store_no_straightening(self):
+        # x^I g y^0 x^mono needs no straightening, so x and g images on a
+        # fresh algebra leave no (0, mono) entries in the y^J x^I cache
+        alg = make_algebra("s3", 1, [Fraction(1, 2)])
+        slice_ = VermaSlice(alg, irrep_of(alg, "standard"), 4)
+        zero = alg._zero_deg
+        # built from its terms, since products straighten through that cache
+        a = alg.element({((1, 0), 1, zero): 1, ((1, 1), 0, zero): 2, (zero, 2, zero): 3})
+        for n in range(3):
+            vec = [ONE] * slice_.dim(n)
+            slice_.apply_x_full(0, n, vec)
+            slice_.apply_g_full(1, n, vec)
+            verma_action(slice_, a, {n: vec})
+        assert alg._verma_cache
+        assert [key for key in alg._ji_cache if not any(key[0])] == []
 
     @pytest.mark.parametrize("quotient", [False, True])
     def test_raising_term_exceeds_cutoff(self, quotient):
@@ -588,6 +605,199 @@ class TestSimpleQuotients:
             quotient, _ = simple_quotient_slice(alg, w, cutoff)
             expected = contravariant_form_dims(alg, w, cutoff)
             assert [quotient.dim(n) for n in range(cutoff + 1)] == expected
+
+
+def galois(x, r):
+    """sigma_r: zeta_ell -> zeta_ell^r on a scalar of Q(zeta_ell)."""
+    total = sum(
+        (Scalar.zeta(x.ell, r * i) * Scalar.rational(c) for i, c in enumerate(x.coeffs)),
+        ZERO,
+    )
+    return total / x.den
+
+
+def beg_trace_series(alg, g, r, h, cutoff):
+    """Oracle: det(1 - t^r sigma_r(g) | h*) / det(1 - t g | h*) up to t^cutoff
+    (Berest, Etingof and Ginzburg 2003), with sigma_r the Galois automorphism
+    zeta_h -> zeta_h^r.  The denominator is the series of monomial traces;
+    the numerator's coefficients e_k(g) come from the traces of g^i on h* by
+    Newton's identities."""
+    group = alg.group
+    power, p = group.identity, [ZERO]
+    for _ in range(alg.dim):
+        power = group.mult_table[power][g]
+        p.append(monomial_trace(alg, power, 1))
+    e = [ONE]
+    for k in range(1, alg.dim + 1):
+        acc = sum(((-1) ** (i - 1) * e[k - i] * p[i] for i in range(1, k + 1)), ZERO)
+        e.append(acc / k)
+    numerator = [ZERO] * (cutoff + 1)
+    for k, ek in enumerate(e):
+        if r * k <= cutoff:
+            assert h % ek.ell == 0
+            numerator[r * k] = galois(ek, r) * (-1) ** k
+    molien = [monomial_trace(alg, g, n) for n in range(cutoff + 1)]
+    return [
+        sum((numerator[k] * molien[n - k] for k in range(n + 1)), ZERO)
+        for n in range(cutoff + 1)
+    ]
+
+
+class TestFiniteDimensionalTriv:
+    """At c = r/h with gcd(r, h) = 1, L_c(triv) of a real reflection group
+    with Coxeter number h is finite-dimensional, with top degree (r - 1) rank;
+    its graded trace has a closed form."""
+
+    @pytest.mark.parametrize(
+        "spec,ell,r,h",
+        [
+            ("s3", 1, 4, 3),
+            ("s4", 1, 3, 4),
+            ("dihedral:4", 4, 3, 4),
+            ("dihedral:5", 5, 2, 5),  # needs sigma_r
+            ("cyclic:2", 1, 7, 2),
+        ],
+    )
+    def test_graded_trace_matches_closed_form(self, spec, ell, r, h):
+        alg = make_algebra(spec, ell, [Fraction(r, h)])
+        cutoff = (r - 1) * alg.dim + 2
+        quotient, _ = simple_quotient_slice(alg, irrep_of(alg, "triv"), cutoff)
+        for g in range(len(alg.group)):
+            expected = beg_trace_series(alg, g, r, h, cutoff)
+            got = [quotient.trace(g, n) for n in range(cutoff + 1)]
+            assert got == expected, (spec, g)
+        dims = [quotient.dim(n) for n in range(cutoff + 1)]
+        assert dims[-3:] == [1, 0, 0]
+
+
+def stacked_kernel(slice_, n):
+    """Oracle: the joint kernel of the y's on all of degree n, one stacked
+    nullspace over the free unit vectors, taken where the Euler rule (or an
+    incomplete table) allows singular vectors."""
+    if n == 0:
+        return [list(row) for row in linalg.identity(slice_.dim(0))]
+    cols = slice_.dim(n)
+    if cols == 0 or n not in slice_.singular_isotypes:
+        return []
+    stacked = []
+    for i in range(slice_.algebra.dim):
+        images = [
+            slice_.to_free(n - 1, slice_.apply_y_full(i, n, slice_.lift(n, list(unit))))
+            for unit in linalg.identity(cols)
+        ]
+        stacked.extend(list(row) for row in zip(*images))
+    if not stacked:
+        return [list(row) for row in linalg.identity(cols)]
+    return linalg.nullspace(stacked)
+
+
+def projected_components(slice_, n, kernel):
+    """Oracle: the isotypic projector dim E / |G| sum_g chi_E(g^-1) g of each
+    allowed listed isotype applied to the kernel vectors, in echelon form."""
+    alg = slice_.algebra
+    group, zero = alg.group, alg._zero_deg
+    components = {}
+    for irr in alg.irreps:
+        if irr.label not in slice_.singular_isotypes.get(n, []):
+            continue
+        weight = Scalar.rational(irr.dim) / len(group)
+        projector = alg.element(
+            {
+                (zero, g, zero): weight * irr.character[group.inv(g)]
+                for g in range(len(group))
+            }
+        )
+        images = [slice_.apply_element(projector, {n: v}).get(n) for v in kernel]
+        basis = linalg.rref([v for v in images if v])[0]
+        if basis:
+            components[irr.label] = basis
+    return components
+
+
+def snapshot(slice_):
+    """A copy of the slice with its killed rows as they are now."""
+    copy = VermaSlice(slice_.algebra, slice_.irrep, slice_.cutoff)
+    copy.killed = [([list(r) for r in rows], list(p)) for rows, p in slice_.killed]
+    return copy
+
+
+ISOTYPIC_CASES = [
+    ("s3", 1, Fraction(1, 3), 5),
+    ("s3", 1, Fraction(1, 2), 5),
+    ("s4", 1, Fraction(1, 2), 4),
+    ("s4", 1, Fraction(1, 4), 4),
+    ("dihedral:5", 5, Fraction(1, 5), 5),
+    ("dihedral:5", 5, Fraction(2, 5), 5),
+]
+
+
+class TestIsotypicKernels:
+    """The kernels on the isotypic blocks against the stacked kernel of the
+    whole degree and the isotypic projectors."""
+
+    @staticmethod
+    def check(slice_, n):
+        kernel = stacked_kernel(slice_, n)
+        assert category_o._kernel_at_degree(slice_, n) == kernel, n
+        space = singular_vectors(slice_, n)
+        assert space.vectors == kernel, n
+        assert space.components == projected_components(slice_, n, kernel), n
+
+    @pytest.mark.parametrize("spec,ell,c,cutoff", ISOTYPIC_CASES)
+    def test_plain_slices(self, spec, ell, c, cutoff):
+        alg = make_algebra(spec, ell, [c])
+        for w in alg.irreps:
+            slice_ = VermaSlice(alg, w, cutoff)
+            for n in range(cutoff + 1):
+                self.check(slice_, n)
+
+    @pytest.mark.parametrize("spec,ell,c,cutoff", ISOTYPIC_CASES)
+    def test_partial_quotients(self, spec, ell, c, cutoff, monkeypatch):
+        # the states kill_submodule takes kernels in: killed[n] holds
+        # R_n = sum_i x_i J_(n-1) and the lower degrees hold the radical
+        alg = make_algebra(spec, ell, [c])
+        states = []
+        real = category_o._kernel_at_degree
+
+        def recording(slice_, n):
+            states.append((snapshot(slice_), n))
+            return real(slice_, n)
+
+        monkeypatch.setattr(category_o, "_kernel_at_degree", recording)
+        for w in alg.irreps:
+            simple_quotient_slice(alg, w, cutoff)
+        monkeypatch.undo()
+        assert any(state.killed[n][0] for state, n in states)
+        for state, n in states:
+            self.check(state, n)
+
+    @pytest.mark.parametrize(
+        "spec,ell,c,cutoff",
+        [
+            ("s3", 1, Fraction(1, 3), 5),
+            ("s4", 1, Fraction(1, 2), 3),
+            ("dihedral:5", 5, Fraction(2, 5), 5),
+        ],
+    )
+    def test_truncated_irrep_list_takes_the_full_kernel(self, spec, ell, c, cutoff, monkeypatch):
+        full = make_algebra(spec, ell, [c])
+        alg = CherednikAlgebra(full.group, full.c, irreps=full.irreps[:-1])
+        calls = []
+        real = category_o._y_kernel
+
+        def counting(slice_, n, block):
+            calls.append(len(block) == slice_.dim(n))
+            return real(slice_, n, block)
+
+        monkeypatch.setattr(category_o, "_y_kernel", counting)
+        for w in alg.irreps:
+            slice_ = VermaSlice(alg, w, cutoff)
+            quotient, _ = simple_quotient_slice(alg, w, cutoff)
+            for n in range(cutoff + 1):
+                self.check(slice_, n)
+                self.check(quotient, n)
+        # every degree >= 1 with room is searched on the whole degree
+        assert calls.count(True) >= len(alg.irreps) * cutoff
 
 
 class TestHomDim:
