@@ -11,7 +11,7 @@ are coordinates on the surviving (non-pivot) basis positions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 
 from . import linalg
 from .groups import Irrep
@@ -35,8 +35,9 @@ class InconsistentTruncation(ComputationLimit):
 
 
 def mv_scale(a: dict, s) -> dict:
+    """s times a module vector; zero entries are returned as they are."""
     s = s if isinstance(s, Scalar) else Scalar.rational(s)
-    return _mv_prune({n: [x * s for x in v] for n, v in a.items()})
+    return _mv_prune({n: [x * s if x else x for x in v] for n, v in a.items()})
 
 
 def mv_eq(a: dict, b: dict) -> bool:
@@ -119,15 +120,15 @@ class VermaSlice:
 
     # -- the module action (ambient coordinates) ----------------------------
 
-    def _act(self, term, n: int, target: int, vec: list, out=None, scale=ONE) -> list:
-        """Scatter scale times the image of the PBW monomial term = (I, g, J)
-        on a degree-n vector into degree `target` = n + |I| - |J|, adding
-        into `out` when it is given.  The image of x^mono (x) w is the
-        algebra's cached `act_on_verma_monomial(term, mono)`, a flat tuple
-        (pos, h, coefficient, ...) meaning coefficient * x^M (x) rho(h) w
-        with M at position pos of the degree-`target` monomials."""
+    def _act(self, image, n: int, target: int, vec: list, out=None, scale=ONE) -> list:
+        """Scatter scale times a module map on a degree-n vector into degree
+        `target`, adding into `out` when it is given.  image(mono) is the
+        map's image of x^mono (x) w, a flat tuple (pos, h, coefficient, ...)
+        meaning coefficient * x^M (x) rho(h) w with M at position pos of the
+        degree-`target` monomials: the algebra's cached
+        `act_on_verma_monomial` for one PBW term (see `_term_image`), or
+        `act_on_verma_terms` for the terms of one degree shift."""
         d = self.irrep.dim
-        verma_image = self.algebra.act_on_verma_monomial
         if out is None:
             out = [ZERO] * self.full_dim(target)
         blocks: dict[int, list] = {}
@@ -138,14 +139,19 @@ class VermaSlice:
                 )
         monos, columns = self._monos[n], self._rho_columns
         for mi, block in blocks.items():
-            image = verma_image(term, monos[mi])
-            for t in range(0, len(image), 3):
-                tgt, cols, coef = image[t] * d, columns[image[t + 1]], image[t + 2]
+            flat = image(monos[mi])
+            for t in range(0, len(flat), 3):
+                tgt, cols, coef = flat[t] * d, columns[flat[t + 1]], flat[t + 2]
                 for k, v in block:
                     vc = v * coef
                     for k2, entry in cols[k]:
                         out[tgt + k2] = out[tgt + k2] + vc * entry
         return out
+
+    def _term_image(self, term):
+        """The image function of `_act` for the PBW monomial term = (I, g, J),
+        which maps degree n to n + |I| - |J|."""
+        return partial(self.algebra.act_on_verma_monomial, term)
 
     @cached_property
     def _rho_columns(self) -> list:
@@ -165,7 +171,7 @@ class VermaSlice:
             )
         alg = self.algebra
         term = (_unit(alg.dim, i), alg.group.identity, alg._zero_deg)
-        return self._act(term, n, n + 1, vec)
+        return self._act(self._term_image(term), n, n + 1, vec)
 
     def apply_y_full(self, i: int, n: int, vec: list) -> list:
         """Action of y_i (0-based), the term (0, 1, e_i), from degree n to
@@ -174,12 +180,12 @@ class VermaSlice:
             return []
         alg = self.algebra
         term = (alg._zero_deg, alg.group.identity, _unit(alg.dim, i))
-        return self._act(term, n, n - 1, vec)
+        return self._act(self._term_image(term), n, n - 1, vec)
 
     def apply_g_full(self, g: int, n: int, vec: list) -> list:
         """Action of the group element g, the term (0, g, 0), on degree n."""
         zero = self.algebra._zero_deg
-        return self._act((zero, g, zero), n, n, vec)
+        return self._act(self._term_image((zero, g, zero)), n, n, vec)
 
     def apply_term_full(self, term, coef, n: int, vec: list, out=None):
         """One PBW monomial acting from degree n; returns (degree, vector).
@@ -195,25 +201,43 @@ class VermaSlice:
             )
         if jtot > n:
             return target, out
-        return target, self._act(term, n, target, vec, out, coef)
+        return target, self._act(self._term_image(term), n, target, vec, out, coef)
 
     # -- public module action ----------------------------------------------
 
     def apply_element(self, a: PBWElement, mv: dict) -> dict:
-        """Module action of a PBW element on a vector in slice coordinates:
-        every term is added into one accumulator per target degree."""
+        """Module action of a PBW element on a vector in slice coordinates.
+        The terms are grouped by degree shift |I| - |J|, and each group acts
+        through its merged image (`act_on_verma_terms`): one scatter per
+        input monomial into one accumulator per target degree.  As for a
+        single term, a degree n of the input that some term would raise past
+        the cutoff raises CutoffExceeded, even where the vector is zero, and
+        terms with |J| > n act on degree n by zero."""
         if a.algebra is not self.algebra:
             raise ValueError("element belongs to a different algebra")
+        by_shift: dict[int, list] = {}
+        for term, coef in a.terms.items():
+            ideg, _, jdeg = term
+            by_shift.setdefault(sum(ideg) - sum(jdeg), []).append((term, coef))
+        merged_image = self.algebra.act_on_verma_terms
+        # (shift, least |J|, image function) per group
+        groups = [
+            (shift, min(sum(j) for (_, _, j), _ in pairs), merged_image(frozenset(pairs)))
+            for shift, pairs in by_shift.items()
+        ]
+        top = max(by_shift, default=0)
         acc: dict[int, list] = {}
         for n, freevec in mv.items():
-            vec = self.lift(n, freevec) if self.quotiented else list(freevec)
-            for term, coef in a.terms.items():
-                ideg, _, jdeg = term
-                tgt, img = self.apply_term_full(
-                    term, coef, n, vec, acc.get(n + sum(ideg) - sum(jdeg))
+            vec = self.lift(n, freevec) if self.quotiented else freevec
+            if groups and n + top > self.cutoff:
+                raise CutoffExceeded(
+                    f"term raises degree {n} beyond the truncation {self.cutoff}"
                 )
-                if img is not None:
-                    acc[tgt] = img
+            for shift, least_j, image in groups:
+                # the least-|J| term keeps the target n + shift >= 0
+                if least_j <= n:
+                    target = n + shift
+                    acc[target] = self._act(image, n, target, vec, acc.get(target))
         if self.quotiented:
             acc = {n: self.to_free(n, v) for n, v in acc.items()}
         return _mv_prune(acc)
@@ -624,7 +648,7 @@ def _isotypic_block(slice_: VermaSlice, irr: Irrep, n: int, m: int) -> list:
     for unit in _free_units(slice_, n):
         image = None
         for term, coef in terms:
-            image = slice_._act(term, n, n, unit, image, coef)
+            image = slice_._act(slice_._term_image(term), n, n, unit, image, coef)
         linalg.extend_echelon(rows, pivots, slice_.reduce(n, image))
         if len(rows) == m:
             return rows

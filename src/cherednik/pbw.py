@@ -188,6 +188,8 @@ class CherednikAlgebra:
         self._single_cache: dict = {}
         self._ji_cache: dict = {}
         self._verma_cache: dict = {}
+        # frozenset of (term, coef) pairs -> {monomial: merged Verma image}
+        self._verma_element_cache: dict = {}
         # degree n -> (monomials(dim, n) as a list, monomial -> position)
         self._mono_table: dict = {}
         self._molien: dict = {}
@@ -331,6 +333,13 @@ class CherednikAlgebra:
         start = {(ideg, 0, self._zero_deg): ONE}
         return _chain(self._ji_cache, lambda d: (d, ideg), jdeg, start, step)
 
+    def _straighten(self, jdeg: tuple, ideg: tuple) -> dict:
+        """PBW expansion of y^jdeg * x^ideg; a y-free word is already in PBW
+        form and stores nothing in the y^J x^I cache."""
+        if any(jdeg):
+            return self._straighten_ji(jdeg, ideg)
+        return {(ideg, self.group.identity, self._zero_deg): ONE}
+
     def monomial_table(self, n: int) -> tuple:
         """The degree-n monomials in `monomials(dim, n)` order and the map from
         each to its position; one shared table per algebra."""
@@ -358,13 +367,8 @@ class CherednikAlgebra:
         merged: dict = {}
         if sum(jdeg) <= sum(mono):
             table = self.group.mult_table[g]
-            straight = (
-                self._straighten_ji(jdeg, mono)
-                if any(jdeg)
-                else {(mono, self.group.identity, self._zero_deg): ONE}
-            )
             # x^I g y^J x^mono = sum x^I (g . x^A) gh over the terms x^A h
-            for (A, h, B), scoef in straight.items():
+            for (A, h, B), scoef in self._straighten(jdeg, mono).items():
                 if any(B):
                     continue
                 for A2, ca in self.act_on_x_monomial(g, A).items():
@@ -376,6 +380,34 @@ class CherednikAlgebra:
         self._verma_cache[key] = result
         return result
 
+    def act_on_verma_terms(self, terms: frozenset):
+        """The image of sum coef * x^I g y^J over the (term, coef) pairs of
+        `terms`, which share one degree shift |I| - |J|, as a function of
+        the monomial x^mono.  It returns the flat tuple of
+        `act_on_verma_monomial` with the coefficients folded in, the entries
+        at one (pos, h) added and the cancelled ones dropped.  One table
+        from monomial to image is kept per distinct content of `terms`."""
+        table = self._verma_element_cache.get(terms)
+        if table is None:
+            table = self._verma_element_cache[terms] = {}
+        image = self.act_on_verma_monomial
+
+        def merged_image(mono: tuple) -> tuple:
+            cached = table.get(mono)
+            if cached is not None:
+                return cached
+            merged: dict = {}
+            for term, coef in terms:
+                flat = image(term, mono)
+                for t in range(0, len(flat), 3):
+                    _accumulate(merged, flat[t : t + 2], coef * flat[t + 2])
+            cached = table[mono] = tuple(
+                x for (pos, h), c in merged.items() for x in (pos, h, c)
+            )
+            return cached
+
+        return merged_image
+
     def multiply(self, a: PBWElement, b: PBWElement) -> PBWElement:
         """Straightened product in PBW form."""
         a = self._coerce(a)
@@ -386,7 +418,7 @@ class CherednikAlgebra:
             for (i2, g2, j2), c2 in b.terms.items():
                 base = c1 * c2
                 g2inv = self.group.inv(g2)
-                for (A, h, B), coef in self._straighten_ji(j1, i2).items():
+                for (A, h, B), coef in self._straighten(j1, i2).items():
                     mid = base * coef
                     # g1 * x^A = (g1 . x^A) * g1
                     for A2, ca in self.act_on_x_monomial(g1, A).items():

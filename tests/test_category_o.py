@@ -269,6 +269,175 @@ class TestModuleAction:
             verma_action(slice_, a, slice_.basis_vector(self.CUTOFF, 0))
 
 
+def termwise_action(slice_, a, mv):
+    """The module action term by term: apply_term_full for every term of a,
+    added into one accumulator per target degree."""
+    acc = {}
+    for n, freevec in mv.items():
+        vec = slice_.lift(n, freevec) if slice_.quotiented else list(freevec)
+        for term, coef in a.terms.items():
+            ideg, _, jdeg = term
+            target = n + sum(ideg) - sum(jdeg)
+            _, img = slice_.apply_term_full(term, coef, n, vec, acc.get(target))
+            if img is not None:
+                acc[target] = img
+    if slice_.quotiented:
+        acc = {n: slice_.to_free(n, v) for n, v in acc.items()}
+    return {n: v for n, v in acc.items() if any(v)}
+
+
+def outcome(action, slice_, a, mv):
+    """The result of an action, or the type and message of what it raised."""
+    try:
+        return action(slice_, a, mv)
+    except CutoffExceeded as exc:
+        return type(exc), str(exc)
+
+
+def shifted_terms(alg, rng, count=6, top=2):
+    """Seeded PBW terms x^I g y^J with |I|, |J| <= top: degree shifts from
+    -top to top, and terms that kill the low degrees."""
+    out = {}
+    for _ in range(count):
+        ideg, jdeg = [0] * alg.dim, [0] * alg.dim
+        for _ in range(rng.randint(0, top)):
+            ideg[rng.randrange(alg.dim)] += 1
+        for _ in range(rng.randint(0, top)):
+            jdeg[rng.randrange(alg.dim)] += 1
+        g = rng.randrange(len(alg.group))
+        out[(tuple(ideg), g, tuple(jdeg))] = Fraction(rng.choice((-3, -1, 1, 2)), rng.randint(1, 3))
+    return out
+
+
+# (group, field, c, irrep): each irrep has a radical below TestMergedAction's
+# cutoff, so the quotient slices are proper quotients
+MERGED_ACTION_CASES = (
+    ("s3", 1, Fraction(1, 2), "triv"),
+    ("s4", 1, Fraction(3, 4), "triv"),
+    ("dihedral:5", 5, Fraction(1, 5), "rho1"),
+)
+
+
+class TestMergedAction:
+    """apply_element acts by one merged image per degree shift; it must
+    agree with the term-by-term action, CutoffExceeded included."""
+
+    CUTOFF = 5
+
+    def elements(self, alg, seed):
+        rng = random.Random(seed)
+        terms = [shifted_terms(alg, rng) for _ in range(3)]
+        # the Euler element, whose images cancel on merging; that element
+        # with a lowering and a raising term that kill degree 0; and one
+        # with a term that kills degrees 0 and 1 but would raise degree 1
+        # past the cutoff
+        euler = alg.euler_element()
+        rest = alg._zero_deg[1:]
+        extra = {
+            (alg._zero_deg, 1, (2,) + rest): Fraction(1, 3),
+            ((1,) + rest, 0, (1, 1) + rest[1:]): -2,
+        }
+        beyond = {((self.CUTOFF + 2,) + rest, 0, (2,) + rest): 1}
+        out = [euler, euler + alg.element(extra), euler + alg.element(beyond)]
+        out += [alg.element(t) for t in terms]
+        # every element but the Euler element mixes degree shifts
+        assert all(len({sum(i) - sum(j) for i, _, j in a.terms}) > 1 for a in out[1:])
+        return out
+
+    def inputs(self, slice_, rng):
+        """Single degrees, zero vectors included, and a mixed vector."""
+        out = []
+        for n in range(self.CUTOFF + 1):
+            if slice_.dim(n):
+                out.append(random_vector(slice_, rng, n))
+                out.append({n: [ZERO] * slice_.dim(n)})
+        mixed = {}
+        for n in (3, 0, self.CUTOFF, 1):
+            mixed.update(random_vector(slice_, rng, n))
+        return out + [mixed]
+
+    make_slice = TestModuleAction.make_slice
+
+    @pytest.mark.parametrize("quotient", [False, True])
+    @pytest.mark.parametrize("spec,ell,c,label", MERGED_ACTION_CASES)
+    def test_matches_termwise_action(self, spec, ell, c, label, quotient):
+        alg = make_algebra(spec, ell, [c])
+        slice_ = self.make_slice(alg, label, quotient)
+        rng = random.Random(8)
+        raised = 0
+        for a in self.elements(alg, 13):
+            for mv in self.inputs(slice_, rng):
+                merged = outcome(verma_action, slice_, a, mv)
+                assert merged == outcome(termwise_action, slice_, a, mv), (a, mv)
+                raised += isinstance(merged, tuple)
+        assert raised  # some raising term leaves the truncation
+
+    @pytest.mark.parametrize("quotient", [False, True])
+    @pytest.mark.parametrize("spec,ell,c,label", MERGED_ACTION_CASES)
+    def test_cold_algebra_and_equal_content(self, spec, ell, c, label, quotient):
+        warm = make_algebra(spec, ell, [c])
+        cold = make_algebra(spec, ell, [c])
+        warm_slice = self.make_slice(warm, label, quotient)
+        cold_slice = self.make_slice(cold, label, quotient)
+        inputs = self.inputs(warm_slice, random.Random(3))
+        contents = [dict(a.terms) for a in self.elements(warm, 21)]
+
+        def run(alg, slice_):
+            return [
+                outcome(verma_action, slice_, alg.element(terms), mv)
+                for terms in contents
+                for mv in inputs
+            ]
+
+        def sizes():
+            tables = warm._verma_element_cache.items()
+            return len(warm._verma_cache), {key: len(table) for key, table in tables}
+
+        first, filled = run(warm, warm_slice), sizes()
+        # separately built elements with the same content add no entries
+        assert run(warm, warm_slice) == first
+        assert sizes() == filled
+        assert run(cold, cold_slice) == first
+
+    def test_one_table_per_shift_and_content(self):
+        alg = make_algebra("s3", 1, [Fraction(1, 2)])
+        slice_ = VermaSlice(alg, irrep_of(alg, "standard"), self.CUTOFF)
+        zero = alg._zero_deg
+        # shifts 0, 1 and -1; the two shift-0 contents differ by a coefficient
+        a = alg.euler_element() + alg.x(1) + alg.element({(zero, 2, (0, 1)): 1})
+        b = alg.euler_element() + alg.g(1)
+        for el in (a, b):
+            verma_action(slice_, el, {2: [ONE] * slice_.dim(2)})
+        assert len(alg._verma_element_cache) == 4
+        x_table = alg._verma_element_cache[frozenset(alg.x(1).terms.items())]
+        assert list(x_table) == list(slice_._monos[2])
+
+
+class TestMvScale:
+    def test_zero_entries_are_kept_and_entries_canonical(self):
+        z5 = Scalar.zeta(5)
+        vectors = [
+            {0: [ZERO, ONE, ZERO], 2: [Scalar.rational(Fraction(-3, 4)), ZERO]},
+            {1: [z5, ZERO, z5 * z5 + ONE, Scalar.rational(6)], 3: [ZERO, ZERO]},
+        ]
+        for mv in vectors:
+            for s in (0, 2, Fraction(-2, 3), z5, z5 + Fraction(1, 2)):
+                scalar = Scalar.rational(s)
+                expected = {
+                    n: [x * scalar for x in v]
+                    for n, v in mv.items()
+                    if any(x * scalar for x in v)
+                }
+                out = mv_scale(mv, s)
+                assert out == expected
+                for v in out.values():
+                    for x in v:
+                        canonical = Scalar._make(x.ell, list(x.coeffs), x.den)
+                        assert (x.ell, x.coeffs, x.den) == (
+                            canonical.ell, canonical.coeffs, canonical.den
+                        )
+
+
 class TestDunklOracle:
     def test_degree_one_vanishing(self):
         alg = make_algebra("cyclic:2", 1, [Fraction(1, 2)])

@@ -92,6 +92,13 @@ class TestMultiplication:
         with pytest.raises(CoefficientBlowup):
             alg.scalar(Fraction(1, 10**9)) * alg.scalar(Fraction(1, 10**9))
 
+    def test_y_free_left_term_stores_no_straightening(self):
+        # x^I g * x^I2 g2 y^J2 needs no straightening, so the product leaves
+        # no (0, I) entry in the y^J x^I cache
+        alg = make_algebra("s3", 1, [Fraction(1, 2)])
+        assert alg.x(1) * alg.g(1) == alg.monomial((1, 0), 1, (0, 0))
+        assert [key for key in alg._ji_cache if not any(key[0])] == []
+
 
 class TestEulerElement:
     def test_order_two_euler(self):
