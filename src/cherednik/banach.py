@@ -199,31 +199,48 @@ class LatticeReport:
         return self
 
 
+def _generator_products(algebra: CherednikAlgebra) -> dict:
+    """The terms of uv, vu and uv - vu for each pair i <= j of the unweighted
+    generators x_1.., g_0.., y_1.., in that order; computed once per
+    algebra, since (p^a u)(p^b v) = p^(a+b) uv for every level."""
+    table = algebra._lattice_products
+    if table is None:
+        gens = [algebra.x(i + 1) for i in range(algebra.dim)]
+        gens += [algebra.g(g) for g in range(len(algebra.group))]
+        gens += [algebra.y(i + 1) for i in range(algebra.dim)]
+        table = {}
+        for i, a in enumerate(gens):
+            for j, b in enumerate(gens[i:], i):
+                ab = a * b
+                ba = b * a if j > i else ab
+                table[i, j] = (ab.terms, ba.terms, (ab - ba).terms)
+        algebra._lattice_products = table
+    return table
+
+
 def lattice_check(algebra: CherednikAlgebra, ctx: PadicContext, m: int, r: int) -> LatticeReport:
     """Verify that all pairwise products and commutators of the weighted
     generators p^m x_j, g, p^r y_i stay in the unit ball."""
+    dim = algebra.dim
+    names = [f"p^{m}*x{i + 1}" for i in range(dim)]
+    names += [f"g{g}" for g in range(len(algebra.group))]
+    names += [f"p^{r}*y{i + 1}" for i in range(dim)]
+    exps = [m] * dim + [0] * len(algebra.group) + [r] * dim
     p = Scalar.rational(ctx.prime)
-    gens = []
-    for i in range(algebra.dim):
-        gens.append((f"p^{m}*x{i + 1}", algebra.x(i + 1) * p**m))
-    for g in range(len(algebra.group)):
-        gens.append((f"g{g}", algebra.g(g)))
-    for i in range(algebra.dim):
-        gens.append((f"p^{r}*y{i + 1}", algebra.y(i + 1) * p**r))
 
-    # each ordered product is formed once; only weights are kept, and
-    # [b, a] = -[a, b] has the weight of [a, b]
+    def weight(terms: dict, scale: Scalar) -> float:
+        return _min_weight({t: c * scale for t, c in terms.items()}, m, r, ctx)
+
+    # only weights are kept, and [b, a] = -[a, b] has the weight of [a, b]
     prod_w, comm_w = {}, {}
-    for i, (_, a) in enumerate(gens):
-        for j, (_, b) in enumerate(gens[i:], i):
-            ab = a * b
-            ba = b * a if j > i else ab
-            prod_w[i, j] = _min_weight(ab.terms, m, r, ctx)
-            prod_w[j, i] = _min_weight(ba.terms, m, r, ctx)
-            comm_w[i, j] = comm_w[j, i] = _min_weight((ab - ba).terms, m, r, ctx)
+    for (i, j), (ab, ba, comm) in _generator_products(algebra).items():
+        scale = p ** (exps[i] + exps[j])
+        prod_w[i, j] = weight(ab, scale)
+        prod_w[j, i] = weight(ba, scale)
+        comm_w[i, j] = comm_w[j, i] = weight(comm, scale)
     violations = []
-    for i, (name_a, _) in enumerate(gens):
-        for j, (name_b, _) in enumerate(gens):
+    for i, name_a in enumerate(names):
+        for j, name_b in enumerate(names):
             if prod_w[i, j] < 0:
                 violations.append((f"{name_a} * {name_b}", int(prod_w[i, j])))
             if comm_w[i, j] < 0:

@@ -14,10 +14,20 @@ terminates; associativity is covered by the test suite.
 
 from __future__ import annotations
 
+import math
 from operator import add
 
 from .groups import GroupAction, PseudoReflection, ReflectionFunction, find_reflections
-from .scalars import Scalar, ZERO, ONE, CherednikError, ComputationLimit, ExprError, parse_expression
+from .scalars import (
+    Scalar,
+    ZERO,
+    ONE,
+    CherednikError,
+    ComputationLimit,
+    ExprError,
+    FieldMismatch,
+    parse_expression,
+)
 
 Term = tuple  # (I, g, J): multidegree tuple, group index, multidegree tuple
 
@@ -39,13 +49,67 @@ def _add_deg(a, b):
     return tuple(map(add, a, b))
 
 
-def _accumulate(terms: dict, key, value) -> None:
-    """Add value to terms[key], dropping the key when the sum cancels."""
-    s = terms.get(key, ZERO) + value
-    if s:
-        terms[key] = s
+class _Sum:
+    """A running sum of Scalars in integer coordinates: the value is
+    sum(coeffs[k] * z^k) / den over Q(zeta_ell), not reduced by any gcd."""
+
+    __slots__ = ("ell", "den", "coeffs")
+
+    def __init__(self, first: Scalar):
+        self.ell, self.den, self.coeffs = first.ell, first.den, list(first.coeffs)
+
+    def add(self, value: Scalar) -> None:
+        ell, den, vc = value.ell, value.den, value.coeffs
+        coeffs = self.coeffs
+        if ell != self.ell and ell != 1:
+            if self.ell != 1:
+                raise FieldMismatch(
+                    f"cannot mix Q(zeta_{ell}) and Q(zeta_{self.ell}) values"
+                )
+            coeffs.extend([0] * (len(vc) - 1))
+            self.ell = ell
+        if den != self.den:
+            common = math.lcm(self.den, den)
+            if common != self.den:
+                f = common // self.den
+                self.coeffs = coeffs = [c * f for c in coeffs]
+                self.den = common
+            f = common // den
+            if f != 1:
+                vc = [c * f for c in vc]
+        if ell == 1:
+            coeffs[0] += vc[0]
+        else:
+            for k, c in enumerate(vc):
+                coeffs[k] += c
+
+
+def _accumulate(terms: dict, key, value: Scalar) -> None:
+    """Add value to terms[key].  The first value stays a Scalar; a second
+    turns the entry into a _Sum, so `_settle` must run before terms is read."""
+    cur = terms.get(key)
+    if cur is None:
+        terms[key] = value
+    elif type(cur) is Scalar:
+        cur = terms[key] = _Sum(cur)
+        cur.add(value)
     else:
-        terms.pop(key, None)
+        cur.add(value)
+
+
+def _settle(terms: dict) -> dict:
+    """terms with every running sum made a canonical Scalar and the zero
+    entries dropped."""
+    out = {}
+    for key, v in terms.items():
+        if type(v) is not Scalar:
+            if not any(v.coeffs):
+                continue
+            v = Scalar._make(v.ell, v.coeffs, v.den)
+        elif not v:
+            continue
+        out[key] = v
+    return out
 
 
 def _chain(cache: dict, key, deg: tuple, start: dict, step) -> dict:
@@ -96,7 +160,7 @@ class PBWElement:
         out = dict(self.terms)
         for k, v in other.terms.items():
             _accumulate(out, k, v)
-        return PBWElement(self.algebra, out)
+        return PBWElement(self.algebra, _settle(out))
 
     __radd__ = __add__
 
@@ -124,8 +188,10 @@ class PBWElement:
     def __pow__(self, k: int):
         if k < 0:
             raise ValueError("negative powers are not defined in the algebra")
-        out = self.algebra.one()
-        for _ in range(k):
+        if k == 0:
+            return self.algebra.one()
+        out = self
+        for _ in range(k - 1):
             out = out * self
         return out
 
@@ -197,6 +263,8 @@ class CherednikAlgebra:
         self._c_table: dict = {}
         # whether the listed irreps are all of the group's, set by category_o
         self._table_complete: bool | None = None
+        # (i, j) -> terms of uv, vu, uv - vu for the lattice generators, set by banach
+        self._lattice_products: dict | None = None
         self._euler = None
 
     # -- element constructors -------------------------------------------
@@ -276,7 +344,7 @@ class CherednikAlgebra:
                         up = list(mono)
                         up[idx] += 1
                         _accumulate(result, tuple(up), coef * entry)
-            return result
+            return _settle(result)
 
         return _chain(cache, lambda d: (g, d), deg, {self._zero_deg: ONE}, step)
 
@@ -306,7 +374,7 @@ class CherednikAlgebra:
                     continue
                 for mono, sub_coef in self.act_on_x_monomial(s_idx, rest).items():
                     _accumulate(result, (mono, s_idx, zero_deg), -coef * sub_coef)
-            return result
+            return _settle(result)
 
         start = {(zero_deg, 0, zero_deg[:a] + (1,) + zero_deg[a + 1 :]): ONE}
         return _chain(self._single_cache, lambda d: (a, d), ideg, start, step)
@@ -328,7 +396,7 @@ class CherednikAlgebra:
                     lead, gh = coef * coef2, table[h2][h]
                     for B3, coef3 in self.act_on_y_monomial(hinv, B2).items():
                         _accumulate(result, (A2, gh, _add_deg(B3, B)), lead * coef3)
-            return result
+            return _settle(result)
 
         start = {(ideg, 0, self._zero_deg): ONE}
         return _chain(self._ji_cache, lambda d: (d, ideg), jdeg, start, step)
@@ -373,6 +441,7 @@ class CherednikAlgebra:
                     continue
                 for A2, ca in self.act_on_x_monomial(g, A).items():
                     _accumulate(merged, (_add_deg(ideg, A2), table[h]), scoef * ca)
+            merged = _settle(merged)
         index = self.monomial_table(degree)[1] if merged else None
         result = tuple(
             x for (M, h), coef in merged.items() for x in (index[M], h, coef)
@@ -402,7 +471,7 @@ class CherednikAlgebra:
                 for t in range(0, len(flat), 3):
                     _accumulate(merged, flat[t : t + 2], coef * flat[t + 2])
             cached = table[mono] = tuple(
-                x for (pos, h), c in merged.items() for x in (pos, h, c)
+                x for (pos, h), c in _settle(merged).items() for x in (pos, h, c)
             )
             return cached
 
@@ -428,6 +497,7 @@ class CherednikAlgebra:
                         for B2, cb in self.act_on_y_monomial(g2inv, B).items():
                             key = (_add_deg(i1, A2), table[gh][g2], _add_deg(B2, j2))
                             _accumulate(out, key, lead * cb)
+        out = _settle(out)
         self._check_blowup(out)
         return PBWElement(self, out)
 

@@ -21,6 +21,7 @@ from cherednik.banach import (
     lattice_check,
     level_tower,
     rho_c,
+    term_weight,
     transition,
     weight_decompose_banach,
 )
@@ -183,6 +184,61 @@ class TestLatticeCheck:
         ctx3 = PadicContext(3, 64)
         for params in level_tower(s3, ctx3, 2):
             assert lattice_check(s3, ctx3, params.level, params.r).passed
+
+
+    @staticmethod
+    def _scaled_route(alg, ctx, m, r):
+        """The violations of the weighted generators p^m x_j, g, p^r y_i,
+        multiplied again at this level."""
+        p = Scalar.rational(ctx.prime)
+        gens = [(f"p^{m}*x{i + 1}", alg.x(i + 1) * p**m) for i in range(alg.dim)]
+        gens += [(f"g{g}", alg.g(g)) for g in range(len(alg.group))]
+        gens += [(f"p^{r}*y{i + 1}", alg.y(i + 1) * p**r) for i in range(alg.dim)]
+
+        def weight(el):
+            return min(
+                (term_weight(c, t, m, r, ctx) for t, c in el.terms.items()),
+                default=float("inf"),
+            )
+
+        violations = []
+        for name_a, a in gens:
+            for name_b, b in gens:
+                w = weight(a * b)
+                if w < 0:
+                    violations.append((f"{name_a} * {name_b}", int(w)))
+                w = weight(a * b - b * a)
+                if w < 0:
+                    violations.append((f"[{name_a}, {name_b}]", int(w)))
+        return violations
+
+    @pytest.mark.parametrize(
+        "spec, ell, c, ctx",
+        [
+            ("s3", 1, [Fraction(2, 81)], PadicContext(3, 64)),
+            ("s4", 1, [Fraction(2, 81)], PadicContext(3, 64)),
+            ("dihedral:5", 5, [Fraction(1, 11**4)], PadicContext(11, 64, 5)),
+        ],
+    )
+    def test_products_once_per_algebra_match_the_scaled_route(
+        self, spec, ell, c, ctx, monkeypatch
+    ):
+        alg = make_algebra(spec, ell, c)
+        grid = [(m, r) for m in range(3) for r in range(5)]
+        failing = 0
+        for m, r in grid:
+            report = lattice_check(alg, ctx, m, r)
+            assert report.violations == self._scaled_route(alg, ctx, m, r)
+            failing += not report.passed
+        assert not lattice_check(alg, ctx, 0, 0).passed
+        assert not lattice_check(alg, ctx, 2, 1).passed
+        assert 0 < failing < len(grid)
+
+        calls = []
+        multiply = alg.multiply
+        monkeypatch.setattr(alg, "multiply", lambda a, b: calls.append(1) or multiply(a, b))
+        lattice_check(alg, ctx, 1, 3)
+        assert calls == []
 
 
 class TestWeightDecomposition:

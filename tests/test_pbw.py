@@ -27,9 +27,11 @@ from cherednik.pbw import (
     AlgebraMismatch,
     CherednikAlgebra,
     CoefficientBlowup,
+    _accumulate,
+    _settle,
     monomials,
 )
-from cherednik.scalars import Scalar, ZERO, ONE, ExprError, euler_phi
+from cherednik.scalars import Scalar, ZERO, ONE, ExprError, FieldMismatch, euler_phi
 
 
 def make_algebra(spec, ell, c_values):
@@ -98,6 +100,89 @@ class TestMultiplication:
         alg = make_algebra("s3", 1, [Fraction(1, 2)])
         assert alg.x(1) * alg.g(1) == alg.monomial((1, 0), 1, (0, 0))
         assert [key for key in alg._ji_cache if not any(key[0])] == []
+
+
+    @pytest.mark.parametrize(
+        "spec, ell, c",
+        [("s3", 1, [Fraction(1, 3)]), ("dihedral:5", 5, [Fraction(1, 5)])],
+    )
+    def test_powers_are_left_nested_products(self, spec, ell, c):
+        alg = make_algebra(spec, ell, c)
+        rng = random.Random(5)
+        for a in (alg.x(1), alg.y(2) + alg.g(1), random_element(alg, rng, 2, 2)):
+            assert a**0 == alg.one()
+            assert a**1 == a
+            nested = a
+            for k in range(2, 5):
+                nested = nested * a
+                assert a**k == nested
+
+
+def _mixed_scalar(rng, ell):
+    """A seeded value of Q(zeta_ell): zero, a rational, or (ell > 1) a
+    cyclotomic value, each with one of several denominators."""
+    kind = rng.random()
+    if kind < 0.1:
+        return ZERO
+    if ell == 1 or kind < 0.45:
+        return Scalar.rational(Fraction(rng.randint(-6, 6), rng.choice([1, 2, 3, 4, 6, 9])))
+    coords = [rng.randint(-3, 3) for _ in range(euler_phi(ell))]
+    return Scalar.from_coords(ell, coords, rng.choice([1, 2, 3, 5, 10, 12]))
+
+
+def _is_canonical(v):
+    phi = euler_phi(v.ell) if v.ell > 1 else 1
+    return (
+        v.den > 0
+        and math.gcd(v.den, *v.coeffs) == 1
+        and len(v.coeffs) == phi
+        and (v.ell == 1 or any(v.coeffs[1:]))
+    )
+
+
+class TestLazyAccumulate:
+    @pytest.mark.parametrize("ell", [1, 5, 8])
+    def test_settled_sums_equal_scalar_sums(self, ell):
+        rng = random.Random(ell)
+        for _ in range(60):
+            terms, expected = {}, {}
+            for _ in range(rng.randint(1, 14)):
+                key = rng.randrange(4)
+                value = _mixed_scalar(rng, ell)
+                _accumulate(terms, key, value)
+                expected[key] = expected.get(key, ZERO) + value
+            settled = _settle(terms)
+            assert settled == {k: v for k, v in expected.items() if v}
+            for v in settled.values():
+                assert type(v) is Scalar and _is_canonical(v)
+
+    @pytest.mark.parametrize("ell", [1, 5, 8])
+    def test_exact_cancellation_drops_the_key(self, ell):
+        rng = random.Random(100 + ell)
+        for _ in range(30):
+            values = [_mixed_scalar(rng, ell) for _ in range(rng.randint(1, 6))]
+            signed = values + [-v for v in values]
+            rng.shuffle(signed)
+            terms = {"kept": ONE}
+            for v in signed:
+                _accumulate(terms, "gone", v)
+            assert _settle(terms) == {"kept": ONE}
+
+    def test_cyclotomic_part_cancelling_to_a_rational_collapses(self):
+        z = Scalar.zeta(5)
+        terms = {}
+        for v in (z / 3, Scalar.rational(Fraction(1, 2)), -z / 3):
+            _accumulate(terms, 0, v)
+        (value,) = _settle(terms).values()
+        assert value.ell == 1 and value == Scalar.rational(Fraction(1, 2))
+
+    @pytest.mark.parametrize("lead", [[], [Fraction(1, 2)], [Fraction(1, 2), Fraction(1, 3)]])
+    def test_mixed_cyclotomic_fields_raise(self, lead):
+        terms = {}
+        for v in [*map(Scalar.rational, lead), Scalar.zeta(5)]:
+            _accumulate(terms, 0, v)
+        with pytest.raises(FieldMismatch):
+            _accumulate(terms, 0, Scalar.zeta(8))
 
 
 class TestEulerElement:
