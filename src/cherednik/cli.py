@@ -86,7 +86,9 @@ def build_algebra(cfg: JobConfig) -> CherednikAlgebra:
         c = ReflectionFunction(group, reflections, values)
     except ValueError as exc:
         raise ValidationError("c", str(exc)) from exc
-    return CherednikAlgebra(group, c, irreps=irreps, field_ell=ell)
+    return CherednikAlgebra(
+        group, c, reflections=reflections, irreps=irreps, field_ell=ell
+    )
 
 
 def build_context(cfg: JobConfig) -> PadicContext:

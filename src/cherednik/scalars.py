@@ -112,6 +112,34 @@ def _reduce_mod_cyclotomic(coeffs: list[int], ell: int) -> list[int]:
     return cs
 
 
+def _power_images(ell: int, exponents) -> tuple[tuple[int, int, int], ...]:
+    """The nonzero (i, k, r): coordinate k of zeta^exponents[i] mod Phi_ell is r."""
+    out = []
+    for i, e in enumerate(exponents):
+        raw = [0] * (e % ell + 1)
+        raw[-1] = 1
+        out += [(i, k, r) for k, r in enumerate(_reduce_mod_cyclotomic(raw, ell)) if r]
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _product_table(ell: int) -> tuple[tuple[int, int, int, int], ...]:
+    """The nonzero (i, j, k, r): coordinate k of zeta^(i+j) reduced mod Phi_ell is r."""
+    d = euler_phi(ell)
+    pairs = [(i, j) for i in range(d) for j in range(d)]
+    images = _power_images(ell, [i + j for i, j in pairs])
+    return tuple(pairs[n] + (k, r) for n, k, r in images)
+
+
+@lru_cache(maxsize=None)
+def _galois_tables(ell: int) -> tuple[tuple[tuple[int, int, int], ...], ...]:
+    """For each sigma_k: zeta -> zeta^k, k in (Z/ell)^x other than 1, the
+    nonzero (i, j, r): coordinate j of sigma_k(zeta^i) is r."""
+    d = euler_phi(ell)
+    units = [k for k in range(2, ell) if math.gcd(k, ell) == 1]
+    return tuple(_power_images(ell, [i * k for i in range(d)]) for k in units)
+
+
 class Scalar:
     """Element of Q or Q(zeta_ell) in canonical reduced form.
 
@@ -214,13 +242,18 @@ class Scalar:
         if a_ell == 1 and not self.coeffs[0]:
             return other if sign > 0 else -other
         ad, bd = self.den, other.den
+        if a_ell == b_ell == 1:
+            m = other.coeffs[0] if sign > 0 else -other.coeffs[0]
+            if ad == bd:
+                num, den = self.coeffs[0] + m, ad
+            else:
+                num, den = self.coeffs[0] * bd + m * ad, ad * bd
+            g = math.gcd(num, den)
+            return Scalar(1, (num // g,), den // g)
         f = ad if sign > 0 else -ad  # the factor on other's coordinates
         if b_ell == 1:
-            n = other.coeffs[0] * f
-            if a_ell == 1:
-                return Scalar._make(1, [self.coeffs[0] * bd + n], ad * bd)
             coeffs = [c * bd for c in self.coeffs]
-            coeffs[0] += n
+            coeffs[0] += other.coeffs[0] * f
         elif a_ell == 1:
             coeffs = [c * f for c in other.coeffs]
             coeffs[0] += self.coeffs[0] * bd
@@ -267,24 +300,24 @@ class Scalar:
         elif a_ell == 1:
             a, b = other, self
         elif a_ell == b_ell:
-            n = len(self.coeffs)
-            raw = [0] * (2 * n - 1)
-            for i, x in enumerate(self.coeffs):
-                if x:
-                    for j, y in enumerate(other.coeffs):
-                        if y:
-                            raw[i + j] += x * y
-            return Scalar._make(
-                a_ell, _reduce_mod_cyclotomic(raw, a_ell), self.den * other.den
-            )
+            xs, ys = self.coeffs, other.coeffs
+            out = [0] * len(xs)
+            for i, j, k, r in _product_table(a_ell):
+                out[k] += r * xs[i] * ys[j]
+            return Scalar._make(a_ell, out, self.den * other.den)
         else:
             raise FieldMismatch(f"cannot mix Q(zeta_{b_ell}) and Q(zeta_{a_ell}) values")
         # b is rational and scales the coordinates of a
         n, d = b.coeffs[0], b.den
         if d == 1 and (n == 1 or not n):
             return a if n else b
-        if a.ell == 1 and a.den == 1 and a.coeffs[0] == 1:
-            return b
+        if a.ell == 1:
+            m = a.coeffs[0]
+            if m == 1 and a.den == 1:
+                return b
+            num, den = m * n, a.den * d
+            g = math.gcd(num, den)
+            return Scalar(1, (num // g,), den // g)
         return Scalar._make(a.ell, [c * n for c in a.coeffs], a.den * d)
 
     __rmul__ = __mul__
@@ -294,23 +327,15 @@ class Scalar:
             raise DivisionByZero("inverse of zero")
         if self.ell == 1:
             return Scalar._make(1, [self.den], self.coeffs[0])
-        # extended Euclid in Q[x] against the cyclotomic polynomial
-        phi = [Fraction(c) for c in cyclotomic_polynomial(self.ell)]
-        a = [Fraction(c, self.den) for c in self.coeffs]
-        r0, r1 = phi, list(a)
-        s0, s1 = [Fraction(0)], [Fraction(1)]
-        while any(r1):
-            q, rem = _polydivmod_q(r0, r1)
-            r0, r1 = r1, rem
-            s0, s1 = s1, _polysub_q(s0, _polymul_q(q, s1))
-        # r0 is a nonzero constant gcd
-        const = next(c for c in r0 if c)
-        inv = [c / const for c in s0]
-        den = 1
-        for c in inv:
-            den = den * c.denominator // math.gcd(den, c.denominator)
-        ints = [int(c * den) for c in inv]
-        return Scalar.from_coords(self.ell, ints, den)
+        # x^-1 = prod_{sigma != 1} sigma(x) / N(x), and the norm N(x) is rational
+        conj = ONE
+        for table in _galois_tables(self.ell):
+            image = [0] * len(self.coeffs)
+            for i, j, r in table:
+                image[j] += r * self.coeffs[i]
+            conj = conj * Scalar._make(self.ell, image, self.den)
+        norm = self * conj
+        return conj * Scalar._make(1, [norm.den], norm.coeffs[0])
 
     def __truediv__(self, other):
         if type(other) is not Scalar:
@@ -386,39 +411,6 @@ class Scalar:
 
     def __repr__(self) -> str:
         return f"Scalar({self})"
-
-
-def _polydivmod_q(num: list[Fraction], den: list[Fraction]):
-    num = list(num)
-    while den and not den[-1]:
-        den = den[:-1]
-    dd = len(den) - 1
-    lead = den[-1]
-    quot = [Fraction(0)] * max(len(num) - dd, 0)
-    for i in range(len(num) - 1, dd - 1, -1):
-        c = num[i]
-        if c:
-            q = c / lead
-            quot[i - dd] = q
-            for j in range(dd + 1):
-                num[i - dd + j] -= q * den[j]
-    return quot, num[:dd] if dd > 0 else [Fraction(0)]
-
-
-def _polymul_q(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
-
-
-def _polysub_q(a, b):
-    n = max(len(a), len(b))
-    a = list(a) + [Fraction(0)] * (n - len(a))
-    b = list(b) + [Fraction(0)] * (n - len(b))
-    return [x - y for x, y in zip(a, b)]
 
 
 def _operand(value) -> Scalar | None:

@@ -56,6 +56,20 @@ class TestParseConfig:
         algebra = build_algebra(cfg)
         assert len(algebra.c.classes) == 1
 
+    def test_reflections_found_once_per_build(self, monkeypatch):
+        calls = []
+
+        def counting(group):
+            calls.append(group)
+            return groups.find_reflections(group)
+
+        # the CLI and the algebra constructor each hold their own reference
+        monkeypatch.setattr(cli, "find_reflections", counting)
+        monkeypatch.setattr(pbw, "find_reflections", counting)
+        algebra = build_algebra(parse_config(S3_CFG))
+        assert len(calls) == 1
+        assert len(algebra.reflections) == 3
+
     def test_per_class_count_mismatch_rejected(self):
         cfg = parse_config("group = s3\nc = 1/2, 1/3\n")
         with pytest.raises(ValidationError):
