@@ -12,10 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .category_o import VermaSlice, mv_eq, mv_scale, verma_action
+from .category_o import VermaSlice, _unit
 from .groups import Irrep
-from .pbw import CherednikAlgebra, PBWElement
-from .scalars import INF, ComputationLimit, PadicContext, Scalar, ZERO, ONE, val
+from .pbw import CherednikAlgebra, PBWElement, _accumulate, _settle
+from .scalars import INF, ComputationLimit, PadicContext, Scalar, val
 
 
 class TailDominated(ComputationLimit, ArithmeticError):
@@ -371,46 +371,49 @@ def analytic_verma_slice(
     if check_lattice:
         lattice_check(algebra, params.ctx, params.level, params.r).ensure()
     slice_ = VermaSlice(algebra, irrep, cutoff)
-    ctx = params.ctx
-    m = params.level
-    x_scale = Scalar.rational(ctx.prime) ** m
-    y_scale = Scalar.rational(ctx.prime) ** params.r
+    ctx, m, d = params.ctx, params.level, irrep.dim
+    p = Scalar.rational(ctx.prime)
+    zero, one = algebra._zero_deg, algebra.group.identity
+    units = [_unit(algebra.dim, i) for i in range(algebra.dim)]
+    # (name, PBW term, weight scale, degree shift) per generator
+    gens = [(f"p^{m}*x{i + 1}", (e, one, zero), p**m, 1) for i, e in enumerate(units)]
+    gens += [
+        (f"p^{params.r}*y{i + 1}", (zero, one, e), p**params.r, -1)
+        for i, e in enumerate(units)
+    ]
+    gens += [(f"g{g}", (zero, g, zero), None, 0) for g in range(len(algebra.group))]
+    rho = slice_._rho_columns
 
-    def column_exponent(vec, degree: int) -> float:
-        worst = INF
-        for x in vec:
-            if x:
-                v = val(x, ctx)
-                worst = min(worst, v.value - m * degree)
-        return worst
+    def block(flat) -> dict:
+        """The d columns of a monomial's image: (pos, k2, k) -> the sum over
+        its triples (pos, h, coef) of coef * rho(h)[k2][k]."""
+        out: dict = {}
+        for t in range(0, len(flat), 3):
+            pos, cols, coef = flat[t], rho[flat[t + 1]], flat[t + 2]
+            for k in range(d):
+                for k2, entry in cols[k]:
+                    _accumulate(out, (pos, k2, k), coef * entry)
+        return _settle(out)
 
+    # the exponent of a generator on column (mono, k): the least valuation
+    # of the weighted image entries, less m times the degree change
     norms: dict[str, float] = {}
-
-    def record(name: str, exponent: float):
-        norms[name] = min(norms.get(name, INF), exponent)
-
+    euler = algebra.act_on_verma_terms(frozenset(algebra.euler_element().terms.items()))
+    recovered = True
     for n in range(cutoff + 1):
-        dim_n = slice_.full_dim(n)
-        for j in range(dim_n):
-            unit = [ONE if t == j else ZERO for t in range(dim_n)]
-            src_exp = -m * n
-            if n + 1 <= cutoff:
-                for i in range(algebra.dim):
-                    img = slice_.apply_x_full(i, n, unit)
-                    img = [x * x_scale for x in img]
-                    record(
-                        f"p^{m}*x{i + 1}", column_exponent(img, n + 1) - src_exp
-                    )
-            if n > 0:
-                for i in range(algebra.dim):
-                    img = slice_.apply_y_full(i, n, unit)
-                    img = [x * y_scale for x in img]
-                    record(
-                        f"p^{params.r}*y{i + 1}", column_exponent(img, n - 1) - src_exp
-                    )
-            for g in range(len(algebra.group)):
-                img = slice_.apply_g_full(g, n, unit)
-                record(f"g{g}", column_exponent(img, n) - src_exp)
+        for j, mono in enumerate(slice_._monos[n]):
+            for name, term, scale, shift in gens:
+                if 0 <= n + shift <= cutoff:
+                    entries = block(algebra.act_on_verma_monomial(term, mono)).values()
+                    if scale is not None:
+                        entries = [v * scale for v in entries]
+                    least = min((val(v, ctx).value for v in entries), default=INF)
+                    norms[name] = min(norms.get(name, INF), least - m * shift)
+            # the Euler element acts on degree n by c_lambda + n
+            weight = slice_.c_value + n
+            expected = {(j, k, k): weight for k in range(d)} if weight else {}
+            if block(euler(mono)) != expected:
+                recovered = False
 
     offenders = {k: v for k, v in norms.items() if v < 0}
     if offenders:
@@ -420,13 +423,5 @@ def analytic_verma_slice(
             "the level weights are misconfigured"
         )
 
-    euler = algebra.euler_element()
-    recovered = True
-    for n in range(cutoff + 1):
-        for j in range(slice_.dim(n)):
-            base = slice_.basis_vector(n, j)
-            image = verma_action(slice_, euler, base)
-            if not mv_eq(image, mv_scale(base, slice_.c_value + n)):
-                recovered = False
     generator_norms = {k: (int(v) if v != INF else 0) for k, v in norms.items()}
     return AnalyticVermaSlice(slice_, params, generator_norms, recovered)

@@ -26,20 +26,6 @@ from .scalars import (
     parse_scalar,
 )
 
-COMMANDS = (
-    "reflections",
-    "euler",
-    "verma-weights",
-    "singular",
-    "simple-character",
-    "order",
-    "blocks",
-    "decomp-matrix",
-    "norm",
-    "lattice-check",
-    "ws-decompose",
-    "coadmissible-check",
-)
 
 @dataclass
 class Report:
@@ -301,6 +287,8 @@ _HANDLERS = {
     "ws-decompose": _cmd_ws_decompose,
     "coadmissible-check": _cmd_coadmissible_check,
 }
+
+COMMANDS = tuple(_HANDLERS)
 
 
 def run_command(cfg: JobConfig) -> Report:

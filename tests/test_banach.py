@@ -25,10 +25,16 @@ from cherednik.banach import (
     transition,
     weight_decompose_banach,
 )
-from cherednik.category_o import VermaSlice
+from cherednik.category_o import (
+    VermaSlice,
+    mv_eq,
+    mv_scale,
+    simple_quotient_slice,
+    verma_action,
+)
 from cherednik.groups import ReflectionFunction, builtin_group, find_reflections
 from cherednik.pbw import CherednikAlgebra
-from cherednik.scalars import PadicContext, Scalar, ZERO, val
+from cherednik.scalars import INF, ONE, PadicContext, Scalar, ZERO, val
 
 
 def make_algebra(spec, ell, c_values):
@@ -367,6 +373,126 @@ class TestCoadmissible:
         assert not report.passed and report.failing_level == 2
         with pytest.raises(IncompatibleFamily):
             report.ensure()
+
+
+def dense_certificates(algebra, irrep, params, cutoff):
+    """The certificates of `analytic_verma_slice` the slow way: each
+    weighted generator acts on every unit vector of degrees 0..cutoff through
+    `apply_x_full`, `apply_y_full` and `apply_g_full`, and the Euler element
+    on every basis vector through `verma_action`.  Returns the pair
+    (generator_norms, ws_recovered)."""
+    slice_ = VermaSlice(algebra, irrep, cutoff)
+    ctx, m = params.ctx, params.level
+    x_scale = Scalar.rational(ctx.prime) ** m
+    y_scale = Scalar.rational(ctx.prime) ** params.r
+    norms = {}
+
+    def record(name, img, target, n):
+        # least valuation of the image, weighted by the degree change
+        for x in img:
+            if x:
+                norms[name] = min(norms.get(name, INF), val(x, ctx).value - m * (target - n))
+        norms.setdefault(name, INF)
+
+    for n in range(cutoff + 1):
+        dim_n = slice_.full_dim(n)
+        for j in range(dim_n):
+            unit = [ONE if t == j else ZERO for t in range(dim_n)]
+            if n + 1 <= cutoff:
+                for i in range(algebra.dim):
+                    img = [x * x_scale for x in slice_.apply_x_full(i, n, unit)]
+                    record(f"p^{m}*x{i + 1}", img, n + 1, n)
+            if n > 0:
+                for i in range(algebra.dim):
+                    img = [x * y_scale for x in slice_.apply_y_full(i, n, unit)]
+                    record(f"p^{params.r}*y{i + 1}", img, n - 1, n)
+            for g in range(len(algebra.group)):
+                record(f"g{g}", slice_.apply_g_full(g, n, unit), n, n)
+    offenders = {k: v for k, v in norms.items() if v < 0}
+    if offenders:
+        name, exp = sorted(offenders.items())[0]
+        raise UnboundedGenerator(
+            f"generator {name} has operator-norm exponent {exp}; "
+            "the level weights are misconfigured"
+        )
+    euler = algebra.euler_element()
+    recovered = True
+    for n in range(cutoff + 1):
+        for j in range(slice_.dim(n)):
+            base = slice_.basis_vector(n, j)
+            image = verma_action(slice_, euler, base)
+            if not mv_eq(image, mv_scale(base, slice_.c_value + n)):
+                recovered = False
+    return {k: (int(v) if v != INF else 0) for k, v in norms.items()}, recovered
+
+
+CTX7 = PadicContext(7, 64)
+CTX2 = PadicContext(2, 64)
+
+
+class TestAnalyticVermaOracle:
+    """`analytic_verma_slice` against the dense computation it replaced,
+    exact values and key sets included."""
+
+    CASES = [
+        pytest.param("s3", 1, Fraction(1, 3), CTX7, (0, 1), None, 5, id="s3-p7"),
+        pytest.param(
+            "s4", 1, Fraction(1, 2), PadicContext(3, 64), (1,), "standard", 6,
+            id="s4-standard-p3",
+        ),
+        pytest.param(
+            "dihedral:5", 5, Fraction(1, 5), PadicContext(11, 64, 5), (0, 1), None, 4,
+            id="dihedral5-p11",
+        ),
+        # two group elements land on one position: the terms must be summed
+        # before the valuation is taken
+        pytest.param("cyclic:2", 1, Fraction(1, 2), CTX2, (0, 1, 2), None, 6, id="cyclic2-p2"),
+        pytest.param("s3", 1, Fraction(1, 3), CTX7, (0, 1), None, 0, id="s3-cutoff0"),
+    ]
+
+    @pytest.mark.parametrize("spec, ell, c, ctx, levels, label, cutoff", CASES)
+    def test_certificates_match_the_dense_route(self, spec, ell, c, ctx, levels, label, cutoff):
+        alg = make_algebra(spec, ell, [c])
+        tower = level_tower(alg, ctx, max(levels))
+        irreps = [w for w in alg.irreps if label in (None, w.label)]
+        for w in irreps:
+            for m in levels:
+                analytic = analytic_verma_slice(alg, w, tower[m], cutoff)
+                norms, recovered = dense_certificates(alg, w, tower[m], cutoff)
+                assert analytic.generator_norms == norms, (w.label, m)
+                assert analytic.ws_recovered is recovered is True
+        if cutoff == 0:
+            assert set(norms) == {f"g{g}" for g in range(len(alg.group))}
+
+    def test_p2_needs_the_column_sum(self):
+        # a per-h least valuation reads 1 here
+        alg = make_algebra("cyclic:2", 1, [Fraction(1, 2)])
+        params = level_tower(alg, CTX2, 0)[0]
+        assert (params.level, params.r) == (0, 1)
+        for w in alg.irreps:
+            assert analytic_verma_slice(alg, w, params, 4).generator_norms["p^1*y1"] == 2
+
+    def test_unbounded_generator_message_matches(self):
+        alg = make_algebra("cyclic:2", 1, [Fraction(1, 25)])
+        bad = LevelParams(0, 1, CTX5)
+        with pytest.raises(UnboundedGenerator) as dense:
+            dense_certificates(alg, alg.irreps[0], bad, 4)
+        with pytest.raises(UnboundedGenerator) as analytic:
+            analytic_verma_slice(alg, alg.irreps[0], bad, 4, check_lattice=False)
+        assert str(analytic.value) == str(dense.value)
+
+    def test_warm_caches_give_the_same_certificates(self):
+        # caches filled by the simple quotient of another irrep
+        ctx = PadicContext(3, 64)
+        warm = make_algebra("s4", 1, [Fraction(1, 2)])
+        simple_quotient_slice(warm, warm.irreps[4], 5)
+        assert warm._verma_cache
+        cold = make_algebra("s4", 1, [Fraction(1, 2)])
+        params = level_tower(cold, ctx, 1)[1]
+        a = analytic_verma_slice(warm, warm.irreps[2], params, 5)
+        b = analytic_verma_slice(cold, cold.irreps[2], params, 5)
+        assert a.generator_norms == b.generator_norms
+        assert a.ws_recovered and b.ws_recovered
 
 
 class TestAnalyticVerma:
