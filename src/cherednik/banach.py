@@ -38,6 +38,18 @@ class LatticeViolation(ComputationLimit):
         self.violations = violations
 
 
+class PrecisionExhausted(ComputationLimit):
+    """Every lattice violation rests on valuations that exhausted the working
+    precision, so the check can neither pass nor fail."""
+
+    def __init__(self, precision: int, m: int, r: int, violation):
+        super().__init__(
+            f"lattice check at level {m}, r = {r} is undecided at precision "
+            f"{precision}: {violation[0]} has norm exponent >= {violation[1]} "
+            "only; raise the precision"
+        )
+
+
 class UnboundedGenerator(ComputationLimit):
     """A generator has negative operator-norm exponent on the unit lattice."""
 
@@ -66,18 +78,22 @@ class LevelParams:
             raise ValueError("the lowering weight r must be a positive integer")
 
 
-def term_weight(coeff: Scalar, term, params_level: int, params_r: int, ctx) -> float:
-    """Weighted valuation v_p(coeff) - m|I| - r|J| of one stored term.
+def term_weight(
+    coeff: Scalar, term, params_level: int, params_r: int, ctx, shift: int = 0
+) -> float:
+    """Weighted valuation v_p(p^shift coeff) - m|I| - r|J| of one stored term.
 
     When the coefficient valuation exhausts the working precision this is a
     lower bound, which is the conservative direction for dropping tails."""
-    v = val(coeff, ctx)
+    v = val(coeff, ctx, shift)
     return v.value - params_level * sum(term[0]) - params_r * sum(term[2])
 
 
-def _min_weight(terms: dict, m: int, r: int, ctx) -> float:
+def _min_weight(terms: dict, m: int, r: int, ctx, shift: int = 0) -> float:
     """The least term_weight over terms; INF when there are none."""
-    return min((term_weight(c, t, m, r, ctx) for t, c in terms.items()), default=INF)
+    return min(
+        (term_weight(c, t, m, r, ctx, shift) for t, c in terms.items()), default=INF
+    )
 
 
 class BanachElement:
@@ -218,33 +234,50 @@ def _generator_products(algebra: CherednikAlgebra) -> dict:
     return table
 
 
+def _certified(terms: dict, m: int, r: int, ctx, shift: int) -> bool:
+    """Whether some term of negative weight has an exact valuation, so that
+    a negative least weight is a value and not only a lower bound."""
+    return any(
+        term_weight(c, t, m, r, ctx, shift) < 0 and val(c, ctx, shift).exact
+        for t, c in terms.items()
+    )
+
+
 def lattice_check(algebra: CherednikAlgebra, ctx: PadicContext, m: int, r: int) -> LatticeReport:
     """Verify that all pairwise products and commutators of the weighted
-    generators p^m x_j, g, p^r y_i stay in the unit ball."""
+    generators p^m x_j, g, p^r y_i stay in the unit ball.
+
+    The product of p^a u and p^b v is p^(a+b) uv, so its weights are those
+    of the terms of uv read with the shift a + b.  A violation whose
+    negative weights all rest on inexact valuations is undecided; when no
+    violation is certified, PrecisionExhausted is raised."""
     dim = algebra.dim
     names = [f"p^{m}*x{i + 1}" for i in range(dim)]
     names += [f"g{g}" for g in range(len(algebra.group))]
     names += [f"p^{r}*y{i + 1}" for i in range(dim)]
     exps = [m] * dim + [0] * len(algebra.group) + [r] * dim
-    p = Scalar.rational(ctx.prime)
-
-    def weight(terms: dict, scale: Scalar) -> float:
-        return _min_weight({t: c * scale for t, c in terms.items()}, m, r, ctx)
+    table = _generator_products(algebra)
 
     # only weights are kept, and [b, a] = -[a, b] has the weight of [a, b]
     prod_w, comm_w = {}, {}
-    for (i, j), (ab, ba, comm) in _generator_products(algebra).items():
-        scale = p ** (exps[i] + exps[j])
-        prod_w[i, j] = weight(ab, scale)
-        prod_w[j, i] = weight(ba, scale)
-        comm_w[i, j] = comm_w[j, i] = weight(comm, scale)
-    violations = []
+    for (i, j), (ab, ba, comm) in table.items():
+        shift = exps[i] + exps[j]
+        prod_w[i, j] = _min_weight(ab, m, r, ctx, shift)
+        prod_w[j, i] = _min_weight(ba, m, r, ctx, shift)
+        comm_w[i, j] = comm_w[j, i] = _min_weight(comm, m, r, ctx, shift)
+    violations, certified = [], False
     for i, name_a in enumerate(names):
         for j, name_b in enumerate(names):
+            ab, ba, comm = table[min(i, j), max(i, j)]
+            shift = exps[i] + exps[j]
             if prod_w[i, j] < 0:
                 violations.append((f"{name_a} * {name_b}", int(prod_w[i, j])))
+                certified = certified or _certified(ab if i <= j else ba, m, r, ctx, shift)
             if comm_w[i, j] < 0:
                 violations.append((f"[{name_a}, {name_b}]", int(comm_w[i, j])))
+                certified = certified or _certified(comm, m, r, ctx, shift)
+    if violations and not certified:
+        raise PrecisionExhausted(ctx.precision, m, r, violations[0])
     return LatticeReport(m, r, violations)
 
 
@@ -371,17 +404,13 @@ def analytic_verma_slice(
     if check_lattice:
         lattice_check(algebra, params.ctx, params.level, params.r).ensure()
     slice_ = VermaSlice(algebra, irrep, cutoff)
-    ctx, m, d = params.ctx, params.level, irrep.dim
-    p = Scalar.rational(ctx.prime)
+    ctx, m, r, d = params.ctx, params.level, params.r, irrep.dim
     zero, one = algebra._zero_deg, algebra.group.identity
     units = [_unit(algebra.dim, i) for i in range(algebra.dim)]
-    # (name, PBW term, weight scale, degree shift) per generator
-    gens = [(f"p^{m}*x{i + 1}", (e, one, zero), p**m, 1) for i, e in enumerate(units)]
-    gens += [
-        (f"p^{params.r}*y{i + 1}", (zero, one, e), p**params.r, -1)
-        for i, e in enumerate(units)
-    ]
-    gens += [(f"g{g}", (zero, g, zero), None, 0) for g in range(len(algebra.group))]
+    # (name, PBW term, exponent of its weight p^k, degree shift) per generator
+    gens = [(f"p^{m}*x{i + 1}", (e, one, zero), m, 1) for i, e in enumerate(units)]
+    gens += [(f"p^{r}*y{i + 1}", (zero, one, e), r, -1) for i, e in enumerate(units)]
+    gens += [(f"g{g}", (zero, g, zero), 0, 0) for g in range(len(algebra.group))]
     rho = slice_._rho_columns
 
     def block(flat) -> dict:
@@ -402,12 +431,10 @@ def analytic_verma_slice(
     recovered = True
     for n in range(cutoff + 1):
         for j, mono in enumerate(slice_._monos[n]):
-            for name, term, scale, shift in gens:
+            for name, term, k, shift in gens:
                 if 0 <= n + shift <= cutoff:
                     entries = block(algebra.act_on_verma_monomial(term, mono)).values()
-                    if scale is not None:
-                        entries = [v * scale for v in entries]
-                    least = min((val(v, ctx).value for v in entries), default=INF)
+                    least = min((val(v, ctx, k).value for v in entries), default=INF)
                     norms[name] = min(norms.get(name, INF), least - m * shift)
             # the Euler element acts on degree n by c_lambda + n
             weight = slice_.c_value + n

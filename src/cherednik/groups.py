@@ -345,40 +345,6 @@ def validate_irrep(candidate: Irrep, group: GroupAction) -> Irrep:
     return candidate
 
 
-def isotypic_projector(irrep: Irrep, action_matrices, group: GroupAction):
-    """Matrix of the projector (dim W / |G|) sum chi_W(g^-1) g on a G-module
-    given by one action matrix per group element."""
-    size = len(action_matrices[0])
-    acc = [[ZERO] * size for _ in range(size)]
-    weight = Scalar.rational(irrep.dim) / len(group)
-    for g in range(len(group)):
-        coef = weight * irrep.character[group.inv(g)]
-        if not coef:
-            continue
-        for arow, row in zip(acc, action_matrices[g]):
-            linalg.axpy(arow, coef, row)
-    return acc
-
-
-def isotypic_project(irrep: Irrep, action_matrices, group: GroupAction):
-    """Reduced echelon basis of the image of the isotypic projector."""
-    proj = isotypic_projector(irrep, action_matrices, group)
-    cols = [[proj[i][j] for i in range(len(proj))] for j in range(len(proj))]
-    return linalg.rref(cols)[0]
-
-
-def regular_representation(group: GroupAction):
-    """Permutation matrices of left multiplication, one per element."""
-    size = len(group)
-    mats = []
-    for g in range(size):
-        m = [[ZERO] * size for _ in range(size)]
-        for h in range(size):
-            m[group.mul(g, h)][h] = ONE
-        mats.append(m)
-    return mats
-
-
 # ---------------------------------------------------------------------------
 # built-in families
 # ---------------------------------------------------------------------------
@@ -508,7 +474,7 @@ class GroupFileError(InvalidInput):
         self.line = line
 
 
-def load_group_file(text: str, field_ell: int = 1, cap: int = 10_000):
+def load_group_file(text: str, field_ell: int = 1):
     """Parse the documented group data format; returns (GroupAction, irreps).
 
     The format is line based: a ``dimension = n`` directive, then one
@@ -594,7 +560,7 @@ def load_group_file(text: str, field_ell: int = 1, cap: int = 10_000):
 
     if dimension is None or not generators:
         raise GroupFileError(len(lines), "file must declare a dimension and generators")
-    group = enumerate_group(generators, cap=cap)
+    group = enumerate_group(generators)
     irreps = []
     for label, dim, mats in irrep_specs:
         if len(mats) != len(generators):

@@ -526,18 +526,22 @@ class PadicContext:
         return self.prime**self.precision
 
 
-def val(x: Scalar, ctx: PadicContext) -> Valuation:
-    """p-adic valuation of x through the context's embedding.
+def val(x: Scalar, ctx: PadicContext, shift: int = 0) -> Valuation:
+    """p-adic valuation of p**shift * x through the context's embedding,
+    without forming the product; shift >= 0.
 
-    Rational values are exact.  Cyclotomic values are exact whenever the
-    valuation is below the working precision; otherwise the result is the
-    lower bound precision - v_p(denominator) with the exact flag cleared.
+    Rational values are exact.  A cyclotomic value is exact whenever the
+    valuation of the embedded numerator of p**shift * x in lowest terms is
+    below the working precision; otherwise the result is the lower bound
+    precision - v_p(that denominator) with the exact flag cleared.  Lowest
+    terms cancel min(shift, v_p(den x)) factors of p from the denominator,
+    so the result always equals val(x * p**shift, ctx).
     """
     if not x:
         return Valuation.infinite()
     vden = _vp_int(x.den, ctx.prime)
     if x.ell == 1:
-        return Valuation(_vp_int(x.coeffs[0], ctx.prime) - vden, True)
+        return Valuation(_vp_int(x.coeffs[0], ctx.prime) - vden + shift, True)
     if x.ell != ctx.ell:
         raise FieldMismatch(
             f"context is over Q(zeta_{ctx.ell}) but value lives in Q(zeta_{x.ell})"
@@ -546,9 +550,12 @@ def val(x: Scalar, ctx: PadicContext) -> Valuation:
     acc = 0
     for c in reversed(x.coeffs):
         acc = (acc * ctx.root + c) % mod
-    if acc == 0:
-        return Valuation(ctx.precision - vden, False)
-    return Valuation(_vp_int(acc, ctx.prime) - vden, True)
+    cancelled = min(shift, vden)
+    if acc:
+        v = _vp_int(acc, ctx.prime)
+        if v + shift - cancelled < ctx.precision:
+            return Valuation(v - vden + shift, True)
+    return Valuation(ctx.precision - vden + cancelled, False)
 
 
 # ---------------------------------------------------------------------------

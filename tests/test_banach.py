@@ -12,6 +12,7 @@ from cherednik.banach import (
     IncompatibleFamily,
     LatticeViolation,
     LevelParams,
+    PrecisionExhausted,
     TailDominated,
     UnboundedGenerator,
     analytic_verma_slice,
@@ -156,6 +157,28 @@ class TestChooseR:
         deep = make_algebra("cyclic:2", 1, [Fraction(1, 25)])
         assert choose_r(deep, CTX5, 0) == 2
 
+    def test_rational_tower_at_precision_one(self):
+        # valuations over Q are exact at any precision
+        s4 = make_algebra("s4", 1, [Fraction(1, 2)])
+        tower = level_tower(s4, PadicContext(3, 1), 4)
+        assert [p.r for p in tower] == [1, 2, 3, 4, 5]
+
+    @pytest.mark.parametrize(
+        "spec, ell, c, ctx, top, level",
+        [
+            ("dihedral:5", 5, Fraction(1, 5), PadicContext(11, 2, 5), 3, 2),
+            ("cyclic:3", 3, Fraction(1, 7**4), PadicContext(7, 2, 3), 0, 0),
+        ],
+    )
+    def test_exhausted_precision_ends_the_tower(self, spec, ell, c, ctx, top, level):
+        # [g1, p^r y1] has the inexact lower bound precision - r, which falls
+        # as r rises, so bumping r never certified these levels
+        alg = make_algebra(spec, ell, [c])
+        with pytest.raises(PrecisionExhausted) as err:
+            level_tower(alg, ctx, top)
+        assert f"at level {level}," in str(err.value)
+        assert "precision 2" in str(err.value)
+
 
 class TestLatticeCheck:
     def test_documented_commutator(self):
@@ -245,6 +268,28 @@ class TestLatticeCheck:
         monkeypatch.setattr(alg, "multiply", lambda a, b: calls.append(1) or multiply(a, b))
         lattice_check(alg, ctx, 1, 3)
         assert calls == []
+
+
+    @pytest.mark.parametrize("c", [Fraction(1, 5), Fraction(1, 11**4)])
+    def test_low_precision_matches_the_scaled_route(self, c):
+        # at precision 2 most shifted valuations are inexact lower bounds; a
+        # check raises only when none of its violations is certified, and
+        # then each of them is gone at full precision
+        alg = make_algebra("dihedral:5", 5, [c])
+        low, full = PadicContext(11, 2, 5), PadicContext(11, 64, 5)
+        undecided = 0
+        for m in range(2):
+            for r in range(5):
+                expected = self._scaled_route(alg, low, m, r)
+                try:
+                    report = lattice_check(alg, low, m, r)
+                except PrecisionExhausted:
+                    undecided += 1
+                    names = {name for name, _ in self._scaled_route(alg, full, m, r)}
+                    assert expected and not names & {name for name, _ in expected}
+                else:
+                    assert report.violations == expected
+        assert undecided > 0
 
 
 class TestWeightDecomposition:
@@ -448,6 +493,13 @@ class TestAnalyticVermaOracle:
         # before the valuation is taken
         pytest.param("cyclic:2", 1, Fraction(1, 2), CTX2, (0, 1, 2), None, 6, id="cyclic2-p2"),
         pytest.param("s3", 1, Fraction(1, 3), CTX7, (0, 1), None, 0, id="s3-cutoff0"),
+        # at precision 2 the lattice check reads inexact shifted valuations
+        # of the cyclotomic products; the slice's own weighted entries stay
+        # exact, since its x- and y-images are rational
+        pytest.param(
+            "dihedral:5", 5, Fraction(1, 5), PadicContext(11, 2, 5), (0, 1), None, 4,
+            id="dihedral5-p11-precision2",
+        ),
     ]
 
     @pytest.mark.parametrize("spec, ell, c, ctx, levels, label, cutoff", CASES)

@@ -251,6 +251,24 @@ class TestExitCodes:
         cfg.write_text(f"group = file:{group_file}\nc = 0\n")
         assert main(["reflections", "--config", str(cfg)]) == 3
 
+    @pytest.mark.parametrize(
+        "job",
+        [
+            "group = dihedral:5\nfield = cyclotomic:5\nc = 1/5\nprime = 11\n"
+            "precision = 2\nlevels = 0..2\n",
+            "group = cyclic:3\nfield = cyclotomic:3\nc = 1/2401\nprime = 7\n"
+            "precision = 2\nlevels = 0..0\n",
+        ],
+        ids=["dihedral5-p11", "cyclic3-p7"],
+    )
+    def test_exhausted_precision_is_three(self, job, tmp_path, capsys):
+        # the lattice violations rest on inexact valuations only; the tower
+        # used to raise r without end
+        cfg = tmp_path / "job.cfg"
+        cfg.write_text(job)
+        assert main(["lattice-check", "--config", str(cfg)]) == 3
+        assert "undecided at precision 2" in capsys.readouterr().err
+
     def test_success_is_zero(self, tmp_path, capsys):
         cfg = tmp_path / "job.cfg"
         cfg.write_text(MINIMAL)
@@ -305,6 +323,7 @@ class TestExitCodes:
         (pbw.CoefficientBlowup, ComputationLimit, RuntimeError),
         (banach.LatticeViolation, ComputationLimit, RuntimeError),
         (banach.UnboundedGenerator, ComputationLimit, RuntimeError),
+        (banach.PrecisionExhausted, ComputationLimit, RuntimeError),
         (banach.IncompatibleFamily, ComputationLimit, RuntimeError),
         (banach.TailDominated, ComputationLimit, ArithmeticError),
     ],

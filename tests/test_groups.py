@@ -1,5 +1,5 @@
-"""Group enumeration, pseudo-reflection extraction, isotypic projections,
-and irrep validation, including the built-in families."""
+"""Group enumeration, pseudo-reflection extraction and irrep validation,
+including the built-in families."""
 
 import random
 from fractions import Fraction
@@ -19,10 +19,7 @@ from cherednik.groups import (
     enumerate_group,
     find_reflections,
     irrep_from_generators,
-    isotypic_project,
-    isotypic_projector,
     load_group_file,
-    regular_representation,
     validate_irrep,
 )
 from cherednik.scalars import Scalar, ZERO, ONE
@@ -175,45 +172,6 @@ class TestReflectionFunction:
             ReflectionFunction(group, refl, [1, 2, 3])
         c = ReflectionFunction(group, refl, [Fraction(1, 2), Fraction(1, 3)])
         assert sorted({str(c(r.index)) for r in refl}) == ["1/2", "1/3"]
-
-
-class TestIsotypic:
-    def test_trivial_in_regular_rep_of_order_two(self):
-        group, irreps = builtin_group("cyclic:2")
-        reg = regular_representation(group)
-        triv = irreps[0]
-        assert len(isotypic_project(triv, reg, group)) == 1
-
-    def test_s3_regular_rep_dimensions(self):
-        group, irreps = builtin_group("s3")
-        reg = regular_representation(group)
-        dims = [len(isotypic_project(w, reg, group)) for w in irreps]
-        assert dims == [1, 1, 4]
-
-    def test_projector_idempotent_on_random_ten_dim_module(self):
-        # regular rep (6) + reflection rep (2) + triv (1) + sgn (1)
-        group, irreps = builtin_group("s3")
-        reg = regular_representation(group)
-        mats = []
-        for g in range(len(group)):
-            blocks = [
-                reg[g],
-                [list(row) for row in irreps[2].matrix(g)],
-                [list(row) for row in irreps[0].matrix(g)],
-                [list(row) for row in irreps[1].matrix(g)],
-            ]
-            size = sum(len(b) for b in blocks)
-            mat = [[ZERO] * size for _ in range(size)]
-            at = 0
-            for b in blocks:
-                for i, row in enumerate(b):
-                    for j, x in enumerate(row):
-                        mat[at + i][at + j] = x
-                at += len(b)
-            mats.append(mat)
-        for w in irreps:
-            proj = isotypic_projector(w, mats, group)
-            assert linalg.mat_mul(proj, proj) == tuple(map(tuple, proj))
 
 
 class TestIrreps:

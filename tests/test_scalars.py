@@ -502,6 +502,32 @@ class TestValuation:
             if vx.exact and vy.exact and vp.exact:
                 assert vp.value == vx.value + vy.value
 
+    @pytest.mark.parametrize("ell, p", [(1, 5), (3, 7), (4, 5), (5, 11), (8, 17)])
+    def test_shift_is_the_valuation_of_the_scaled_value(self, ell, p):
+        # val(x, ctx, k) never forms p^k x, yet must agree with it, inexact
+        # bounds included; the denominators and the embedded numerators are
+        # made divisible by p so that low precisions run out
+        rng = random.Random(ell * 100 + p)
+        dim = euler_phi(ell)
+        inexact = 0
+        for precision in range(1, 9):
+            ctx = PadicContext(p, precision, ell=ell)
+            near_zero = Scalar.zeta(ell) - ctx.root if ell > 1 else Scalar.rational(p)
+            for _ in range(12):
+                x = Scalar.from_coords(
+                    ell,
+                    [rng.randint(-9, 9) * p ** rng.randint(0, 3) for _ in range(dim)],
+                    rng.randint(1, 9) * p ** rng.randint(0, 4),
+                )
+                if rng.random() < 0.5:
+                    x = x * near_zero ** rng.randint(1, 3)
+                for k in range(9):
+                    expected = val(x * Scalar.rational(p) ** k, ctx)
+                    assert val(x, ctx, k) == expected, (x, precision, k)
+                    inexact += not expected.exact
+        if ell > 1:
+            assert inexact > 0
+
     def test_context_validates_inputs(self):
         with pytest.raises(ValueError):
             PadicContext(6, 4)
