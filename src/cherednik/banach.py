@@ -15,7 +15,15 @@ from dataclasses import dataclass, field
 from .category_o import VermaSlice, _unit
 from .groups import Irrep
 from .pbw import CherednikAlgebra, PBWElement, _accumulate, _settle
-from .scalars import INF, ComputationLimit, PadicContext, Scalar, val
+from .scalars import (
+    INF,
+    ComputationLimit,
+    PadicContext,
+    Scalar,
+    shifted_valuation,
+    val,
+    valuation_parts,
+)
 
 
 class TailDominated(ComputationLimit, ArithmeticError):
@@ -78,35 +86,36 @@ class LevelParams:
             raise ValueError("the lowering weight r must be a positive integer")
 
 
-def term_weight(
-    coeff: Scalar, term, params_level: int, params_r: int, ctx, shift: int = 0
-) -> float:
-    """Weighted valuation v_p(p^shift coeff) - m|I| - r|J| of one stored term.
+def _weight_of(coeff: Scalar, term, m: int, r: int, ctx) -> tuple:
+    """(v_p(coeff) - m|I| - r|J|, whether that valuation is exact) of one
+    stored term."""
+    v = val(coeff, ctx)
+    return v.value - m * sum(term[0]) - r * sum(term[2]), v.exact
+
+
+def term_weight(coeff: Scalar, term, params_level: int, params_r: int, ctx) -> float:
+    """Weighted valuation v_p(coeff) - m|I| - r|J| of one stored term.
 
     When the coefficient valuation exhausts the working precision this is a
     lower bound, which is the conservative direction for dropping tails."""
-    v = val(coeff, ctx, shift)
-    return v.value - params_level * sum(term[0]) - params_r * sum(term[2])
-
-
-def _min_weight(terms: dict, m: int, r: int, ctx, shift: int = 0) -> float:
-    """The least term_weight over terms; INF when there are none."""
-    return min(
-        (term_weight(c, t, m, r, ctx, shift) for t, c in terms.items()), default=INF
-    )
+    return _weight_of(coeff, term, params_level, params_r, ctx)[0]
 
 
 class BanachElement:
     """A norm-truncated element: exact stored PBW terms at one level, plus a
     tail bound tau meaning every omitted term has weighted valuation >= tau."""
 
-    __slots__ = ("algebra", "params", "terms", "tau")
+    __slots__ = ("algebra", "params", "terms", "tau", "_weighted")
 
-    def __init__(self, algebra, params: LevelParams, terms: dict, tau: int):
+    def __init__(
+        self, algebra, params: LevelParams, terms: dict, tau: int, weighted: dict | None = None
+    ):
         self.algebra = algebra
         self.params = params
         self.terms = terms
         self.tau = tau
+        # term -> (weighted valuation, exact), computed once per element
+        self._weighted = weighted
 
     @classmethod
     def from_pbw(
@@ -116,25 +125,33 @@ class BanachElement:
             tau = params.ctx.precision
         if tau == INF:
             raise ValueError("the tail bound must be finite")
-        kept = {}
+        m, r, ctx = params.level, params.r, params.ctx
+        kept, weighted = {}, {}
         for term, coeff in element.terms.items():
-            w = term_weight(coeff, term, params.level, params.r, params.ctx)
-            if w < tau:
+            w = _weight_of(coeff, term, m, r, ctx)
+            if w[0] < tau:
                 kept[term] = coeff
-        return cls(element.algebra, params, kept, tau)
+                weighted[term] = w
+        return cls(element.algebra, params, kept, tau, weighted)
+
+    def weighted(self) -> dict:
+        """(weighted valuation, exact) of every stored term."""
+        if self._weighted is None:
+            m, r, ctx = self.params.level, self.params.r, self.params.ctx
+            self._weighted = {
+                term: _weight_of(coeff, term, m, r, ctx) for term, coeff in self.terms.items()
+            }
+        return self._weighted
 
     def weights(self) -> dict:
         """Weighted valuation of every stored term."""
-        return {
-            term: term_weight(coeff, term, self.params.level, self.params.r, self.params.ctx)
-            for term, coeff in self.terms.items()
-        }
+        return {term: w for term, (w, _) in self.weighted().items()}
 
     def to_pbw(self) -> PBWElement:
         return PBWElement(self.algebra, dict(self.terms))
 
     def min_weight(self) -> float:
-        return _min_weight(self.terms, self.params.level, self.params.r, self.params.ctx)
+        return min((w for w, _ in self.weighted().values()), default=INF)
 
     def __eq__(self, other):
         if not isinstance(other, BanachElement):
@@ -175,13 +192,11 @@ def gauss_norm(x: BanachElement) -> int:
     Raises TailDominated when no stored term certifies a value below tau,
     including when the minimal coefficient valuation exhausted the working
     precision (the remedy is the same: increase the precision)."""
-    weights = x.weights()
-    if not weights:
+    weighted = x.weighted()
+    if not weighted:
         raise TailDominated(x.tau)
-    term, mval = min(weights.items(), key=lambda kv: (kv[1], kv[0]))
-    if mval >= x.tau:
-        raise TailDominated(x.tau)
-    if not val(x.terms[term], x.params.ctx).exact:
+    term, (mval, exact) = min(weighted.items(), key=lambda kv: (kv[1][0], kv[0]))
+    if mval >= x.tau or not exact:
         raise TailDominated(x.tau)
     return int(mval)
 
@@ -218,15 +233,22 @@ class LatticeReport:
 def _generator_products(algebra: CherednikAlgebra) -> dict:
     """The terms of uv, vu and uv - vu for each pair i <= j of the unweighted
     generators x_1.., g_0.., y_1.., in that order; computed once per
-    algebra, since (p^a u)(p^b v) = p^(a+b) uv for every level."""
+    algebra, since (p^a u)(p^b v) = p^(a+b) uv for every level.
+
+    Pairs of two group elements are left out: g_a g_b = g_ab with
+    coefficient 1 and the commutator is 0 or g_ab - g_ba, so their weight is
+    0 at every level and they can never violate the lattice condition."""
     table = algebra._lattice_products
     if table is None:
-        gens = [algebra.x(i + 1) for i in range(algebra.dim)]
-        gens += [algebra.g(g) for g in range(len(algebra.group))]
-        gens += [algebra.y(i + 1) for i in range(algebra.dim)]
+        dim, order = algebra.dim, len(algebra.group)
+        gens = [algebra.x(i + 1) for i in range(dim)]
+        gens += [algebra.g(g) for g in range(order)]
+        gens += [algebra.y(i + 1) for i in range(dim)]
         table = {}
         for i, a in enumerate(gens):
             for j, b in enumerate(gens[i:], i):
+                if dim <= i and j < dim + order:
+                    continue
                 ab = a * b
                 ba = b * a if j > i else ab
                 table[i, j] = (ab.terms, ba.terms, (ab - ba).terms)
@@ -234,48 +256,92 @@ def _generator_products(algebra: CherednikAlgebra) -> dict:
     return table
 
 
-def _certified(terms: dict, m: int, r: int, ctx, shift: int) -> bool:
-    """Whether some term of negative weight has an exact valuation, so that
-    a negative least weight is a value and not only a lower bound."""
-    return any(
-        term_weight(c, t, m, r, ctx, shift) < 0 and val(c, ctx, shift).exact
-        for t, c in terms.items()
-    )
+class _Valuations(dict):
+    """Scalar -> its valuation in one context; valuation_parts is taken once
+    per distinct value."""
+
+    def __init__(self, ctx: PadicContext):
+        super().__init__()
+        self.ctx = ctx
+
+    def __missing__(self, x: Scalar):
+        v = self[x] = shifted_valuation(valuation_parts(x, self.ctx), self.ctx)
+        return v
+
+
+def _valuation_profile(algebra: CherednikAlgebra, ctx: PadicContext) -> dict:
+    """(i, j) -> for each of uv, vu and uv - vu in _generator_products, the
+    distinct (|I|, |J|, base valuation, exact) of its terms; built once per
+    (algebra, ctx).  shifted_valuation adds its shift to the base in both of
+    its cases, so a term of the product of p^a u and p^b v has the weight
+    base + a + b - m|I| - r|J| at every level."""
+    profile = algebra._lattice_profiles.get(ctx)
+    if profile is None:
+        vals = _Valuations(ctx)
+
+        def entries(terms: dict) -> tuple:
+            out = set()
+            for (left, _, right), coeff in terms.items():
+                v = vals[coeff]
+                out.add((sum(left), sum(right), v.value, v.exact))
+            return tuple(out)
+
+        profile = {
+            pair: tuple(map(entries, products))
+            for pair, products in _generator_products(algebra).items()
+        }
+        algebra._lattice_profiles[ctx] = profile
+    return profile
+
+
+def _least(entries: tuple, m: int, r: int, shift: int) -> tuple:
+    """(least weight, whether some exact entry has a negative weight) of one
+    profile read with the given shift; INF when there are no terms."""
+    least, certified = INF, False
+    for ni, nj, base, exact in entries:
+        w = base + shift - m * ni - r * nj
+        if w < least:
+            least = w
+        if exact and w < 0:
+            certified = True
+    return least, certified
 
 
 def lattice_check(algebra: CherednikAlgebra, ctx: PadicContext, m: int, r: int) -> LatticeReport:
     """Verify that all pairwise products and commutators of the weighted
     generators p^m x_j, g, p^r y_i stay in the unit ball.
 
-    The product of p^a u and p^b v is p^(a+b) uv, so its weights are those
-    of the terms of uv read with the shift a + b.  A violation whose
-    negative weights all rest on inexact valuations is undecided; when no
-    violation is certified, PrecisionExhausted is raised."""
+    The product of p^a u and p^b v is p^(a+b) uv, so its weights come from
+    the valuation profile of uv with the shift a + b, in integer arithmetic
+    only.  A violation whose negative weights all rest on inexact
+    valuations is undecided; when no violation is certified,
+    PrecisionExhausted is raised."""
     dim = algebra.dim
     names = [f"p^{m}*x{i + 1}" for i in range(dim)]
     names += [f"g{g}" for g in range(len(algebra.group))]
     names += [f"p^{r}*y{i + 1}" for i in range(dim)]
     exps = [m] * dim + [0] * len(algebra.group) + [r] * dim
-    table = _generator_products(algebra)
 
-    # only weights are kept, and [b, a] = -[a, b] has the weight of [a, b]
-    prod_w, comm_w = {}, {}
-    for (i, j), (ab, ba, comm) in table.items():
+    # (product, commutator) weights; [b, a] = -[a, b] has the weight of [a, b]
+    weights = {}
+    for (i, j), (ab, ba, comm) in _valuation_profile(algebra, ctx).items():
         shift = exps[i] + exps[j]
-        prod_w[i, j] = _min_weight(ab, m, r, ctx, shift)
-        prod_w[j, i] = _min_weight(ba, m, r, ctx, shift)
-        comm_w[i, j] = comm_w[j, i] = _min_weight(comm, m, r, ctx, shift)
+        comm_w = _least(comm, m, r, shift)
+        weights[i, j] = (_least(ab, m, r, shift), comm_w)
+        weights[j, i] = (_least(ba, m, r, shift), comm_w)
     violations, certified = [], False
     for i, name_a in enumerate(names):
         for j, name_b in enumerate(names):
-            ab, ba, comm = table[min(i, j), max(i, j)]
-            shift = exps[i] + exps[j]
-            if prod_w[i, j] < 0:
-                violations.append((f"{name_a} * {name_b}", int(prod_w[i, j])))
-                certified = certified or _certified(ab if i <= j else ba, m, r, ctx, shift)
-            if comm_w[i, j] < 0:
-                violations.append((f"[{name_a}, {name_b}]", int(comm_w[i, j])))
-                certified = certified or _certified(comm, m, r, ctx, shift)
+            pair = weights.get((i, j))
+            if pair is None:  # two group elements: weight 0
+                continue
+            (prod_w, prod_cert), (comm_w, comm_cert) = pair
+            if prod_w < 0:
+                violations.append((f"{name_a} * {name_b}", int(prod_w)))
+                certified = certified or prod_cert
+            if comm_w < 0:
+                violations.append((f"[{name_a}, {name_b}]", int(comm_w)))
+                certified = certified or comm_cert
     if violations and not certified:
         raise PrecisionExhausted(ctx.precision, m, r, violations[0])
     return LatticeReport(m, r, violations)
@@ -328,9 +394,12 @@ class WeightDecomposition:
 def weight_decompose_banach(x: BanachElement) -> WeightDecomposition:
     """Collect stored terms by weight; each component keeps the level and
     tail bound, and its norm exponent is at least the whole element's."""
+    weighted = x.weighted()
     return WeightDecomposition(
         {
-            n: BanachElement(x.algebra, x.params, part.terms, x.tau)
+            n: BanachElement(
+                x.algebra, x.params, part.terms, x.tau, {t: weighted[t] for t in part.terms}
+            )
             for n, part in x.to_pbw().grade_decompose().items()
         }
     )
@@ -425,8 +494,11 @@ def analytic_verma_slice(
         return _settle(out)
 
     # the exponent of a generator on column (mono, k): the least valuation
-    # of the weighted image entries, less m times the degree change
+    # of the image entries plus the weight exponent k (the shift adds to a
+    # valuation), less m times the degree change; each distinct entry value
+    # is valued once
     norms: dict[str, float] = {}
+    vals = _Valuations(ctx)
     euler = algebra.act_on_verma_terms(frozenset(algebra.euler_element().terms.items()))
     recovered = True
     for n in range(cutoff + 1):
@@ -434,7 +506,7 @@ def analytic_verma_slice(
             for name, term, k, shift in gens:
                 if 0 <= n + shift <= cutoff:
                     entries = block(algebra.act_on_verma_monomial(term, mono)).values()
-                    least = min((val(v, ctx, k).value for v in entries), default=INF)
+                    least = min((vals[v].value for v in entries), default=INF) + k
                     norms[name] = min(norms.get(name, INF), least - m * shift)
             # the Euler element acts on degree n by c_lambda + n
             weight = slice_.c_value + n

@@ -265,6 +265,8 @@ class CherednikAlgebra:
         self._table_complete: bool | None = None
         # (i, j) -> terms of uv, vu, uv - vu for the lattice generators, set by banach
         self._lattice_products: dict | None = None
+        # PadicContext -> (i, j) -> valuation profiles of those products, set by banach
+        self._lattice_profiles: dict = {}
         self._euler = None
 
     # -- element constructors -------------------------------------------

@@ -526,22 +526,17 @@ class PadicContext:
         return self.prime**self.precision
 
 
-def val(x: Scalar, ctx: PadicContext, shift: int = 0) -> Valuation:
-    """p-adic valuation of p**shift * x through the context's embedding,
-    without forming the product; shift >= 0.
+def valuation_parts(x: Scalar, ctx: PadicContext) -> tuple:
+    """The costly half of `val`: (v_p of the numerator of x embedded
+    through the context, v_p of its denominator).
 
-    Rational values are exact.  A cyclotomic value is exact whenever the
-    valuation of the embedded numerator of p**shift * x in lowest terms is
-    below the working precision; otherwise the result is the lower bound
-    precision - v_p(that denominator) with the exact flag cleared.  Lowest
-    terms cancel min(shift, v_p(den x)) factors of p from the denominator,
-    so the result always equals val(x * p**shift, ctx).
-    """
+    The first entry is INF when x = 0, and None when a cyclotomic numerator
+    vanishes modulo p**precision, so that only a lower bound is known."""
     if not x:
-        return Valuation.infinite()
+        return INF, 0
     vden = _vp_int(x.den, ctx.prime)
     if x.ell == 1:
-        return Valuation(_vp_int(x.coeffs[0], ctx.prime) - vden + shift, True)
+        return _vp_int(x.coeffs[0], ctx.prime), vden
     if x.ell != ctx.ell:
         raise FieldMismatch(
             f"context is over Q(zeta_{ctx.ell}) but value lives in Q(zeta_{x.ell})"
@@ -550,12 +545,31 @@ def val(x: Scalar, ctx: PadicContext, shift: int = 0) -> Valuation:
     acc = 0
     for c in reversed(x.coeffs):
         acc = (acc * ctx.root + c) % mod
-    cancelled = min(shift, vden)
-    if acc:
-        v = _vp_int(acc, ctx.prime)
-        if v + shift - cancelled < ctx.precision:
-            return Valuation(v - vden + shift, True)
-    return Valuation(ctx.precision - vden + cancelled, False)
+    return (_vp_int(acc, ctx.prime) if acc else None), vden
+
+
+def shifted_valuation(parts: tuple, ctx: PadicContext, shift: int = 0) -> Valuation:
+    """The valuation of p**shift * x from valuation_parts(x, ctx); shift >= 0.
+
+    When the embedded numerator of x is nonzero mod p**precision its
+    valuation v_num is exact, and so is v_p(p**shift * num) = shift + v_num;
+    the result is v_num - v_p(den) + shift.  Otherwise it is the lower
+    bound precision - v_p(den) + shift with the exact flag cleared."""
+    vnum, vden = parts
+    if vnum is None:
+        return Valuation(ctx.precision - vden + shift, False)
+    return Valuation(vnum - vden + shift, True)
+
+
+def val(x: Scalar, ctx: PadicContext, shift: int = 0) -> Valuation:
+    """p-adic valuation of p**shift * x through the context's embedding,
+    without forming the product; shift >= 0.
+
+    Rational values are exact.  A cyclotomic value is exact whenever its
+    embedded numerator is nonzero modulo p**precision, whatever the shift;
+    see shifted_valuation for the value and for the bound used otherwise.
+    """
+    return shifted_valuation(valuation_parts(x, ctx), ctx, shift)
 
 
 # ---------------------------------------------------------------------------

@@ -252,22 +252,30 @@ class TestExitCodes:
         assert main(["reflections", "--config", str(cfg)]) == 3
 
     @pytest.mark.parametrize(
-        "job",
+        "job, rs",
         [
-            "group = dihedral:5\nfield = cyclotomic:5\nc = 1/5\nprime = 11\n"
-            "precision = 2\nlevels = 0..2\n",
-            "group = cyclic:3\nfield = cyclotomic:3\nc = 1/2401\nprime = 7\n"
-            "precision = 2\nlevels = 0..0\n",
+            (
+                "group = dihedral:5\nfield = cyclotomic:5\nc = 1/5\nprime = 11\n"
+                "precision = 2\nlevels = 0..2\n",
+                ["1", "2", "3"],
+            ),
+            (
+                "group = cyclic:3\nfield = cyclotomic:3\nc = 1/2401\nprime = 7\n"
+                "precision = 2\nlevels = 0..0\n",
+                ["4"],
+            ),
         ],
         ids=["dihedral5-p11", "cyclic3-p7"],
     )
-    def test_exhausted_precision_is_three(self, job, tmp_path, capsys):
-        # the lattice violations rest on inexact valuations only; the tower
-        # used to raise r without end
+    def test_low_precision_lattice_check_passes(self, job, rs, tmp_path, capsys):
+        # shifted valuations stay exact, so these towers get the r of
+        # precision 64; they used to end undecided (exit 3)
         cfg = tmp_path / "job.cfg"
         cfg.write_text(job)
-        assert main(["lattice-check", "--config", str(cfg)]) == 3
-        assert "undecided at precision 2" in capsys.readouterr().err
+        assert main(["lattice-check", "--config", str(cfg)]) == 0
+        rows = [line.split("\t") for line in capsys.readouterr().out.splitlines()[3:]]
+        assert [row[1] for row in rows] == rs
+        assert {row[2] for row in rows} == {"pass"}
 
     def test_success_is_zero(self, tmp_path, capsys):
         cfg = tmp_path / "job.cfg"
