@@ -20,9 +20,7 @@ from .scalars import (
     ComputationLimit,
     PadicContext,
     Scalar,
-    shifted_valuation,
     val,
-    valuation_parts,
 )
 
 
@@ -47,15 +45,8 @@ class LatticeViolation(ComputationLimit):
 
 
 class PrecisionExhausted(ComputationLimit):
-    """Every lattice violation rests on valuations that exhausted the working
-    precision, so the check can neither pass nor fail."""
-
-    def __init__(self, precision: int, m: int, r: int, violation):
-        super().__init__(
-            f"lattice check at level {m}, r = {r} is undecided at precision "
-            f"{precision}: {violation[0]} has norm exponent >= {violation[1]} "
-            "only; raise the precision"
-        )
+    """A result rests on valuations that exhausted the working precision, so
+    it is undecided: rho_c, or a lattice check whose violations all do."""
 
 
 class UnboundedGenerator(ComputationLimit):
@@ -203,13 +194,20 @@ def gauss_norm(x: BanachElement) -> int:
 
 def rho_c(algebra: CherednikAlgebra, ctx: PadicContext) -> int:
     """Valuation defect of the Euler reflection coefficients: the amount by
-    which r(m) must exceed m so the weighted Dunkl data is integral."""
-    worst = INF
-    for r in algebra.reflections:
-        worst = min(worst, val(algebra.reflection_coefficient(r), ctx).value)
-    if worst == INF:
-        return 0
-    return max(0, -int(worst))
+    which r(m) must exceed m so the weighted Dunkl data is integral.
+
+    With e the least exact valuation of the coefficients and b the least
+    inexact bound, it is max(0, -e) when b >= min(e, 0); otherwise the
+    precision decides nothing and PrecisionExhausted is raised."""
+    vals = [val(algebra.reflection_coefficient(r), ctx) for r in algebra.reflections]
+    exact = min((v.value for v in vals if v.exact), default=INF)
+    bound = min((v.value for v in vals if not v.exact), default=INF)
+    if bound < min(exact, 0):
+        raise PrecisionExhausted(
+            f"rho_c is undecided at precision {ctx.precision}: a reflection "
+            f"coefficient has valuation >= {bound} only; raise the precision"
+        )
+    return 0 if exact >= 0 else -int(exact)
 
 
 @dataclass
@@ -257,23 +255,23 @@ def _generator_products(algebra: CherednikAlgebra) -> dict:
 
 
 class _Valuations(dict):
-    """Scalar -> its valuation in one context; valuation_parts is taken once
-    per distinct value."""
+    """Scalar -> its valuation in one context; val is taken once per
+    distinct value."""
 
     def __init__(self, ctx: PadicContext):
         super().__init__()
         self.ctx = ctx
 
     def __missing__(self, x: Scalar):
-        v = self[x] = shifted_valuation(valuation_parts(x, self.ctx), self.ctx)
+        v = self[x] = val(x, self.ctx)
         return v
 
 
 def _valuation_profile(algebra: CherednikAlgebra, ctx: PadicContext) -> dict:
     """(i, j) -> for each of uv, vu and uv - vu in _generator_products, the
     distinct (|I|, |J|, base valuation, exact) of its terms; built once per
-    (algebra, ctx).  shifted_valuation adds its shift to the base in both of
-    its cases, so a term of the product of p^a u and p^b v has the weight
+    (algebra, ctx).  The valuation of p^k c is val(c) + k with the same
+    exact flag, so a term of the product of p^a u and p^b v has the weight
     base + a + b - m|I| - r|J| at every level."""
     profile = algebra._lattice_profiles.get(ctx)
     if profile is None:
@@ -343,7 +341,12 @@ def lattice_check(algebra: CherednikAlgebra, ctx: PadicContext, m: int, r: int) 
                 violations.append((f"[{name_a}, {name_b}]", int(comm_w)))
                 certified = certified or comm_cert
     if violations and not certified:
-        raise PrecisionExhausted(ctx.precision, m, r, violations[0])
+        name, weight = violations[0]
+        raise PrecisionExhausted(
+            f"lattice check at level {m}, r = {r} is undecided at precision "
+            f"{ctx.precision}: {name} has norm exponent >= {weight} only; "
+            "raise the precision"
+        )
     return LatticeReport(m, r, violations)
 
 

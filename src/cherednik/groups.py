@@ -9,10 +9,13 @@ the dual eigenvector normalized so the pairing equals 2.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 from . import linalg
-from .scalars import Scalar, ZERO, ONE, parse_scalar, ComputationLimit, ExprError, InvalidInput
+from .scalars import Scalar, ZERO, ONE, parse_scalar, euler_phi, is_prime
+from .scalars import ComputationLimit, ExprError, InvalidInput
 
 Matrix = tuple  # tuple of row tuples of Scalar
 
@@ -49,34 +52,55 @@ def _is_integral(mat: Matrix) -> bool:
     return all(x.den == 1 for row in mat for x in row)
 
 
-def _determinant(mat: Matrix) -> Scalar:
-    """Determinant by Gaussian elimination."""
-    rows = [list(row) for row in mat]
-    det = ONE
-    for col in range(len(rows)):
-        pivot = next((r for r in range(col, len(rows)) if rows[r][col]), None)
-        if pivot is None:
-            return ZERO
-        if pivot != col:
-            rows[col], rows[pivot] = rows[pivot], rows[col]
-            det = -det
-        det = det * rows[col][col]
-        for row in rows[col + 1 :]:
-            if row[col]:
-                linalg.axpy(row, -row[col] / rows[col][col], rows[col])
-    return det
+@lru_cache(maxsize=None)
+def _order_bound(n: int, ell: int) -> tuple[int, int, int]:
+    """(N, p, r).  N is the lcm of the d with phi(lcm(ell, d)) <= n * phi(ell):
+    the orders of the roots of unity of degree <= n over Q(zeta_ell).
+    phi(d) >= sqrt(d/2), so no d above D = 2 (n * phi(ell))^2 qualifies.
+    p > max(2^20, D) is a prime with p = 1 mod ell and r has order ell mod p:
+    zeta_ell -> r is a ring map from Z[zeta_ell] onto Z/p."""
+    room = n * euler_phi(ell)
+    ds = range(1, 2 * room * room + 1)
+    p = (max(2**20, len(ds)) // ell + 1) * ell + 1
+    while not is_prime(p):
+        p += ell
+    roots = (pow(a, (p - 1) // ell, p) for a in range(2, p))
+    r = next(r for r in roots if len({pow(r, k, p) for k in range(ell)}) == ell)
+    return math.lcm(*(d for d in ds if euler_phi(math.lcm(ell, d)) <= room)), p, r
+
+
+def _has_finite_order(g: Matrix) -> bool:
+    """Whether g^N = I mod p, (N, p, r) = _order_bound(n, ell) for the field
+    Q(zeta_ell) of g's entries.  A g of finite order has roots of unity of
+    degree <= n over Q(zeta_ell) as eigenvalues, so its order divides N:
+    False certifies infinite order.  Working mod p keeps the entries bounded
+    however large N is.  p exceeds every d in N's lcm, so a unipotent I + M
+    passes only if M = 0 mod p; any g of infinite order that passes is left
+    to the closure's cap."""
+    n, ell = len(g), math.lcm(*(x.ell for row in g for x in row))
+    bound, p, r = _order_bound(n, ell)
+    power = g = [
+        [sum(c * pow(r, i * ell // x.ell, p) for i, c in enumerate(x.coeffs)) % p for x in row]
+        for row in g
+    ]
+    def mul(a, b):
+        return [[sum(x * y for x, y in zip(u, v)) % p for v in zip(*b)] for u in a]
+    for bit in bin(bound)[3:]:
+        power = mul(power, power)
+        if bit == "1":
+            power = mul(power, g)
+    return power == [[int(i == j) for j in range(n)] for i in range(n)]
 
 
 class GroupAction:
     """A finite group of invertible integral matrices with its multiplication
     table, inverse table, and conjugacy classes.  Index 0 is the identity."""
 
-    def __init__(self, dimension, matrices, mult_table, inverse, words, generators):
+    def __init__(self, dimension, matrices, mult_table, inverse, generators):
         self.dimension = dimension
         self.matrices = matrices
         self.mult_table = mult_table
         self.inverse = inverse
-        self.words = words  # generator word for each element
         self.generators = generators  # indices of the generators
         self.identity = 0
         self.conjugacy_classes = self._conjugacy_classes()
@@ -120,10 +144,12 @@ class GroupAction:
 def enumerate_group(generators, cap: int = 10_000) -> GroupAction:
     """Breadth-first closure of a list of invertible integral matrices.
 
-    The closure records step[a][i], the index of element a times generator i,
-    and how each element was first reached.  The multiplication table is
-    filled from those steps alone: if b was first reached as b' * s, then
-    a * b = (a * b') * s, and b' comes before b in breadth-first order.
+    Every generator must have finite order (checked before the closure
+    starts).  Elements are numbered in breadth-first (element, generator)
+    order.  The closure records step[a][i], the index of element a times
+    generator i, and how each element was first reached.  The multiplication
+    table is filled from those steps alone: if b was first reached as
+    b' * s, then a * b = (a * b') * s, and b' comes before b.
     """
     gens = [_freeze(g) for g in generators]
     if not gens:
@@ -134,20 +160,14 @@ def enumerate_group(generators, cap: int = 10_000) -> GroupAction:
             raise ValueError("generators must be square matrices of equal size")
         if not _is_integral(g):
             raise NonIntegralEntry("generator entries must be algebraic integers")
-        det = _determinant(g)
-        if not det:
+        if linalg.rank(g) < n:
             raise ValueError("generators must be invertible")
-        # every root of unity in Q(zeta_l) is a 2l-th root of unity
-        if det ** (2 * det.ell) != ONE:
-            raise InfiniteOrder(
-                f"generator {number} of {len(gens)} has infinite order: "
-                f"its determinant {det} is not a root of unity"
-            )
+        if not _has_finite_order(g):
+            raise InfiniteOrder(f"generator {number} of {len(gens)} has infinite order")
 
     ident = linalg.identity(n)
     elements = [ident]
     index = {ident: 0}
-    words = [()]
     origin = [None]  # (element, generator) that first reached each element
     step = []
     a = 0
@@ -161,7 +181,6 @@ def enumerate_group(generators, cap: int = 10_000) -> GroupAction:
                     raise CapExceeded(f"group closure exceeds cap {cap}")
                 b = index[prod] = len(elements)
                 elements.append(prod)
-                words.append(words[a] + (gi,))
                 origin.append((a, gi))
             row.append(b)
         step.append(row)
@@ -177,9 +196,7 @@ def enumerate_group(generators, cap: int = 10_000) -> GroupAction:
         table.append(tuple(row))
     inverse = tuple(row.index(0) for row in table)
 
-    action = GroupAction(
-        n, tuple(elements), tuple(table), inverse, tuple(words), tuple(step[0])
-    )
+    action = GroupAction(n, tuple(elements), tuple(table), inverse, tuple(step[0]))
     if size <= 200 and not action.check_associative():
         raise ValueError("multiplication table failed the associativity check")
     return action
@@ -287,41 +304,41 @@ class Irrep:
         return self.matrices[g]
 
 
+def _group_law(label: str, mats, gens, group: GroupAction) -> None:
+    """Form rho(a) rho(s) once for each element a, in index order, and each
+    generator s: it defines rho(a s) while that is None, and must equal it.
+
+    mats starts with rho(identity) = I; gens are the generators' matrices.
+    enumerate_group numbers elements in breadth-first (element, generator)
+    order, so each element is first reached from a smaller index and is set
+    before the loop reads it.  The law at every (a, s) gives
+    rho(a) rho(b) = rho(a b) for every b, by induction on the length of a
+    word b = b' s: rho(a) rho(b') rho(s) = rho(a b') rho(s) = rho(a b)."""
+    for a in range(len(group)):
+        for s, g in zip(group.generators, gens):
+            prod, b = linalg.mat_mul(mats[a], g), group.mul(a, s)
+            if mats[b] is None:
+                mats[b] = prod
+            elif prod != mats[b]:
+                raise NotHomomorphism(f"irrep {label!r} violates the group law at ({a}, {s})")
+
+
 def irrep_from_generators(label: str, gen_matrices, group: GroupAction) -> Irrep:
-    """Extend matrices given on the generators along the stored words,
-    then validate the result."""
+    """Extend matrices given on the generators by the group law, then check
+    irreducibility."""
     gens = [_freeze(m) for m in gen_matrices]
     if len(gens) != len(group.generators):
-        raise ValueError(
-            f"irrep {label!r} needs {len(group.generators)} generator matrices"
-        )
+        raise ValueError(f"irrep {label!r} needs {len(group.generators)} generator matrices")
     d = len(gens[0])
-    mats = []
-    for word in group.words:
-        m = linalg.identity(d)
-        for gi in word:
-            m = linalg.mat_mul(m, gens[gi])
-        mats.append(m)
-    candidate = Irrep(
-        label,
-        d,
-        tuple(mats),
-        tuple(sum((m[i][i] for i in range(d)), ZERO) for m in mats),
-    )
-    return validate_irrep(candidate, group)
+    mats = [linalg.identity(d)] + [None] * (len(group) - 1)
+    _group_law(label, mats, gens, group)
+    character = tuple(sum((m[i][i] for i in range(d)), ZERO) for m in mats)
+    return _irreducible(Irrep(label, d, tuple(mats), character), group)
 
 
 def validate_irrep(candidate: Irrep, group: GroupAction) -> Irrep:
-    """Check the homomorphism property and irreducibility (character norm 1).
-
-    The group law is checked as rho(identity) = I and rho(a) rho(s) = rho(a s)
-    for every element a and generator s.  That implies rho(a) rho(b) = rho(a b)
-    for every pair: write b as a word in the generators and induct on its
-    length.  The empty word is rho(identity) = I.  For b = b' s the checked
-    law gives rho(b) = rho(b') rho(s), so by induction
-    rho(a) rho(b) = rho(a b') rho(s), which the checked law at a b' equals
-    rho(a b).
-    """
+    """Check the homomorphism property (rho(identity) = I and _group_law on
+    the candidate's own matrices) and irreducibility (character norm 1)."""
     mats = candidate.matrices
     if len(mats) != len(group):
         raise ValueError("one matrix per group element is required")
@@ -329,15 +346,13 @@ def validate_irrep(candidate: Irrep, group: GroupAction) -> Irrep:
         raise NotHomomorphism(
             f"irrep {candidate.label!r} violates the group law at the identity"
         )
-    for a in range(len(group)):
-        for s in group.generators:
-            if linalg.mat_mul(mats[a], mats[s]) != mats[group.mul(a, s)]:
-                raise NotHomomorphism(
-                    f"irrep {candidate.label!r} violates the group law at ({a}, {s})"
-                )
+    _group_law(candidate.label, mats, [mats[s] for s in group.generators], group)
+    return _irreducible(candidate, group)
+
+
+def _irreducible(candidate: Irrep, group: GroupAction) -> Irrep:
     chi = candidate.character
-    norm = sum((chi[g] * chi[group.inv(g)] for g in range(len(group))), ZERO)
-    norm = norm / len(group)
+    norm = sum((chi[g] * chi[group.inv(g)] for g in range(len(group))), ZERO) / len(group)
     if norm != ONE:
         raise NotIrreducible(
             f"irrep {candidate.label!r} has character norm {norm}, expected 1"

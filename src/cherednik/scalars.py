@@ -94,8 +94,17 @@ def cyclotomic_polynomial(ell: int) -> tuple[int, ...]:
     return tuple(poly)
 
 
+@lru_cache(maxsize=None)
 def euler_phi(ell: int) -> int:
-    return len(cyclotomic_polynomial(ell)) - 1 if ell > 1 else 1
+    """Euler's totient, by trial division."""
+    out, f = ell, 2
+    while f * f <= ell:
+        if ell % f == 0:
+            out -= out // f
+        while ell % f == 0:
+            ell //= f
+        f += 1
+    return out - out // ell if ell > 1 else out
 
 
 def _reduce_mod_cyclotomic(coeffs: list[int], ell: int) -> list[int]:
@@ -431,19 +440,8 @@ ONE = Scalar.rational(1)
 
 
 def is_prime(n: int) -> bool:
-    # trial division; primes at desk scale are tiny
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
+    # trial division
+    return n > 1 and all(n % f for f in range(2, math.isqrt(n) + 1))
 
 
 def hensel_embed(ell: int, p: int, precision: int) -> int:
@@ -526,17 +524,21 @@ class PadicContext:
         return self.prime**self.precision
 
 
-def valuation_parts(x: Scalar, ctx: PadicContext) -> tuple:
-    """The costly half of `val`: (v_p of the numerator of x embedded
-    through the context, v_p of its denominator).
+def val(x: Scalar, ctx: PadicContext) -> Valuation:
+    """p-adic valuation of x through the context's embedding.
 
-    The first entry is INF when x = 0, and None when a cyclotomic numerator
-    vanishes modulo p**precision, so that only a lower bound is known."""
+    Rational values are exact.  A cyclotomic value is exact when its
+    embedded numerator is nonzero modulo p**precision; otherwise the result
+    is the lower bound precision - v_p(den) with the exact flag cleared.
+    So p**k * x has the valuation value + k when the result is exact, and
+    at least value + k otherwise: callers add a shift to the result, with
+    the same flag, instead of forming the product.
+    """
     if not x:
-        return INF, 0
+        return Valuation.infinite()
     vden = _vp_int(x.den, ctx.prime)
     if x.ell == 1:
-        return _vp_int(x.coeffs[0], ctx.prime), vden
+        return Valuation(_vp_int(x.coeffs[0], ctx.prime) - vden)
     if x.ell != ctx.ell:
         raise FieldMismatch(
             f"context is over Q(zeta_{ctx.ell}) but value lives in Q(zeta_{x.ell})"
@@ -545,31 +547,9 @@ def valuation_parts(x: Scalar, ctx: PadicContext) -> tuple:
     acc = 0
     for c in reversed(x.coeffs):
         acc = (acc * ctx.root + c) % mod
-    return (_vp_int(acc, ctx.prime) if acc else None), vden
-
-
-def shifted_valuation(parts: tuple, ctx: PadicContext, shift: int = 0) -> Valuation:
-    """The valuation of p**shift * x from valuation_parts(x, ctx); shift >= 0.
-
-    When the embedded numerator of x is nonzero mod p**precision its
-    valuation v_num is exact, and so is v_p(p**shift * num) = shift + v_num;
-    the result is v_num - v_p(den) + shift.  Otherwise it is the lower
-    bound precision - v_p(den) + shift with the exact flag cleared."""
-    vnum, vden = parts
-    if vnum is None:
-        return Valuation(ctx.precision - vden + shift, False)
-    return Valuation(vnum - vden + shift, True)
-
-
-def val(x: Scalar, ctx: PadicContext, shift: int = 0) -> Valuation:
-    """p-adic valuation of p**shift * x through the context's embedding,
-    without forming the product; shift >= 0.
-
-    Rational values are exact.  A cyclotomic value is exact whenever its
-    embedded numerator is nonzero modulo p**precision, whatever the shift;
-    see shifted_valuation for the value and for the bound used otherwise.
-    """
-    return shifted_valuation(valuation_parts(x, ctx), ctx, shift)
+    if not acc:
+        return Valuation(ctx.precision - vden, False)
+    return Valuation(_vp_int(acc, ctx.prime) - vden)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 transitions, analytic Verma slices, and co-admissible families."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -208,6 +209,24 @@ class TestChooseR:
         assert f"at level 0, r = {r} is undecided at precision 1" in str(err.value)
         assert lattice_check(alg, PadicContext(11, 64, 5), 0, r).passed == (r == 2)
 
+    @pytest.mark.parametrize(
+        "precision, rs", [(1, None), (2, None), (3, [2, 3, 4]), (64, [2, 3, 4])]
+    )
+    def test_rho_c_reads_the_exact_flag(self, precision, rs):
+        # the reflection coefficients of c = (z - 3)/11^4 have exact
+        # valuation -2 only from precision 3 on; below it an inexact bound
+        # (-3 at precision 1, -2 at 2) would start the tower unnoticed
+        c = (Scalar.zeta(5) - 3) / 11**4
+        alg = make_algebra("dihedral:5", 5, [c])
+        ctx = PadicContext(11, precision, 5)
+        if rs is None:
+            undecided = f"rho_c is undecided at precision {precision}"
+            with pytest.raises(PrecisionExhausted, match=undecided):
+                level_tower(alg, ctx, 2)
+        else:
+            assert rho_c(alg, ctx) == 2
+            assert [p.r for p in level_tower(alg, ctx, 2)] == rs
+
 
 class TestLatticeCheck:
     def test_documented_commutator(self):
@@ -274,7 +293,8 @@ class TestLatticeCheck:
     def _shifted_route(alg, ctx, m, r):
         """(name, least weight, whether a term of exact valuation attains
         it, whether one has a negative weight) of each violation, from the
-        unweighted generator products read through val's shift."""
+        unweighted generator products, each valuation shifted by adding the
+        weight exponents to val's value."""
         gens = [(f"p^{m}*x{i + 1}", alg.x(i + 1), m) for i in range(alg.dim)]
         gens += [(f"g{g}", alg.g(g), 0) for g in range(len(alg.group))]
         gens += [(f"p^{r}*y{i + 1}", alg.y(i + 1), r) for i in range(alg.dim)]
@@ -282,8 +302,8 @@ class TestLatticeCheck:
         def weigh(el, shift):
             ws = []
             for t, c in el.terms.items():
-                v = val(c, ctx, shift)
-                ws.append((v.value - m * sum(t[0]) - r * sum(t[2]), v.exact))
+                v = val(c, ctx)
+                ws.append((v.value + shift - m * sum(t[0]) - r * sum(t[2]), v.exact))
             least = min((w for w, _ in ws), default=INF)
             return (
                 least,
@@ -342,10 +362,7 @@ class TestLatticeCheck:
         alg = make_algebra("dihedral:5", 5, [Fraction(1, 11**4)])
         ctx = PadicContext(11, 64, 5)
         calls = []
-        parts = banach.valuation_parts
-        monkeypatch.setattr(
-            banach, "valuation_parts", lambda x, c: calls.append((x, c)) or parts(x, c)
-        )
+        monkeypatch.setattr(banach, "val", lambda x, c: calls.append((x, c)) or val(x, c))
         level_tower(alg, ctx, 3)
         values = {
             coeff
@@ -353,12 +370,16 @@ class TestLatticeCheck:
             for terms in products
             for coeff in terms.values()
         }
-        assert len(calls) == len(values) and {x for x, _ in calls} == values
+        # rho_c values each reflection coefficient once per tower; the rest
+        # of the calls are the profile's, one per distinct coefficient
+        kappas = Counter(alg.reflection_coefficient(s) for s in alg.reflections)
+        assert Counter(x for x, _ in calls) == Counter(values) + kappas
 
         calls.clear()
         level_tower(alg, ctx, 3)
         lattice_check(alg, ctx, 2, 1)
-        assert calls == []
+        assert Counter(x for x, _ in calls) == kappas
+        calls.clear()
         low = PadicContext(11, 2, 5)
         lattice_check(alg, low, 1, 3)
         assert len(calls) == len(values) and {c for _, c in calls} == {low}

@@ -244,12 +244,27 @@ class TestExitCodes:
 
     def test_computation_error_is_three(self, tmp_path):
         # a generator of infinite order is a computational limit, found
-        # from its determinant before the closure starts
+        # by the finite-order rule before the closure starts
         group_file = tmp_path / "bad_group.txt"
         group_file.write_text("dimension = 1\nbegin generator\n2\nend\n")
         cfg = tmp_path / "job.cfg"
         cfg.write_text(f"group = file:{group_file}\nc = 0\n")
         assert main(["reflections", "--config", str(cfg)]) == 3
+
+    @pytest.mark.parametrize(
+        "rows, code, message",
+        [("1 1\n0 1", 3, "generator 1 of 1 has infinite order"), ("1 1\n1 1", 2, "invertible")],
+    )
+    def test_unipotent_and_singular_generators(self, tmp_path, capsys, rows, code, message):
+        # det 1 does not let the unipotent generator reach the closure cap: the
+        # finite-order rule names it before the closure starts; a singular
+        # generator is invalid input, not a generator of infinite order
+        group_file = tmp_path / "group.txt"
+        group_file.write_text(f"dimension = 2\nbegin generator\n{rows}\nend\n")
+        cfg = tmp_path / "job.cfg"
+        cfg.write_text(f"group = file:{group_file}\nc = 0\n")
+        assert main(["reflections", "--config", str(cfg)]) == code
+        assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "job, rs",
@@ -276,6 +291,15 @@ class TestExitCodes:
         rows = [line.split("\t") for line in capsys.readouterr().out.splitlines()[3:]]
         assert [row[1] for row in rows] == rs
         assert {row[2] for row in rows} == {"pass"}
+
+    def test_undecided_rho_c_is_three(self, tmp_path, capsys):
+        cfg = tmp_path / "job.cfg"
+        cfg.write_text(
+            "group = dihedral:5\nfield = cyclotomic:5\nc = (z - 3)/11^4\nprime = 11\n"
+            "precision = 1\nlevels = 0..2\n"
+        )
+        assert main(["lattice-check", "--config", str(cfg)]) == 3
+        assert "rho_c is undecided at precision 1" in capsys.readouterr().err
 
     def test_success_is_zero(self, tmp_path, capsys):
         cfg = tmp_path / "job.cfg"

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from cherednik import linalg
+from cherednik import groups, linalg
 from cherednik.groups import (
     CapExceeded,
     InfiniteOrder,
@@ -25,6 +25,14 @@ from cherednik.groups import (
 from cherednik.scalars import Scalar, ZERO, ONE
 
 S3_GENS = [[[-1, 1], [0, 1]], [[1, 0], [1, -1]]]
+
+
+def _padded(block, n):
+    """block in the top-left corner of the n x n identity"""
+    mat = [[int(i == j) for j in range(n)] for i in range(n)]
+    for i, row in enumerate(block):
+        mat[i][: len(row)] = row
+    return mat
 
 
 class TestEnumeration:
@@ -57,11 +65,56 @@ class TestEnumeration:
         with pytest.raises(InfiniteOrder, match="generator 2 of 2"):
             enumerate_group([linalg.identity(len(generator)), generator])
 
-    def test_unipotent_generator_meets_the_cap(self):
-        # det 1 passes the determinant rule, so the closure cap is the backstop
-        with pytest.raises(CapExceeded) as info:
-            enumerate_group([[[1, 1], [0, 1]]], cap=50)
+    @pytest.mark.parametrize(
+        "generator",
+        [
+            pytest.param([[1, 1], [0, 1]], id="unipotent"),
+            pytest.param([[2, 1], [1, 1]], id="hyperbolic"),
+            pytest.param([[1, 1, 0], [0, 1, 1], [0, 0, 1]], id="unipotent-3x3"),
+        ]
+        + [
+            pytest.param(_padded(block, n), id=f"{name}-dim{n}")
+            for n in (16, 20)
+            for name, block in [("two", [[2]]), ("hyperbolic", [[2, 1], [1, 1]]), ("unipotent", [[1, 1], [0, 1]])]
+        ],
+    )
+    def test_infinite_order_rejected_before_the_closure(self, generator):
+        # det is a root of unity in each case, so only g^N = I tells; a closure
+        # that started would fail on its cap of 1 with another message.  N is
+        # 24,504,480 at dimension 16 and 6,983,776,800 at 20: the exact g^N
+        # of diag(2, 1, ...) would have about N bits, so the check works mod p
+        with pytest.raises(InfiniteOrder, match="generator 1 of 1 has infinite order"):
+            enumerate_group([generator], cap=1)
+
+    def test_cyclotomic_generators_reduce_through_a_root_of_unity(self):
+        # [[z, 1], [0, 1]] has distinct eigenvalues z and 1, so order 5;
+        # [[z, 1], [0, z]] is a Jordan block with det z^2, of infinite order
+        z = Scalar.zeta(5)
+        assert len(enumerate_group([[[z, ONE], [ZERO, ONE]]])) == 5
+        with pytest.raises(InfiniteOrder, match="generator 1 of 1 has infinite order"):
+            enumerate_group([[[z, ONE], [ZERO, z]]], cap=1)
+
+    def test_singular_generator_is_not_infinite_order(self):
+        with pytest.raises(ValueError, match="invertible") as info:
+            enumerate_group([[[1, 1], [1, 1]]])
         assert not isinstance(info.value, InfiniteOrder)
+
+    @pytest.mark.parametrize(
+        "n, ell, bound", [(2, 1, 12), (3, 1, 12), (2, 5, 60), (2, 8, 48), (4, 1, 120)]
+    )
+    def test_order_bound(self, n, ell, bound):
+        assert groups._order_bound(n, ell)[0] == bound
+
+    @pytest.mark.parametrize(
+        "spec,ell",
+        [("cyclic:%d" % l, l) for l in range(1, 13)]
+        + [("dihedral:%d" % l, l) for l in range(3, 9)]
+        + [("s3", 1), ("s4", 1)],
+    )
+    def test_builtin_generators_have_finite_order(self, spec, ell):
+        group, _ = builtin_group(spec, ell)
+        for s in group.generators:
+            assert groups._has_finite_order(group.matrices[s])
 
     def test_non_integral_entries_rejected(self):
         with pytest.raises(NonIntegralEntry):
@@ -82,15 +135,10 @@ class TestEnumeration:
         # the table is filled from the closure's steps; check it against the matrices
         group, _ = builtin_group(spec, ell)
         mats = group.matrices
-        gens = [mats[g] for g in group.generators]
         for a in range(len(group)):
             for b in range(len(group)):
                 assert mats[group.mul(a, b)] == linalg.mat_mul(mats[a], mats[b])
             assert linalg.mat_mul(mats[a], mats[group.inv(a)]) == mats[group.identity]
-            word = linalg.identity(group.dimension)
-            for gi in group.words[a]:
-                word = linalg.mat_mul(word, gens[gi])
-            assert word == mats[a]
 
 
 class TestReflections:
@@ -218,6 +266,18 @@ class TestIrreps:
             with pytest.raises(NotHomomorphism, match="violates the group law at \\("):
                 validate_irrep(candidate, group)
 
+    @pytest.mark.parametrize(
+        "generators, given",
+        [([[[1]]], [[[2]]]), ([[[-1]], [[-1]]], [[[1]], [[-1]]])],
+        ids=["identity-generator", "repeated-generator"],
+    )
+    def test_every_given_matrix_meets_the_law(self, generators, given):
+        # a generator that is the identity, or equals an earlier one, must
+        # get the matrix the law gives it; no word ever read these matrices
+        group = enumerate_group(generators)
+        with pytest.raises(NotHomomorphism, match=r"violates the group law at \(0, "):
+            irrep_from_generators("bad", given, group)
+
     @pytest.mark.parametrize("spec", ["s3", "s4"])
     def test_law_is_checked_at_every_generator(self, spec):
         # the generators are conjugate transpositions, so no character gives
@@ -236,6 +296,35 @@ class TestIrreps:
         candidate = Irrep("zero", 1, (zero, zero), (ZERO, ZERO))
         with pytest.raises(NotHomomorphism, match="at the identity"):
             validate_irrep(candidate, group)
+
+    @pytest.mark.parametrize(
+        "spec,ell", [("s3", 1), ("s4", 1), ("dihedral:5", 5), ("dihedral:8", 8)]
+    )
+    def test_one_product_per_element_and_generator(self, spec, ell, monkeypatch):
+        # each built-in irrep is built with |G| * |generators| matrix products,
+        # and its generators act by the matrices it was given
+        products = []
+        mat_mul = linalg.mat_mul
+        monkeypatch.setattr(linalg, "mat_mul", lambda a, b: products.append(1) or mat_mul(a, b))
+        built = []
+        make = groups.irrep_from_generators
+
+        def record(label, gens, group):
+            products.clear()
+            irrep = make(label, gens, group)
+            built.append((irrep, gens, len(products)))
+            return irrep
+
+        monkeypatch.setattr(groups, "irrep_from_generators", record)
+        group, irreps = builtin_group(spec, ell)
+        assert [irrep for irrep, _, _ in built] == irreps
+        for irrep, gens, count in built:
+            assert count == len(group) * len(group.generators), irrep.label
+            assert [irrep.matrix(s) for s in group.generators] == [
+                groups._freeze(m) for m in gens
+            ]
+        if spec == "s4":
+            assert {count for _, _, count in built} == {72}
 
     @pytest.mark.parametrize("spec,ell", [("s3", 1), ("dihedral:6", 6), ("s4", 1)])
     def test_builtin_irreps_respect_every_pair(self, spec, ell):

@@ -18,6 +18,7 @@ from cherednik.scalars import (
     Scalar,
     ZERO,
     SplittingError,
+    Valuation,
     cyclotomic_polynomial,
     euler_phi,
     hensel_embed,
@@ -504,8 +505,8 @@ class TestValuation:
 
     @pytest.mark.parametrize("ell, p", [(1, 5), (3, 7), (4, 5), (5, 11), (8, 17)])
     def test_shift_is_the_valuation_of_the_scaled_value(self, ell, p):
-        # val(x, ctx, k) never forms p^k x; an exact result is the valuation
-        # of p^k x at full precision and an inexact one a lower bound of it.
+        # val(x, ctx).value + k, with val's exact flag, is the valuation of
+        # p^k x at full precision when exact and a lower bound of it otherwise.
         # The denominators and the embedded numerators are made divisible
         # by p so that low precisions run out
         rng = random.Random(ell * 100 + p)
@@ -523,9 +524,10 @@ class TestValuation:
                 )
                 if rng.random() < 0.5:
                     x = x * near_zero ** rng.randint(1, 3)
-                exact = val(x, ctx).exact
+                base = val(x, ctx)
+                exact = base.exact
                 for k in range(9):
-                    got = val(x, ctx, k)
+                    got = Valuation(base.value + k, exact)
                     expected = val(x * Scalar.rational(p) ** k, full)
                     assert expected.exact, (x, k)
                     assert got.exact == exact, (x, precision, k)
