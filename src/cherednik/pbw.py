@@ -10,6 +10,11 @@ Straightening resolves one y-past-x inversion at a time:
 and moves group elements through polynomials by the linear action on the
 generators.  Each step strictly decreases the inversion count, so rewriting
 terminates; associativity is covered by the test suite.
+
+A product x^I1 g1 y^J1 * x^I2 g2 y^J2 reads one cached pair image: the
+PBW form of g1 y^J1 x^I2 g2, kept per (g1, J1, I2, g2) as a flat tuple, so
+straightening and the group actions run once per distinct pair and a term
+pair costs one Scalar product per image entry.
 """
 
 from __future__ import annotations
@@ -112,23 +117,26 @@ def _settle(terms: dict) -> dict:
     return out
 
 
-def _chain(cache: dict, key, deg: tuple, start: dict, step) -> dict:
+def _chain(cache: dict, key, deg: tuple, start, step) -> dict:
     """The value at deg of a table cached under key(degree), filled without
     recursion: walk down by lowering the first nonzero exponent b until a
-    cached degree or degree zero (whose value is start), then cache every
-    degree on the way up as step(value below, b, degree below)."""
+    cached degree or degree zero (whose value is start()), then cache every
+    degree on the way up as step(value below, b, degree below).  key runs
+    once per degree on the walk, and start only when the walk reaches zero."""
     path = []
+    here = key(deg)
     value = None
     while value is None and any(deg):
         b = next(k for k, e in enumerate(deg) if e)
-        path.append((deg, b))
-        deg = deg[:b] + (deg[b] - 1,) + deg[b + 1 :]
-        value = cache.get(key(deg))
+        below = deg[:b] + (deg[b] - 1,) + deg[b + 1 :]
+        path.append((here, b, below))
+        here = key(below)
+        value = cache.get(here)
+        deg = below
     if value is None:
-        value = cache[key(deg)] = start
-    for up, b in reversed(path):
-        value = cache[key(up)] = step(value, b, deg)
-        deg = up
+        value = cache[here] = start()
+    for up, b, below in reversed(path):
+        value = cache[up] = step(value, b, below)
     return value
 
 
@@ -253,6 +261,8 @@ class CherednikAlgebra:
         self._act_b_cache: dict = {}
         self._single_cache: dict = {}
         self._ji_cache: dict = {}
+        # (g1, J1, I2, g2) -> flat PBW image of g1 y^J1 x^I2 g2, filled by multiply
+        self._pair_cache: dict = {}
         self._verma_cache: dict = {}
         # frozenset of (term, coef) pairs -> {monomial: merged Verma image}
         self._verma_element_cache: dict = {}
@@ -348,7 +358,8 @@ class CherednikAlgebra:
                         _accumulate(result, tuple(up), coef * entry)
             return _settle(result)
 
-        return _chain(cache, lambda d: (g, d), deg, {self._zero_deg: ONE}, step)
+        zero_deg = self._zero_deg
+        return _chain(cache, lambda d: (g, d), deg, lambda: {zero_deg: ONE}, step)
 
     # -- straightening ---------------------------------------------------
 
@@ -378,7 +389,9 @@ class CherednikAlgebra:
                     _accumulate(result, (mono, s_idx, zero_deg), -coef * sub_coef)
             return _settle(result)
 
-        start = {(zero_deg, 0, zero_deg[:a] + (1,) + zero_deg[a + 1 :]): ONE}
+        def start():
+            return {(zero_deg, 0, zero_deg[:a] + (1,) + zero_deg[a + 1 :]): ONE}
+
         return _chain(self._single_cache, lambda d: (a, d), ideg, start, step)
 
     def _straighten_ji(self, jdeg: tuple, ideg: tuple) -> dict:
@@ -400,8 +413,10 @@ class CherednikAlgebra:
                         _accumulate(result, (A2, gh, _add_deg(B3, B)), lead * coef3)
             return _settle(result)
 
-        start = {(ideg, 0, self._zero_deg): ONE}
-        return _chain(self._ji_cache, lambda d: (d, ideg), jdeg, start, step)
+        zero_deg = self._zero_deg
+        return _chain(
+            self._ji_cache, lambda d: (d, ideg), jdeg, lambda: {(ideg, 0, zero_deg): ONE}, step
+        )
 
     def _straighten(self, jdeg: tuple, ideg: tuple) -> dict:
         """PBW expansion of y^jdeg * x^ideg; a y-free word is already in PBW
@@ -479,26 +494,51 @@ class CherednikAlgebra:
 
         return merged_image
 
+    def _pair_image(self, g1: int, j1: tuple, i2: tuple, g2: int) -> tuple:
+        """PBW form of g1 * y^j1 * x^i2 * g2 as a flat tuple
+        (A, k, B, coef, A, k, B, coef, ...) meaning sum coef * x^A k y^B, with
+        the entries at one (A, k, B) added and the cancelled ones dropped.
+        Each term x^A h y^B of y^j1 x^i2 becomes (g1 . x^A) g1 h g2
+        (g2^-1 . y^B); cached by (g1, j1, i2, g2)."""
+        key = (g1, j1, i2, g2)
+        cached = self._pair_cache.get(key)
+        if cached is not None:
+            return cached
+        table = self.group.mult_table
+        left, g2inv = table[g1], self.group.inv(g2)
+        merged: dict = {}
+        for (A, h, B), coef in self._straighten(j1, i2).items():
+            k = table[left[h]][g2]
+            on_y = self.act_on_y_monomial(g2inv, B).items()
+            # g1 * x^A = (g1 . x^A) * g1 and y^B * g2 = g2 * (g2^-1 . y^B)
+            for A2, ca in self.act_on_x_monomial(g1, A).items():
+                lead = coef * ca
+                for B2, cb in on_y:
+                    _accumulate(merged, (A2, k, B2), lead * cb)
+        cached = self._pair_cache[key] = tuple(
+            x for (A, k, B), c in _settle(merged).items() for x in (A, k, B, c)
+        )
+        return cached
+
     def multiply(self, a: PBWElement, b: PBWElement) -> PBWElement:
-        """Straightened product in PBW form."""
+        """Straightened product in PBW form: x^I1 g1 y^J1 * x^I2 g2 y^J2 is
+        x^I1 (the pair image of (g1, J1, I2, g2)) y^J2."""
         a = self._coerce(a)
         b = self._coerce(b)
-        table = self.group.mult_table
+        image = self._pair_image
         out: dict = {}
         for (i1, g1, j1), c1 in a.terms.items():
+            shift_x = any(i1)
             for (i2, g2, j2), c2 in b.terms.items():
-                base = c1 * c2
-                g2inv = self.group.inv(g2)
-                for (A, h, B), coef in self._straighten(j1, i2).items():
-                    mid = base * coef
-                    # g1 * x^A = (g1 . x^A) * g1
-                    for A2, ca in self.act_on_x_monomial(g1, A).items():
-                        gh = table[g1][h]
-                        lead = mid * ca
-                        # y^B * g2 = g2 * (g2^-1 . y^B)
-                        for B2, cb in self.act_on_y_monomial(g2inv, B).items():
-                            key = (_add_deg(i1, A2), table[gh][g2], _add_deg(B2, j2))
-                            _accumulate(out, key, lead * cb)
+                base, shift_y = c1 * c2, any(j2)
+                flat = iter(image(g1, j1, i2, g2))
+                # a zero I1 or J2 keeps the image's degree tuples as they are
+                for A, k, B, coef in zip(flat, flat, flat, flat):
+                    if shift_x:
+                        A = _add_deg(i1, A)
+                    if shift_y:
+                        B = _add_deg(B, j2)
+                    _accumulate(out, (A, k, B), base * coef)
         out = _settle(out)
         self._check_blowup(out)
         return PBWElement(self, out)

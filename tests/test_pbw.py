@@ -27,7 +27,10 @@ from cherednik.pbw import (
     AlgebraMismatch,
     CherednikAlgebra,
     CoefficientBlowup,
+    PBWElement,
     _accumulate,
+    _add_deg,
+    _chain,
     _settle,
     monomials,
 )
@@ -645,3 +648,118 @@ def test_straightening_cache_does_not_depend_on_fill_order(spec, ell, c):
         for c_idx in reversed([k for k, e in enumerate(jdeg) for _ in range(e)]):
             nested = up.y(c_idx + 1) * nested
         assert up.element(value) == nested, (jdeg, ideg)
+
+
+def _multiply_by_terms(alg, a, b):
+    """Oracle: the product by the triple loop, for every term pair, over the
+    terms of y^J1 x^I2, the action of g1 on x^A and of g2^-1 on y^B, with no
+    pair image."""
+    table = alg.group.mult_table
+    out = {}
+    for (i1, g1, j1), c1 in a.terms.items():
+        for (i2, g2, j2), c2 in b.terms.items():
+            base = c1 * c2
+            g2inv = alg.group.inv(g2)
+            for (A, h, B), coef in alg._straighten(j1, i2).items():
+                mid = base * coef
+                for A2, ca in alg.act_on_x_monomial(g1, A).items():
+                    gh = table[g1][h]
+                    lead = mid * ca
+                    for B2, cb in alg.act_on_y_monomial(g2inv, B).items():
+                        key = (_add_deg(i1, A2), table[gh][g2], _add_deg(B2, j2))
+                        _accumulate(out, key, lead * cb)
+    return PBWElement(alg, _settle(out))
+
+
+def _norm_job_algebra():
+    return make_algebra("dihedral:8", 8, [Fraction(1, 8)])
+
+
+def _norm_job_base(alg):
+    return alg.parse_element("(-1)*x1 + y2 + x2 + g5")
+
+
+class TestPairImages:
+    @pytest.mark.parametrize("name", sorted(PROPERTY_ALGEBRAS))
+    @settings(derandomize=True, deadline=None, max_examples=25)
+    @given(data=st.data())
+    def test_product_equals_the_term_loop(self, name, data):
+        alg = property_algebra(name)
+        a, b = data.draw(pbw_elements(alg, 2, 3)), data.draw(pbw_elements(alg, 2, 3))
+        assert alg.multiply(a, b) == _multiply_by_terms(alg, a, b)
+
+    def test_norm_job_powers_equal_the_term_loop(self):
+        alg = _norm_job_algebra()
+        base = _norm_job_base(alg)
+        power = alg.one()
+        for k in range(1, 5):
+            expected = _multiply_by_terms(alg, power, base)
+            power = alg.multiply(power, base)
+            assert power == expected, k
+            assert power == base**k, k
+
+    def test_warm_order_does_not_change_products(self):
+        # one algebra multiplies a list of pairs in order on cold caches, the
+        # other has already multiplied the same list in reverse
+        fresh, warmed = _norm_job_algebra(), _norm_job_algebra()
+        rng = random.Random(21)
+        base = _norm_job_base(fresh)
+        pairs = [(random_element(fresh, rng, 3, 3), random_element(fresh, rng, 3, 3)) for _ in range(8)]
+        pairs += [(base**k, base) for k in range(1, 4)]
+        moved = [(warmed.element(dict(a.terms)), warmed.element(dict(b.terms))) for a, b in pairs]
+        for a, b in reversed(moved):
+            warmed.multiply(a, b)
+        for (a, b), (a2, b2) in zip(pairs, moved):
+            assert fresh.multiply(a, b).terms == warmed.multiply(a2, b2).terms
+
+    def test_repeated_product_adds_no_pair_image(self):
+        alg = _norm_job_algebra()
+        base = _norm_job_base(alg)
+        a = base**3
+        first = alg.multiply(a, base)
+        entries = dict(alg._pair_cache)
+        assert entries
+        assert alg.multiply(a, base) == first
+        assert alg._pair_cache.keys() == entries.keys()
+        assert all(alg._pair_cache[k] is v for k, v in entries.items())
+
+    def test_pair_image_is_the_merged_product(self):
+        # g1 * y^J1 * x^I2 * g2 as one entry per (A, k, B), none of them zero
+        alg = property_algebra("dihedral:5")
+        zero = alg._zero_deg
+        for g1, g2 in ((0, 0), (1, 3), (7, 2)):
+            for j1, i2 in (((0, 0), (1, 2)), ((2, 1), (1, 1)), ((1, 0), (0, 0))):
+                flat = alg._pair_image(g1, j1, i2, g2)
+                assert len(flat) % 4 == 0
+                keys = [flat[t : t + 3] for t in range(0, len(flat), 4)]
+                assert len(set(keys)) == len(keys)
+                assert all(flat[3::4])
+                expected = _multiply_by_terms(
+                    alg, alg.monomial(zero, g1, j1), alg.monomial(i2, g2, zero)
+                )
+                assert dict(zip(keys, flat[3::4])) == expected.terms
+
+
+def test_chain_keys_each_degree_once_and_starts_only_at_zero():
+    keys, starts = [], []
+
+    def key(deg):
+        keys.append(deg)
+        return deg
+
+    def start():
+        starts.append(1)
+        return 0
+
+    def step(prev, b, below):
+        return prev + 1
+
+    cache = {}
+    # (2, 1) -> (1, 1) -> (0, 1) -> (0, 0): the value is the total degree
+    assert _chain(cache, key, (2, 1), start, step) == 3
+    assert keys == [(2, 1), (1, 1), (0, 1), (0, 0)] and starts == [1]
+    assert cache == {(2, 1): 3, (1, 1): 2, (0, 1): 1, (0, 0): 0}
+    # (3, 1) stops at the cached (2, 1) and never builds the start value
+    keys.clear()
+    assert _chain(cache, key, (3, 1), start, step) == 4
+    assert keys == [(3, 1), (2, 1)] and starts == [1]
