@@ -84,14 +84,6 @@ def _weight_of(coeff: Scalar, term, m: int, r: int, ctx) -> tuple:
     return v.value - m * sum(term[0]) - r * sum(term[2]), v.exact
 
 
-def term_weight(coeff: Scalar, term, params_level: int, params_r: int, ctx) -> float:
-    """Weighted valuation v_p(coeff) - m|I| - r|J| of one stored term.
-
-    When the coefficient valuation exhausts the working precision this is a
-    lower bound, which is the conservative direction for dropping tails."""
-    return _weight_of(coeff, term, params_level, params_r, ctx)[0]
-
-
 class BanachElement:
     """A norm-truncated element: exact stored PBW terms at one level, plus a
     tail bound tau meaning every omitted term has weighted valuation >= tau."""
@@ -479,10 +471,12 @@ def analytic_verma_slice(
     ctx, m, r, d = params.ctx, params.level, params.r, irrep.dim
     zero, one = algebra._zero_deg, algebra.group.identity
     units = [_unit(algebra.dim, i) for i in range(algebra.dim)]
-    # (name, PBW term, exponent of its weight p^k, degree shift) per generator
-    gens = [(f"p^{m}*x{i + 1}", (e, one, zero), m, 1) for i, e in enumerate(units)]
-    gens += [(f"p^{r}*y{i + 1}", (zero, one, e), r, -1) for i, e in enumerate(units)]
-    gens += [(f"g{g}", (zero, g, zero), 0, 0) for g in range(len(algebra.group))]
+    # (name, image function of its PBW term, exponent of its weight p^k,
+    # degree shift) per generator
+    image = slice_._term_image
+    gens = [(f"p^{m}*x{i + 1}", image((e, one, zero)), m, 1) for i, e in enumerate(units)]
+    gens += [(f"p^{r}*y{i + 1}", image((zero, one, e)), r, -1) for i, e in enumerate(units)]
+    gens += [(f"g{g}", image((zero, g, zero)), 0, 0) for g in range(len(algebra.group))]
     rho = slice_._rho_columns
 
     def block(flat) -> dict:
@@ -506,9 +500,9 @@ def analytic_verma_slice(
     recovered = True
     for n in range(cutoff + 1):
         for j, mono in enumerate(slice_._monos[n]):
-            for name, term, k, shift in gens:
+            for name, gen_image, k, shift in gens:
                 if 0 <= n + shift <= cutoff:
-                    entries = block(algebra.act_on_verma_monomial(term, mono)).values()
+                    entries = block(gen_image(mono)).values()
                     least = min((vals[v].value for v in entries), default=INF) + k
                     norms[name] = min(norms.get(name, INF), least - m * shift)
             # the Euler element acts on degree n by c_lambda + n

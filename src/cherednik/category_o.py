@@ -11,7 +11,7 @@ are coordinates on the surviving (non-pivot) basis positions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property
 
 from . import linalg
 from .groups import Irrep
@@ -120,23 +120,21 @@ class VermaSlice:
 
     # -- the module action (ambient coordinates) ----------------------------
 
-    def _act(self, image, n: int, target: int, vec: list, out=None, scale=ONE) -> list:
-        """Scatter scale times a module map on a degree-n vector into degree
-        `target`, adding into `out` when it is given.  image(mono) is the
-        map's image of x^mono (x) w, a flat tuple (pos, h, coefficient, ...)
-        meaning coefficient * x^M (x) rho(h) w with M at position pos of the
-        degree-`target` monomials: the algebra's cached
-        `act_on_verma_monomial` for one PBW term (see `_term_image`), or
-        `act_on_verma_terms` for the terms of one degree shift."""
+    def _act(self, image, n: int, target: int, vec: list, out=None) -> list:
+        """Scatter a module map on a degree-n vector into degree `target`,
+        adding into `out` when it is given.  image(mono) is the map's image
+        of x^mono (x) w, a flat tuple (pos, h, coefficient, ...) meaning
+        coefficient * x^M (x) rho(h) w with M at position pos of the
+        degree-`target` monomials: the algebra's `act_on_verma_terms` table
+        for the terms of one degree shift, or for a single term (see
+        `_term_image`)."""
         d = self.irrep.dim
         if out is None:
             out = [ZERO] * self.full_dim(target)
         blocks: dict[int, list] = {}
         for p, v in enumerate(vec):
             if v is not ZERO and v:
-                blocks.setdefault(p // d, []).append(
-                    (p % d, v if scale is ONE else v * scale)
-                )
+                blocks.setdefault(p // d, []).append((p % d, v))
         monos, columns = self._monos[n], self._rho_columns
         for mi, block in blocks.items():
             flat = image(monos[mi])
@@ -148,10 +146,11 @@ class VermaSlice:
                         out[tgt + k2] = out[tgt + k2] + vc * entry
         return out
 
-    def _term_image(self, term):
-        """The image function of `_act` for the PBW monomial term = (I, g, J),
-        which maps degree n to n + |I| - |J|."""
-        return partial(self.algebra.act_on_verma_monomial, term)
+    def _term_image(self, term, coef=ONE):
+        """The image function of `_act` for coef times the PBW monomial
+        term = (I, g, J), which maps degree n to n + |I| - |J|: the table of
+        the one-pair content {(term, coef)}."""
+        return self.algebra.act_on_verma_terms(frozenset({(term, coef)}))
 
     @cached_property
     def _rho_columns(self) -> list:
@@ -201,7 +200,7 @@ class VermaSlice:
             )
         if jtot > n:
             return target, out
-        return target, self._act(self._term_image(term), n, target, vec, out, coef)
+        return target, self._act(self._term_image(term, coef), n, target, vec, out)
 
     # -- public module action ----------------------------------------------
 
@@ -634,7 +633,8 @@ def _singular_parts(slice_: VermaSlice, n: int) -> dict:
 def _isotypic_block(slice_: VermaSlice, irr: Irrep, n: int, m: int) -> list:
     """A basis of e_E applied to degree n modulo killed[n], as m vectors in
     ambient coordinates reduced against the killed rows: the images of free
-    unit vectors, taken until they span m dimensions."""
+    unit vectors, taken until they span m dimensions.  e_E acts as one
+    content, so each unit takes one scatter."""
     alg = slice_.algebra
     group, zero = alg.group, alg._zero_deg
     weight = Scalar.rational(irr.dim) / len(group)
@@ -643,12 +643,11 @@ def _isotypic_block(slice_: VermaSlice, irr: Irrep, n: int, m: int) -> list:
         entry = irr.matrix(group.inv(g))[0][0]
         if entry:
             terms.append(((zero, g, zero), weight * entry))
+    idempotent = alg.act_on_verma_terms(frozenset(terms))
     rows: list = []
     pivots: list = []
     for unit in _free_units(slice_, n):
-        image = None
-        for term, coef in terms:
-            image = slice_._act(slice_._term_image(term), n, n, unit, image, coef)
+        image = slice_._act(idempotent, n, n, unit)
         linalg.extend_echelon(rows, pivots, slice_.reduce(n, image))
         if len(rows) == m:
             return rows

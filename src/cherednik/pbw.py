@@ -11,10 +11,13 @@ and moves group elements through polynomials by the linear action on the
 generators.  Each step strictly decreases the inversion count, so rewriting
 terminates; associativity is covered by the test suite.
 
-A product x^I1 g1 y^J1 * x^I2 g2 y^J2 reads one cached pair image: the
-PBW form of g1 y^J1 x^I2 g2, kept per (g1, J1, I2, g2) as a flat tuple, so
-straightening and the group actions run once per distinct pair and a term
-pair costs one Scalar product per image entry.
+Products and module actions share one straighten-and-move step, `_moved`:
+the terms of g1 y^J1 x^I2 with g1 moved past the x's.  A product
+x^I1 g1 y^J1 * x^I2 g2 y^J2 reads one cached pair image, the PBW form of
+g1 y^J1 x^I2 g2 kept per (g1, J1, I2, g2) as a flat tuple, so a term pair
+costs one Scalar product per image entry.  On a standard module
+Delta(lambda) = H_c (x) lambda, x^I g y^J acts on x^mono (x) w by the
+y-free moved terms of g y^J x^mono, shifted by I.
 """
 
 from __future__ import annotations
@@ -263,7 +266,6 @@ class CherednikAlgebra:
         self._ji_cache: dict = {}
         # (g1, J1, I2, g2) -> flat PBW image of g1 y^J1 x^I2 g2, filled by multiply
         self._pair_cache: dict = {}
-        self._verma_cache: dict = {}
         # frozenset of (term, coef) pairs -> {monomial: merged Verma image}
         self._verma_element_cache: dict = {}
         # degree n -> (monomials(dim, n) as a list, monomial -> position)
@@ -436,57 +438,47 @@ class CherednikAlgebra:
             )
         return cached
 
-    def act_on_verma_monomial(self, term: Term, mono: tuple) -> tuple:
-        """Image of the PBW monomial x^I g y^J on x^mono (x) w in a standard
-        module, as a flat tuple (pos, h, coef, pos, h, coef, ...) meaning
-        sum coef * x^M (x) h w, M the monomial at pos in `monomial_table` of
-        degree |mono| + |I| - |J|.  It comes from the y-free terms of
-        y^J x^mono moved past g, does not depend on w, and is cached by
-        (term, mono).  Empty when |J| > |mono|."""
-        key = (term, mono)
-        cached = self._verma_cache.get(key)
-        if cached is not None:
-            return cached
-        ideg, g, jdeg = term
-        degree = sum(mono) + sum(ideg) - sum(jdeg)
-        merged: dict = {}
-        if sum(jdeg) <= sum(mono):
-            table = self.group.mult_table[g]
-            # x^I g y^J x^mono = sum x^I (g . x^A) gh over the terms x^A h
-            for (A, h, B), scoef in self._straighten(jdeg, mono).items():
-                if any(B):
-                    continue
-                for A2, ca in self.act_on_x_monomial(g, A).items():
-                    _accumulate(merged, (_add_deg(ideg, A2), table[h]), scoef * ca)
-            merged = _settle(merged)
-        index = self.monomial_table(degree)[1] if merged else None
-        result = tuple(
-            x for (M, h), coef in merged.items() for x in (index[M], h, coef)
-        )
-        self._verma_cache[key] = result
-        return result
+    def _moved(self, g1: int, j1: tuple, i2: tuple):
+        """The terms (A, h, B, coef) of g1 * y^j1 * x^i2 = sum coef * x^A h y^B,
+        not merged: each term x^A h y^B of y^j1 x^i2 becomes
+        (g1 . x^A) g1 h y^B, since g1 * x^A = (g1 . x^A) * g1."""
+        left = self.group.mult_table[g1]
+        for (A, h, B), coef in self._straighten(j1, i2).items():
+            k = left[h]
+            for A2, ca in self.act_on_x_monomial(g1, A).items():
+                yield A2, k, B, coef * ca
 
     def act_on_verma_terms(self, terms: frozenset):
         """The image of sum coef * x^I g y^J over the (term, coef) pairs of
-        `terms`, which share one degree shift |I| - |J|, as a function of
-        the monomial x^mono.  It returns the flat tuple of
-        `act_on_verma_monomial` with the coefficients folded in, the entries
-        at one (pos, h) added and the cancelled ones dropped.  One table
-        from monomial to image is kept per distinct content of `terms`."""
+        `terms`, which share one degree shift |I| - |J|, on x^mono (x) w in a
+        standard module, as a function of mono.  The image is a flat tuple
+        (pos, h, coef, pos, h, coef, ...) meaning sum coef * x^M (x) h w, M
+        the monomial at pos in `monomial_table` of degree |mono| + |I| - |J|,
+        with the entries at one (pos, h) added and the cancelled ones
+        dropped.  It is the y-free part (B = 0) of the moved terms of
+        g y^J x^mono, shifted by I, and does not depend on w; a term with
+        |J| > |mono| acts by zero.  One table from monomial to image is kept
+        per distinct content of `terms`."""
         table = self._verma_element_cache.get(terms)
         if table is None:
             table = self._verma_element_cache[terms] = {}
-        image = self.act_on_verma_monomial
 
         def merged_image(mono: tuple) -> tuple:
             cached = table.get(mono)
             if cached is not None:
                 return cached
+            size = sum(mono)
             merged: dict = {}
-            for term, coef in terms:
-                flat = image(term, mono)
-                for t in range(0, len(flat), 3):
-                    _accumulate(merged, flat[t : t + 2], coef * flat[t + 2])
+            for (ideg, g, jdeg), coef in terms:
+                jtot = sum(jdeg)
+                if jtot > size:
+                    continue
+                index = self.monomial_table(size + sum(ideg) - jtot)[1]
+                shift_x = any(ideg)
+                for A, h, B, c in self._moved(g, jdeg, mono):
+                    if not any(B):
+                        pos = index[_add_deg(ideg, A) if shift_x else A]
+                        _accumulate(merged, (pos, h), coef * c)
             cached = table[mono] = tuple(
                 x for (pos, h), c in _settle(merged).items() for x in (pos, h, c)
             )
@@ -498,23 +490,19 @@ class CherednikAlgebra:
         """PBW form of g1 * y^j1 * x^i2 * g2 as a flat tuple
         (A, k, B, coef, A, k, B, coef, ...) meaning sum coef * x^A k y^B, with
         the entries at one (A, k, B) added and the cancelled ones dropped.
-        Each term x^A h y^B of y^j1 x^i2 becomes (g1 . x^A) g1 h g2
-        (g2^-1 . y^B); cached by (g1, j1, i2, g2)."""
+        Each moved term x^A h y^B of g1 y^j1 x^i2 becomes x^A h g2
+        (g2^-1 . y^B), since y^B * g2 = g2 * (g2^-1 . y^B); cached by
+        (g1, j1, i2, g2)."""
         key = (g1, j1, i2, g2)
         cached = self._pair_cache.get(key)
         if cached is not None:
             return cached
-        table = self.group.mult_table
-        left, g2inv = table[g1], self.group.inv(g2)
+        table, g2inv = self.group.mult_table, self.group.inv(g2)
         merged: dict = {}
-        for (A, h, B), coef in self._straighten(j1, i2).items():
-            k = table[left[h]][g2]
-            on_y = self.act_on_y_monomial(g2inv, B).items()
-            # g1 * x^A = (g1 . x^A) * g1 and y^B * g2 = g2 * (g2^-1 . y^B)
-            for A2, ca in self.act_on_x_monomial(g1, A).items():
-                lead = coef * ca
-                for B2, cb in on_y:
-                    _accumulate(merged, (A2, k, B2), lead * cb)
+        for A, h, B, coef in self._moved(g1, j1, i2):
+            k = table[h][g2]
+            for B2, cb in self.act_on_y_monomial(g2inv, B).items():
+                _accumulate(merged, (A, k, B2), coef * cb)
         cached = self._pair_cache[key] = tuple(
             x for (A, k, B), c in _settle(merged).items() for x in (A, k, B, c)
         )

@@ -217,7 +217,8 @@ class Scalar:
     # -- predicates ----------------------------------------------------
 
     def __bool__(self) -> bool:
-        return any(self.coeffs)
+        # a canonical value with ell > 1 has a nonzero irrational coordinate
+        return self.ell != 1 or self.coeffs[0] != 0
 
     @property
     def is_rational(self) -> bool:

@@ -256,7 +256,7 @@ class TestModuleAction:
             slice_.apply_x_full(0, n, vec)
             slice_.apply_g_full(1, n, vec)
             verma_action(slice_, a, {n: vec})
-        assert alg._verma_cache
+        assert alg._verma_element_cache and all(alg._verma_element_cache.values())
         assert [key for key in alg._ji_cache if not any(key[0])] == []
 
     @pytest.mark.parametrize("quotient", [False, True])
@@ -391,7 +391,7 @@ class TestMergedAction:
 
         def sizes():
             tables = warm._verma_element_cache.items()
-            return len(warm._verma_cache), {key: len(table) for key, table in tables}
+            return len(warm._ji_cache), {key: len(table) for key, table in tables}
 
         first, filled = run(warm, warm_slice), sizes()
         # separately built elements with the same content add no entries

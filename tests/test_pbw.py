@@ -504,38 +504,89 @@ def test_monomials_enumeration():
     assert len(set(degs)) == 6
 
 
+def _y_free_part_by_terms(alg, content, mono):
+    """Oracle: {(M, h): coef} for the B = 0 terms x^M h of
+    sum coef * x^I g y^J * x^mono over the (term, coef) pairs of content,
+    multiplied by the term loop `_multiply_by_terms`."""
+    element = PBWElement(alg, dict(content))
+    product = _multiply_by_terms(alg, element, alg.monomial(mono, 0, alg._zero_deg))
+    return {(A, h): coef for (A, h, B), coef in product.terms.items() if not any(B)}
+
+
+def _cancelling_contents(oracle, terms, rng, mono, count):
+    """Two-term contents {(t1, c1), (t2, c2)} of one degree shift whose
+    images on x^mono meet at an entry, with c2 chosen so that entry cancels;
+    returns (content, cancelled (M, h)) pairs."""
+    def shift(term):
+        return sum(term[0]) - sum(term[2])
+
+    out = []
+    for t1 in terms:
+        for t2 in terms:
+            if len(out) == count or t1 >= t2 or shift(t1) != shift(t2):
+                continue
+            one = _y_free_part_by_terms(oracle, {(t1, ONE)}, mono)
+            two = _y_free_part_by_terms(oracle, {(t2, ONE)}, mono)
+            common = sorted(set(one) & set(two))
+            if common:
+                c1 = Scalar.rational(Fraction(rng.randint(1, 5), rng.randint(1, 5)))
+                key = common[0]
+                c2 = -c1 * one[key] / two[key]
+                out.append((frozenset({(t1, c1), (t2, c2)}), key))
+    return out
+
+
 @pytest.mark.parametrize(
     "spec,ell,c", [("s3", 1, Fraction(1, 2)), ("dihedral:5", 5, Fraction(1, 5))]
 )
 def test_verma_monomial_action_is_the_y_free_part_of_the_product(spec, ell, c):
-    # x^I g y^J acts on x^mono (x) w by the B = 0 terms of x^I g y^J * x^mono
-    alg = make_algebra(spec, ell, [c])
+    # x^I g y^J acts on x^mono (x) w by the B = 0 terms of x^I g y^J * x^mono;
+    # the tables are read on a cold algebra and the oracle multiplies on
+    # another one by the term loop, with no pair image
+    alg, oracle = make_algebra(spec, ell, [c]), make_algebra(spec, ell, [c])
     rng = random.Random(13)
-    terms = list(alg.euler_element().terms)
+    terms = list(oracle.euler_element().terms)
     for _ in range(8):
         ideg = _random_multideg(rng, alg.dim, rng.randint(0, 2))
         jdeg = _random_multideg(rng, alg.dim, rng.randint(0, 2))
         terms.append((ideg, rng.randrange(1, len(alg.group)), jdeg))
-    zero = alg._zero_deg
     for degree in range(8):
         assert alg.monomial_table(degree)[0] == list(monomials(alg.dim, degree))
-    for term in terms:
+    cancelling = _cancelling_contents(oracle, terms, rng, (1, 1), 6)
+    assert len(cancelling) == 6
+    contents = [frozenset({(term, ONE)}) for term in terms]
+    contents += [content for content, _ in cancelling]
+    for content in contents:
+        (ideg, _, jdeg), _ = next(iter(content))
+        image_of = alg.act_on_verma_terms(content)
         for degree in range(6):
-            target = degree + sum(term[0]) - sum(term[2])
+            target = degree + sum(ideg) - sum(jdeg)
+            level = list(monomials(alg.dim, target)) if target >= 0 else []
             for mono in monomials(alg.dim, degree):
-                product = alg.multiply(alg.monomial(*term), alg.monomial(mono, 0, zero))
-                expected = {
-                    (A, h): coef for (A, h, B), coef in product.terms.items() if not any(B)
-                }
-                image = alg.act_on_verma_monomial(term, mono)
-                level = list(monomials(alg.dim, target)) if target >= 0 else []
+                image = image_of(mono)
                 got = {}
                 for t in range(0, len(image), 3):
                     pos, h, coef = image[t : t + 3]
                     assert coef and (level[pos], h) not in got
                     got[(level[pos], h)] = coef
-                assert got == expected, (term, mono)
-                assert alg.act_on_verma_monomial(term, mono) is image
+                assert got == _y_free_part_by_terms(oracle, content, mono), (content, mono)
+                assert image_of(mono) is image
+    for content, key in cancelling:
+        image = alg.act_on_verma_terms(content)((1, 1))
+        level = alg.monomial_table(2)[0]
+        assert key not in {(level[image[t]], image[t + 1]) for t in range(0, len(image), 3)}
+    assert alg._pair_cache == {}
+
+
+def test_lowering_past_the_degree_gives_the_empty_image():
+    # y^J kills x^mono (x) w when |J| > |mono|, so the image is read off
+    # before any straightening or pair image
+    alg = make_algebra("s3", 1, [Fraction(1, 2)])
+    image_of = alg.act_on_verma_terms(frozenset({(((1, 0), 2, (2, 1)), ONE)}))
+    for degree in range(3):
+        for mono in monomials(alg.dim, degree):
+            assert image_of(mono) == ()
+    assert alg._ji_cache == {} and alg._pair_cache == {}
 
 
 def monomial_trace(alg, g, degree):

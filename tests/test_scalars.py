@@ -26,6 +26,7 @@ from cherednik.scalars import (
     val,
 )
 from cherednik.scalars import _product_table
+from cherednik.pbw import _accumulate, _settle
 
 
 def brute_roots(ell, p, N):
@@ -435,6 +436,39 @@ class TestCanonicalForm:
             x = Scalar.rational(plain)
             assert x == plain and hash(x) == hash(plain)
             assert {x: "v"}.get(plain) == "v"
+
+    @examples(60)
+    @given(st.data())
+    def test_truth_is_a_nonzero_coordinate(self, data):
+        # bool reads one comparison, which holds because the canonical form
+        # gives every rational value ell = 1
+        ell = data.draw(st.sampled_from((1, 5, 8)))
+        x, y = data.draw(scalars(ell)), data.draw(scalars(ell))
+        k = data.draw(st.integers(0, 2 * ell))
+        raw = data.draw(st.lists(st.integers(-3, 3), min_size=1, max_size=ell + 1))
+        den = data.draw(st.integers(-9, 9).filter(bool))
+        zeta = Scalar.zeta(ell, k)
+        roots = sum((Scalar.zeta(ell, j) for j in range(ell)), ZERO)
+        running = {}
+        for v in (x, y, -x, -y):
+            _accumulate(running, "cancelled", v)
+        for v in (x, y, zeta):
+            _accumulate(running, "kept", v)
+        settled = _settle(running)
+        assert "cancelled" not in settled
+        values = [
+            Scalar.rational(data.draw(st.fractions())), ZERO, ONE, zeta, -zeta,
+            Scalar.from_coords(ell, raw, den), Scalar.from_coords(ell, [1] * ell),
+            roots, zeta * zeta.inverse() - 1,
+            x, -x, x + y, x - y, x - x, x + (-x), x * y, x * 0, y * zeta,
+            *settled.values(),
+        ]
+        if x:
+            values += [x.inverse(), y / x]
+        for v in values:
+            assert bool(v) == any(v.coeffs), v
+        # the roots of unity of Q(zeta_5) and Q(zeta_8) sum to zero
+        assert bool(roots) == (ell == 1)
 
 
 class TestValuation:
