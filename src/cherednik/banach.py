@@ -465,19 +465,29 @@ def analytic_verma_slice(
     cutoff: int,
     check_lattice: bool = True,
 ) -> AnalyticVermaSlice:
+    """The Verma slice of the irrep at one level, with the operator-norm
+    exponent of each weighted generator on the unit lattice and whether the
+    Euler element acts on degree n by c_lambda + n.  The x and g exponents
+    have closed forms; only the y images and the Euler element are read."""
     if check_lattice:
         lattice_check(algebra, params.ctx, params.level, params.r).ensure()
     slice_ = VermaSlice(algebra, irrep, cutoff)
     ctx, m, r, d = params.ctx, params.level, params.r, irrep.dim
     zero, one = algebra._zero_deg, algebra.group.identity
-    units = [_unit(algebra.dim, i) for i in range(algebra.dim)]
-    # (name, image function of its PBW term, exponent of its weight p^k,
-    # degree shift) per generator
-    image = slice_._term_image
-    gens = [(f"p^{m}*x{i + 1}", image((e, one, zero)), m, 1) for i, e in enumerate(units)]
-    gens += [(f"p^{r}*y{i + 1}", image((zero, one, e)), r, -1) for i, e in enumerate(units)]
-    gens += [(f"g{g}", image((zero, g, zero)), 0, 0) for g in range(len(algebra.group))]
     rho = slice_._rho_columns
+    vals = _Valuations(ctx)
+    # x_i sends x^M (x) w to x^(M + e_i) (x) w with coefficient 1, so p^m x_i
+    # has the exponent m - m * 1 = 0 whenever degree 1 is in range
+    norms: dict[str, float] = {}
+    if cutoff:
+        norms.update((f"p^{m}*x{i + 1}", 0) for i in range(algebra.dim))
+    # g sends 1 (x) w to 1 (x) rho(g) w, and x^M (x) w to a sum of
+    # coef * x^A (x) rho(g) w with every coef an algebraic integer (the group
+    # matrices are integral), whose valuation is >= 0; so the least
+    # valuation of an entry of rho(g) is the exponent.  It is <= 0, and 0
+    # exactly when rho(g) is p-integral.
+    for g, columns in enumerate(rho):
+        norms[f"g{g}"] = min(vals[e].value for column in columns for _, e in column)
 
     def block(flat) -> dict:
         """The d columns of a monomial's image: (pos, k2, k) -> the sum over
@@ -490,21 +500,22 @@ def analytic_verma_slice(
                     _accumulate(out, (pos, k2, k), coef * entry)
         return _settle(out)
 
-    # the exponent of a generator on column (mono, k): the least valuation
-    # of the image entries plus the weight exponent k (the shift adds to a
-    # valuation), less m times the degree change; each distinct entry value
-    # is valued once
-    norms: dict[str, float] = {}
-    vals = _Valuations(ctx)
+    # the exponent of p^r y_i on column (mono, k): the least valuation of
+    # the image entries plus r (the shift adds to a valuation), plus m for
+    # the degree it lowers; each distinct entry value is valued once
+    ys = [
+        (f"p^{r}*y{i + 1}", slice_._term_image((zero, one, _unit(algebra.dim, i))))
+        for i in range(algebra.dim)
+    ]
     euler = algebra.act_on_verma_terms(frozenset(algebra.euler_element().terms.items()))
     recovered = True
     for n in range(cutoff + 1):
         for j, mono in enumerate(slice_._monos[n]):
-            for name, gen_image, k, shift in gens:
-                if 0 <= n + shift <= cutoff:
-                    entries = block(gen_image(mono)).values()
-                    least = min((vals[v].value for v in entries), default=INF) + k
-                    norms[name] = min(norms.get(name, INF), least - m * shift)
+            if n:
+                for name, image in ys:
+                    entries = block(image(mono)).values()
+                    least = min((vals[v].value for v in entries), default=INF)
+                    norms[name] = min(norms.get(name, INF), least + r + m)
             # the Euler element acts on degree n by c_lambda + n
             weight = slice_.c_value + n
             expected = {(j, k, k): weight for k in range(d)} if weight else {}

@@ -558,8 +558,6 @@ def _kernel_at_degree(slice_: VermaSlice, n: int, parts: dict | None = None) -> 
     a complete irrep table it is the direct sum of the isotypic parts that
     `_singular_parts` finds (or the parts passed in, already found);
     otherwise the kernel on the whole degree."""
-    if n == 0:
-        return [list(row) for row in linalg.identity(slice_.dim(0))]
     if slice_.dim(n) == 0 or n not in slice_.singular_isotypes:
         return []
     if not _complete_table(slice_.algebra):
@@ -644,32 +642,29 @@ def _isotypic_block(slice_: VermaSlice, irr: Irrep, n: int, m: int) -> list:
         if entry:
             terms.append(((zero, g, zero), weight * entry))
     idempotent = alg.act_on_verma_terms(frozenset(terms))
-    rows: list = []
-    pivots: list = []
-    for unit in _free_units(slice_, n):
-        image = slice_._act(idempotent, n, n, unit)
-        linalg.extend_echelon(rows, pivots, slice_.reduce(n, image))
-        if len(rows) == m:
-            return rows
-    raise RuntimeError(
-        f"e_{irr.label} spans {len(rows)} < {m} dimensions in degree {n}"
-    )
+    images = (slice_._act(idempotent, n, n, unit) for unit in _free_units(slice_, n))
+    return _span(slice_, n, images, m)
 
 
 def _g_span(slice_: VermaSlice, n: int, vectors: list, dim: int) -> list:
     """Reduced echelon basis (ambient coordinates, reduced against the
     killed rows) of the G-span of the vectors, which has dimension dim."""
+    images = (
+        slice_.apply_g_full(g, n, v) for g in range(len(slice_.algebra.group)) for v in vectors
+    )
+    return _span(slice_, n, images, dim)
+
+
+def _span(slice_: VermaSlice, n: int, images, dim: int) -> list:
+    """Reduced echelon basis of the degree-n images reduced against the
+    killed rows, taken until it has dimension dim; falling short is a bug."""
     rows: list = []
     pivots: list = []
-    for g in range(len(slice_.algebra.group)):
-        for v in vectors:
-            image = slice_.apply_g_full(g, n, v)
-            linalg.extend_echelon(rows, pivots, slice_.reduce(n, image))
-            if len(rows) == dim:
-                return rows
-    raise RuntimeError(
-        f"the G-span has {len(rows)} < {dim} dimensions in degree {n}"
-    )
+    for image in images:
+        linalg.extend_echelon(rows, pivots, slice_.reduce(n, image))
+        if len(rows) == dim:
+            return rows
+    raise RuntimeError(f"the images span {len(rows)} < {dim} dimensions in degree {n}")
 
 
 def singular_vectors(slice_: VermaSlice, n: int) -> SingularSpace:
@@ -745,16 +740,9 @@ def _integer_difference(a: Scalar, b: Scalar):
 
 def _complete_table(algebra: CherednikAlgebra) -> bool:
     """Whether the irrep table lists every irrep of the group: its irreps
-    are validated irreducible, so distinct characters whose dimensions'
-    squares sum to the group order are all of them.  Computed on first use
-    and kept on the algebra."""
-    if algebra._table_complete is None:
-        irreps = algebra.irreps
-        algebra._table_complete = (
-            sum(irr.dim**2 for irr in irreps) == len(algebra.group)
-            and len({irr.character for irr in irreps}) == len(irreps)
-        )
-    return algebra._table_complete
+    are validated irreducible and the algebra admits no repeated character,
+    so squared dimensions summing to the group order mean all of them."""
+    return sum(irr.dim**2 for irr in algebra.irreps) == len(algebra.group)
 
 
 def highest_weight_order(algebra: CherednikAlgebra) -> OrderGraph:

@@ -7,7 +7,6 @@ and are validated when a command asks for them.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
 from .scalars import InvalidInput
@@ -74,21 +73,8 @@ class JobConfig:
         return value
 
     def precision(self) -> int:
-        """Explicit precision, else the CHEREDNIK_PRECISION override, else 64."""
-        if "precision" in self.raw:
-            return self.get_int("precision", minimum=1)
-        env = os.environ.get("CHEREDNIK_PRECISION")
-        if env is not None:
-            try:
-                value = int(env)
-            except ValueError:
-                raise ValidationError(
-                    "precision", f"CHEREDNIK_PRECISION is not an integer: {env!r}"
-                ) from None
-            if value < 1:
-                raise ValidationError("precision", "CHEREDNIK_PRECISION must be >= 1")
-            return value
-        return 64
+        """The `precision` key, else 64."""
+        return self.get_int("precision", 64, minimum=1)
 
     def level_range(self) -> tuple[int, int]:
         text = self.require("levels")

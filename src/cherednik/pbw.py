@@ -34,6 +34,7 @@ from .scalars import (
     ComputationLimit,
     ExprError,
     FieldMismatch,
+    InvalidInput,
     parse_expression,
 )
 
@@ -46,6 +47,10 @@ class AlgebraMismatch(CherednikError, ValueError):
 
 class CoefficientBlowup(ComputationLimit):
     """A coefficient exceeded the configured bit-size guard."""
+
+
+class RepeatedIrrep(InvalidInput):
+    """Two listed irreps share a label or a character."""
 
 
 def term_sort_key(term: Term):
@@ -246,6 +251,13 @@ class CherednikAlgebra:
         )
         self.c = c
         self.irreps = list(irreps)
+        for i, irr in enumerate(self.irreps):
+            for prior in self.irreps[:i]:
+                if prior.label == irr.label or prior.character == irr.character:
+                    what = "label" if prior.label == irr.label else "character"
+                    raise RepeatedIrrep(
+                        f"irreps {prior.label!r} and {irr.label!r} have the same {what}"
+                    )
         self.field_ell = field_ell if field_ell is not None else _data_field(self)
         self.max_coeff_bits = max_coeff_bits
         self._zero_deg = (0,) * self.dim
@@ -273,8 +285,6 @@ class CherednikAlgebra:
         self._molien: dict = {}
         # irrep label -> c_E for the listed irreps, filled by category_o
         self._c_table: dict = {}
-        # whether the listed irreps are all of the group's, set by category_o
-        self._table_complete: bool | None = None
         # (i, j) -> terms of uv, vu, uv - vu for the lattice generators, set by banach
         self._lattice_products: dict | None = None
         # PadicContext -> (i, j) -> valuation profiles of those products, set by banach

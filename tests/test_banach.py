@@ -33,7 +33,13 @@ from cherednik.category_o import (
     simple_quotient_slice,
     verma_action,
 )
-from cherednik.groups import ReflectionFunction, builtin_group, find_reflections
+from cherednik.groups import (
+    Irrep,
+    ReflectionFunction,
+    builtin_group,
+    find_reflections,
+    validate_irrep,
+)
 from cherednik.pbw import CherednikAlgebra
 from cherednik.scalars import INF, ONE, PadicContext, Scalar, ZERO, val
 
@@ -675,6 +681,43 @@ class TestAnalyticVermaOracle:
         with pytest.raises(UnboundedGenerator) as analytic:
             analytic_verma_slice(alg, alg.irreps[0], bad, 4, check_lattice=False)
         assert str(analytic.value) == str(dense.value)
+
+    def test_non_integral_irrep_has_a_negative_g_exponent(self):
+        # s3 `standard` conjugated by diag(7, 1): rho(g)[1][0] gains a
+        # factor 1/7, so the g exponent is the least valuation -1 of an
+        # entry of rho(g), read from the degree-0 column
+        alg = make_algebra("s3", 1, [Fraction(1, 3)])
+        std = next(w for w in alg.irreps if w.label == "standard")
+        seven = Scalar.rational(7)
+        scale = {(0, 1): seven, (1, 0): ONE / seven}
+
+        def conjugated(mat):
+            return tuple(
+                tuple(e * scale.get((i, k), ONE) for k, e in enumerate(row))
+                for i, row in enumerate(mat)
+            )
+
+        w = validate_irrep(
+            Irrep("standard7", 2, tuple(map(conjugated, std.matrices)), std.character),
+            alg.group,
+        )
+        params = level_tower(alg, CTX7, 1)[1]
+        with pytest.raises(UnboundedGenerator) as dense:
+            dense_certificates(alg, w, params, 4)
+        with pytest.raises(UnboundedGenerator) as analytic:
+            analytic_verma_slice(alg, w, params, 4)
+        assert str(analytic.value) == str(dense.value)
+        assert str(dense.value).startswith("generator g2 has operator-norm exponent -1;")
+
+    def test_only_y_and_euler_images_are_read(self):
+        alg = make_algebra("s3", 1, [Fraction(1, 3)])
+        params = level_tower(alg, CTX7, 1)[1]
+        analytic_verma_slice(alg, alg.irreps[2], params, 5)
+        zero, one = alg._zero_deg, alg.group.identity
+        units = [tuple(int(t == i) for t in range(alg.dim)) for i in range(alg.dim)]
+        contents = {frozenset({((zero, one, e), ONE)}) for e in units}
+        contents.add(frozenset(alg.euler_element().terms.items()))
+        assert set(alg._verma_element_cache) == contents
 
     def test_warm_caches_give_the_same_certificates(self):
         # caches filled by the simple quotient of another irrep

@@ -740,16 +740,12 @@ class TestSimpleQuotients:
             for n in range(11):
                 assert character.dimension(n, alg.irreps) == quotient.dim(n)
 
-    @pytest.mark.parametrize(
-        "second",
-        ["", "begin irrep triv2 dim=1\ngen\n1\nend\n"],
-        ids=["triv-only", "triv-twice"],
-    )
+    @pytest.mark.parametrize("second", [""], ids=["triv-only"])
     def test_incomplete_irrep_table_searches_every_degree(self, second):
-        # The table lists triv only (or triv twice, whose squared dimensions
-        # still sum to the group order).  At c = 3/2 the sgn-type singular
+        # The table lists triv only.  At c = 3/2 the sgn-type singular
         # vector of Delta(triv) sits in degree 3, a degree no listed isotype
-        # allows, and the quotient must still kill it.
+        # allows, and the quotient must still kill it.  (Listing triv twice
+        # is rejected when the algebra is built; see tests/test_cli.py.)
         alg = triv_file_algebra(second)
         triv = alg.irreps[0]
         quotient, character = simple_quotient_slice(alg, triv, 8)
