@@ -14,12 +14,14 @@ from dataclasses import dataclass, field
 
 from .category_o import VermaSlice, _unit
 from .groups import Irrep
-from .pbw import CherednikAlgebra, PBWElement, _accumulate, _settle
+from .pbw import CherednikAlgebra, PBWElement
 from .scalars import (
     INF,
     ComputationLimit,
     PadicContext,
     Scalar,
+    _accumulate,
+    _settle,
     val,
 )
 

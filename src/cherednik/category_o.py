@@ -3,9 +3,9 @@ weight spaces, singular vectors, simple quotients, the highest-weight order,
 blocks, and decomposition matrices.
 
 A VermaSlice holds the degrees 0..N of A tensor W together with any
-quotienting that has happened; quotients are tracked as reduced echelon
-bases of the killed subspaces per degree, so module vectors in a quotient
-are coordinates on the surviving (non-pivot) basis positions.
+quotienting that has happened; quotients are tracked as echelon bases
+(pivot -> sparse row) of the killed subspaces per degree, so module vectors
+in a quotient are coordinates on the surviving (non-pivot) basis positions.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from functools import cached_property
 from . import linalg
 from .groups import Irrep
 from .pbw import CherednikAlgebra, PBWElement
-from .scalars import Scalar, ZERO, ONE, ComputationLimit, InvalidInput
+from .scalars import Scalar, ZERO, ONE, ComputationLimit, InvalidInput, _accumulate, _settle
 
 
 class CutoffExceeded(ComputationLimit):
@@ -64,8 +64,8 @@ class VermaSlice:
         levels = [algebra.monomial_table(n) for n in range(cutoff + 1)]
         self._monos = [monos for monos, _ in levels]
         self._mono_index = [index for _, index in levels]
-        # killed[n]: reduced echelon rows of the quotiented-away subspace
-        self.killed = [([], []) for _ in range(cutoff + 1)]
+        # killed[n]: echelon basis of the quotiented-away subspace
+        self.killed = [{} for _ in range(cutoff + 1)]
 
     @cached_property
     def singular_isotypes(self) -> dict:
@@ -92,49 +92,43 @@ class VermaSlice:
         return len(self._monos[n]) * self.irrep.dim
 
     def dim(self, n: int) -> int:
-        return self.full_dim(n) - len(self.killed[n][0])
+        return self.full_dim(n) - len(self.killed[n])
 
     @property
     def quotiented(self) -> bool:
-        return any(rows for rows, _ in self.killed)
+        return any(self.killed)
 
-    def free_positions(self, n: int) -> list[int]:
-        pivots = set(self.killed[n][1])
-        return [p for p in range(self.full_dim(n)) if p not in pivots]
+    def free_positions(self, n: int):
+        """The non-pivot positions of degree n (a range when none is killed)."""
+        killed, full = self.killed[n], range(self.full_dim(n))
+        return [p for p in full if p not in killed] if killed else full
 
-    # -- coordinate plumbing ----------------------------------------------
+    # -- coordinate plumbing (sparse ambient rows) --------------------------
 
-    def reduce(self, n: int, vec: list) -> list:
-        rows, pivots = self.killed[n]
-        return linalg.reduce_against(vec, rows, pivots)
+    def to_free(self, n: int, vec: dict) -> list:
+        if not self.killed[n]:
+            return linalg.dense(vec, self.full_dim(n))
+        reduced = linalg.reduce_against(vec, self.killed[n])
+        return [reduced.get(p, ZERO) for p in self.free_positions(n)]
 
-    def to_free(self, n: int, vec: list) -> list:
-        reduced = self.reduce(n, vec)
-        return [reduced[p] for p in self.free_positions(n)]
-
-    def lift(self, n: int, freevec: list) -> list:
-        out = [ZERO] * self.full_dim(n)
-        for p, x in zip(self.free_positions(n), freevec):
-            out[p] = x
-        return out
+    def lift(self, n: int, freevec: list) -> dict:
+        free = self.free_positions(n)
+        return {free[i]: x for i, x in linalg.sparse(freevec).items()}
 
     # -- the module action (ambient coordinates) ----------------------------
 
-    def _act(self, image, n: int, target: int, vec: list, out=None) -> list:
-        """Scatter a module map on a degree-n vector into degree `target`,
-        adding into `out` when it is given.  image(mono) is the map's image
-        of x^mono (x) w, a flat tuple (pos, h, coefficient, ...) meaning
-        coefficient * x^M (x) rho(h) w with M at position pos of the
-        degree-`target` monomials: the algebra's `act_on_verma_terms` table
-        for the terms of one degree shift, or for a single term (see
-        `_term_image`)."""
+    def _act(self, image, n: int, vec: dict, out=None) -> dict:
+        """Scatter a module map on a sparse degree-n vector; returns the sparse
+        image plus `out` (consumed) when it is given.  image(mono) is the
+        map's image of x^mono (x) w, a flat tuple (pos, h, coefficient, ...)
+        meaning coefficient * x^M (x) rho(h) w with M at position pos of the
+        target-degree monomials: the `act_on_verma_terms` table of one
+        degree shift's terms, or of a single term (see `_term_image`)."""
         d = self.irrep.dim
-        if out is None:
-            out = [ZERO] * self.full_dim(target)
+        acc = {} if out is None else out
         blocks: dict[int, list] = {}
-        for p, v in enumerate(vec):
-            if v is not ZERO and v:
-                blocks.setdefault(p // d, []).append((p % d, v))
+        for p, v in vec.items():
+            blocks.setdefault(p // d, []).append((p % d, v))
         monos, columns = self._monos[n], self._rho_columns
         for mi, block in blocks.items():
             flat = image(monos[mi])
@@ -143,8 +137,8 @@ class VermaSlice:
                 for k, v in block:
                     vc = v * coef
                     for k2, entry in cols[k]:
-                        out[tgt + k2] = out[tgt + k2] + vc * entry
-        return out
+                        _accumulate(acc, tgt + k2, vc * entry)
+        return _settle(acc)
 
     def _term_image(self, term, coef=ONE):
         """The image function of `_act` for coef times the PBW monomial
@@ -162,6 +156,10 @@ class VermaSlice:
             for m in self.irrep.matrices
         ]
 
+    def _act_dense(self, image, n: int, target: int, vec: list) -> list:
+        """`_act` on a dense degree-n vector, with a dense image."""
+        return linalg.dense(self._act(image, n, linalg.sparse(vec)), self.full_dim(target))
+
     def apply_x_full(self, i: int, n: int, vec: list) -> list:
         """Action of x_i (0-based), the term (e_i, 1, 0), from degree n to n + 1."""
         if n + 1 > self.cutoff:
@@ -170,7 +168,7 @@ class VermaSlice:
             )
         alg = self.algebra
         term = (_unit(alg.dim, i), alg.group.identity, alg._zero_deg)
-        return self._act(self._term_image(term), n, n + 1, vec)
+        return self._act_dense(self._term_image(term), n, n + 1, vec)
 
     def apply_y_full(self, i: int, n: int, vec: list) -> list:
         """Action of y_i (0-based), the term (0, 1, e_i), from degree n to
@@ -179,18 +177,16 @@ class VermaSlice:
             return []
         alg = self.algebra
         term = (alg._zero_deg, alg.group.identity, _unit(alg.dim, i))
-        return self._act(self._term_image(term), n, n - 1, vec)
+        return self._act_dense(self._term_image(term), n, n - 1, vec)
 
     def apply_g_full(self, g: int, n: int, vec: list) -> list:
         """Action of the group element g, the term (0, g, 0), on degree n."""
         zero = self.algebra._zero_deg
-        return self._act(self._term_image((zero, g, zero)), n, n, vec)
+        return self._act_dense(self._term_image((zero, g, zero)), n, n, vec)
 
-    def apply_term_full(self, term, coef, n: int, vec: list, out=None):
-        """One PBW monomial acting from degree n; returns (degree, vector).
-        The image is added into `out`, a dense vector of the target degree,
-        when it is given; otherwise into a new one.  A term that kills
-        degree n returns `out` as it is (None when not given)."""
+    def apply_term_full(self, term, coef, n: int, vec: list):
+        """One PBW monomial acting from degree n; returns (degree, vector),
+        with the vector None when the term kills degree n."""
         ideg, _, jdeg = term
         jtot = sum(jdeg)
         target = n - jtot + sum(ideg)
@@ -199,8 +195,8 @@ class VermaSlice:
                 f"term raises degree {n} beyond the truncation {self.cutoff}"
             )
         if jtot > n:
-            return target, out
-        return target, self._act(self._term_image(term, coef), n, target, vec, out)
+            return target, None
+        return target, self._act_dense(self._term_image(term, coef), n, target, vec)
 
     # -- public module action ----------------------------------------------
 
@@ -225,9 +221,9 @@ class VermaSlice:
             for shift, pairs in by_shift.items()
         ]
         top = max(by_shift, default=0)
-        acc: dict[int, list] = {}
+        acc: dict[int, dict] = {}
         for n, freevec in mv.items():
-            vec = self.lift(n, freevec) if self.quotiented else freevec
+            vec = self.lift(n, freevec)
             if groups and n + top > self.cutoff:
                 raise CutoffExceeded(
                     f"term raises degree {n} beyond the truncation {self.cutoff}"
@@ -236,10 +232,8 @@ class VermaSlice:
                 # the least-|J| term keeps the target n + shift >= 0
                 if least_j <= n:
                     target = n + shift
-                    acc[target] = self._act(image, n, target, vec, acc.get(target))
-        if self.quotiented:
-            acc = {n: self.to_free(n, v) for n, v in acc.items()}
-        return _mv_prune(acc)
+                    acc[target] = self._act(image, n, vec, acc.get(target))
+        return _mv_prune({n: self.to_free(n, v) for n, v in acc.items()})
 
     def basis_vector(self, n: int, index: int) -> dict:
         vec = [ZERO] * self.dim(n)
@@ -256,16 +250,16 @@ class VermaSlice:
         of the y's from degree n modulo R_n to degree n - 1 modulo J_{n-1}.
         No G-closure is needed: that kernel is G-stable, and x . J is
         G-stable whenever J is."""
-        krows, kpivots = self.killed[n]
-        for row in self.killed[n - 1][0]:
-            for i in range(self.algebra.dim):
-                linalg.extend_echelon(
-                    krows, kpivots, self.apply_x_full(i, n - 1, row)
-                )
-        # lift every kernel vector first: `lift` reads the free positions
-        # from the killed rows that the lifts then extend
-        for v in [self.lift(n, v) for v in _kernel_at_degree(self, n)]:
-            linalg.extend_echelon(krows, kpivots, v)
+        alg, killed = self.algebra, self.killed[n]
+        xs = [
+            self._term_image((_unit(alg.dim, i), alg.group.identity, alg._zero_deg))
+            for i in range(alg.dim)
+        ]
+        for row in self.killed[n - 1].values():
+            for image in xs:
+                linalg.extend_echelon(killed, self._act(image, n - 1, row))
+        for v in _kernel_at_degree(self, n):
+            linalg.extend_echelon(killed, v)
 
     # -- characters ----------------------------------------------------------
 
@@ -277,10 +271,10 @@ class VermaSlice:
         total = h[n] * self.irrep.character[g]
         d, monos, rho = self.irrep.dim, self._monos[n], self.irrep.matrix(g)
         act = self.algebra.act_on_x_monomial
-        for row, p in zip(*self.killed[n]):
+        for p, row in self.killed[n].items():
             target, rho_row = monos[p // d], rho[p % d]
-            for q, v in enumerate(row):
-                if v and rho_row[q % d]:
+            for q, v in row.items():
+                if rho_row[q % d]:
                     coef = act(g, monos[q // d]).get(target)
                     if coef:
                         total = total - v * coef * rho_row[q % d]
@@ -540,8 +534,8 @@ def dunkl_action(slice_: VermaSlice, direction, mv: dict) -> dict:
 
 @dataclass
 class SingularSpace:
-    """Joint kernel of the lowering operators at one degree, in reduced
-    echelon form, together with its isotypic pieces."""
+    """Joint kernel of the lowering operators at one degree, together with
+    its isotypic pieces, as sparse ambient rows in reduced echelon form."""
 
     degree: int
     vectors: list
@@ -553,53 +547,48 @@ class SingularSpace:
 
 
 def _kernel_at_degree(slice_: VermaSlice, n: int, parts: dict | None = None) -> list:
-    """Joint kernel of the y's on degree n, in free coordinates; empty at a
+    """Joint kernel of the y's on degree n, as in `SingularSpace`; empty at a
     degree where the Euler rule leaves no room for a singular vector.  With
     a complete irrep table it is the direct sum of the isotypic parts that
     `_singular_parts` finds (or the parts passed in, already found);
     otherwise the kernel on the whole degree."""
     if slice_.dim(n) == 0 or n not in slice_.singular_isotypes:
         return []
-    if not _complete_table(slice_.algebra):
-        return _y_kernel(slice_, n, _free_units(slice_, n))
-    if parts is None:
-        parts = _singular_parts(slice_, n)
-    return linalg.rref([row for part in parts.values() for row in part])[0]
-
-
-def _free_units(slice_: VermaSlice, n: int) -> list:
-    """The Verma basis vectors at the free positions of degree n, in ambient
-    coordinates; they are reduced against the killed rows."""
-    full = slice_.full_dim(n)
-    out = []
-    for p in slice_.free_positions(n):
-        unit = [ZERO] * full
-        unit[p] = ONE
-        out.append(unit)
-    return out
+    if _complete_table(slice_.algebra):
+        parts = _singular_parts(slice_, n) if parts is None else parts
+        vectors = [row for part in parts.values() for row in part]
+    else:
+        vectors = _y_kernel(slice_, n, [{p: ONE} for p in slice_.free_positions(n)])
+    return _span(slice_, n, vectors, len(vectors))
 
 
 def _y_kernel(slice_: VermaSlice, n: int, block: list) -> list:
-    """Coefficient vectors, in reduced echelon form, of the combinations of
-    the degree-n block vectors (ambient coordinates) that every y_i sends
-    into killed[n - 1]."""
-    stacked = []
-    if n:
-        for i in range(slice_.algebra.dim):
-            images = [
-                slice_.to_free(n - 1, slice_.apply_y_full(i, n, b)) for b in block
-            ]
-            # one row per coordinate of degree n - 1, one column per block vector
-            stacked.extend(list(row) for row in zip(*images))
-    if not stacked:
-        return [list(row) for row in linalg.identity(len(block))]
-    return linalg.nullspace(stacked)
+    """The combinations of the degree-n block vectors (sparse ambient rows)
+    that every y_i sends into killed[n - 1], one per row of the reduced
+    echelon basis of their coefficients."""
+    alg, below = slice_.algebra, slice_.killed[n - 1]
+    # one row per (i, coordinate of degree n - 1), one column per block vector
+    stacked: dict = {}
+    for i in range(alg.dim if n else 0):
+        image = slice_._term_image((alg._zero_deg, alg.group.identity, _unit(alg.dim, i)))
+        for b, vec in enumerate(block):
+            for q, x in linalg.reduce_against(slice_._act(image, n, vec), below).items():
+                stacked.setdefault((i, q), {})[b] = x
+    basis = linalg.kernel(stacked.values(), len(block))
+    out = []
+    for p in sorted(basis):
+        acc: dict = {}
+        for b, c in basis[p].items():
+            for j, x in block[b].items():
+                _accumulate(acc, j, c * x)
+        out.append(_settle(acc))
+    return out
 
 
 def _singular_parts(slice_: VermaSlice, n: int) -> dict:
-    """Label -> reduced echelon basis, in free coordinates, of the E-part of
-    the degree-n singular space, for each listed E that the Euler rule
-    allows at degree n and that occurs there.
+    """Label -> reduced echelon basis, as sparse ambient rows reduced against
+    the killed rows, of the E-part of the degree-n singular space, for each
+    listed E that the Euler rule allows at degree n and that occurs there.
 
     A vector is singular when every y_i sends it into killed[n - 1]; that
     kernel is G-stable.  Its E-part is the G-span of its intersection with
@@ -612,27 +601,22 @@ def _singular_parts(slice_: VermaSlice, n: int) -> dict:
     if not labels or slice_.dim(n) == 0:
         return {}
     mults = slice_.multiplicities(n)
-    free = slice_.free_positions(n)
     parts: dict[str, list] = {}
     for irr in slice_.algebra.irreps:
         m = mults.get(irr.label, 0)
         if irr.label not in labels or not m:
             continue
-        block = _isotypic_block(slice_, irr, n, m)
-        kernel = linalg.mat_mul(_y_kernel(slice_, n, block), block)
+        kernel = _y_kernel(slice_, n, _isotypic_block(slice_, irr, n, m))
         if kernel:
-            span = _g_span(slice_, n, kernel, irr.dim * len(kernel))
-            # the rows vanish on the killed pivots, so dropping those
-            # columns keeps them in reduced echelon form
-            parts[irr.label] = [[row[p] for p in free] for row in span]
+            parts[irr.label] = _g_span(slice_, n, kernel, irr.dim * len(kernel))
     return parts
 
 
 def _isotypic_block(slice_: VermaSlice, irr: Irrep, n: int, m: int) -> list:
-    """A basis of e_E applied to degree n modulo killed[n], as m vectors in
-    ambient coordinates reduced against the killed rows: the images of free
-    unit vectors, taken until they span m dimensions.  e_E acts as one
-    content, so each unit takes one scatter."""
+    """A basis of e_E applied to degree n modulo killed[n], as m sparse
+    ambient rows reduced against the killed rows: the images of free unit
+    vectors, taken until they span m dimensions.  e_E acts as one content,
+    so each unit takes one scatter."""
     alg = slice_.algebra
     group, zero = alg.group, alg._zero_deg
     weight = Scalar.rational(irr.dim) / len(group)
@@ -642,29 +626,31 @@ def _isotypic_block(slice_: VermaSlice, irr: Irrep, n: int, m: int) -> list:
         if entry:
             terms.append(((zero, g, zero), weight * entry))
     idempotent = alg.act_on_verma_terms(frozenset(terms))
-    images = (slice_._act(idempotent, n, n, unit) for unit in _free_units(slice_, n))
+    images = (slice_._act(idempotent, n, {p: ONE}) for p in slice_.free_positions(n))
     return _span(slice_, n, images, m)
 
 
 def _g_span(slice_: VermaSlice, n: int, vectors: list, dim: int) -> list:
-    """Reduced echelon basis (ambient coordinates, reduced against the
+    """Reduced echelon basis (sparse ambient rows, reduced against the
     killed rows) of the G-span of the vectors, which has dimension dim."""
-    images = (
-        slice_.apply_g_full(g, n, v) for g in range(len(slice_.algebra.group)) for v in vectors
-    )
+    zero = slice_.algebra._zero_deg
+    gs = [slice_._term_image((zero, g, zero)) for g in range(len(slice_.algebra.group))]
+    images = (slice_._act(image, n, v) for image in gs for v in vectors)
     return _span(slice_, n, images, dim)
 
 
 def _span(slice_: VermaSlice, n: int, images, dim: int) -> list:
-    """Reduced echelon basis of the degree-n images reduced against the
-    killed rows, taken until it has dimension dim; falling short is a bug."""
-    rows: list = []
-    pivots: list = []
-    for image in images:
-        linalg.extend_echelon(rows, pivots, slice_.reduce(n, image))
-        if len(rows) == dim:
-            return rows
-    raise RuntimeError(f"the images span {len(rows)} < {dim} dimensions in degree {n}")
+    """Reduced echelon basis, as sparse rows in pivot order, of the degree-n
+    images reduced against the killed rows, taken until it has dimension
+    dim; falling short is a bug."""
+    basis: dict = {}
+    images = iter(images)
+    while len(basis) < dim:
+        image = next(images, None)
+        if image is None:
+            raise RuntimeError(f"the images span {len(basis)} < {dim} dimensions in degree {n}")
+        linalg.extend_echelon(basis, linalg.reduce_against(image, slice_.killed[n]))
+    return [basis[p] for p in sorted(basis)]
 
 
 def singular_vectors(slice_: VermaSlice, n: int) -> SingularSpace:

@@ -435,6 +435,69 @@ ZERO = Scalar.rational(0)
 ONE = Scalar.rational(1)
 
 
+class _Sum:
+    """A running sum of Scalars in integer coordinates: the value is
+    sum(coeffs[k] * z^k) / den over Q(zeta_ell), not reduced by any gcd."""
+
+    __slots__ = ("ell", "den", "coeffs")
+
+    def __init__(self, first: Scalar):
+        self.ell, self.den, self.coeffs = first.ell, first.den, list(first.coeffs)
+
+    def add(self, value: Scalar) -> None:
+        ell, den, vc = value.ell, value.den, value.coeffs
+        coeffs = self.coeffs
+        if ell != self.ell and ell != 1:
+            if self.ell != 1:
+                raise FieldMismatch(
+                    f"cannot mix Q(zeta_{ell}) and Q(zeta_{self.ell}) values"
+                )
+            coeffs.extend([0] * (len(vc) - 1))
+            self.ell = ell
+        if den != self.den:
+            common = math.lcm(self.den, den)
+            if common != self.den:
+                f = common // self.den
+                self.coeffs = coeffs = [c * f for c in coeffs]
+                self.den = common
+            f = common // den
+            if f != 1:
+                vc = [c * f for c in vc]
+        if ell == 1:
+            coeffs[0] += vc[0]
+        else:
+            for k, c in enumerate(vc):
+                coeffs[k] += c
+
+
+def _accumulate(terms: dict, key, value: Scalar) -> None:
+    """Add value to terms[key].  The first value stays a Scalar; a second
+    turns the entry into a _Sum, so `_settle` must run before terms is read."""
+    cur = terms.get(key)
+    if cur is None:
+        terms[key] = value
+    elif type(cur) is Scalar:
+        cur = terms[key] = _Sum(cur)
+        cur.add(value)
+    else:
+        cur.add(value)
+
+
+def _settle(terms: dict) -> dict:
+    """terms with every running sum made a canonical Scalar and the zero
+    entries dropped."""
+    out = {}
+    for key, v in terms.items():
+        if type(v) is not Scalar:
+            if not any(v.coeffs):
+                continue
+            v = Scalar._make(v.ell, v.coeffs, v.den)
+        elif not v:
+            continue
+        out[key] = v
+    return out
+
+
 # ---------------------------------------------------------------------------
 # p-adic embedding and valuations
 # ---------------------------------------------------------------------------

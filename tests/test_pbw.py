@@ -28,13 +28,12 @@ from cherednik.pbw import (
     CherednikAlgebra,
     CoefficientBlowup,
     PBWElement,
-    _accumulate,
     _add_deg,
     _chain,
-    _settle,
     monomials,
 )
 from cherednik.scalars import Scalar, ZERO, ONE, ExprError, FieldMismatch, euler_phi
+from cherednik.scalars import _accumulate, _settle
 
 
 def make_algebra(spec, ell, c_values):

@@ -25,8 +25,7 @@ from cherednik.scalars import (
     parse_scalar,
     val,
 )
-from cherednik.scalars import _product_table
-from cherednik.pbw import _accumulate, _settle
+from cherednik.scalars import _accumulate, _product_table, _settle
 
 
 def brute_roots(ell, p, N):
