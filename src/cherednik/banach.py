@@ -12,18 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .category_o import VermaSlice, _unit
+from .category_o import VermaSlice
 from .groups import Irrep
 from .pbw import CherednikAlgebra, PBWElement
-from .scalars import (
-    INF,
-    ComputationLimit,
-    PadicContext,
-    Scalar,
-    _accumulate,
-    _settle,
-    val,
-)
+from .scalars import INF, ONE, ComputationLimit, PadicContext, Scalar, val
 
 
 class TailDominated(ComputationLimit, ArithmeticError):
@@ -474,9 +466,7 @@ def analytic_verma_slice(
     if check_lattice:
         lattice_check(algebra, params.ctx, params.level, params.r).ensure()
     slice_ = VermaSlice(algebra, irrep, cutoff)
-    ctx, m, r, d = params.ctx, params.level, params.r, irrep.dim
-    zero, one = algebra._zero_deg, algebra.group.identity
-    rho = slice_._rho_columns
+    ctx, m, r = params.ctx, params.level, params.r
     vals = _Valuations(ctx)
     # x_i sends x^M (x) w to x^(M + e_i) (x) w with coefficient 1, so p^m x_i
     # has the exponent m - m * 1 = 0 whenever degree 1 is in range
@@ -488,40 +478,27 @@ def analytic_verma_slice(
     # matrices are integral), whose valuation is >= 0; so the least
     # valuation of an entry of rho(g) is the exponent.  It is <= 0, and 0
     # exactly when rho(g) is p-integral.
-    for g, columns in enumerate(rho):
+    for g, columns in enumerate(slice_._rho_columns):
         norms[f"g{g}"] = min(vals[e].value for column in columns for _, e in column)
 
-    def block(flat) -> dict:
-        """The d columns of a monomial's image: (pos, k2, k) -> the sum over
-        its triples (pos, h, coef) of coef * rho(h)[k2][k]."""
-        out: dict = {}
-        for t in range(0, len(flat), 3):
-            pos, cols, coef = flat[t], rho[flat[t + 1]], flat[t + 2]
-            for k in range(d):
-                for k2, entry in cols[k]:
-                    _accumulate(out, (pos, k2, k), coef * entry)
-        return _settle(out)
-
-    # the exponent of p^r y_i on column (mono, k): the least valuation of
-    # the image entries plus r (the shift adds to a valuation), plus m for
-    # the degree it lowers; each distinct entry value is valued once
-    ys = [
-        (f"p^{r}*y{i + 1}", slice_._term_image((zero, one, _unit(algebra.dim, i))))
-        for i in range(algebra.dim)
-    ]
-    euler = algebra.act_on_verma_terms(frozenset(algebra.euler_element().terms.items()))
+    # the exponent of p^r y_i on the unit column col of degree n: the least
+    # valuation of its image entries (each sums over group elements before it
+    # is valued) plus r (the shift adds to a valuation), plus m for the
+    # degree it lowers; each distinct entry value is valued once
+    ys = [(f"p^{r}*y{i + 1}", slice_._image(algebra.y(i + 1))) for i in range(algebra.dim)]
+    euler = slice_._image(algebra.euler_element())
     recovered = True
     for n in range(cutoff + 1):
-        for j, mono in enumerate(slice_._monos[n]):
+        # the Euler element acts on degree n by c_lambda + n
+        weight = slice_.c_value + n
+        for col in range(slice_.full_dim(n)):
+            unit = {col: ONE}
             if n:
                 for name, image in ys:
-                    entries = block(image(mono)).values()
+                    entries = slice_._act(image, n, unit).values()
                     least = min((vals[v].value for v in entries), default=INF)
                     norms[name] = min(norms.get(name, INF), least + r + m)
-            # the Euler element acts on degree n by c_lambda + n
-            weight = slice_.c_value + n
-            expected = {(j, k, k): weight for k in range(d)} if weight else {}
-            if block(euler(mono)) != expected:
+            if slice_._act(euler, n, unit) != ({col: weight} if weight else {}):
                 recovered = False
 
     offenders = {k: v for k, v in norms.items() if v < 0}

@@ -111,6 +111,14 @@ class VermaSlice:
         reduced = linalg.reduce_against(vec, self.killed[n])
         return [reduced.get(p, ZERO) for p in self.free_positions(n)]
 
+    def _check_vector(self, n: int, freevec: list):
+        """Raise ValueError unless freevec is a degree-n coordinate list:
+        0 <= n <= cutoff and len(freevec) == dim(n)."""
+        if not 0 <= n <= self.cutoff:
+            raise ValueError(f"degree {n} is outside 0..{self.cutoff}")
+        if len(freevec) != self.dim(n):
+            raise ValueError(f"degree {n} has {self.dim(n)} coordinates, not {len(freevec)}")
+
     def lift(self, n: int, freevec: list) -> dict:
         free = self.free_positions(n)
         return {free[i]: x for i, x in linalg.sparse(freevec).items()}
@@ -123,7 +131,7 @@ class VermaSlice:
         map's image of x^mono (x) w, a flat tuple (pos, h, coefficient, ...)
         meaning coefficient * x^M (x) rho(h) w with M at position pos of the
         target-degree monomials: the `act_on_verma_terms` table of one
-        degree shift's terms, or of a single term (see `_term_image`)."""
+        degree shift's terms (see `_image`)."""
         d = self.irrep.dim
         acc = {} if out is None else out
         blocks: dict[int, list] = {}
@@ -140,11 +148,10 @@ class VermaSlice:
                         _accumulate(acc, tgt + k2, vc * entry)
         return _settle(acc)
 
-    def _term_image(self, term, coef=ONE):
-        """The image function of `_act` for coef times the PBW monomial
-        term = (I, g, J), which maps degree n to n + |I| - |J|: the table of
-        the one-pair content {(term, coef)}."""
-        return self.algebra.act_on_verma_terms(frozenset({(term, coef)}))
+    def _image(self, element: PBWElement):
+        """The image function of `_act` for a PBW element whose terms share
+        one degree shift |I| - |J|: the table of its content."""
+        return self.algebra.act_on_verma_terms(frozenset(element.terms.items()))
 
     @cached_property
     def _rho_columns(self) -> list:
@@ -166,23 +173,18 @@ class VermaSlice:
             raise CutoffExceeded(
                 f"x-action leaves the truncation (degree {n} -> {n + 1} > {self.cutoff})"
             )
-        alg = self.algebra
-        term = (_unit(alg.dim, i), alg.group.identity, alg._zero_deg)
-        return self._act_dense(self._term_image(term), n, n + 1, vec)
+        return self._act_dense(self._image(self.algebra.x(i + 1)), n, n + 1, vec)
 
     def apply_y_full(self, i: int, n: int, vec: list) -> list:
         """Action of y_i (0-based), the term (0, 1, e_i), from degree n to
         n - 1; degree 0 maps to the empty vector."""
         if n == 0:
             return []
-        alg = self.algebra
-        term = (alg._zero_deg, alg.group.identity, _unit(alg.dim, i))
-        return self._act_dense(self._term_image(term), n, n - 1, vec)
+        return self._act_dense(self._image(self.algebra.y(i + 1)), n, n - 1, vec)
 
     def apply_g_full(self, g: int, n: int, vec: list) -> list:
         """Action of the group element g, the term (0, g, 0), on degree n."""
-        zero = self.algebra._zero_deg
-        return self._act_dense(self._term_image((zero, g, zero)), n, n, vec)
+        return self._act_dense(self._image(self.algebra.g(g)), n, n, vec)
 
     def apply_term_full(self, term, coef, n: int, vec: list):
         """One PBW monomial acting from degree n; returns (degree, vector),
@@ -196,7 +198,8 @@ class VermaSlice:
             )
         if jtot > n:
             return target, None
-        return target, self._act_dense(self._term_image(term, coef), n, target, vec)
+        image = self._image(self.algebra.monomial(*term, coef))
+        return target, self._act_dense(image, n, target, vec)
 
     # -- public module action ----------------------------------------------
 
@@ -207,7 +210,8 @@ class VermaSlice:
         input monomial into one accumulator per target degree.  As for a
         single term, a degree n of the input that some term would raise past
         the cutoff raises CutoffExceeded, even where the vector is zero, and
-        terms with |J| > n act on degree n by zero."""
+        terms with |J| > n act on degree n by zero.  A degree outside
+        0..cutoff, or coordinates not dim(n) long, raise ValueError."""
         if a.algebra is not self.algebra:
             raise ValueError("element belongs to a different algebra")
         by_shift: dict[int, list] = {}
@@ -223,6 +227,7 @@ class VermaSlice:
         top = max(by_shift, default=0)
         acc: dict[int, dict] = {}
         for n, freevec in mv.items():
+            self._check_vector(n, freevec)
             vec = self.lift(n, freevec)
             if groups and n + top > self.cutoff:
                 raise CutoffExceeded(
@@ -251,10 +256,7 @@ class VermaSlice:
         No G-closure is needed: that kernel is G-stable, and x . J is
         G-stable whenever J is."""
         alg, killed = self.algebra, self.killed[n]
-        xs = [
-            self._term_image((_unit(alg.dim, i), alg.group.identity, alg._zero_deg))
-            for i in range(alg.dim)
-        ]
+        xs = [self._image(alg.x(i + 1)) for i in range(alg.dim)]
         for row in self.killed[n - 1].values():
             for image in xs:
                 linalg.extend_echelon(killed, self._act(image, n - 1, row))
@@ -371,10 +373,6 @@ def _c_values(algebra: CherednikAlgebra) -> dict:
     return table
 
 
-def _unit(dim: int, i: int) -> tuple:
-    return tuple(int(t == i) for t in range(dim))
-
-
 def verma_action(slice_: VermaSlice, a: PBWElement, mv: dict) -> dict:
     """Evaluate a PBW element on a module vector; linear in the vector."""
     return slice_.apply_element(a, mv)
@@ -459,6 +457,7 @@ def dunkl_action(slice_: VermaSlice, direction, mv: dict) -> dict:
     vector in h on polynomial-tensor-irrep vectors.
 
     This is an oracle route: it never consults the straightening caches.
+    The vector is checked as in `VermaSlice.apply_element`.
     """
     if slice_.quotiented:
         raise ValueError("the Dunkl route is defined on genuine Verma slices only")
@@ -483,6 +482,7 @@ def dunkl_action(slice_: VermaSlice, direction, mv: dict) -> dict:
     ]
     out: dict[int, list] = {}
     for n, freevec in mv.items():
+        slice_._check_vector(n, freevec)
         if n == 0:
             continue
         tgt = out.setdefault(n - 1, [ZERO] * slice_.full_dim(n - 1))
@@ -570,7 +570,7 @@ def _y_kernel(slice_: VermaSlice, n: int, block: list) -> list:
     # one row per (i, coordinate of degree n - 1), one column per block vector
     stacked: dict = {}
     for i in range(alg.dim if n else 0):
-        image = slice_._term_image((alg._zero_deg, alg.group.identity, _unit(alg.dim, i)))
+        image = slice_._image(alg.y(i + 1))
         for b, vec in enumerate(block):
             for q, x in linalg.reduce_against(slice_._act(image, n, vec), below).items():
                 stacked.setdefault((i, q), {})[b] = x
@@ -620,12 +620,10 @@ def _isotypic_block(slice_: VermaSlice, irr: Irrep, n: int, m: int) -> list:
     alg = slice_.algebra
     group, zero = alg.group, alg._zero_deg
     weight = Scalar.rational(irr.dim) / len(group)
-    terms = []
-    for g in range(len(group)):
-        entry = irr.matrix(group.inv(g))[0][0]
-        if entry:
-            terms.append(((zero, g, zero), weight * entry))
-    idempotent = alg.act_on_verma_terms(frozenset(terms))
+    e_E = alg.element(
+        {(zero, g, zero): weight * irr.matrix(group.inv(g))[0][0] for g in range(len(group))}
+    )
+    idempotent = slice_._image(e_E)
     images = (slice_._act(idempotent, n, {p: ONE}) for p in slice_.free_positions(n))
     return _span(slice_, n, images, m)
 
@@ -633,8 +631,8 @@ def _isotypic_block(slice_: VermaSlice, irr: Irrep, n: int, m: int) -> list:
 def _g_span(slice_: VermaSlice, n: int, vectors: list, dim: int) -> list:
     """Reduced echelon basis (sparse ambient rows, reduced against the
     killed rows) of the G-span of the vectors, which has dimension dim."""
-    zero = slice_.algebra._zero_deg
-    gs = [slice_._term_image((zero, g, zero)) for g in range(len(slice_.algebra.group))]
+    alg = slice_.algebra
+    gs = [slice_._image(alg.g(g)) for g in range(len(alg.group))]
     images = (slice_._act(image, n, v) for image in gs for v in vectors)
     return _span(slice_, n, images, dim)
 

@@ -487,7 +487,7 @@ def load_group_file(text: str, field_ell: int = 1):
     """
     dimension = None
     generators = []
-    irrep_specs = []  # (label, dim, list of matrices)
+    irrep_specs = []  # (label, dim, list of matrices, header line)
     lines = text.splitlines()
     i = 0
 
@@ -533,7 +533,7 @@ def load_group_file(text: str, field_ell: int = 1):
             head = line[len("begin irrep"):].strip().split()
             if len(head) != 2 or not head[1].startswith("dim="):
                 raise GroupFileError(i + 1, "expected: begin irrep NAME dim=D")
-            label = head[0]
+            label, header = head[0], i + 1
             dim = int(head[1][4:])
             mats: list[list] = []
             current: list = []
@@ -555,7 +555,7 @@ def load_group_file(text: str, field_ell: int = 1):
                 mats.append(current)
             if any(len(m) != dim for m in mats):
                 raise GroupFileError(i + 1, f"irrep {label!r} matrices must be {dim}x{dim}")
-            irrep_specs.append((label, dim, mats))
+            irrep_specs.append((label, dim, mats, header))
             i += 1
         else:
             raise GroupFileError(i + 1, f"unknown directive {line!r}")
@@ -564,10 +564,10 @@ def load_group_file(text: str, field_ell: int = 1):
         raise GroupFileError(len(lines), "file must declare a dimension and generators")
     group = enumerate_group(generators)
     irreps = []
-    for label, dim, mats in irrep_specs:
+    for label, dim, mats, header in irrep_specs:
         if len(mats) != len(generators):
             raise GroupFileError(
-                0, f"irrep {label!r} needs one matrix per generator"
+                header, f"irrep {label!r} needs one matrix per generator"
             )
         irreps.append(irrep_from_generators(label, mats, group))
     return group, irreps

@@ -245,7 +245,7 @@ class CherednikAlgebra:
     def one(self) -> PBWElement:
         return self.monomial(self._zero_deg, 0, self._zero_deg)
 
-    def monomial(self, i, g: int, j, coeff=1) -> PBWElement:
+    def monomial(self, i, g: int, j, coeff=ONE) -> PBWElement:
         coef = coeff if isinstance(coeff, Scalar) else Scalar.rational(coeff)
         if not coef:
             return self.zero()

@@ -497,6 +497,27 @@ class TestDunklOracle:
         with pytest.raises(ValueError):
             dunkl_action(quotient, 1, quotient.basis_vector(0, 0))
 
+    @pytest.mark.parametrize("route", ["verma_action", "dunkl_action"])
+    @pytest.mark.parametrize(
+        "mv, message",
+        [
+            ({4: [ONE]}, "degree 4 is outside 0..3"),
+            ({-1: [ONE]}, "degree -1 is outside 0..3"),
+            ({1: [ONE]}, "degree 1 has 2 coordinates, not 1"),
+            ({1: [ONE, ZERO, ONE]}, "degree 1 has 2 coordinates, not 3"),
+        ],
+        ids=["above-cutoff", "negative", "short", "long"],
+    )
+    def test_malformed_vectors_rejected(self, route, mv, message):
+        # both public routes share one check, made before any coordinate is read
+        alg = make_algebra("s3", 1, [Fraction(1, 3)])
+        slice_ = VermaSlice(alg, irrep_of(alg, "triv"), 3)
+        with pytest.raises(ValueError, match=message):
+            if route == "verma_action":
+                verma_action(slice_, alg.y(1), mv)
+            else:
+                dunkl_action(slice_, 1, mv)
+
 
 def brute_force_singular_dims(alg, w, cutoff):
     """Oracle: nullspace of the stacked Dunkl matrices, built columnwise
@@ -1135,6 +1156,84 @@ class TestDecomposition:
         }
         with pytest.raises(InconsistentTruncation):
             decompose_verma_character(alg, irrep_of(alg, "triv"), 10, wrong)
+
+
+# the partition of each built-in S_n label
+PARTITIONS = {
+    "triv": lambda n: (n,),
+    "sgn": lambda n: (1,) * n,
+    "standard": lambda n: (n - 1, 1),
+    "standard_sgn": lambda n: (2,) + (1,) * (n - 2),
+    "dim2": lambda n: (2, 2),
+}
+
+
+def e_core(partition, e):
+    """The e-core: on the beta-numbers part_i + k - i of the k parts, move
+    each bead b to b - e while that place is empty (one rim e-hook each)."""
+    k = len(partition)
+    beads = {part + k - 1 - i for i, part in enumerate(partition)}
+    while True:
+        b = next((b for b in sorted(beads) if b >= e and b - e not in beads), None)
+        if b is None:
+            break
+        beads.remove(b)
+        beads.add(b - e)
+    core = (b - (k - 1 - i) for i, b in enumerate(sorted(beads, reverse=True)))
+    return tuple(part for part in core if part)
+
+
+class TestWeightOneBlocks:
+    """Rouquier (Moscow Math. J. 2008): for c not in 1/2 + Z with
+    denominator e, the blocks of category O for S_n are the partitions with
+    one e-core.  For s3 and s4 with e >= 3 every block has weight
+    (n - |core|)/e at most one, and a weight-one block E_1, ..., E_k ordered
+    by c_E is a chain: [M(E_i) : L(E_j)] is 1 for j in {i, i + 1} and 0
+    otherwise, so ch L(E_i) = sum_{j >= i} (-1)^(j-i) t^(c_Ej - c_Ei) ch M(E_j).
+    The expected values come from partitions and Verma characters only."""
+
+    @pytest.mark.parametrize(
+        "spec, c, cutoff",
+        [
+            pytest.param(spec, Fraction(c), cutoff, id=f"{spec}-c={c}")
+            for spec, cs, cutoff in (
+                ("s3", ("1/3", "2/3", "-1/3", "1/4"), 10),
+                ("s4", ("1/3", "3/4", "-3/4", "5/4"), 10),
+                ("s4", ("1/5",), 8),
+            )
+            for c in cs
+        ],
+    )
+    def test_chains_match_the_e_cores(self, spec, c, cutoff):
+        alg = make_algebra(spec, 1, [c])
+        n = int(spec[1:])
+        cores: dict = {}
+        for w in alg.irreps:
+            partition = PARTITIONS[w.label](n)
+            core = e_core(partition, c.denominator)
+            assert n - sum(core) in (0, c.denominator)
+            cores.setdefault(core, []).append(w.label)
+        assert {frozenset(b) for b in blocks(alg)} == {frozenset(b) for b in cores.values()}
+
+        c_values = highest_weight_order(alg).c_values
+        chains = [sorted(b, key=lambda lbl: c_values[lbl].as_fraction()) for b in cores.values()]
+        matrix = decomposition_matrix(alg, cutoff)
+        for chain in chains:
+            for i, label in enumerate(chain):
+                expected = {e: int(e in chain[i : i + 2]) for e in matrix}
+                assert matrix[label] == expected
+
+                # the alternating sum of shifted Verma characters
+                data: dict = {}
+                for j, other in enumerate(chain[i:]):
+                    shift = (c_values[other] - c_values[label]).as_int()
+                    verma = verma_character(alg, irrep_of(alg, other), cutoff).data
+                    for d in range(cutoff + 1 - shift):
+                        level = data.setdefault(d + shift, {})
+                        for lbl, m in verma.get(d, {}).items():
+                            level[lbl] = level.get(lbl, 0) + (-1) ** j * m
+                _, character = simple_quotient_slice(alg, irrep_of(alg, label), cutoff)
+                assert character == GradedCharacter(data)
 
 
 class TestWeightSpaces:

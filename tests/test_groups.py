@@ -399,6 +399,15 @@ class TestGroupFile:
         with pytest.raises(GroupFileError):
             load_group_file("dimension = 2\nbegin generator\n1 0 0\n0 1 0\nend\n")
 
+    def test_irrep_matrix_count_reports_its_header_line(self):
+        from cherednik.groups import GroupFileError
+
+        # the second irrep (header on line 14) has two matrices for one generator
+        text = GROUP_FILE.replace("gen\n-1\nend", "gen\n-1\ngen\n1\nend")
+        with pytest.raises(GroupFileError, match="one matrix per generator") as err:
+            load_group_file(text)
+        assert err.value.line == 14
+
 
 def test_random_matrix_group_reflections_are_well_defined():
     # conjugated copies of S3 still expose exactly three reflections
