@@ -23,6 +23,7 @@ from .scalars import (
     ExprError,
     InvalidInput,
     PadicContext,
+    decimal_int,
     parse_scalar,
 )
 
@@ -40,9 +41,10 @@ def field_ell(cfg: JobConfig) -> int:
     text = cfg.get("field", "rational")
     if text == "rational":
         return 1
-    name, sep, arg = text.partition(":")
-    if name == "cyclotomic" and sep and arg.isdigit() and int(arg) >= 1:
-        return int(arg)
+    name, _, arg = text.partition(":")
+    ell = decimal_int(arg)
+    if name == "cyclotomic" and ell:
+        return ell
     raise ValidationError("field", f"expected rational or cyclotomic:L, got {text!r}")
 
 

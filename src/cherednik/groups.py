@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import linalg
-from .scalars import Scalar, ZERO, ONE, parse_scalar, euler_phi, is_prime
+from .scalars import Scalar, ZERO, ONE, decimal_int, parse_scalar, euler_phi, is_prime
 from .scalars import ComputationLimit, ExprError, InvalidInput
 
 Matrix = tuple  # tuple of row tuples of Scalar
@@ -146,6 +146,8 @@ def enumerate_group(generators, cap: int = 10_000) -> GroupAction:
     if not gens:
         raise ValueError("at least one generator is required")
     n = len(gens[0])
+    if not n:
+        raise ValueError("generators must act on a space of dimension >= 1")
     for number, g in enumerate(gens, 1):
         if len(g) != n or any(len(row) != n for row in g):
             raise ValueError("generators must be square matrices of equal size")
@@ -482,92 +484,65 @@ def load_group_file(text: str, field_ell: int = 1):
     The format is line based: a ``dimension = n`` directive, then one
     ``begin generator`` ... ``end`` block per generator (n rows of n scalar
     expressions), then optional ``begin irrep NAME dim=d`` blocks holding one
-    d x d matrix per generator, separated by ``gen`` lines.  Unknown
-    directives are rejected.
+    d x d matrix per generator, separated by ``gen`` lines.  n and d are
+    positive decimal integers.  Unknown directives are rejected.
     """
-    dimension = None
-    generators = []
-    irrep_specs = []  # (label, dim, list of matrices, header line)
     lines = text.splitlines()
-    i = 0
+    # (line number, text before any comment) of each line that is not blank
+    stream = ((n, body) for n, raw in enumerate(lines, 1) if (body := raw.split("#")[0].strip()))
 
-    def parse_row(raw: str, width: int, lineno: int):
-        parts = raw.split()
-        if len(parts) != width:
-            raise GroupFileError(lineno, f"expected {width} entries, got {len(parts)}")
-        try:
-            return [parse_scalar(p, field_ell) for p in parts]
-        except ExprError as exc:
-            raise GroupFileError(lineno, str(exc)) from exc
+    def block(kind: str, width: int):
+        """The nonempty matrices of the block just opened and its end line.
+        gen starts a new matrix in an irrep block; a generator reads it as a row."""
+        mats = [[]]
+        for n, body in stream:
+            if body == "end":
+                return [m for m in mats if m], n
+            if body == "gen" and kind == "irrep":
+                mats.append([])
+                continue
+            parts = body.split()
+            if len(parts) != width:
+                raise GroupFileError(n, f"expected {width} entries, got {len(parts)}")
+            try:
+                mats[-1].append([parse_scalar(p, field_ell) for p in parts])
+            except ExprError as exc:
+                raise GroupFileError(n, str(exc)) from exc
+        raise GroupFileError(len(lines), f"unterminated {kind} block")
 
-    while i < len(lines):
-        line = lines[i].split("#", 1)[0].strip()
-        if not line:
-            i += 1
-            continue
+    dimension, generators = 0, []
+    irrep_specs = []  # (label, list of matrices, header line)
+    for n, line in stream:
         if line.startswith("dimension"):
             key, _, value = line.partition("=")
-            if key.strip() != "dimension" or not value.strip().isdigit():
-                raise GroupFileError(i + 1, "malformed dimension directive")
-            dimension = int(value.strip())
-            i += 1
+            dimension = key.strip() == "dimension" and decimal_int(value.strip())
+            if not dimension:
+                raise GroupFileError(n, "malformed dimension directive")
         elif line == "begin generator":
-            if dimension is None:
-                raise GroupFileError(i + 1, "dimension must come first")
-            rows = []
-            i += 1
-            while i < len(lines):
-                body = lines[i].split("#", 1)[0].strip()
-                if body == "end":
-                    break
-                if body:
-                    rows.append(parse_row(body, dimension, i + 1))
-                i += 1
-            else:
-                raise GroupFileError(len(lines), "unterminated generator block")
-            if len(rows) != dimension:
-                raise GroupFileError(i + 1, f"generator needs {dimension} rows")
-            generators.append(rows)
-            i += 1
+            if not dimension:
+                raise GroupFileError(n, "dimension must come first")
+            mats, end = block("generator", dimension)
+            if [len(m) for m in mats] != [dimension]:
+                raise GroupFileError(end, f"generator needs {dimension} rows")
+            generators += mats
         elif line.startswith("begin irrep"):
-            head = line[len("begin irrep"):].strip().split()
-            if len(head) != 2 or not head[1].startswith("dim="):
-                raise GroupFileError(i + 1, "expected: begin irrep NAME dim=D")
-            label, header = head[0], i + 1
-            dim = int(head[1][4:])
-            mats: list[list] = []
-            current: list = []
-            i += 1
-            while i < len(lines):
-                body = lines[i].split("#", 1)[0].strip()
-                if body == "end":
-                    break
-                if body == "gen":
-                    if current:
-                        mats.append(current)
-                        current = []
-                elif body:
-                    current.append(parse_row(body, dim, i + 1))
-                i += 1
-            else:
-                raise GroupFileError(len(lines), "unterminated irrep block")
-            if current:
-                mats.append(current)
+            head = line[len("begin irrep"):].split()
+            dim = len(head) == 2 and head[1][:4] == "dim=" and decimal_int(head[1][4:])
+            if not dim:
+                raise GroupFileError(n, "expected: begin irrep NAME dim=D")
+            mats, end = block("irrep", dim)
             if any(len(m) != dim for m in mats):
-                raise GroupFileError(i + 1, f"irrep {label!r} matrices must be {dim}x{dim}")
-            irrep_specs.append((label, dim, mats, header))
-            i += 1
+                raise GroupFileError(end, f"irrep {head[0]!r} matrices must be {dim}x{dim}")
+            irrep_specs.append((head[0], mats, n))
         else:
-            raise GroupFileError(i + 1, f"unknown directive {line!r}")
+            raise GroupFileError(n, f"unknown directive {line!r}")
 
-    if dimension is None or not generators:
+    if not generators:
         raise GroupFileError(len(lines), "file must declare a dimension and generators")
     group = enumerate_group(generators)
     irreps = []
-    for label, dim, mats, header in irrep_specs:
+    for label, mats, header in irrep_specs:
         if len(mats) != len(generators):
-            raise GroupFileError(
-                header, f"irrep {label!r} needs one matrix per generator"
-            )
+            raise GroupFileError(header, f"irrep {label!r} needs one matrix per generator")
         irreps.append(irrep_from_generators(label, mats, group))
     return group, irreps

@@ -35,6 +35,7 @@ from .scalars import (
     InvalidInput,
     _accumulate,
     _settle,
+    decimal_int,
     parse_expression,
 )
 
@@ -581,18 +582,17 @@ class CherednikAlgebra:
         """
         return parse_expression(text, self._parse_atom, _invert_scalar_element, "element")
 
-    def _parse_atom(self, kind: str, text: str):
+    def _parse_atom(self, kind: str, text: str | int):
         """An int or a name (z, x1, y2, g3) of the element syntax; None if unknown."""
         if kind == "int":
-            return self.scalar(int(text))
+            return self.scalar(text)
         if text == "z":
             if self.field_ell <= 1:
                 raise ExprError("z requires a cyclotomic coefficient field")
             return self.scalar(Scalar.zeta(self.field_ell))
-        head, digits = text[0], text[1:]
-        if head not in "xyg" or not digits.isdigit():
+        head, idx = text[0], decimal_int(text[1:])
+        if head not in "xyg" or idx is None:
             return None
-        idx = int(digits)
         if head == "x":
             if not 1 <= idx <= self.dim:
                 raise ExprError(f"x index out of range in {text!r}")

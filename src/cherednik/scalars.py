@@ -11,7 +11,7 @@ value equality even across declared fields.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
@@ -25,6 +25,7 @@ __all__ = [
     "val",
     "parse_scalar",
     "parse_expression",
+    "decimal_int",
     "cyclotomic_polynomial",
     "CherednikError",
     "InvalidInput",
@@ -569,19 +570,17 @@ class PadicContext:
     prime: int
     precision: int = 64
     ell: int = 1
-    root: int = 0
+    root: int = field(default=0, init=False)
 
     def __post_init__(self):
         if not is_prime(self.prime):
             raise ValueError(f"{self.prime} is not prime")
         if self.precision < 1:
             raise ValueError("precision must be >= 1")
+        root = 1 % self.modulus
         if self.ell > 1:
-            object.__setattr__(
-                self, "root", hensel_embed(self.ell, self.prime, self.precision)
-            )
-        else:
-            object.__setattr__(self, "root", 1 % self.prime**self.precision)
+            root = hensel_embed(self.ell, self.prime, self.precision)
+        object.__setattr__(self, "root", root)
 
     @property
     def modulus(self) -> int:
@@ -621,19 +620,31 @@ def val(x: Scalar, ctx: PadicContext) -> Valuation:
 # ---------------------------------------------------------------------------
 
 
-def tokenize(text: str) -> list[tuple[str, str]]:
-    """Split an expression into (kind, text) tokens; kinds: int, name, op."""
+def decimal_int(text: str) -> int | None:
+    """text as an int if it is all decimal digits (int() also reads signs,
+    spaces and underscores) and int() converts it, else None."""
+    try:
+        return int(text) if text.isdecimal() else None
+    except ValueError:  # over the interpreter's limit on digits
+        return None
+
+
+def tokenize(text: str) -> list[tuple[str, str | int]]:
+    """Split an expression into (kind, value) tokens: int (an int), name, op."""
     tokens = []
     i = 0
     while i < len(text):
         ch = text[i]
         if ch.isspace():
             i += 1
-        elif ch.isdigit():
+        elif ch.isdecimal():
             j = i
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and text[j].isdecimal():
                 j += 1
-            tokens.append(("int", text[i:j]))
+            value = decimal_int(text[i:j])
+            if value is None:
+                raise ExprError(f"integer literal of {j - i} digits is too long")
+            tokens.append(("int", value))
             i = j
         elif ch.isalpha():
             j = i
@@ -649,6 +660,9 @@ def tokenize(text: str) -> list[tuple[str, str]]:
     return tokens
 
 
+MAX_NESTING = 100
+
+
 class _ExprParser:
     """Recursive descent over the shared expression grammar:
 
@@ -657,14 +671,16 @@ class _ExprParser:
         power   := atom [^ [-] int]
         atom    := int | name | ( sum ) | - atom
 
-    The caller supplies ``atom(kind, text)``, which resolves an int or name
+    The caller supplies ``atom(kind, value)``, which resolves an int or name
     token (None for an unknown name), ``invert``, used for ``/`` and negative
-    powers, and the ``noun`` that error messages name.
+    powers, and the ``noun`` that error messages name.  At most MAX_NESTING
+    parentheses and unary minus signs are open at once.
     """
 
     def __init__(self, tokens, atom, invert, noun: str):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
         self.atom = atom
         self.invert = invert
         self.noun = noun
@@ -716,10 +732,9 @@ class _ExprParser:
             negative = self.peek() == ("op", "-")
             if negative:
                 self.take()
-            kind, text = self.take()
+            kind, k = self.take()
             if kind != "int":
                 raise ExprError("exponent must be an integer")
-            k = int(text)
             if negative and k:
                 base = self.invert(base)
             return base**k
@@ -732,13 +747,15 @@ class _ExprParser:
             if value is None:
                 raise ExprError(f"unknown symbol {text!r} in {self.noun} expression")
             return value
-        if (kind, text) == ("op", "("):
-            inner = self.parse_sum()
-            if self.take() != ("op", ")"):
+        if kind == "op" and text in ("(", "-"):
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                raise ExprError(f"{self.noun} expression nests deeper than {MAX_NESTING} levels")
+            value = -self.parse_atom() if text == "-" else self.parse_sum()
+            if text == "(" and self.take() != ("op", ")"):
                 raise ExprError("missing closing parenthesis")
-            return inner
-        if (kind, text) == ("op", "-"):
-            return -self.parse_atom()
+            self.depth -= 1
+            return value
         if kind is None:
             raise ExprError(f"{self.noun} expression ended where an operand was expected")
         raise ExprError(f"unexpected token {text!r} in {self.noun} expression")
@@ -765,10 +782,10 @@ def _invert_scalar(x: Scalar) -> Scalar:
 def parse_scalar(text: str, ell: int = 1) -> Scalar:
     """Parse an exact scalar expression such as ``-3/2`` or ``(1 + 2*z^2)/5``."""
 
-    def atom(kind, name):
+    def atom(kind, value):
         if kind == "int":
-            return Scalar.rational(int(name))
-        if name == "z":
+            return Scalar.rational(value)
+        if value == "z":
             if ell <= 1:
                 raise ExprError("z requires a cyclotomic coefficient field")
             return Scalar.zeta(ell)

@@ -29,6 +29,8 @@ c = 1/3            # one reflection class, one value
 cutoff = 8
 """
 
+NORM_JOB = "group = cyclic:2\nc = 1/2\nprime = 3\nlevel = 0\n"
+
 
 class TestParseConfig:
     def test_minimal_config(self):
@@ -343,6 +345,33 @@ class TestExitCodes:
         assert main(["blocks", "--config", str(cfg), "--out", str(target)]) == 1
         assert "cherednik: cannot write report:" in capsys.readouterr().err
         assert not target.exists()
+
+    @pytest.mark.parametrize(
+        "command, job",
+        [
+            pytest.param("verma-weights", "group = file:{group}\nc = 1/2\ncutoff = 2\n", id="dimension-zero"),
+            pytest.param("order", "group = cyclic:2\nc = ²\n", id="c-superscript"),
+            pytest.param("order", "group = cyclic:2\nfield = cyclotomic:²\n", id="field-superscript"),
+            pytest.param("order", "group = cyclic:2\nc = " + "1" * 5000 + "\n", id="c-5000-digits"),
+            pytest.param("norm", NORM_JOB + "element = x1^²\n", id="superscript-power"),
+            pytest.param("norm", NORM_JOB + "element = x₁*y1\n", id="subscript-x"),
+            pytest.param("norm", NORM_JOB + "element = g₁\n", id="subscript-g"),
+            pytest.param(
+                "order", "group = cyclic:2\nc = " + "(" * 246 + "1" + ")" * 246 + "\n", id="parentheses"
+            ),
+            pytest.param("order", "group = cyclic:2\nc = " + "-" * 984 + "1\n", id="unary-minus"),
+        ],
+    )
+    def test_malformed_text_is_two(self, command, job, tmp_path, capsys):
+        # int() refuses each literal, a dimension-0 group recurses in
+        # monomials(0, n), and deep nesting exhausts the interpreter's stack
+        group = tmp_path / "group.txt"
+        group.write_text("dimension = 0\nbegin generator\nend\nbegin irrep triv dim=1\n1\nend\n")
+        cfg = tmp_path / "job.cfg"
+        cfg.write_text(job.format(group=group), encoding="utf-8")
+        assert main([command, "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("cherednik: invalid job:") and "Traceback" not in err
 
     @pytest.mark.parametrize("exc", [RuntimeError, ZeroDivisionError, RecursionError])
     def test_bug_ends_in_traceback(self, exc, tmp_path, monkeypatch):

@@ -9,6 +9,7 @@ import pytest
 from cherednik import groups, linalg
 from cherednik.groups import (
     CapExceeded,
+    GroupFileError,
     InfiniteOrder,
     Irrep,
     NonIntegralEntry,
@@ -376,6 +377,118 @@ end
 """
 
 
+# one generator of order two, lines 1-4
+_GEN = "dimension = 1\nbegin generator\n-1\nend\n"
+_UNKNOWN_GEN = "unknown symbol 'gen' in scalar expression"
+_IRREP_HEADER = "expected: begin irrep NAME dim=D"
+
+# (text, line, message) of malformed group files.  An unterminated block is
+# reported at the file's last line, a wrong row count or matrix size at the
+# block's end line and a wrong matrix count at the irrep's header line.
+# dimension and dim=D are positive decimal integers that int() reads: "²"
+# passes isdigit() but not int(), and int() refuses 5,000 digits
+MALFORMED_GROUP_FILES = [
+    pytest.param(*case[1:], id=case[0])
+    for case in [
+        ("unknown-directive", "dimension = 1\nfoo = bar\n", 2, "unknown directive 'foo = bar'"),
+        ("end-outside-block", _GEN + "end\n", 5, "unknown directive 'end'"),
+        ("gen-outside-block", _GEN + "\ngen\n", 6, "unknown directive 'gen'"),
+        ("dimension-colon", "dimension: 1\n", 1, "malformed dimension directive"),
+        ("dimension-word", "dimension = one\n", 1, "malformed dimension directive"),
+        ("dimension-negative", "dimension = -1\n", 1, "malformed dimension directive"),
+        ("dimensions-key", "dimensions = 1\n", 1, "malformed dimension directive"),
+        ("dimension-zero", "\ndimension = 0\nbegin generator\nend\n", 2, "malformed dimension directive"),
+        ("dimension-superscript", "# header\ndimension = ²\n", 2, "malformed dimension directive"),
+        ("dimension-5000-digits", "dimension = " + "1" * 5000, 1, "malformed dimension directive"),
+        ("generator-first", "begin generator\n-1\nend\n", 1, "dimension must come first"),
+        ("no-generators", "dimension = 1\n", 1, "file must declare a dimension and generators"),
+        ("empty-file", "", 0, "file must declare a dimension and generators"),
+        ("comments-only", "# nothing\n\n", 2, "file must declare a dimension and generators"),
+        (
+            "irrep-without-generators",
+            "dimension = 1\nbegin irrep a dim=1\ngen\n1\nend\n",
+            5,
+            "file must declare a dimension and generators",
+        ),
+        (
+            "unterminated-generator",
+            "dimension = 1\nbegin generator\n-1\n# no end\n\n",
+            5,
+            "unterminated generator block",
+        ),
+        ("generator-rows", "dimension = 2\nbegin generator\n1 0\nend\n", 4, "generator needs 2 rows"),
+        ("empty-generator", "dimension = 1\nbegin generator\n\nend\n", 4, "generator needs 1 rows"),
+        (
+            "generator-row-width",
+            "dimension = 2\nbegin generator\n1 0 0\n0 1\nend\n",
+            3,
+            "expected 2 entries, got 3",
+        ),
+        (
+            "generator-gen-line",
+            "dimension = 2\nbegin generator\n1 0\ngen\n0 1\nend\n",
+            4,
+            "expected 2 entries, got 1",
+        ),
+        ("generator-gen-scalar", "dimension = 1\nbegin generator\ngen\nend\n", 3, _UNKNOWN_GEN),
+        (
+            "generator-zero-divisor",
+            "dimension = 1\nbegin generator\n# entry\n1/0 # comment\nend\n",
+            4,
+            "division by zero in scalar expression",
+        ),
+        ("irrep-no-dim", _GEN + "begin irrep a\n", 5, _IRREP_HEADER),
+        ("irrep-no-name", _GEN + "begin irrep dim=1\n", 5, _IRREP_HEADER),
+        ("irrep-extra-word", _GEN + "begin irrep a dim=1 b\n", 5, _IRREP_HEADER),
+        ("irrep-dim-word", _GEN + "begin irrep a dim=x\ngen\n1\nend\n", 5, _IRREP_HEADER),
+        ("irrep-dim-zero", _GEN + "begin irrep a dim=0\ngen\nend\n", 5, _IRREP_HEADER),
+        ("irrep-dim-negative", _GEN + "begin irrep a dim=-1\ngen\n1\nend\n", 5, _IRREP_HEADER),
+        (
+            "unterminated-irrep",
+            _GEN + "begin irrep a dim=1\ngen\n1\n",
+            7,
+            "unterminated irrep block",
+        ),
+        (
+            "irrep-rows",
+            _GEN + "begin irrep a dim=2\ngen\n1 0\nend\n",
+            8,
+            "irrep 'a' matrices must be 2x2",
+        ),
+        (
+            "irrep-row-width",
+            _GEN + "begin irrep a dim=1\ngen\n1 1\nend\n",
+            7,
+            "expected 1 entries, got 2",
+        ),
+        (
+            "irrep-entry",
+            _GEN + "begin irrep a dim=1\ngen\nz\nend\n",
+            7,
+            "z requires a cyclotomic coefficient field",
+        ),
+        (
+            "irrep-two-matrices",
+            _GEN + "begin irrep a dim=1\ngen\n1\ngen\n-1\nend\n",
+            5,
+            "irrep 'a' needs one matrix per generator",
+        ),
+        (
+            "irrep-no-matrices",
+            _GEN + "begin irrep a dim=1\ngen\n\ngen\nend\n",
+            5,
+            "irrep 'a' needs one matrix per generator",
+        ),
+        (
+            "second-irrep-count",
+            _GEN + "begin irrep a dim=1\n1\nend\n# next\nbegin irrep b dim=1\nend\n",
+            9,
+            "irrep 'b' needs one matrix per generator",
+        ),
+    ]
+]
+
+
 class TestGroupFile:
     def test_parse_round_trip(self):
         group, irreps = load_group_file(GROUP_FILE)
@@ -407,6 +520,16 @@ class TestGroupFile:
         with pytest.raises(GroupFileError, match="one matrix per generator") as err:
             load_group_file(text)
         assert err.value.line == 14
+
+    @pytest.mark.parametrize("text, line, message", MALFORMED_GROUP_FILES)
+    def test_malformed_file_reports_its_line(self, text, line, message):
+        with pytest.raises(GroupFileError) as err:
+            load_group_file(text)
+        assert (err.value.line, str(err.value)) == (line, f"line {line}: {message}")
+
+    def test_dimension_zero_group_rejected(self):
+        with pytest.raises(ValueError, match="dimension"):
+            enumerate_group([[]])
 
 
 def test_random_matrix_group_reflections_are_well_defined():

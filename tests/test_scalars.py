@@ -13,6 +13,7 @@ from cherednik.scalars import (
     ExprError,
     FieldMismatch,
     INF,
+    MAX_NESTING,
     ONE,
     PadicContext,
     Scalar,
@@ -481,6 +482,11 @@ class TestValuation:
         v = val(Scalar.rational(Fraction(7**3, 2)), ctx)
         assert v.value == 3 and v.exact
 
+    def test_root_is_not_an_argument(self):
+        # root is computed from the other fields
+        with pytest.raises(TypeError):
+            PadicContext(5, root=7)
+
     def test_val_of_zeta4_minus_two(self):
         ctx = PadicContext(5, 2, ell=4)
         assert ctx.root == 7
@@ -610,3 +616,30 @@ class TestScalarExpressions:
             parse_scalar("q3", 1)
         with pytest.raises(ExprError):
             parse_scalar("", 1)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("²", "unexpected character"),
+            ("3^²", "unexpected character"),
+            ("1" * 5000, "integer literal of 5000 digits is too long"),
+            ("3^" + "1" * 5000, "integer literal of 5000 digits is too long"),
+        ],
+        ids=["superscript", "superscript-power", "5000-digits", "5000-digit-power"],
+    )
+    def test_integer_literals_are_what_int_reads(self, text, message):
+        # "²".isdigit() holds but int() refuses it, as it refuses 5,000 digits
+        with pytest.raises(ExprError, match=message):
+            parse_scalar(text)
+
+    @pytest.mark.parametrize(
+        "nested",
+        [lambda k: "(" * k + "2" + ")" * k, lambda k: "1*" + "-" * k + "2"],
+        ids=["parentheses", "unary-minus"],
+    )
+    def test_nesting_is_bounded(self, nested):
+        # a fixed bound, not the interpreter's recursion limit, which would
+        # fall at a depth that depends on the caller's stack
+        assert parse_scalar(nested(MAX_NESTING)) == Scalar.rational(2)
+        with pytest.raises(ExprError, match=f"nests deeper than {MAX_NESTING} levels"):
+            parse_scalar(nested(MAX_NESTING + 1))
