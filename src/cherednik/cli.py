@@ -61,7 +61,6 @@ def build_algebra(cfg: JobConfig) -> CherednikAlgebra:
         raise
     except (ValueError, OSError) as exc:
         raise ValidationError("group", str(exc)) from exc
-    reflections = find_reflections(group)
     c_text = cfg.get("c")
     if c_text is None:
         values = [0]
@@ -71,12 +70,10 @@ def build_algebra(cfg: JobConfig) -> CherednikAlgebra:
         except ExprError as exc:
             raise ValidationError("c", str(exc)) from exc
     try:
-        c = ReflectionFunction(group, reflections, values)
+        c = ReflectionFunction(group, find_reflections(group), values)
     except ValueError as exc:
         raise ValidationError("c", str(exc)) from exc
-    return CherednikAlgebra(
-        group, c, reflections=reflections, irreps=irreps, field_ell=ell
-    )
+    return CherednikAlgebra(group, c, irreps=irreps, field_ell=ell)
 
 
 def build_context(cfg: JobConfig) -> PadicContext:

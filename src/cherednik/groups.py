@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import linalg
-from .scalars import Scalar, ZERO, ONE, decimal_int, parse_scalar, euler_phi, is_prime
+from .scalars import Scalar, ZERO, ONE, decimal_int, parse_scalar, euler_phi, horner, is_prime
 from .scalars import ComputationLimit, ExprError, InvalidInput
 
 Matrix = tuple  # tuple of row tuples of Scalar
@@ -79,10 +79,7 @@ def _has_finite_order(g: Matrix) -> bool:
     to the closure's cap."""
     n, ell = len(g), math.lcm(*(x.ell for row in g for x in row))
     bound, p, r = _order_bound(n, ell)
-    power = g = [
-        [sum(c * pow(r, i * ell // x.ell, p) for i, c in enumerate(x.coeffs)) % p for x in row]
-        for row in g
-    ]
+    power = g = [[horner(x.coeffs, pow(r, ell // x.ell, p), p) for x in row] for row in g]
     def mul(a, b):
         return [[sum(x * y for x, y in zip(u, v)) % p for v in zip(*b)] for u in a]
     for bit in bin(bound)[3:]:
@@ -253,25 +250,21 @@ def find_reflections(group: GroupAction) -> list[PseudoReflection]:
 
 
 class ReflectionFunction:
-    """Conjugation-invariant assignment of a scalar to each reflection class."""
+    """Conjugation-invariant assignment of a scalar to each reflection class
+    (one value for all, or one per class), kept with the pseudo-reflections."""
 
     def __init__(self, group: GroupAction, reflections, values):
         self.group = group
-        self.classes = sorted({group.class_of[r.index] for r in reflections})
-        if isinstance(values, dict):
-            by_class = {ci: Scalar.rational(v) for ci, v in values.items()}
-        else:
-            values = [Scalar.rational(v) for v in values]
-            if len(values) == 1:
-                values = values * len(self.classes)
-            if len(values) != len(self.classes):
-                raise ValueError(
-                    f"expected {len(self.classes)} reflection-class values, got {len(values)}"
-                )
-            by_class = dict(zip(self.classes, values))
-        if set(by_class) != set(self.classes):
-            raise ValueError("values must cover exactly the reflection classes")
-        self.by_class = by_class
+        self.reflections = list(reflections)
+        self.classes = sorted({group.class_of[r.index] for r in self.reflections})
+        values = [Scalar.rational(v) for v in values]
+        if len(values) == 1:
+            values = values * len(self.classes)
+        if len(values) != len(self.classes):
+            raise ValueError(
+                f"expected {len(self.classes)} reflection-class values, got {len(values)}"
+            )
+        self.by_class = dict(zip(self.classes, values))
 
     def __call__(self, element_index: int) -> Scalar:
         return self.by_class[self.group.class_of[element_index]]

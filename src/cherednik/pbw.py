@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from operator import add
 
-from .groups import GroupAction, PseudoReflection, ReflectionFunction, find_reflections
+from .groups import GroupAction, PseudoReflection, ReflectionFunction
 from .scalars import (
     Scalar,
     ZERO,
@@ -37,6 +37,7 @@ from .scalars import (
     _settle,
     decimal_int,
     parse_expression,
+    signed_sum,
 )
 
 Term = tuple  # (I, g, J): multidegree tuple, group index, multidegree tuple
@@ -166,8 +167,8 @@ class PBWElement:
 
 
 class CherednikAlgebra:
-    """A rational Cherednik algebra instance: the group action, its
-    pseudo-reflections, a reflection function, and straightening caches.
+    """A rational Cherednik algebra instance: the group action, a reflection
+    function on it with its pseudo-reflections, and straightening caches.
 
     Instances are immutable after construction and multiplication is pure;
     the internal caches only ever gain entries whose values are determined
@@ -178,15 +179,14 @@ class CherednikAlgebra:
         group: GroupAction,
         c: ReflectionFunction,
         irreps=(),
-        reflections=None,
         field_ell: int | None = None,
         max_coeff_bits: int = 1_000_000,
     ):
+        if c.group is not group:
+            raise ValueError("the reflection function is defined on another group")
         self.group = group
         self.dim = group.dimension
-        self.reflections = (
-            list(reflections) if reflections is not None else find_reflections(group)
-        )
+        self.reflections = c.reflections
         self.c = c
         self.irreps = list(irreps)
         for i, irr in enumerate(self.irreps):
@@ -568,11 +568,7 @@ class CherednikAlgebra:
             elif mag != ONE:
                 body = f"{mag}*{body}"
             chunks.append((negative, body))
-        neg, body = chunks[0]
-        text = ("-" if neg else "") + body
-        for neg, body in chunks[1:]:
-            text += (" - " if neg else " + ") + body
-        return text
+        return signed_sum(chunks)
 
     def parse_element(self, text: str) -> PBWElement:
         """Parse the textual element syntax, e.g. ``3/2*x1^2*g2*y1 + 1``.

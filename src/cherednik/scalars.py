@@ -10,12 +10,15 @@ value equality even across declared fields.
 
 from __future__ import annotations
 
+import decimal
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
 INF = math.inf
+_M = sys.hash_info.modulus  # the prime modulus of numeric hashes
 
 __all__ = [
     "Scalar",
@@ -65,20 +68,19 @@ class ExprError(InvalidInput):
     """Malformed scalar or element expression."""
 
 
-def _polydiv_exact(num: list[int], den: list[int]) -> list[int]:
-    # den must be monic; division must be exact over Z.
-    num = list(num)
-    dd = len(den) - 1
-    quot = [0] * (len(num) - dd)
-    for i in range(len(num) - 1, dd - 1, -1):
-        c = num[i]
+def _divmod_monic(num, den) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of num by the monic den over Z, low degree
+    first; the remainder has exactly deg(den) coordinates."""
+    d = len(den) - 1
+    rem = list(num) + [0] * (d - len(num))
+    quot = [0] * (len(rem) - d)
+    for i in range(len(rem) - 1, d - 1, -1):
+        c = rem[i]
         if c:
-            quot[i - dd] = c
-            for j in range(dd + 1):
-                num[i - dd + j] -= c * den[j]
-    if any(num[:dd]):
-        raise ArithmeticError("polynomial division is not exact")
-    return quot
+            quot[i - d] = c
+            for j in range(d):
+                rem[i - d + j] -= c * den[j]
+    return quot, rem[:d]
 
 
 @lru_cache(maxsize=None)
@@ -86,12 +88,10 @@ def cyclotomic_polynomial(ell: int) -> tuple[int, ...]:
     """Integer coefficients of the ell-th cyclotomic polynomial, low degree first."""
     if ell < 1:
         raise ValueError("cyclotomic index must be >= 1")
-    if ell == 1:
-        return (-1, 1)
     poly = [-1] + [0] * (ell - 1) + [1]  # x^ell - 1
     for d in range(1, ell):
         if ell % d == 0:
-            poly = _polydiv_exact(poly, list(cyclotomic_polynomial(d)))
+            poly = _divmod_monic(poly, cyclotomic_polynomial(d))[0]
     return tuple(poly)
 
 
@@ -108,27 +108,16 @@ def euler_phi(ell: int) -> int:
     return out - out // ell if ell > 1 else out
 
 
-def _reduce_mod_cyclotomic(coeffs: list[int], ell: int) -> list[int]:
-    phi = cyclotomic_polynomial(ell)
-    d = len(phi) - 1
-    cs = list(coeffs)
-    for i in range(len(cs) - 1, d - 1, -1):
-        c = cs[i]
-        if c:
-            for j in range(d + 1):
-                cs[i - d + j] -= c * phi[j]
-    cs = cs[:d]
-    cs += [0] * (d - len(cs))
-    return cs
+def _zeta_coords(ell: int, e: int) -> list[int]:
+    """The power-basis coordinates of zeta_ell^e: z^(e mod ell) mod Phi_ell."""
+    return _divmod_monic([0] * (e % ell) + [1], cyclotomic_polynomial(ell))[1]
 
 
 def _power_images(ell: int, exponents) -> tuple[tuple[int, int, int], ...]:
     """The nonzero (i, k, r): coordinate k of zeta^exponents[i] mod Phi_ell is r."""
     out = []
     for i, e in enumerate(exponents):
-        raw = [0] * (e % ell + 1)
-        raw[-1] = 1
-        out += [(i, k, r) for k, r in enumerate(_reduce_mod_cyclotomic(raw, ell)) if r]
+        out += [(i, k, r) for k, r in enumerate(_zeta_coords(ell, e)) if r]
     return tuple(out)
 
 
@@ -200,20 +189,13 @@ class Scalar:
         """The root of unity zeta_ell ** power."""
         if ell < 1:
             raise ValueError("cyclotomic index must be >= 1")
-        power %= ell
-        if ell <= 2:
-            return cls.rational(1 if ell == 1 or power == 0 else -1)
-        raw = [0] * (power + 1)
-        raw[power] = 1
-        return cls._make(ell, _reduce_mod_cyclotomic(raw, ell), 1)
+        return cls._make(ell, _zeta_coords(ell, power), 1)
 
     @classmethod
     def from_coords(cls, ell: int, coeffs, den: int = 1) -> "Scalar":
-        coeffs = list(coeffs)
         if ell > 1:
-            coeffs += [0] * (euler_phi(ell) - len(coeffs))
-            coeffs = _reduce_mod_cyclotomic(coeffs, ell)
-        return cls._make(ell, coeffs, den)
+            coeffs = _divmod_monic(coeffs, cyclotomic_polynomial(ell))[1]
+        return cls._make(ell, list(coeffs), den)
 
     # -- predicates ----------------------------------------------------
 
@@ -388,40 +370,52 @@ class Scalar:
         )
 
     def __hash__(self):
-        # rational values hash like the int or Fraction they equal
+        # rational values hash like the int or Fraction they equal: this is
+        # CPython's numeric hash of n/den, without building the Fraction
         if self.ell == 1:
-            if self.den == 1:
-                return hash(self.coeffs[0])
-            return hash(Fraction(self.coeffs[0], self.den))
+            n, den = self.coeffs[0], self.den
+            if den == 1:
+                return hash(n)
+            h = hash(hash(abs(n)) * pow(den, -1, _M)) if den % _M else sys.hash_info.inf
+            return -h if n < 0 else h  # and hash() turns -1 into -2, as Fraction does
         return hash((self.ell, self.coeffs, self.den))
 
     # -- display -------------------------------------------------------
 
     def __str__(self) -> str:
         if self.ell == 1:
-            return str(Fraction(self.coeffs[0], self.den))
+            num = digits(self.coeffs[0])
+            return num if self.den == 1 else f"{num}/{digits(self.den)}"
         pieces = []
         for i, c in enumerate(self.coeffs):
             if not c:
                 continue
-            if i == 0:
-                body = str(abs(c))
-            else:
+            body = digits(abs(c))
+            if i:
                 zpow = "z" if i == 1 else f"z^{i}"
-                body = zpow if abs(c) == 1 else f"{abs(c)}*{zpow}"
+                body = zpow if abs(c) == 1 else f"{body}*{zpow}"
             pieces.append((c < 0, body))
-        first_neg, first = pieces[0]
-        text = ("-" if first_neg else "") + first
-        for neg, body in pieces[1:]:
-            text += (" - " if neg else " + ") + body
+        text = signed_sum(pieces)
         if self.den > 1:
-            return f"({text})/{self.den}"
+            return f"({text})/{digits(self.den)}"
         if len(pieces) > 1:
             return f"({text})"
         return text
 
     def __repr__(self) -> str:
         return f"Scalar({self})"
+
+
+def digits(n: int) -> str:
+    """The decimal digits of n at any size: str(int) stops at the
+    interpreter's limit on digits, and Decimal's conversion has none."""
+    return str(decimal.Decimal(n))
+
+
+def signed_sum(pieces) -> str:
+    """Join (negative, text) pieces as a signed sum such as "-a + b - c"."""
+    text = "".join((" - " if negative else " + ") + body for negative, body in pieces)
+    return text[3:] if text[1] == "+" else "-" + text[3:]
 
 
 def _operand(value) -> Scalar | None:
@@ -509,6 +503,14 @@ def is_prime(n: int) -> bool:
     return n > 1 and all(n % f for f in range(2, math.isqrt(n) + 1))
 
 
+def horner(coeffs, r: int, mod: int) -> int:
+    """sum(coeffs[i] * r**i) mod `mod`, for integer coefficients low degree first."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = (acc * r + c) % mod
+    return acc
+
+
 def hensel_embed(ell: int, p: int, precision: int) -> int:
     """Newton-lift the smallest root of the ell-th cyclotomic polynomial mod p
     to a root mod p**precision."""
@@ -519,22 +521,13 @@ def hensel_embed(ell: int, p: int, precision: int) -> int:
     if (p - 1) % ell != 0:
         raise SplittingError(f"p = {p} is not congruent to 1 mod {ell}")
     phi = cyclotomic_polynomial(ell)
-
-    def poly_at(r: int, mod: int) -> int:
-        acc = 0
-        for c in reversed(phi):
-            acc = (acc * r + c) % mod
-        return acc
-
-    root = next(r for r in range(p) if poly_at(r, p) == 0)
+    dphi = [i * c for i, c in enumerate(phi)][1:]
+    root = next(r for r in range(p) if not horner(phi, r, p))
     prec = 1
     while prec < precision:
         prec = min(2 * prec, precision)
         mod = p**prec
-        deriv = 0
-        for i in range(len(phi) - 1, 0, -1):
-            deriv = (deriv * root + i * phi[i]) % mod
-        root = (root - poly_at(root, mod) * pow(deriv, -1, mod)) % mod
+        root = (root - horner(phi, root, mod) * pow(horner(dphi, root, mod), -1, mod)) % mod
     return root
 
 
@@ -564,8 +557,8 @@ def _vp_int(n: int, p: int) -> int:
 
 @dataclass(frozen=True)
 class PadicContext:
-    """Prime, working precision, and (for cyclotomic fields) a Hensel root of
-    the ell-th cyclotomic polynomial mod p**precision."""
+    """Prime, working precision, and a Hensel root of the ell-th cyclotomic
+    polynomial mod p**precision (1 for ell = 1)."""
 
     prime: int
     precision: int = 64
@@ -573,14 +566,7 @@ class PadicContext:
     root: int = field(default=0, init=False)
 
     def __post_init__(self):
-        if not is_prime(self.prime):
-            raise ValueError(f"{self.prime} is not prime")
-        if self.precision < 1:
-            raise ValueError("precision must be >= 1")
-        root = 1 % self.modulus
-        if self.ell > 1:
-            root = hensel_embed(self.ell, self.prime, self.precision)
-        object.__setattr__(self, "root", root)
+        object.__setattr__(self, "root", hensel_embed(self.ell, self.prime, self.precision))
 
     @property
     def modulus(self) -> int:
@@ -606,10 +592,7 @@ def val(x: Scalar, ctx: PadicContext) -> Valuation:
         raise FieldMismatch(
             f"context is over Q(zeta_{ctx.ell}) but value lives in Q(zeta_{x.ell})"
         )
-    mod = ctx.modulus
-    acc = 0
-    for c in reversed(x.coeffs):
-        acc = (acc * ctx.root + c) % mod
+    acc = horner(x.coeffs, ctx.root, ctx.modulus)
     if not acc:
         return Valuation(ctx.precision - vden, False)
     return Valuation(_vp_int(acc, ctx.prime) - vden)
@@ -666,15 +649,17 @@ MAX_NESTING = 100
 class _ExprParser:
     """Recursive descent over the shared expression grammar:
 
-        sum     := [+|-] product {(+|-) product}
-        product := power {(*|/) power}
+        sum     := product {(+|-) product}
+        product := signed {(*|/) signed}
+        signed  := (-|+) signed | power
         power   := atom [^ [-] int]
-        atom    := int | name | ( sum ) | - atom
+        atom    := int | name | ( sum )
 
-    The caller supplies ``atom(kind, value)``, which resolves an int or name
-    token (None for an unknown name), ``invert``, used for ``/`` and negative
-    powers, and the ``noun`` that error messages name.  At most MAX_NESTING
-    parentheses and unary minus signs are open at once.
+    So a sign binds looser than ``^`` wherever it stands: ``-2^2`` and
+    ``1*-2^2`` are both -4.  The caller supplies ``atom(kind, value)``, which
+    resolves an int or name token (None for an unknown name), ``invert``,
+    used for ``/`` and negative powers, and the ``noun`` that error messages
+    name.  At most MAX_NESTING parentheses and signs are open at once.
     """
 
     def __init__(self, tokens, atom, invert, noun: str):
@@ -693,14 +678,17 @@ class _ExprParser:
         self.pos += 1
         return tok
 
+    def nested(self, parse):
+        """parse() one level deeper: a parenthesis or a sign."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ExprError(f"{self.noun} expression nests deeper than {MAX_NESTING} levels")
+        value = parse()
+        self.depth -= 1
+        return value
+
     def parse_sum(self):
-        sign = 1
-        if self.peek() == ("op", "-"):
-            self.take()
-            sign = -1
-        elif self.peek() == ("op", "+"):
-            self.take()
-        acc = self.parse_product() * sign
+        acc = self.parse_product()
         while True:
             tok = self.peek()
             if tok == ("op", "+"):
@@ -713,17 +701,25 @@ class _ExprParser:
                 return acc
 
     def parse_product(self):
-        acc = self.parse_power()
+        acc = self.parse_signed()
         while True:
             tok = self.peek()
             if tok == ("op", "*"):
                 self.take()
-                acc = acc * self.parse_power()
+                acc = acc * self.parse_signed()
             elif tok == ("op", "/"):
                 self.take()
-                acc = acc * self.invert(self.parse_power())
+                acc = acc * self.invert(self.parse_signed())
             else:
                 return acc
+
+    def parse_signed(self):
+        tok = self.peek()
+        if tok not in (("op", "-"), ("op", "+")):
+            return self.parse_power()
+        self.take()
+        value = self.nested(self.parse_signed)
+        return -value if tok == ("op", "-") else value
 
     def parse_power(self):
         base = self.parse_atom()
@@ -747,14 +743,10 @@ class _ExprParser:
             if value is None:
                 raise ExprError(f"unknown symbol {text!r} in {self.noun} expression")
             return value
-        if kind == "op" and text in ("(", "-"):
-            self.depth += 1
-            if self.depth > MAX_NESTING:
-                raise ExprError(f"{self.noun} expression nests deeper than {MAX_NESTING} levels")
-            value = -self.parse_atom() if text == "-" else self.parse_sum()
-            if text == "(" and self.take() != ("op", ")"):
+        if (kind, text) == ("op", "("):
+            value = self.nested(self.parse_sum)
+            if self.take() != ("op", ")"):
                 raise ExprError("missing closing parenthesis")
-            self.depth -= 1
             return value
         if kind is None:
             raise ExprError(f"{self.noun} expression ended where an operand was expected")

@@ -32,6 +32,16 @@ cutoff = 8
 NORM_JOB = "group = cyclic:2\nc = 1/2\nprime = 3\nlevel = 0\n"
 
 
+def _digits(n: int) -> str:
+    """The decimal digits of n > 0, 1,000 at a time, each chunk under the
+    interpreter's limit on digits."""
+    chunks = []
+    while n:
+        n, low = divmod(n, 10**1000)
+        chunks.append(f"{low:01000d}")
+    return "".join(reversed(chunks)).lstrip("0")
+
+
 class TestParseConfig:
     def test_minimal_config(self):
         cfg = parse_config(MINIMAL)
@@ -65,9 +75,8 @@ class TestParseConfig:
             calls.append(group)
             return groups.find_reflections(group)
 
-        # the CLI and the algebra constructor each hold their own reference
+        # the algebra reads the reflections its reflection function keeps
         monkeypatch.setattr(cli, "find_reflections", counting)
-        monkeypatch.setattr(pbw, "find_reflections", counting)
         algebra = build_algebra(parse_config(S3_CFG))
         assert len(calls) == 1
         assert len(algebra.reflections) == 3
@@ -372,6 +381,32 @@ class TestExitCodes:
         assert main([command, "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("cherednik: invalid job:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["euler", "order"])
+    def test_report_values_are_exact_at_any_size(self, command, tmp_path, capsys):
+        # 7^6000 has 5,071 digits, past str(int)'s limit of 4,300; for Z/2
+        # the lowest weights are c(triv) = 1/2 - c and c(sgn) = 1/2 + c
+        c = 7**6000
+        limit = sys.get_int_max_str_digits()
+        cfg = tmp_path / "job.cfg"
+        cfg.write_text("group = cyclic:2\nc = 7^6000\n")
+        assert main([command, "--config", str(cfg)]) == 0
+        out = capsys.readouterr().out
+        triv, sgn = f"-{_digits(2 * c - 1)}/2", f"{_digits(2 * c + 1)}/2"
+        if command == "euler":
+            assert f"euler\t1/2 - {_digits(c)}*g1 + x1*y1\n" in out
+            assert f"c(triv)\t{triv}\nc(sgn)\t{sgn}\n" in out
+        else:
+            assert f"# c_values: triv={triv}; sgn={sgn}\n" in out
+        assert sys.get_int_max_str_digits() == limit
+
+    def test_long_literal_is_still_two(self, tmp_path, capsys):
+        limit = sys.get_int_max_str_digits()
+        cfg = tmp_path / "job.cfg"
+        cfg.write_text("group = cyclic:2\nc = " + "7" * 5000 + "\n")
+        assert main(["euler", "--config", str(cfg)]) == 2
+        assert "integer literal of 5000 digits is too long" in capsys.readouterr().err
+        assert sys.get_int_max_str_digits() == limit
 
     @pytest.mark.parametrize("exc", [RuntimeError, ZeroDivisionError, RecursionError])
     def test_bug_ends_in_traceback(self, exc, tmp_path, monkeypatch):

@@ -88,6 +88,13 @@ class TestMultiplication:
         with pytest.raises(AlgebraMismatch):
             a1.one() * a2.one()
 
+    def test_reflection_function_on_another_group(self):
+        group, irreps = builtin_group("cyclic:2")
+        other, _ = builtin_group("cyclic:2")
+        c = ReflectionFunction(other, find_reflections(other), [Fraction(1, 2)])
+        with pytest.raises(ValueError, match="another group"):
+            CherednikAlgebra(group, c, irreps=irreps)
+
     def test_blowup_guard(self):
         group, irreps = builtin_group("cyclic:2")
         refl = find_reflections(group)
@@ -304,7 +311,8 @@ class TestNormalizationInvariance:
             )
             for r, u in zip(refl, scales)
         ]
-        rescaled = CherednikAlgebra(group, c, irreps=irreps, reflections=rescaled_refl)
+        rescaled_c = ReflectionFunction(group, rescaled_refl, [Fraction(1, 3)])
+        rescaled = CherednikAlgebra(group, rescaled_c, irreps=irreps)
         rng = random.Random(4)
         for _ in range(10):
             a = random_element(standard, rng)
@@ -407,6 +415,22 @@ class TestElementSyntax:
         alg = make_algebra("cyclic:2", 1, [Fraction(1, 2)])
         assert alg.parse_element("y1*x1") == alg.y(1) * alg.x(1)
         assert alg.parse_element("g1*x1") == -(alg.x(1) * alg.g(1))
+
+    @pytest.mark.parametrize(
+        "text, same",
+        [
+            ("x1*-x2^2", "-(x1*x2^2)"),
+            ("-x1^2", "-(x1^2)"),
+            ("y1*-2^2", "-4*y1"),
+            ("x1/-2^2", "-1/4*x1"),
+            ("g1*-y1^2*x2", "-(g1*y1^2*x2)"),
+            ("x1*--x2", "x1*x2"),
+            ("(-x1)^2", "x1^2"),
+        ],
+    )
+    def test_sign_binds_looser_than_power(self, text, same):
+        alg = make_algebra("s3", 1, [Fraction(1, 3)])
+        assert alg.parse_element(text) == alg.parse_element(same)
 
     def test_round_trip_random(self):
         rng = random.Random(8)

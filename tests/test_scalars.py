@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -406,6 +407,54 @@ class TestKernels:
         assert len(_product_table(8)) == 16
         assert len(_product_table(5)) == 25
 
+    @pytest.mark.parametrize("ell", list(range(1, 17)))
+    def test_zeta_powers_are_powers_of_zeta(self, ell):
+        z = Scalar.zeta(ell)
+        for e in range(-2 * ell, 2 * ell + 1):
+            assert Scalar.zeta(ell, e) == z**e, e
+
+    @pytest.mark.parametrize("ell", [2, 3, 4, 5, 8, 9, 12])
+    def test_from_coords_reduces_long_coefficient_lists(self, ell):
+        rng = random.Random(ell)
+        for length in (euler_phi(ell) + 1, 2 * ell + 3):
+            cs = [rng.randint(-9, 9) for _ in range(length)]
+            expected = sum((c * Scalar.zeta(ell, i) for i, c in enumerate(cs)), ZERO)
+            assert Scalar.from_coords(ell, cs, 7) == expected / 7
+
+
+M = sys.hash_info.modulus
+
+
+class TestRationalHash:
+    @examples(300)
+    @given(
+        st.integers(-(10**60), 10**60),
+        st.one_of(
+            st.integers(1, 10**60),
+            st.integers(1, 10**6).map(lambda k: k * M),
+            st.sampled_from([2, M - 1, M + 1, M**2, 3 * M**3]),
+        ),
+    )
+    def test_hash_is_the_fraction_hash(self, n, den):
+        x = Scalar.from_coords(1, [n], den)
+        assert hash(x) == hash(Fraction(n, den))
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            Fraction(1, M),
+            Fraction(-1, M),
+            Fraction(5, 7 * M),
+            Fraction(-(M + 2), 2),
+            Fraction(M + 2, 2),
+        ],
+        ids=["inf", "minus-inf", "inf-multiple", "minus-one-is-minus-two", "one"],
+    )
+    def test_edge_values(self, value):
+        # the modulus dividing den hashes to sys.hash_info.inf; a hash of -1
+        # is reported as -2, as for every Python number
+        assert hash(Scalar.rational(value)) == hash(value)
+
 
 class TestCanonicalForm:
     def test_canonicalization_is_idempotent(self):
@@ -481,6 +530,12 @@ class TestValuation:
         ctx = PadicContext(7, 8)
         v = val(Scalar.rational(Fraction(7**3, 2)), ctx)
         assert v.value == 3 and v.exact
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+    def test_rational_context_root_is_one(self, p):
+        # Phi_1 = x - 1, so the Hensel root over Q is 1 at every precision
+        for precision in (1, 2, 64):
+            assert PadicContext(p, precision).root == 1
 
     def test_root_is_not_an_argument(self):
         # root is computed from the other fields
@@ -605,6 +660,38 @@ class TestScalarExpressions:
                     ell, [rng.randint(-9, 9) for _ in range(d)], rng.randint(1, 9)
                 )
                 assert parse_scalar(str(x), ell) == x
+
+    @pytest.mark.parametrize(
+        "text, value",
+        [
+            ("-2^2", -4),
+            ("1*-2^2", -4),
+            ("1/-2^2", Fraction(-1, 4)),
+            ("(-2^2)", -4),
+            ("2^-1", Fraction(1, 2)),
+            ("--2", 2),
+            ("1*+2", 2),
+            ("+2^2", 4),
+            ("1 - -2^2", 5),
+            ("-2^2*3", -12),
+            ("(-2)^2", 4),
+        ],
+    )
+    def test_sign_binds_looser_than_power(self, text, value):
+        assert parse_scalar(text) == value
+
+    def test_sign_binds_looser_than_power_on_zeta(self):
+        assert parse_scalar("(-z^2)", 5) == -Scalar.zeta(5, 2)
+        assert parse_scalar("z*-z^2", 5) == -Scalar.zeta(5, 3)
+        assert parse_scalar("1/-z^2", 5) == -Scalar.zeta(5, -2)
+
+    def test_every_sign_counts_toward_nesting(self):
+        # a leading sign counts as much as a sign inside a product
+        assert parse_scalar("-" * MAX_NESTING + "2") == 2
+        assert parse_scalar("(-" * (MAX_NESTING // 2) + "2" + ")" * (MAX_NESTING // 2)) == 2
+        for text in ("-" * (MAX_NESTING + 1) + "2", "-(" + "+" * MAX_NESTING + "2)"):
+            with pytest.raises(ExprError, match=f"nests deeper than {MAX_NESTING} levels"):
+                parse_scalar(text)
 
     def test_rejects_garbage(self):
         with pytest.raises(ExprError):
