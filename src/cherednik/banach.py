@@ -5,7 +5,8 @@ operator-norm certificates, and cross-level compatibility of families.
 
 Norms are never materialized as real numbers; everything is an integer
 exponent of the uniformizer, which is the prime itself (the coefficient
-field is unramified for every supported group family).
+field is unramified for every supported group family).  The lattice check
+is in closed form from the Cherednik relation for y_i x_j: no products.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass, field
 from .category_o import VermaSlice
 from .groups import Irrep
 from .pbw import CherednikAlgebra, PBWElement
-from .scalars import INF, ONE, ComputationLimit, PadicContext, Scalar, val
+from .scalars import INF, ONE, ComputationLimit, PadicContext, Scalar, Valuation, val
 
 
 class TailDominated(ComputationLimit, ArithmeticError):
@@ -214,32 +215,6 @@ class LatticeReport:
         return self
 
 
-def _generator_products(algebra: CherednikAlgebra) -> dict:
-    """The terms of uv, vu and uv - vu for each pair i <= j of the unweighted
-    generators x_1.., g_0.., y_1.., in that order; computed once per
-    algebra, since (p^a u)(p^b v) = p^(a+b) uv for every level.
-
-    Pairs of two group elements are left out: g_a g_b = g_ab with
-    coefficient 1 and the commutator is 0 or g_ab - g_ba, so their weight is
-    0 at every level and they can never violate the lattice condition."""
-    table = algebra._lattice_products
-    if table is None:
-        dim, order = algebra.dim, len(algebra.group)
-        gens = [algebra.x(i + 1) for i in range(dim)]
-        gens += [algebra.g(g) for g in range(order)]
-        gens += [algebra.y(i + 1) for i in range(dim)]
-        table = {}
-        for i, a in enumerate(gens):
-            for j, b in enumerate(gens[i:], i):
-                if dim <= i and j < dim + order:
-                    continue
-                ab = a * b
-                ba = b * a if j > i else ab
-                table[i, j] = (ab.terms, ba.terms, (ab - ba).terms)
-        algebra._lattice_products = table
-    return table
-
-
 class _Valuations(dict):
     """Scalar -> its valuation in one context; val is taken once per
     distinct value."""
@@ -253,80 +228,41 @@ class _Valuations(dict):
         return v
 
 
-def _valuation_profile(algebra: CherednikAlgebra, ctx: PadicContext) -> dict:
-    """(i, j) -> for each of uv, vu and uv - vu in _generator_products, the
-    distinct (|I|, |J|, base valuation, exact) of its terms; built once per
-    (algebra, ctx).  The valuation of p^k c is val(c) + k with the same
-    exact flag, so a term of the product of p^a u and p^b v has the weight
-    base + a + b - m|I| - r|J| at every level."""
-    profile = algebra._lattice_profiles.get(ctx)
-    if profile is None:
-        vals = _Valuations(ctx)
-
-        def entries(terms: dict) -> tuple:
-            out = set()
-            for (left, _, right), coeff in terms.items():
-                v = vals[coeff]
-                out.add((sum(left), sum(right), v.value, v.exact))
-            return tuple(out)
-
-        profile = {
-            pair: tuple(map(entries, products))
-            for pair, products in _generator_products(algebra).items()
-        }
-        algebra._lattice_profiles[ctx] = profile
-    return profile
-
-
-def _least(entries: tuple, m: int, r: int, shift: int) -> tuple:
-    """(least weight, whether some exact entry has a negative weight) of one
-    profile read with the given shift; INF when there are no terms."""
-    least, certified = INF, False
-    for ni, nj, base, exact in entries:
-        w = base + shift - m * ni - r * nj
-        if w < least:
-            least = w
-        if exact and w < 0:
-            certified = True
-    return least, certified
-
-
 def lattice_check(algebra: CherednikAlgebra, ctx: PadicContext, m: int, r: int) -> LatticeReport:
     """Verify that all pairwise products and commutators of the weighted
-    generators p^m x_j, g, p^r y_i stay in the unit ball.
+    generators p^m x_j, g, p^r y_i stay in the unit ball, in closed form.
 
-    The product of p^a u and p^b v is p^(a+b) uv, so its weights come from
-    the valuation profile of uv with the shift a + b, in integer arithmetic
-    only.  A violation whose negative weights all rest on inexact
-    valuations is undecided; when no violation is certified,
-    PrecisionExhausted is raised."""
-    dim = algebra.dim
-    names = [f"p^{m}*x{i + 1}" for i in range(dim)]
-    names += [f"g{g}" for g in range(len(algebra.group))]
-    names += [f"p^{r}*y{i + 1}" for i in range(dim)]
-    exps = [m] * dim + [0] * len(algebra.group) + [r] * dim
-
-    # (product, commutator) weights; [b, a] = -[a, b] has the weight of [a, b]
-    weights = {}
-    for (i, j), (ab, ba, comm) in _valuation_profile(algebra, ctx).items():
-        shift = exps[i] + exps[j]
-        comm_w = _least(comm, m, r, shift)
-        weights[i, j] = (_least(ab, m, r, shift), comm_w)
-        weights[j, i] = (_least(ba, m, r, shift), comm_w)
-    violations, certified = [], False
-    for i, name_a in enumerate(names):
-        for j, name_b in enumerate(names):
-            pair = weights.get((i, j))
-            if pair is None:  # two group elements: weight 0
-                continue
-            (prod_w, prod_cert), (comm_w, comm_cert) = pair
-            if prod_w < 0:
-                violations.append((f"{name_a} * {name_b}", int(prod_w)))
-                certified = certified or prod_cert
-            if comm_w < 0:
-                violations.append((f"[{name_a}, {name_b}]", int(comm_w)))
-                certified = certified or comm_cert
-    if violations and not certified:
+    A term coeff * x^I g y^J of (p^a u)(p^b v) has the weight
+    v_p(coeff) + a + b - m|I| - r|J|.  Other than g x_j, y_i g and y_i x_j,
+    a product of two generators is one PBW word with coefficient 1, of
+    weight 0.  The coefficients of g x_j and y_i g are entries of the group
+    matrices, algebraic integers (enumerate_group rejects non-integral
+    generators), so their weights are >= 0; an inexact valuation is the
+    bound precision >= 1.  The Cherednik relation
+    y_i x_j = x_j y_i + delta_ij - sum_s c(s) alpha_s(y_i) alpha_s^v(x_j) s,
+    with alpha_s = s.covector and alpha_s^v = s.vector as in
+    _straighten_single, gives x_j y_i the weight 0 and delta_ij and each
+    reflection term the weight m + r plus the valuation of its coefficient.
+    So a negative weight shows up in p^r y_i * p^m x_j, [p^m x_j, p^r y_i]
+    and [p^r y_i, p^m x_j], with the same least weight and exact flags.  A
+    violation whose negative weights all rest on inexact valuations is
+    undecided; when no violation is certified, PrecisionExhausted is raised."""
+    dim, vals = algebra.dim, _Valuations(ctx)
+    x, y = f"p^{m}*x", f"p^{r}*y"
+    # (j, i) -> (least weight, certified) where y_i x_j has a negative weight
+    bad = {}
+    for j in range(dim):
+        for i in range(dim):
+            coeffs = [algebra.c(s.index) * s.covector[i] * s.vector[j] for s in algebra.reflections]
+            vs = [vals[c] for c in coeffs if c] + ([Valuation(0)] if i == j else [])
+            neg = [(v.value + m + r, v.exact) for v in vs if v.value + m + r < 0]
+            if neg:
+                bad[j, i] = int(min(neg)[0]), any(exact for _, exact in neg)
+    violations = [(f"[{x}{j + 1}, {y}{i + 1}]", w) for (j, i), (w, _) in bad.items()]
+    for j, i in sorted(bad, key=lambda ji: ji[::-1]):
+        w = bad[j, i][0]
+        violations += [(f"{y}{i + 1} * {x}{j + 1}", w), (f"[{y}{i + 1}, {x}{j + 1}]", w)]
+    if bad and not any(certified for _, certified in bad.values()):
         name, weight = violations[0]
         raise PrecisionExhausted(
             f"lattice check at level {m}, r = {r} is undecided at precision "

@@ -15,6 +15,7 @@ from functools import lru_cache
 
 from . import linalg
 from .scalars import Scalar, ZERO, ONE, decimal_int, parse_scalar, euler_phi, horner, is_prime
+from .scalars import least_cyclotomic_root
 from .scalars import ComputationLimit, ExprError, InvalidInput
 
 Matrix = tuple  # tuple of row tuples of Scalar
@@ -64,8 +65,7 @@ def _order_bound(n: int, ell: int) -> tuple[int, int, int]:
     p = (max(2**20, len(ds)) // ell + 1) * ell + 1
     while not is_prime(p):
         p += ell
-    roots = (pow(a, (p - 1) // ell, p) for a in range(2, p))
-    r = next(r for r in roots if len({pow(r, k, p) for k in range(ell)}) == ell)
+    r = least_cyclotomic_root(ell, p)
     return math.lcm(*(d for d in ds if euler_phi(math.lcm(ell, d)) <= room)), p, r
 
 

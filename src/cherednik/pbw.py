@@ -223,10 +223,6 @@ class CherednikAlgebra:
         self._molien: dict = {}
         # irrep label -> c_E for the listed irreps, filled by category_o
         self._c_table: dict = {}
-        # (i, j) -> terms of uv, vu, uv - vu for the lattice generators, set by banach
-        self._lattice_products: dict | None = None
-        # PadicContext -> (i, j) -> valuation profiles of those products, set by banach
-        self._lattice_profiles: dict = {}
         self._euler = None
 
     # -- element constructors -------------------------------------------

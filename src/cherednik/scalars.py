@@ -511,6 +511,15 @@ def horner(coeffs, r: int, mod: int) -> int:
     return acc
 
 
+def least_cyclotomic_root(ell: int, p: int) -> int:
+    """The least root of Phi_ell mod a prime p = 1 mod ell: a^((p-1)/ell) is
+    one for a generator a of (Z/p)^*, and its powers coprime to ell are all."""
+    phi = cyclotomic_polynomial(ell)
+    roots = (pow(a, (p - 1) // ell, p) for a in range(1, p))
+    root = next(r for r in roots if not horner(phi, r, p))
+    return min(pow(root, k, p) for k in range(ell) if math.gcd(k, ell) == 1)
+
+
 def hensel_embed(ell: int, p: int, precision: int) -> int:
     """Newton-lift the smallest root of the ell-th cyclotomic polynomial mod p
     to a root mod p**precision."""
@@ -522,7 +531,7 @@ def hensel_embed(ell: int, p: int, precision: int) -> int:
         raise SplittingError(f"p = {p} is not congruent to 1 mod {ell}")
     phi = cyclotomic_polynomial(ell)
     dphi = [i * c for i, c in enumerate(phi)][1:]
-    root = next(r for r in range(p) if not horner(phi, r, p))
+    root = least_cyclotomic_root(ell, p)
     prec = 1
     while prec < precision:
         prec = min(2 * prec, precision)

@@ -52,6 +52,11 @@ def make_algebra(spec, ell, c_values):
 
 
 CTX5 = PadicContext(5, 64)
+# one value per reflection class of cyclic:6 over Q(zeta_6), whose
+# reflections are not real: their Euler coefficients kappa_s differ from c(s)
+CYCLIC6_C = [
+    Fraction(1, 7), Fraction(2, 343), Scalar.zeta(6) / 7, 1, (ONE - Scalar.zeta(6)) / 49
+]
 
 
 def params_for(alg, ctx, m):
@@ -343,26 +348,33 @@ class TestLatticeCheck:
             ("dihedral:5", 5, [Fraction(1, 11**4)], PadicContext(11, 64, 5)),
             ("dihedral:8", 8, [Fraction(1, 8)], PadicContext(17, 64, 8)),
             ("s4", 1, [Fraction(1, 2)], PadicContext(3, 64)),
+            ("cyclic:3", 3, [Scalar.zeta(3) / 49], PadicContext(7, 64, 3)),
+            ("cyclic:6", 6, CYCLIC6_C, PadicContext(7, 64, 6)),
+            ("dihedral:4", 4, [Fraction(1, 5), Fraction(1, 125)], PadicContext(5, 64, 4)),
+            ("dihedral:6", 6, [Fraction(1, 7), Fraction(3, 49)], PadicContext(7, 64, 6)),
+            ("dihedral:5", 5, [(Scalar.zeta(5) - 3) / 11**4], PadicContext(11, 64, 5)),
         ],
     )
     def test_products_once_per_algebra_match_the_scaled_route(
         self, spec, ell, c, ctx, monkeypatch
     ):
-        # the last two are the algebras of the benchmark's lattice and norm
-        # jobs; their parameters are units, which pass at every (m, r)
+        # the dihedral:8 row and the s4 row at c = 1/2 are the algebras of the
+        # benchmark's lattice and norm jobs; their parameters are units, which
+        # pass at every (m, r)
         alg = make_algebra(spec, ell, c)
         grid = [(m, r) for m in range(3) for r in range(5)]
-        failing = 0
+        failing = []
         for m, r in grid:
             report = lattice_check(alg, ctx, m, r)
             assert report.violations == self._scaled_route(alg, ctx, m, r)
-            failing += not report.passed
-        if rho_c(alg, ctx):
-            assert not lattice_check(alg, ctx, 0, 0).passed
-            assert not lattice_check(alg, ctx, 2, 1).passed
-            assert 0 < failing < len(grid)
-        else:
-            assert failing == 0
+            if not report.passed:
+                failing.append((m, r))
+        # on these rows a check fails exactly when m + r < rho_c: with
+        # rho_c = 4, at (0, 0) and (2, 1) among others
+        rho = rho_c(alg, ctx)
+        assert failing == [(m, r) for m, r in grid if m + r < rho]
+        if rho:
+            assert 0 < len(failing) < len(grid)
 
         calls = []
         multiply = alg.multiply
@@ -370,31 +382,44 @@ class TestLatticeCheck:
         lattice_check(alg, ctx, 1, 3)
         assert calls == []
 
-    def test_profile_once_per_algebra_and_context(self, monkeypatch):
-        alg = make_algebra("dihedral:5", 5, [Fraction(1, 11**4)])
-        ctx = PadicContext(11, 64, 5)
+    def test_valuations_once_per_coefficient(self, monkeypatch):
+        for alg, ctx in (
+            (make_algebra("dihedral:5", 5, [Fraction(1, 11**4)]), PadicContext(11, 64, 5)),
+            (make_algebra("cyclic:6", 6, CYCLIC6_C), PadicContext(7, 64, 6)),
+        ):
+            self._check_valuations_once(alg, ctx, monkeypatch)
+
+    @staticmethod
+    def _check_valuations_once(alg, ctx, monkeypatch):
+        # the coefficients c(s) alpha_s(y_i) alpha_s^v(x_j) of the reflection
+        # terms of y_i x_j, read off the products
+        values = {
+            -coeff
+            for i in range(alg.dim)
+            for j in range(alg.dim)
+            for (_, g, _), coeff in (alg.y(i + 1) * alg.x(j + 1)).terms.items()
+            if g != alg.group.identity
+        }
         calls = []
         monkeypatch.setattr(banach, "val", lambda x, c: calls.append((x, c)) or val(x, c))
-        level_tower(alg, ctx, 3)
-        values = {
-            coeff
-            for products in alg._lattice_products.values()
-            for terms in products
-            for coeff in terms.values()
-        }
-        # rho_c values each reflection coefficient once per tower; the rest
-        # of the calls are the profile's, one per distinct coefficient
-        kappas = Counter(alg.reflection_coefficient(s) for s in alg.reflections)
-        assert Counter(x for x, _ in calls) == Counter(values) + kappas
-
-        calls.clear()
-        level_tower(alg, ctx, 3)
         lattice_check(alg, ctx, 2, 1)
-        assert Counter(x for x, _ in calls) == kappas
+        assert Counter(x for x, _ in calls) == Counter(values)
+
+        # a tower values each reflection coefficient once more, in rho_c
         calls.clear()
-        low = PadicContext(11, 2, 5)
-        lattice_check(alg, low, 1, 3)
+        checks = []
+        check = lattice_check
+        monkeypatch.setattr(banach, "lattice_check", lambda *a: checks.append(1) or check(*a))
+        level_tower(alg, ctx, 3)
+        kappas = Counter(alg.reflection_coefficient(s) for s in alg.reflections)
+        assert Counter(x for x, _ in calls) == kappas + Counter(
+            {v: len(checks) for v in values}
+        )
+        calls.clear()
+        low = PadicContext(ctx.prime, 2, ctx.ell)
+        check(alg, low, 1, 3)
         assert len(calls) == len(values) and {c for _, c in calls} == {low}
+        monkeypatch.undo()
 
     @pytest.mark.parametrize(
         "spec, ell",
@@ -402,15 +427,13 @@ class TestLatticeCheck:
         + [(f"dihedral:{n}", n) for n in range(4, 9)],
     )
     def test_group_products_are_one_group_term(self, spec, ell):
-        # why the lattice products leave out pairs of group elements
+        # why a product of two group elements has weight 0 at every level
         alg = make_algebra(spec, ell, [Fraction(1, 2)])
         zero, order = alg._zero_deg, len(alg.group)
         for a in range(order):
             for b in range(order):
                 ab = alg.group.mul(a, b)
                 assert alg.multiply(alg.g(a), alg.g(b)).terms == {(zero, ab, zero): ONE}
-        table = banach._generator_products(alg)
-        assert not [(i, j) for i, j in table if alg.dim <= i and j < alg.dim + order]
 
     @pytest.mark.parametrize(
         "c", [Fraction(1, 5), Fraction(1, 11**4), (Scalar.zeta(5) - 3) / 11**4]

@@ -3,6 +3,7 @@ documented exit codes."""
 
 import ast
 import random
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -509,3 +510,10 @@ def test_runtime_imports_only_stdlib():
                 if name.split(".")[0] not in sys.stdlib_module_names
             ]
     assert outside == []
+
+
+def test_one_version_string():
+    """The version in pyproject.toml is the package's __version__.  Read
+    with a regex: tomllib is not in the standard library of Python 3.10."""
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    assert re.findall(r'^version\s*=\s*"([^"]*)"', text, re.MULTILINE) == [cherednik.__version__]

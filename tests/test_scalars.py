@@ -24,6 +24,7 @@ from cherednik.scalars import (
     cyclotomic_polynomial,
     euler_phi,
     hensel_embed,
+    least_cyclotomic_root,
     parse_scalar,
     val,
 )
@@ -39,6 +40,10 @@ def brute_roots(ell, p, N):
         for r in range(mod)
         if sum(c * pow(r, i, mod) for i, c in enumerate(phi)) % mod == 0
     ]
+
+
+def poly_at(coeffs, r, mod):
+    return sum(c * pow(r, i, mod) for i, c in enumerate(coeffs)) % mod
 
 
 class TestHenselEmbed:
@@ -80,6 +85,30 @@ class TestHenselEmbed:
         r = hensel_embed(ell, p, N)
         phi = cyclotomic_polynomial(ell)
         assert sum(c * pow(r, i, p**N) for i, c in enumerate(phi)) % p**N == 0
+
+    @pytest.mark.parametrize("ell", range(1, 17))
+    def test_least_root_is_the_first_root_by_scan(self, ell):
+        phi = cyclotomic_polynomial(ell)
+        for p in range(2, 1000):
+            if sympy.isprime(p) and (p - 1) % ell == 0:
+                scan = next(r for r in range(p) if poly_at(phi, r, p) == 0)
+                assert least_cyclotomic_root(ell, p) == scan
+
+    @pytest.mark.parametrize(
+        "ell,p", [(5, 10_000_121), (5, 1_000_000_021), (7, 1_000_000_009), (12, 1_000_000_009)]
+    )
+    def test_large_prime_gives_the_least_root(self, ell, p):
+        # a scan of 0..p-1 for the least root would take minutes at these primes
+        N = 8
+        r = hensel_embed(ell, p, N)
+        phi = cyclotomic_polynomial(ell)
+        assert poly_at(phi, r, p**N) == 0
+        # Phi_ell has at most phi(ell) roots mod p, so phi(ell) distinct
+        # roots are all of them
+        roots = {pow(r, k, p) for k in range(ell) if math.gcd(k, ell) == 1}
+        assert len(roots) == euler_phi(ell)
+        assert all(poly_at(phi, x, p) == 0 for x in roots)
+        assert r % p == min(roots)
 
 
 class TestCyclotomicPolynomial:
