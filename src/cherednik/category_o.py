@@ -36,7 +36,7 @@ class InconsistentTruncation(ComputationLimit):
 
 def mv_scale(a: dict, s) -> dict:
     """s times a module vector; zero entries are returned as they are."""
-    s = s if isinstance(s, Scalar) else Scalar.rational(s)
+    s = Scalar.rational(s)
     return _mv_prune({n: [x * s if x else x for x in v] for n, v in a.items()})
 
 
@@ -467,9 +467,7 @@ def dunkl_action(slice_: VermaSlice, direction, mv: dict) -> dict:
         coords = [ZERO] * dim
         coords[direction - 1] = ONE
     else:
-        coords = [
-            x if isinstance(x, Scalar) else Scalar.rational(x) for x in direction
-        ]
+        coords = [Scalar.rational(x) for x in direction]
     d = slice_.irrep.dim
     refl = [
         (
@@ -743,34 +741,38 @@ def highest_weight_order(algebra: CherednikAlgebra) -> OrderGraph:
 
 def blocks(algebra: CherednikAlgebra) -> list:
     """Partition of the irrep labels by the symmetrized integer-linkage
-    graph: the connected components of the highest-weight order."""
-    graph = highest_weight_order(algebra)
-    labels = graph.labels
-    parent = {lbl: lbl for lbl in labels}
+    graph: the connected components of the highest-weight order.
 
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a, b in graph.edges:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-    groups: dict[str, list] = {}
-    for lbl in labels:
-        groups.setdefault(find(lbl), []).append(lbl)
-    order = {lbl: i for i, lbl in enumerate(labels)}
-    out = sorted(groups.values(), key=lambda blk: min(order[x] for x in blk))
-    return [sorted(blk, key=lambda x: order[x]) for blk in out]
+    An integer difference of c-values is an equivalence relation, and inside
+    one class the order has an edge between two labels exactly when their
+    c-values differ.  So a class holding two or more c-values is one block
+    (a complete multipartite graph on at least two parts is connected), and
+    each label of a class with a single c-value is a block of its own.
+    Blocks are ordered by their first label, members in irrep order."""
+    c_values = _c_values(algebra)
+    classes: list[list] = []
+    for label in (irr.label for irr in algebra.irreps):
+        for members in classes:
+            if _integer_difference(c_values[label], c_values[members[0]]) is not None:
+                members.append(label)
+                break
+        else:
+            classes.append([label])
+    out = []
+    for members in classes:
+        if len({c_values[x] for x in members}) > 1:
+            out.append(members)
+        else:
+            out.extend([x] for x in members)
+    order = {irr.label: i for i, irr in enumerate(algebra.irreps)}
+    return sorted(out, key=lambda block: order[block[0]])
 
 
 def decompose_verma_character(
     algebra: CherednikAlgebra,
     irrep: Irrep,
     cutoff: int,
-    simple_characters: dict | None = None,
+    simple_characters: dict,
 ) -> dict:
     """Multiplicities of the truncated simple modules in the Verma character,
     solved degree by degree along the highest-weight order."""
@@ -778,22 +780,11 @@ def decompose_verma_character(
     if not irreps:
         raise ValueError("the algebra carries no irrep table")
     verma = VermaSlice(algebra, irrep, cutoff)
-    shifts = {
-        label: n for n, labels in verma.singular_isotypes.items() for label in labels
-    }
-    if simple_characters is None:
-        simple_characters = {}
-        for irr in irreps:
-            if irr.label in shifts:
-                _, ch = simple_quotient_slice(algebra, irr, cutoff)
-                simple_characters[irr.label] = ch
     residual = {n: dict(level) for n, level in verma.graded_character().data.items()}
     mults = {irr.label: 0 for irr in irreps}
     for d in range(cutoff + 1):
         level = residual.setdefault(d, {})
-        for label, shift in sorted(shifts.items(), key=lambda kv: kv[0]):
-            if shift != d:
-                continue
+        for label in sorted(verma.singular_isotypes.get(d, ())):
             m = level.get(label, 0)
             if m < 0:
                 raise InconsistentTruncation(

@@ -30,10 +30,10 @@ from .scalars import (
 
 @dataclass
 class Report:
-    command: str
     columns: tuple
     rows: list
     extra: dict = field(default_factory=dict)
+    command: str = ""
     config_echo: str = ""
 
 
@@ -77,9 +77,9 @@ def build_algebra(cfg: JobConfig) -> CherednikAlgebra:
 
 
 def build_context(cfg: JobConfig) -> PadicContext:
-    prime = cfg.get_int("prime")
+    prime, precision, ell = cfg.get_int("prime"), cfg.precision(), field_ell(cfg)
     try:
-        return PadicContext(prime, cfg.precision(), field_ell(cfg))
+        return PadicContext(prime, precision, ell)
     except ValueError as exc:
         raise ValidationError("prime", str(exc)) from exc
 
@@ -107,8 +107,7 @@ def parse_job_element(cfg: JobConfig, algebra: CherednikAlgebra):
 # -- command implementations -------------------------------------------------
 
 
-def _cmd_reflections(cfg: JobConfig) -> Report:
-    algebra = build_algebra(cfg)
+def _cmd_reflections(cfg: JobConfig, algebra: CherednikAlgebra) -> Report:
     rows = []
     for r in algebra.reflections:
         rows.append(
@@ -120,30 +119,27 @@ def _cmd_reflections(cfg: JobConfig) -> Report:
                 "[" + ", ".join(str(x) for x in r.vector) + "]",
             )
         )
-    return Report("reflections", ("element", "class", "eigenvalue", "alpha", "coroot"), rows)
+    return Report(("element", "class", "eigenvalue", "alpha", "coroot"), rows)
 
 
-def _cmd_euler(cfg: JobConfig) -> Report:
-    algebra = build_algebra(cfg)
+def _cmd_euler(cfg: JobConfig, algebra: CherednikAlgebra) -> Report:
     rows = [("euler", str(algebra.euler_element()))]
     for irr in algebra.irreps:
         rows.append((f"c({irr.label})", str(category_o.c_scalar(algebra, irr))))
-    return Report("euler", ("item", "value"), rows)
+    return Report(("item", "value"), rows)
 
 
-def _cmd_verma_weights(cfg: JobConfig) -> Report:
-    algebra = build_algebra(cfg)
+def _cmd_verma_weights(cfg: JobConfig, algebra: CherednikAlgebra) -> Report:
     cutoff = cfg.get_int("cutoff", minimum=1)
     rows = []
     for irr in selected_irreps(cfg, algebra):
         slice_ = category_o.VermaSlice(algebra, irr, cutoff)
         for n in range(cutoff + 1):
             rows.append((irr.label, n, str(slice_.c_value + n), slice_.dim(n)))
-    return Report("verma-weights", ("irrep", "degree", "weight", "dim"), rows)
+    return Report(("irrep", "degree", "weight", "dim"), rows)
 
 
-def _cmd_singular(cfg: JobConfig) -> Report:
-    algebra = build_algebra(cfg)
+def _cmd_singular(cfg: JobConfig, algebra: CherednikAlgebra) -> Report:
     cutoff = cfg.get_int("cutoff", minimum=1)
     rows = []
     for irr in selected_irreps(cfg, algebra):
@@ -152,11 +148,10 @@ def _cmd_singular(cfg: JobConfig) -> Report:
             space = category_o.singular_vectors(slice_, n)
             for label in sorted(space.components):
                 rows.append((irr.label, n, label, len(space.components[label])))
-    return Report("singular", ("irrep", "degree", "isotype", "dim"), rows)
+    return Report(("irrep", "degree", "isotype", "dim"), rows)
 
 
-def _cmd_simple_character(cfg: JobConfig) -> Report:
-    algebra = build_algebra(cfg)
+def _cmd_simple_character(cfg: JobConfig, algebra: CherednikAlgebra) -> Report:
     cutoff = cfg.get_int("cutoff", minimum=1)
     rows = []
     # The truncation is exact by construction, so `stable` is always yes; the
@@ -167,16 +162,10 @@ def _cmd_simple_character(cfg: JobConfig) -> Report:
         stable.append(f"{irr.label}=yes")
         for n, label, mult in character.rows():
             rows.append((irr.label, n, label, mult))
-    return Report(
-        "simple-character",
-        ("irrep", "degree", "label", "mult"),
-        rows,
-        extra={"stable": "; ".join(stable)},
-    )
+    return Report(("irrep", "degree", "label", "mult"), rows, extra={"stable": "; ".join(stable)})
 
 
-def _cmd_order(cfg: JobConfig) -> Report:
-    algebra = build_algebra(cfg)
+def _cmd_order(cfg: JobConfig, algebra: CherednikAlgebra) -> Report:
     graph = category_o.highest_weight_order(algebra)
     rows = [(w, e) for w, e in graph.edges]
     extra = {
@@ -184,29 +173,21 @@ def _cmd_order(cfg: JobConfig) -> Report:
             f"{lbl}={graph.c_values[lbl]}" for lbl in graph.labels
         )
     }
-    return Report("order", ("source", "target"), rows, extra=extra)
+    return Report(("source", "target"), rows, extra=extra)
 
 
-def _cmd_blocks(cfg: JobConfig) -> Report:
-    algebra = build_algebra(cfg)
+def _cmd_blocks(cfg: JobConfig, algebra: CherednikAlgebra) -> Report:
     partition = category_o.blocks(algebra)
     rows = [(i, ", ".join(block)) for i, block in enumerate(partition)]
-    return Report("blocks", ("block", "members"), rows)
+    return Report(("block", "members"), rows)
 
 
-def _cmd_decomp_matrix(cfg: JobConfig) -> Report:
-    algebra = build_algebra(cfg)
+def _cmd_decomp_matrix(cfg: JobConfig, algebra: CherednikAlgebra) -> Report:
     cutoff = cfg.get_int("cutoff", minimum=1)
     matrix = category_o.decomposition_matrix(algebra, cutoff)
     labels = [irr.label for irr in algebra.irreps]
     rows = [(w, e, matrix[w][e]) for w in labels for e in labels]
-    return Report("decomp-matrix", ("verma", "simple", "mult"), rows)
-
-
-def _banach_level(cfg: JobConfig, algebra: CherednikAlgebra, level: int):
-    ctx = build_context(cfg)
-    tower = banach.level_tower(algebra, ctx, level)
-    return tower[level]
+    return Report(("verma", "simple", "mult"), rows)
 
 
 def _norm_text(element: banach.BanachElement) -> str:
@@ -216,10 +197,9 @@ def _norm_text(element: banach.BanachElement) -> str:
         return f"tail-dominated (>= {exc.tau})"
 
 
-def _cmd_norm(cfg: JobConfig) -> Report:
-    algebra = build_algebra(cfg)
+def _cmd_norm(cfg: JobConfig, algebra: CherednikAlgebra) -> Report:
     level = cfg.get_int("level", minimum=0)
-    params = _banach_level(cfg, algebra, level)
+    params = banach.level_tower(algebra, build_context(cfg), level)[level]
     element = banach.BanachElement.from_pbw(parse_job_element(cfg, algebra), params)
     rows = []
     for term, weight in sorted(
@@ -228,34 +208,31 @@ def _cmd_norm(cfg: JobConfig) -> Report:
         mono = algebra.element({term: element.terms[term]})
         rows.append((str(mono), int(weight), level))
     extra = {"norm_exponent": _norm_text(element), "r": str(params.r), "tau": str(element.tau)}
-    return Report("norm", ("term", "weighted_valuation", "level"), rows, extra=extra)
+    return Report(("term", "weighted_valuation", "level"), rows, extra=extra)
 
 
-def _cmd_lattice_check(cfg: JobConfig) -> Report:
-    algebra = build_algebra(cfg)
+def _cmd_lattice_check(cfg: JobConfig, algebra: CherednikAlgebra) -> Report:
     lo, hi = cfg.level_range()
     ctx = build_context(cfg)
     tower = banach.level_tower(algebra, ctx, hi)
     # level_tower returns only r values whose lattice check passed
     rows = [(params.level, params.r, "pass", "") for params in tower[lo : hi + 1]]
-    return Report("lattice-check", ("level", "r", "status", "detail"), rows)
+    return Report(("level", "r", "status", "detail"), rows)
 
 
-def _cmd_ws_decompose(cfg: JobConfig) -> Report:
-    algebra = build_algebra(cfg)
+def _cmd_ws_decompose(cfg: JobConfig, algebra: CherednikAlgebra) -> Report:
     level = cfg.get_int("level", minimum=0)
-    params = _banach_level(cfg, algebra, level)
+    params = banach.level_tower(algebra, build_context(cfg), level)[level]
     element = banach.BanachElement.from_pbw(parse_job_element(cfg, algebra), params)
     decomposition = banach.weight_decompose_banach(element)
     rows = [
         (weight, _norm_text(component), str(component.to_pbw()))
         for weight, component in decomposition.components.items()
     ]
-    return Report("ws-decompose", ("weight", "exponent", "component"), rows)
+    return Report(("weight", "exponent", "component"), rows)
 
 
-def _cmd_coadmissible_check(cfg: JobConfig) -> Report:
-    algebra = build_algebra(cfg)
+def _cmd_coadmissible_check(cfg: JobConfig, algebra: CherednikAlgebra) -> Report:
     lo, hi = cfg.level_range()
     if lo != 0:
         raise ValidationError("levels", "coadmissible families start at level 0")
@@ -269,7 +246,7 @@ def _cmd_coadmissible_check(cfg: JobConfig) -> Report:
         "passed": "yes" if outcome.passed else "no",
         "failing_level": "" if outcome.failing_level is None else str(outcome.failing_level),
     }
-    return Report("coadmissible-check", ("level", "r", "status"), rows, extra=extra)
+    return Report(("level", "r", "status"), rows, extra=extra)
 
 
 _HANDLERS = {
@@ -291,11 +268,12 @@ COMMANDS = tuple(_HANDLERS)
 
 
 def run_command(cfg: JobConfig) -> Report:
-    """Dispatch a validated JobConfig to its command handler."""
+    """Build the job's algebra, run its command's handler on it, and stamp
+    the report with the command and the config echo."""
     if cfg.command not in _HANDLERS:
         raise ValidationError("command", f"unknown command {cfg.command!r}")
-    report = _HANDLERS[cfg.command](cfg)
-    report.config_echo = cfg.echo()
+    report = _HANDLERS[cfg.command](cfg, build_algebra(cfg))
+    report.command, report.config_echo = cfg.command, cfg.echo()
     return report
 
 

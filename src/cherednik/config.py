@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .scalars import InvalidInput
+from .scalars import InvalidInput, decimal_int
 
 KNOWN_KEYS = {
     "group",
@@ -64,10 +64,9 @@ class JobConfig:
             if default is None:
                 raise ValidationError(key, "required by this command but missing")
             return default
-        try:
-            value = int(text)
-        except ValueError:
-            raise ValidationError(key, f"expected an integer, got {text!r}") from None
+        value = decimal_int(text)
+        if value is None:
+            raise ValidationError(key, f"expected decimal digits, got {text!r}")
         if minimum is not None and value < minimum:
             raise ValidationError(key, f"must be >= {minimum}")
         return value
@@ -81,16 +80,17 @@ class JobConfig:
         lo, sep, hi = text.partition("..")
         if not sep:
             raise ValidationError("levels", f"expected A..B, got {text!r}")
-        try:
-            lo_i, hi_i = int(lo), int(hi)
-        except ValueError:
-            raise ValidationError("levels", f"expected A..B with integers, got {text!r}") from None
-        if lo_i < 0 or hi_i < lo_i:
+        lo_i, hi_i = decimal_int(lo), decimal_int(hi)
+        if lo_i is None or hi_i is None:
+            raise ValidationError("levels", f"expected A..B with decimal digits, got {text!r}")
+        if hi_i < lo_i:
             raise ValidationError("levels", "range must satisfy 0 <= A <= B")
         return lo_i, hi_i
 
     def echo(self) -> str:
-        parts = [f"{k}={self.raw[k]}" for k in sorted(self.raw)]
+        """The keys in sorted order, the raw `command` key left out, then the
+        command that runs."""
+        parts = [f"{k}={self.raw[k]}" for k in sorted(self.raw) if k != "command"]
         if self.command:
             parts.append(f"command={self.command}")
         return "; ".join(parts)

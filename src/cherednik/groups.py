@@ -46,7 +46,7 @@ class NotIrreducible(InvalidInput):
 
 
 def _freeze(rows) -> Matrix:
-    return tuple(tuple(Scalar.rational(x) if not isinstance(x, Scalar) else x for x in row) for row in rows)
+    return tuple(tuple(Scalar.rational(x) for x in row) for row in rows)
 
 
 def _is_integral(mat: Matrix) -> bool:
@@ -450,9 +450,10 @@ def builtin_group(spec: str, field_ell: int = 1):
     if name not in _BUILTINS:
         raise ValueError(f"unknown built-in group {spec!r}")
     if name in ("cyclic", "dihedral"):
-        if not arg:
-            raise ValueError(f"{name} requires an order parameter, e.g. {name}:3")
-        return _BUILTINS[name](int(arg), field_ell)
+        order = decimal_int(arg)
+        if order is None:
+            raise ValueError(f"{name}:L needs an order L of decimal digits, got {arg!r}")
+        return _BUILTINS[name](order, field_ell)
     if arg:
         raise ValueError(f"{name} takes no parameter")
     return _BUILTINS[name](field_ell)

@@ -131,7 +131,7 @@ class PBWElement:
     def __mul__(self, other):
         if isinstance(other, PBWElement):
             return self.algebra.multiply(self, other)
-        coef = Scalar.rational(other) if not isinstance(other, Scalar) else other
+        coef = Scalar.rational(other)
         if not coef:
             return self.algebra.zero()
         return PBWElement(self.algebra, {k: v * coef for k, v in self.terms.items()})
@@ -231,7 +231,7 @@ class CherednikAlgebra:
         out: dict = {}
         for k, v in (terms or {}).items():
             i, g, j = k
-            coef = v if isinstance(v, Scalar) else Scalar.rational(v)
+            coef = Scalar.rational(v)
             if coef:
                 out[(tuple(i), g, tuple(j))] = coef
         return PBWElement(self, out)
@@ -243,7 +243,7 @@ class CherednikAlgebra:
         return self.monomial(self._zero_deg, 0, self._zero_deg)
 
     def monomial(self, i, g: int, j, coeff=ONE) -> PBWElement:
-        coef = coeff if isinstance(coeff, Scalar) else Scalar.rational(coeff)
+        coef = Scalar.rational(coeff)
         if not coef:
             return self.zero()
         return PBWElement(self, {(tuple(i), g, tuple(j)): coef})

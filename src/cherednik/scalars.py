@@ -498,9 +498,25 @@ def _settle(terms: dict) -> dict:
 # ---------------------------------------------------------------------------
 
 
+# Miller-Rabin on the first 13 primes decides every n below psi_13
+# (Sorenson and Webster, Math. Comp. 86, 2017)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PSI_13 = 3_317_044_064_679_887_385_961_981
+
+
 def is_prime(n: int) -> bool:
-    # trial division
-    return n > 1 and all(n % f for f in range(2, math.isqrt(n) + 1))
+    """Exact primality: Miller-Rabin on `_MR_BASES` below psi_13, trial
+    division at or above it."""
+    if n >= _PSI_13:
+        return all(n % f for f in range(2, math.isqrt(n) + 1))
+    if n < 2 or any(n % a == 0 for a in _MR_BASES):
+        return n in _MR_BASES
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s with d odd
+    for a in _MR_BASES:
+        x = pow(a, (n - 1) >> s, n)
+        if x != 1 and all(pow(x, 1 << k, n) != n - 1 for k in range(s)):
+            return False
+    return True
 
 
 def horner(coeffs, r: int, mod: int) -> int:

@@ -1094,6 +1094,66 @@ class TestOrderAndBlocks:
             assert index[w] == index[e]
 
 
+def _bfs_components(graph) -> list:
+    """Connected components of the undirected order graph by breadth-first
+    search, ordered by first label, members in label order."""
+    neighbours = {lbl: set() for lbl in graph.labels}
+    for w, e in graph.edges:
+        neighbours[w].add(e)
+        neighbours[e].add(w)
+    seen, out = set(), []
+    for start in graph.labels:
+        if start in seen:
+            continue
+        seen.add(start)
+        component, queue = [], [start]
+        while queue:
+            x = queue.pop(0)
+            component.append(x)
+            for y in neighbours[x] - seen:
+                seen.add(y)
+                queue.append(y)
+        out.append(sorted(component, key=graph.labels.index))
+    return out
+
+
+BLOCK_GROUPS = (
+    [(f"cyclic:{n}", n, n) for n in range(2, 7)]
+    + [("s3", 1, 3), ("s4", 1, 4)]
+    + [(f"dihedral:{n}", n, n) for n in range(3, 9)]
+)
+
+
+class TestBlocksAgainstBFS:
+    """`blocks` reads the components off the integer-linkage classes; a BFS
+    over the order's edges is the independent oracle."""
+
+    @pytest.mark.parametrize("spec, ell, n", BLOCK_GROUPS, ids=[g[0] for g in BLOCK_GROUPS])
+    def test_blocks_are_the_order_components(self, spec, ell, n):
+        group, _ = builtin_group(spec, ell)
+        classes = len(ReflectionFunction(group, find_reflections(group), [0]).classes)
+        choices = [[Fraction(0)], [Fraction(1, 2)], [Fraction(1, 3)], [Fraction(1, n)]]
+        choices += [
+            [Fraction(1, k + 2) for k in range(classes)],
+            [Fraction(k + 1, 2) for k in range(classes)],
+        ]
+        for values in choices:
+            alg = make_algebra(spec, ell, values)
+            assert blocks(alg) == _bfs_components(highest_weight_order(alg)), values
+
+    def test_one_c_value_joins_a_linked_class(self):
+        # eps, epsdet and rho1 share c = 1 and link to triv (0) and det (2)
+        alg = make_algebra("dihedral:4", 4, [Fraction(1, 4)])
+        assert blocks(alg) == [["triv", "det", "eps", "epsdet", "rho1"]]
+        assert blocks(alg) == _bfs_components(highest_weight_order(alg))
+
+    def test_a_single_c_value_class_splits(self):
+        # eps, epsdet and rho1 share c = 1 with no other label in their class
+        alg = make_algebra("dihedral:4", 4, [Fraction(1, 3)])
+        assert blocks(alg) == [["triv"], ["det"], ["eps"], ["epsdet"], ["rho1"]]
+        assert blocks(alg) == _bfs_components(highest_weight_order(alg))
+
+
 class TestDecomposition:
     def test_order_two_half_matrix(self):
         alg = make_algebra("cyclic:2", 1, [Fraction(1, 2)])

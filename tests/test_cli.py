@@ -13,7 +13,7 @@ import pytest
 import cherednik
 from cherednik import banach, category_o, cli, groups, pbw
 from cherednik.cli import build_algebra, emit_report, main, run_command
-from cherednik.config import ParseError, ValidationError, parse_config
+from cherednik.config import KNOWN_KEYS, ParseError, ValidationError, parse_config
 from cherednik.scalars import CherednikError, ComputationLimit, ExprError, InvalidInput
 
 MINIMAL = """
@@ -412,7 +412,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("exc", [RuntimeError, ZeroDivisionError, RecursionError])
     def test_bug_ends_in_traceback(self, exc, tmp_path, monkeypatch):
         # only the two package roots map to exit codes; anything else is a bug
-        def handler(cfg):
+        def handler(cfg, algebra):
             raise exc("a bug, not a limit")
 
         monkeypatch.setitem(cli._HANDLERS, "order", handler)
@@ -420,6 +420,54 @@ class TestExitCodes:
         cfg.write_text(MINIMAL)
         with pytest.raises(exc, match="a bug, not a limit"):
             main(["order", "--config", str(cfg)])
+
+
+class TestJobIntegers:
+    """Every integer of a job is read by `decimal_int`, as expression
+    literals are: a sign, an underscore or an inner space exits 2 and the
+    message names the key."""
+
+    @pytest.mark.parametrize(
+        "command, job, key",
+        [
+            pytest.param("verma-weights", "cutoff = 1_0\n", "cutoff", id="cutoff-underscore"),
+            pytest.param("verma-weights", "cutoff = +4\n", "cutoff", id="cutoff-sign"),
+            pytest.param("lattice-check", "prime = 1_3\nlevels = 0..1\n", "prime", id="prime"),
+            pytest.param(
+                "lattice-check", "prime = 3\nprecision = 6_4\nlevels = 0..1\n", "precision", id="precision"
+            ),
+            pytest.param("lattice-check", "prime = 3\nlevels = 0..+1\n", "levels", id="levels-sign"),
+            pytest.param("lattice-check", "prime = 3\nlevels = 0 ..1\n", "levels", id="levels-space"),
+            pytest.param("lattice-check", "prime = 3\nprecision = 0\nlevels = 0..1\n", "precision", id="precision-0"),
+            pytest.param("order", "group = cyclic:1_2\nfield = cyclotomic:12\n", "group", id="cyclic"),
+            pytest.param("order", "group = dihedral: 5\nfield = cyclotomic:5\n", "group", id="dihedral"),
+        ],
+    )
+    def test_malformed_integer_is_two(self, command, job, key, tmp_path, capsys):
+        base = "c = 1/2\n" if "group" in job else "group = cyclic:2\nc = 1/2\n"
+        cfg = tmp_path / "job.cfg"
+        cfg.write_text(base + job)
+        assert main([command, "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"cherednik: invalid job: {key}:") and "Traceback" not in err
+
+    def test_echo_holds_the_command_that_ran(self, tmp_path, capsys):
+        cfg = tmp_path / "job.cfg"
+        cfg.write_text("command = euler\n" + MINIMAL)
+        assert main(["reflections", "--config", str(cfg)]) == 0
+        echo = capsys.readouterr().out.splitlines()[1]
+        assert echo.count("command=") == 1 and echo.endswith("; command=reflections")
+
+
+def test_readme_lists_every_key_and_command():
+    """README's key table and `Commands:` line name exactly the config keys
+    and the commands that exist."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    grammar = readme.split("### Config file grammar", 1)[1].split("Example:", 1)[0]
+    keys = re.findall(r"^\| `([a-z]+)` ", grammar, re.MULTILINE)
+    assert sorted(keys) == sorted(KNOWN_KEYS) and len(keys) == len(set(keys))
+    commands = readme.split("\nCommands:", 1)[1].split("\n\n", 1)[0]
+    assert re.findall(r"`([a-z-]+)`", commands) == list(cli.COMMANDS)
 
 
 @pytest.mark.parametrize(

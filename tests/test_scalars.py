@@ -1,9 +1,12 @@
 """Exact scalar arithmetic, cyclotomic reduction, and p-adic valuations."""
 
 import math
+import os
 import random
+import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 import sympy
@@ -24,6 +27,7 @@ from cherednik.scalars import (
     cyclotomic_polynomial,
     euler_phi,
     hensel_embed,
+    is_prime,
     least_cyclotomic_root,
     parse_scalar,
     val,
@@ -109,6 +113,44 @@ class TestHenselEmbed:
         assert len(roots) == euler_phi(ell)
         assert all(poly_at(phi, x, p) == 0 for x in roots)
         assert r % p == min(roots)
+
+
+class TestIsPrime:
+    """Miller-Rabin on the first 13 primes decides every n below psi_13;
+    trial division is the oracle."""
+
+    def test_matches_trial_division(self):
+        def trial(n):
+            return n > 1 and all(n % f for f in range(2, math.isqrt(n) + 1))
+
+        assert [n for n in range(200_000) if is_prime(n) != trial(n)] == []
+
+    @pytest.mark.parametrize(
+        # psi_1, psi_4, psi_9 (= psi_11) and psi_12: the least strong
+        # pseudoprimes to the first 1, 4, 9 and 12 prime bases; the last
+        # passes bases 2..37, so only base 41 rejects it.  The Carmichael
+        # number 211*421*631 is accepted by a check that stops at the first
+        # 1 it squares to; only a square root of 1 other than -1 rejects it
+        "n", [2047, 3215031751, 3825123056546413051, 318665857834031151167461, 56052361]
+    )
+    def test_rejects_strong_pseudoprimes(self, n):
+        assert not is_prime(n)
+
+    def test_accepts_a_mersenne_prime(self):
+        assert is_prime(2**61 - 1) and not is_prime(2**61 + 1)
+
+    def test_lattice_check_at_a_large_prime_finishes(self, tmp_path):
+        # trial division up to sqrt(2^61 - 1) does not finish within the timeout
+        cfg = tmp_path / "job.cfg"
+        cfg.write_text("group = s3\nc = 1/2\nprime = 2305843009213693951\nlevels = 0..2\n")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run(
+            [sys.executable, "-m", "cherednik.cli", "lattice-check", "--config", str(cfg)],
+            capture_output=True, text=True, env=env, timeout=10,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.endswith("2\t3\tpass\t\n")
 
 
 class TestCyclotomicPolynomial:
