@@ -85,14 +85,12 @@ class BanachElement:
 
     __slots__ = ("algebra", "params", "terms", "tau", "_weighted")
 
-    def __init__(
-        self, algebra, params: LevelParams, terms: dict, tau: int, weighted: dict | None = None
-    ):
+    def __init__(self, algebra, params: LevelParams, terms: dict, tau: int, weighted: dict):
         self.algebra = algebra
         self.params = params
         self.terms = terms
         self.tau = tau
-        # term -> (weighted valuation, exact), computed once per element
+        # term -> (weighted valuation, exact) of every stored term
         self._weighted = weighted
 
     @classmethod
@@ -114,11 +112,6 @@ class BanachElement:
 
     def weighted(self) -> dict:
         """(weighted valuation, exact) of every stored term."""
-        if self._weighted is None:
-            m, r, ctx = self.params.level, self.params.r, self.params.ctx
-            self._weighted = {
-                term: _weight_of(coeff, term, m, r, ctx) for term, coeff in self.terms.items()
-            }
         return self._weighted
 
     def weights(self) -> dict:
@@ -240,21 +233,21 @@ def lattice_check(algebra: CherednikAlgebra, ctx: PadicContext, m: int, r: int) 
     generators), so their weights are >= 0; an inexact valuation is the
     bound precision >= 1.  The Cherednik relation
     y_i x_j = x_j y_i + delta_ij - sum_s c(s) alpha_s(y_i) alpha_s^v(x_j) s,
-    with alpha_s = s.covector and alpha_s^v = s.vector as in
-    _straighten_single, gives x_j y_i the weight 0 and delta_ij and each
-    reflection term the weight m + r plus the valuation of its coefficient.
-    So a negative weight shows up in p^r y_i * p^m x_j, [p^m x_j, p^r y_i]
-    and [p^r y_i, p^m x_j], with the same least weight and exact flags.  A
-    violation whose negative weights all rest on inexact valuations is
-    undecided; when no violation is certified, PrecisionExhausted is raised."""
+    whose reflection coefficients are the algebra's `relation` table, gives
+    x_j y_i the weight 0 and delta_ij and each reflection term the weight
+    m + r plus the valuation of its coefficient.  So a negative weight shows
+    up in p^r y_i * p^m x_j, [p^m x_j, p^r y_i] and [p^r y_i, p^m x_j], with
+    the same least weight and exact flags.  A violation whose negative
+    weights all rest on inexact valuations is undecided; when no violation
+    is certified, PrecisionExhausted is raised."""
     dim, vals = algebra.dim, _Valuations(ctx)
     x, y = f"p^{m}*x", f"p^{r}*y"
     # (j, i) -> (least weight, certified) where y_i x_j has a negative weight
     bad = {}
     for j in range(dim):
         for i in range(dim):
-            coeffs = [algebra.c(s.index) * s.covector[i] * s.vector[j] for s in algebra.reflections]
-            vs = [vals[c] for c in coeffs if c] + ([Valuation(0)] if i == j else [])
+            vs = [vals[coef] for _, coef in algebra.relation[i, j]]
+            vs += [Valuation(0)] if i == j else []
             neg = [(v.value + m + r, v.exact) for v in vs if v.value + m + r < 0]
             if neg:
                 bad[j, i] = int(min(neg)[0]), any(exact for _, exact in neg)
@@ -309,11 +302,12 @@ class WeightDecomposition:
         parts = list(self.components.values())
         if not parts:
             raise ValueError("empty decomposition")
-        terms = {}
+        terms, weighted = {}, {}
         for part in parts:
             terms.update(part.terms)
+            weighted.update(part.weighted())
         tau = min(part.tau for part in parts)
-        return BanachElement(parts[0].algebra, parts[0].params, terms, tau)
+        return BanachElement(parts[0].algebra, parts[0].params, terms, tau, weighted)
 
 
 def weight_decompose_banach(x: BanachElement) -> WeightDecomposition:

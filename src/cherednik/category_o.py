@@ -78,9 +78,8 @@ class VermaSlice:
         included), an unlisted isotype may be singular in any degree, so
         every degree 0..cutoff is a key."""
         out: dict[int, list] = {}
-        for label, c_e in _c_values(self.algebra).items():
-            n = _integer_difference(c_e, self.c_value)
-            if n is not None and 0 <= n <= self.cutoff:
+        for label, n in _linkage(self.algebra, self.c_value).items():
+            if 0 <= n <= self.cutoff:
                 out.setdefault(n, []).append(label)
         if not _complete_table(self.algebra):
             out = {n: out.get(n, []) for n in range(self.cutoff + 1)}
@@ -345,17 +344,16 @@ class GradedCharacter:
 
 def c_scalar(algebra: CherednikAlgebra, irrep: Irrep) -> Scalar:
     """The scalar by which the central Euler part dim/2 - sum_s kappa_s s
-    acts on the irrep, read off its matrix, which must be scalar."""
+    acts on the irrep, read off its matrix sum coef * rho(g) over the
+    part's terms, which must be scalar."""
     d = irrep.dim
-    half = Scalar.rational(algebra.dim) / 2
-    mat = [[half if i == j else ZERO for j in range(d)] for i in range(d)]
-    for r in algebra.reflections:
-        coef = algebra.reflection_coefficient(r)
-        rho = irrep.matrix(r.index)
+    mat = [[ZERO] * d for _ in range(d)]
+    for (_, g, _), coef in algebra.euler_central_part().terms.items():
+        rho = irrep.matrix(g)
         for i in range(d):
             for j in range(d):
                 if rho[i][j]:
-                    mat[i][j] = mat[i][j] - coef * rho[i][j]
+                    mat[i][j] = mat[i][j] + coef * rho[i][j]
     value = mat[0][0]
     if mat != [[value if i == j else ZERO for j in range(d)] for i in range(d)]:
         raise NotScalarAction(
@@ -373,6 +371,18 @@ def _c_values(algebra: CherednikAlgebra) -> dict:
     return table
 
 
+def _linkage(algebra: CherednikAlgebra, c: Scalar) -> dict:
+    """Label -> n for each listed irrep E whose c_E - c is the integer n, in
+    irrep order: the Euler linkage of category O (Ginzburg, Guay, Opdam and
+    Rouquier), read by the singular degrees, the order and the blocks."""
+    out = {}
+    for label, c_e in _c_values(algebra).items():
+        diff = c_e - c
+        if diff.is_integer():
+            out[label] = diff.as_int()
+    return out
+
+
 def verma_action(slice_: VermaSlice, a: PBWElement, mv: dict) -> dict:
     """Evaluate a PBW element on a module vector; linear in the vector."""
     return slice_.apply_element(a, mv)
@@ -381,6 +391,15 @@ def verma_action(slice_: VermaSlice, a: PBWElement, mv: dict) -> dict:
 # ---------------------------------------------------------------------------
 # Dunkl operator route (independent oracle for the lowering action)
 # ---------------------------------------------------------------------------
+
+
+def _add_or_drop(poly: dict, key, value: Scalar) -> None:
+    """Add value to poly[key], dropping the key when the sum is zero."""
+    total = poly.get(key, ZERO) + value
+    if total:
+        poly[key] = total
+    else:
+        poly.pop(key, None)
 
 
 def _subst_dual(matrix_inv, mono: tuple) -> dict:
@@ -394,25 +413,9 @@ def _subst_dual(matrix_inv, mono: tuple) -> dict:
                     if entry:
                         up = list(m)
                         up[i] += 1
-                        key = tuple(up)
-                        s = nxt.get(key, ZERO) + c * entry
-                        if s:
-                            nxt[key] = s
-                        else:
-                            nxt.pop(key, None)
+                        _add_or_drop(nxt, tuple(up), c * entry)
             poly = nxt
     return poly
-
-
-def _poly_sub(a: dict, b: dict) -> dict:
-    out = dict(a)
-    for m, c in b.items():
-        s = out.get(m, ZERO) - c
-        if s:
-            out[m] = s
-        else:
-            out.pop(m, None)
-    return out
 
 
 def _divide_by_linear(poly: dict, alpha) -> dict:
@@ -432,23 +435,13 @@ def _divide_by_linear(poly: dict, alpha) -> dict:
             down = list(m)
             down[p] -= 1
             q = c * lead_inv
-            key = tuple(down)
-            s = quotient.get(key, ZERO) + q
-            if s:
-                quotient[key] = s
-            else:
-                quotient.pop(key, None)
+            _add_or_drop(quotient, tuple(down), q)
             # subtract q * x^down * alpha from rest
             for i, a in enumerate(alpha):
                 if a:
                     up = list(down)
                     up[i] += 1
-                    k2 = tuple(up)
-                    s2 = rest.get(k2, ZERO) - q * a
-                    if s2:
-                        rest[k2] = s2
-                    else:
-                        rest.pop(k2, None)
+                    _add_or_drop(rest, tuple(up), -q * a)
     return quotient
 
 
@@ -510,7 +503,8 @@ def dunkl_action(slice_: VermaSlice, direction, mv: dict) -> dict:
                 moved = _subst_dual(
                     alg.group.matrices[alg.group.inv(s_idx)], mono
                 )
-                diff = _poly_sub({mono: ONE}, moved)
+                diff = {m: -c for m, c in moved.items()}
+                _add_or_drop(diff, mono, ONE)
                 for key, qcoef in _divide_by_linear(diff, alpha).items():
                     base = slice_._mono_index[n - 1][key] * d
                     wq = weight * qcoef
@@ -713,13 +707,6 @@ class OrderGraph:
     edges: list
 
 
-def _integer_difference(a: Scalar, b: Scalar):
-    diff = a - b
-    if diff.is_integer():
-        return diff.as_int()
-    return None
-
-
 def _complete_table(algebra: CherednikAlgebra) -> bool:
     """Whether the irrep table lists every irrep of the group: its irreps
     are validated irreducible and the algebra admits no repeated character,
@@ -729,14 +716,10 @@ def _complete_table(algebra: CherednikAlgebra) -> bool:
 
 def highest_weight_order(algebra: CherednikAlgebra) -> OrderGraph:
     c_values = dict(_c_values(algebra))
-    labels = [irr.label for irr in algebra.irreps]
-    edges = []
-    for w in labels:
-        for e in labels:
-            diff = _integer_difference(c_values[e], c_values[w])
-            if diff is not None and diff > 0:
-                edges.append((w, e))
-    return OrderGraph(labels, c_values, edges)
+    edges = [
+        (w, e) for w, c in c_values.items() for e, n in _linkage(algebra, c).items() if n > 0
+    ]
+    return OrderGraph(list(c_values), c_values, edges)
 
 
 def blocks(algebra: CherednikAlgebra) -> list:
@@ -745,27 +728,18 @@ def blocks(algebra: CherednikAlgebra) -> list:
 
     An integer difference of c-values is an equivalence relation, and inside
     one class the order has an edge between two labels exactly when their
-    c-values differ.  So a class holding two or more c-values is one block
-    (a complete multipartite graph on at least two parts is connected), and
-    each label of a class with a single c-value is a block of its own.
-    Blocks are ordered by their first label, members in irrep order."""
-    c_values = _c_values(algebra)
-    classes: list[list] = []
-    for label in (irr.label for irr in algebra.irreps):
-        for members in classes:
-            if _integer_difference(c_values[label], c_values[members[0]]) is not None:
-                members.append(label)
-                break
-        else:
-            classes.append([label])
+    c-values differ.  So a label's linked class (`_linkage`) is its block
+    when it holds a nonzero difference (a complete multipartite graph on at
+    least two parts is connected), and otherwise the label alone is.  Each
+    block is kept where it first appears, so blocks are ordered by their
+    first label, members in irrep order."""
     out = []
-    for members in classes:
-        if len({c_values[x] for x in members}) > 1:
-            out.append(members)
-        else:
-            out.extend([x] for x in members)
-    order = {irr.label: i for i, irr in enumerate(algebra.irreps)}
-    return sorted(out, key=lambda block: order[block[0]])
+    for label, c in _c_values(algebra).items():
+        linked = _linkage(algebra, c)
+        block = list(linked) if any(linked.values()) else [label]
+        if block not in out:
+            out.append(block)
+    return out
 
 
 def decompose_verma_character(

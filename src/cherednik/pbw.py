@@ -7,6 +7,7 @@ Straightening resolves one y-past-x inversion at a time:
 
     y_i * x_j = x_j * y_i + delta_ij - sum_s c(s) (y_i, alpha_s)(alpha_s^v, x_j) s
 
+whose reflection terms are read from one table, `CherednikAlgebra.relation`,
 and moves group elements through polynomials by the linear action on the
 generators.  Each step strictly decreases the inversion count, so rewriting
 terminates; associativity is covered by the test suite.
@@ -42,13 +43,17 @@ from .scalars import (
 
 Term = tuple  # (I, g, J): multidegree tuple, group index, multidegree tuple
 
+# the bit-size guard on PBW coefficients: a product with a larger numerator
+# or denominator raises CoefficientBlowup
+MAX_COEFF_BITS = 1_000_000
+
 
 class AlgebraMismatch(CherednikError, ValueError):
     """Operands belong to different algebra instances."""
 
 
 class CoefficientBlowup(ComputationLimit):
-    """A coefficient exceeded the configured bit-size guard."""
+    """A coefficient exceeded MAX_COEFF_BITS."""
 
 
 class RepeatedIrrep(InvalidInput):
@@ -143,8 +148,15 @@ class PBWElement:
     def __pow__(self, k: int):
         if k < 0:
             raise ValueError("negative powers are not defined in the algebra")
+        alg = self.algebra
+        unit = (alg._zero_deg, 0, alg._zero_deg)
+        if self.terms.keys() <= {unit}:
+            # a scalar: the power of its coefficient, under the same guard
+            out = alg.scalar(self.terms.get(unit, ZERO) ** k)
+            alg._check_blowup(out.terms)
+            return out
         if k == 0:
-            return self.algebra.one()
+            return alg.one()
         out = self
         for _ in range(k - 1):
             out = out * self
@@ -180,7 +192,6 @@ class CherednikAlgebra:
         c: ReflectionFunction,
         irreps=(),
         field_ell: int | None = None,
-        max_coeff_bits: int = 1_000_000,
     ):
         if c.group is not group:
             raise ValueError("the reflection function is defined on another group")
@@ -197,12 +208,17 @@ class CherednikAlgebra:
                         f"irreps {prior.label!r} and {irr.label!r} have the same {what}"
                     )
         self.field_ell = field_ell if field_ell is not None else _data_field(self)
-        self.max_coeff_bits = max_coeff_bits
         self._zero_deg = (0,) * self.dim
-        # per-reflection data used by the commutation rule
-        self._refl_data = [
-            (r.index, self.c(r.index), r.covector, r.vector) for r in self.reflections
-        ]
+        # (a, b) -> the pairs (s, c(s) alpha_s[a] alpha_s^v[b]) with a nonzero
+        # coefficient, alpha_s = s.covector and alpha_s^v = s.vector: the
+        # reflection terms of y_a x_b = x_b y_a + delta_ab - sum_s coef * s
+        self.relation = {(a, b): [] for a in range(self.dim) for b in range(self.dim)}
+        for r in self.reflections:
+            value = c(r.index)
+            for (a, b), pairs in self.relation.items():
+                coef = value * r.covector[a] * r.vector[b]
+                if coef:
+                    pairs.append((r.index, coef))
         # the Euler coefficient kappa_s = 2c(s)/(1 - lambda_s^-1) per reflection
         self._kappa = {
             r.index: 2 * self.c(r.index) / (ONE - r.eigenvalue.inverse())
@@ -223,7 +239,7 @@ class CherednikAlgebra:
         self._molien: dict = {}
         # irrep label -> c_E for the listed irreps, filled by category_o
         self._c_table: dict = {}
-        self._euler = None
+        self._euler = self._central = None
 
     # -- element constructors -------------------------------------------
 
@@ -327,10 +343,7 @@ class CherednikAlgebra:
             if a == b:
                 _accumulate(result, (rest, 0, zero_deg), ONE)
             # - sum over reflections
-            for s_idx, c_val, alpha, coroot in self._refl_data:
-                coef = c_val * alpha[a] * coroot[b]
-                if not coef:
-                    continue
+            for s_idx, coef in self.relation[a, b]:
                 for mono, sub_coef in self.act_on_x_monomial(s_idx, rest).items():
                     _accumulate(result, (mono, s_idx, zero_deg), -coef * sub_coef)
             return _settle(result)
@@ -476,13 +489,12 @@ class CherednikAlgebra:
         return PBWElement(self, out)
 
     def _check_blowup(self, terms: dict):
-        limit = self.max_coeff_bits
         for coef in terms.values():
-            if coef.den.bit_length() > limit or any(
-                abs(c).bit_length() > limit for c in coef.coeffs
+            if coef.den.bit_length() > MAX_COEFF_BITS or any(
+                abs(c).bit_length() > MAX_COEFF_BITS for c in coef.coeffs
             ):
                 raise CoefficientBlowup(
-                    f"coefficient exceeds {limit} bits; raise max_coeff_bits"
+                    f"a coefficient exceeds the limit MAX_COEFF_BITS = {MAX_COEFF_BITS} bits"
                 )
 
     # -- grading ----------------------------------------------------------
@@ -491,15 +503,7 @@ class CherednikAlgebra:
         """The deformed Euler element sum_i x_i y_i + dim/2 - sum_s kappa_s s."""
         if self._euler is None:
             self._euler = self.euler_central_part() + sum(
-                (
-                    self.monomial(
-                        tuple(1 if k == i else 0 for k in range(self.dim)),
-                        0,
-                        tuple(1 if k == i else 0 for k in range(self.dim)),
-                    )
-                    for i in range(self.dim)
-                ),
-                self.zero(),
+                (self.x(i) * self.y(i) for i in range(1, self.dim + 1)), self.zero()
             )
         return self._euler
 
@@ -508,10 +512,12 @@ class CherednikAlgebra:
         kappa_s = 2c(s)/(1 - lambda_s^-1) and lambda_s is the eigenvalue on
         the coroot.  Equivalently 2c(s)/(1 - lambda) for the conormal
         eigenvalue; the two readings agree for real reflections."""
-        out = self.scalar(Scalar.rational(self.dim) / 2)
-        for r in self.reflections:
-            out = out - self.g(r.index) * self.reflection_coefficient(r)
-        return out
+        if self._central is None:
+            out = self.scalar(Scalar.rational(self.dim) / 2)
+            for r in self.reflections:
+                out = out - self.g(r.index) * self.reflection_coefficient(r)
+            self._central = out
+        return self._central
 
     def ad_euler(self, x: PBWElement) -> PBWElement:
         """Commutator with the Euler element; scales each PBW monomial by its degree."""

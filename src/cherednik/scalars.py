@@ -504,11 +504,15 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _PSI_13 = 3_317_044_064_679_887_385_961_981
 
 
+class PrimalityUncertified(ComputationLimit):
+    """A number at or above psi_13 passes Miller-Rabin on every base of
+    `_MR_BASES`, which does not prove it prime."""
+
+
 def is_prime(n: int) -> bool:
-    """Exact primality: Miller-Rabin on `_MR_BASES` below psi_13, trial
-    division at or above it."""
-    if n >= _PSI_13:
-        return all(n % f for f in range(2, math.isqrt(n) + 1))
+    """Exact primality by Miller-Rabin on `_MR_BASES`: a witness proves n
+    composite, and passing every base proves n prime below psi_13.  At or
+    above psi_13 a number that passes raises PrimalityUncertified."""
     if n < 2 or any(n % a == 0 for a in _MR_BASES):
         return n in _MR_BASES
     s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s with d odd
@@ -516,6 +520,11 @@ def is_prime(n: int) -> bool:
         x = pow(a, (n - 1) >> s, n)
         if x != 1 and all(pow(x, 1 << k, n) != n - 1 for k in range(s)):
             return False
+    if n >= _PSI_13:
+        raise PrimalityUncertified(
+            f"{n} passes Miller-Rabin on the first 13 primes, which certifies "
+            f"no prime at or above {_PSI_13}"
+        )
     return True
 
 

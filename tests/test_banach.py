@@ -496,6 +496,18 @@ class TestWeightDecomposition:
                 assert gauss_norm(component) >= whole
             assert decomposition.resummed().terms == el.terms
 
+    def test_resummed_keeps_the_parts_weights(self):
+        alg = make_algebra("cyclic:2", 1, [Fraction(1, 2)])
+        rng = random.Random(5)
+        params = params_for(alg, CTX5, 1)
+        for _ in range(20):
+            el = random_banach(alg, params, rng)
+            if not el.terms:
+                continue
+            resummed = weight_decompose_banach(el).resummed()
+            assert resummed.weighted() == el.weighted()
+            assert resummed.weighted() == BanachElement.from_pbw(el.to_pbw(), params, el.tau).weighted()
+
     def test_decompose_resum_decompose_is_identity(self):
         alg = make_algebra("cyclic:2", 1, [Fraction(1, 2)])
         rng = random.Random(4)

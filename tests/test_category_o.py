@@ -60,6 +60,13 @@ def random_vector(slice_, rng, degree):
     }
 
 
+BLOCK_GROUPS = (
+    [(f"cyclic:{n}", n, n) for n in range(2, 7)]
+    + [("s3", 1, 3), ("s4", 1, 4)]
+    + [(f"dihedral:{n}", n, n) for n in range(3, 9)]
+)
+
+
 class TestCScalar:
     def test_zero_parameter_gives_half_dimension(self):
         for spec, ell, dim in (("cyclic:3", 3, 1), ("s3", 1, 2), ("s4", 1, 3)):
@@ -103,6 +110,37 @@ class TestCScalar:
         for _ in range(2):
             with pytest.raises(NotScalarAction):
                 highest_weight_order(listed)
+
+
+def old_c_scalar(alg, irrep):
+    """dim/2 I - sum_s kappa_s rho(s), which must be scalar: the c_E formula
+    written out as a matrix."""
+    d = irrep.dim
+    half = Scalar.rational(alg.dim) / 2
+    mat = [[half if i == j else ZERO for j in range(d)] for i in range(d)]
+    for r in alg.reflections:
+        rho = irrep.matrix(r.index)
+        for i in range(d):
+            for j in range(d):
+                mat[i][j] = mat[i][j] - alg.reflection_coefficient(r) * rho[i][j]
+    assert mat == [[mat[0][0] if i == j else ZERO for j in range(d)] for i in range(d)]
+    return mat[0][0]
+
+
+def c_value_lists(spec, ell):
+    """One c-value for every class, and one value per reflection class."""
+    group, _ = builtin_group(spec, ell)
+    classes = len(ReflectionFunction(group, find_reflections(group), [0]).classes)
+    return [[Fraction(1, 3)], [Fraction(k + 1, k + 3) for k in range(classes)]]
+
+
+class TestCScalarAgainstTheMatrix:
+    @pytest.mark.parametrize("spec, ell, n", BLOCK_GROUPS, ids=[g[0] for g in BLOCK_GROUPS])
+    def test_every_builtin_irrep(self, spec, ell, n):
+        for values in c_value_lists(spec, ell):
+            alg = make_algebra(spec, ell, values)
+            for w in alg.irreps:
+                assert c_scalar(alg, w) == old_c_scalar(alg, w), (values, w.label)
 
 
 class TestVermaAction:
@@ -1117,13 +1155,6 @@ def _bfs_components(graph) -> list:
     return out
 
 
-BLOCK_GROUPS = (
-    [(f"cyclic:{n}", n, n) for n in range(2, 7)]
-    + [("s3", 1, 3), ("s4", 1, 4)]
-    + [(f"dihedral:{n}", n, n) for n in range(3, 9)]
-)
-
-
 class TestBlocksAgainstBFS:
     """`blocks` reads the components off the integer-linkage classes; a BFS
     over the order's edges is the independent oracle."""
@@ -1152,6 +1183,52 @@ class TestBlocksAgainstBFS:
         alg = make_algebra("dihedral:4", 4, [Fraction(1, 3)])
         assert blocks(alg) == [["triv"], ["det"], ["eps"], ["epsdet"], ["rho1"]]
         assert blocks(alg) == _bfs_components(highest_weight_order(alg))
+
+
+def brute_singular_isotypes(slice_):
+    """Degree n -> the listed labels E with c_E = c_lambda + n, searched over
+    n = 0..cutoff; every degree is a key when the table is incomplete."""
+    alg = slice_.algebra
+    out = {}
+    for irr in alg.irreps:
+        for n in range(slice_.cutoff + 1):
+            if c_scalar(alg, irr) == slice_.c_value + n:
+                out.setdefault(n, []).append(irr.label)
+    if sum(irr.dim**2 for irr in alg.irreps) != len(alg.group):
+        out = {n: out.get(n, []) for n in range(slice_.cutoff + 1)}
+    return out
+
+
+def brute_edges(alg):
+    """(W, E) for every pair of listed labels with c_E = c_W + n, 0 < n < 100."""
+    c = {irr.label: c_scalar(alg, irr) for irr in alg.irreps}
+    return [(w, e) for w in c for e in c if any(c[e] == c[w] + n for n in range(1, 100))]
+
+
+class TestLinkageAgainstBruteForce:
+    """`singular_isotypes` and the order's edges read one Euler linkage; a
+    search over the degrees and the listed labels is the oracle."""
+
+    @staticmethod
+    def check(alg, irreps, cutoff):
+        assert highest_weight_order(alg).edges == brute_edges(alg)
+        for w in irreps:
+            slice_ = VermaSlice(alg, w, cutoff)
+            got = slice_.singular_isotypes
+            assert list(got.items()) == list(brute_singular_isotypes(slice_).items()), w.label
+
+    @pytest.mark.parametrize("spec, ell, n", BLOCK_GROUPS, ids=[g[0] for g in BLOCK_GROUPS])
+    def test_complete_tables(self, spec, ell, n):
+        for values in c_value_lists(spec, ell) + [[Fraction(1, 2)], [Fraction(1, n)]]:
+            alg = make_algebra(spec, ell, values)
+            self.check(alg, alg.irreps, 6)
+
+    @pytest.mark.parametrize("spec, ell, c", [("s3", 1, Fraction(1, 2)), ("dihedral:4", 4, Fraction(1, 4))])
+    def test_incomplete_table_and_an_unlisted_irrep(self, spec, ell, c):
+        full = make_algebra(spec, ell, [c])
+        alg = CherednikAlgebra(full.group, full.c, irreps=full.irreps[:-1])
+        # the last irrep is not listed, but its slice still has a c_lambda
+        self.check(alg, full.irreps, 4)
 
 
 class TestDecomposition:

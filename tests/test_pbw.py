@@ -26,6 +26,7 @@ from cherednik.groups import (
 from cherednik.pbw import (
     AlgebraMismatch,
     CherednikAlgebra,
+    MAX_COEFF_BITS,
     CoefficientBlowup,
     PBWElement,
     _add_deg,
@@ -96,12 +97,24 @@ class TestMultiplication:
             CherednikAlgebra(group, c, irreps=irreps)
 
     def test_blowup_guard(self):
-        group, irreps = builtin_group("cyclic:2")
-        refl = find_reflections(group)
-        c = ReflectionFunction(group, refl, [Fraction(1, 2)])
-        alg = CherednikAlgebra(group, c, irreps=irreps, max_coeff_bits=8)
+        alg = make_algebra("cyclic:2", 1, [Fraction(1, 2)])
+        # 2^999999 has MAX_COEFF_BITS bits, 2^1000001 two more
+        assert MAX_COEFF_BITS == 1_000_000
+        assert alg.scalar(2) * alg.scalar(2**999998) == alg.scalar(2**999999)
+        with pytest.raises(CoefficientBlowup, match="MAX_COEFF_BITS = 1000000"):
+            alg.scalar(2) * alg.scalar(2**1000000)
         with pytest.raises(CoefficientBlowup):
-            alg.scalar(Fraction(1, 10**9)) * alg.scalar(Fraction(1, 10**9))
+            alg.scalar(Fraction(1, 2**1000000)) * alg.x(1)
+        # a scalar power is its coefficient's, under the same guard
+        assert alg.scalar(2) ** 999999 == alg.scalar(2**999999)
+        with pytest.raises(CoefficientBlowup):
+            alg.scalar(2) ** 1000001
+
+    def test_blowup_guard_from_the_command_line(self, tmp_path, capsys):
+        cfg = tmp_path / "job.cfg"
+        cfg.write_text("group = cyclic:2\nc = 1/2\nprime = 3\nlevel = 0\nelement = 2^1000001*x1\n")
+        assert main(["norm", "--config", str(cfg)]) == 3
+        assert "MAX_COEFF_BITS" in capsys.readouterr().err
 
     def test_y_free_left_term_stores_no_straightening(self):
         # x^I g * x^I2 g2 y^J2 needs no straightening, so the product leaves
@@ -125,6 +138,36 @@ class TestMultiplication:
             for k in range(2, 5):
                 nested = nested * a
                 assert a**k == nested
+
+
+RELATION_GROUPS = (
+    [(f"cyclic:{n}", n) for n in range(2, 7)]
+    + [("s3", 1), ("s4", 1)]
+    + [(f"dihedral:{n}", n) for n in range(3, 9)]
+)
+
+
+@pytest.mark.parametrize("spec, ell", RELATION_GROUPS, ids=[g[0] for g in RELATION_GROUPS])
+def test_y_past_x_is_the_relation_table(spec, ell):
+    """y_i x_j = x_j y_i + delta_ij - sum_s c(s) alpha_s[i] alpha_s^v[j] s,
+    alpha_s = s.covector and alpha_s^v = s.vector, at one c-value and at one
+    value per reflection class; `relation[i - 1, j - 1]` holds the nonzero
+    reflection terms in reflection order."""
+    group, _ = builtin_group(spec, ell)
+    classes = len(ReflectionFunction(group, find_reflections(group), [0]).classes)
+    for values in ([Fraction(1, 3)], [Fraction(k + 1, k + 3) for k in range(classes)]):
+        alg = make_algebra(spec, ell, values)
+        for i in range(1, alg.dim + 1):
+            for j in range(1, alg.dim + 1):
+                terms = [
+                    (s.index, alg.c(s.index) * s.covector[i - 1] * s.vector[j - 1])
+                    for s in alg.reflections
+                ]
+                assert alg.relation[i - 1, j - 1] == [(s, k) for s, k in terms if k]
+                expected = alg.x(j) * alg.y(i) + (1 if i == j else 0)
+                for s, k in alg.relation[i - 1, j - 1]:
+                    expected = expected - alg.g(s) * k
+                assert alg.y(i) * alg.x(j) == expected, (values, i, j)
 
 
 def _mixed_scalar(rng, ell):
@@ -225,6 +268,10 @@ class TestEulerElement:
         for i in range(1, 4):
             expected = expected + alg.x(i) * alg.y(i)
         assert alg.euler_element() == expected
+
+    def test_central_part_is_built_once(self):
+        alg = make_algebra("s4", 1, [Fraction(1, 2)])
+        assert alg.euler_central_part() is alg.euler_central_part()
 
 
 class TestInnerGrading:

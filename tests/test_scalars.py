@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -20,6 +21,7 @@ from cherednik.scalars import (
     MAX_NESTING,
     ONE,
     PadicContext,
+    PrimalityUncertified,
     Scalar,
     ZERO,
     SplittingError,
@@ -32,7 +34,7 @@ from cherednik.scalars import (
     parse_scalar,
     val,
 )
-from cherednik.scalars import _accumulate, _product_table, _settle
+from cherednik.scalars import _PSI_13 as PSI_13, _accumulate, _product_table, _settle
 
 
 def brute_roots(ell, p, N):
@@ -141,16 +143,44 @@ class TestIsPrime:
 
     def test_lattice_check_at_a_large_prime_finishes(self, tmp_path):
         # trial division up to sqrt(2^61 - 1) does not finish within the timeout
-        cfg = tmp_path / "job.cfg"
-        cfg.write_text("group = s3\nc = 1/2\nprime = 2305843009213693951\nlevels = 0..2\n")
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        done = subprocess.run(
-            [sys.executable, "-m", "cherednik.cli", "lattice-check", "--config", str(cfg)],
-            capture_output=True, text=True, env=env, timeout=10,
-        )
+        done = lattice_check_job(tmp_path, 2**61 - 1)
         assert done.returncode == 0, done.stderr
         assert done.stdout.endswith("2\t3\tpass\t\n")
+
+    def test_no_answer_at_or_above_psi_13_is_a_guess(self):
+        # psi_13 is a strong pseudoprime to all 13 bases, and 2^89 - 1 a
+        # prime that passes them too: neither is certified
+        for n in (PSI_13, 2**89 - 1):
+            with pytest.raises(PrimalityUncertified, match="certifies no prime"):
+                is_prime(n)
+        # a witness still proves a composite above psi_13 composite
+        assert not is_prime((2**61 - 1) * (2**31 - 1))
+
+    @pytest.mark.parametrize(
+        # the next prime above psi_13 passes every base and is not certified
+        # (exit 3); twice it is even, so base 2 rejects it (exit 2)
+        "prime, code", [(3317044064679887385962123, 3), (6634088129359774771924246, 2)]
+    )
+    def test_lattice_check_above_psi_13_ends_at_once(self, tmp_path, prime, code):
+        start = time.monotonic()
+        done = lattice_check_job(tmp_path, prime)
+        assert done.returncode == code, done.stderr
+        assert time.monotonic() - start < 3
+        assert "Traceback" not in done.stderr
+        assert ("not prime" if code == 2 else "certifies no prime") in done.stderr
+
+
+def lattice_check_job(tmp_path, prime):
+    """`cherednik lattice-check` on s3 at the prime, in a fresh process
+    stopped after 10 s."""
+    cfg = tmp_path / "job.cfg"
+    cfg.write_text(f"group = s3\nc = 1/2\nprime = {prime}\nlevels = 0..2\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run(
+        [sys.executable, "-m", "cherednik.cli", "lattice-check", "--config", str(cfg)],
+        capture_output=True, text=True, env=env, timeout=10,
+    )
 
 
 class TestCyclotomicPolynomial:
