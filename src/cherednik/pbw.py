@@ -148,18 +148,16 @@ class PBWElement:
     def __pow__(self, k: int):
         if k < 0:
             raise ValueError("negative powers are not defined in the algebra")
-        alg = self.algebra
-        unit = (alg._zero_deg, 0, alg._zero_deg)
-        if self.terms.keys() <= {unit}:
-            # a scalar: the power of its coefficient, under the same guard
-            out = alg.scalar(self.terms.get(unit, ZERO) ** k)
-            alg._check_blowup(out.terms)
-            return out
-        if k == 0:
-            return alg.one()
-        out = self
-        for _ in range(k - 1):
-            out = out * self
+        # out * base^k stays the power; only powers self^m with m <= k are
+        # formed, each through multiply and so through the blow-up guard.  A
+        # one-term base is squared; a longer one is multiplied in a factor at
+        # a time, since squaring it straightens long y-words past long x-words
+        out, base = self.algebra.one(), self
+        while k:
+            if k & 1 or len(base.terms) > 1:
+                out, k = out * base, k - 1
+            else:
+                base, k = base * base, k >> 1
         return out
 
     def grade_decompose(self) -> dict:

@@ -9,9 +9,12 @@ generators with the closed binomial formula instead of rewriting.
 import contextlib
 import functools
 import math
+import os
 import random
+import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -105,7 +108,7 @@ class TestMultiplication:
             alg.scalar(2) * alg.scalar(2**1000000)
         with pytest.raises(CoefficientBlowup):
             alg.scalar(Fraction(1, 2**1000000)) * alg.x(1)
-        # a scalar power is its coefficient's, under the same guard
+        # a power checks the guard at every product
         assert alg.scalar(2) ** 999999 == alg.scalar(2**999999)
         with pytest.raises(CoefficientBlowup):
             alg.scalar(2) ** 1000001
@@ -115,6 +118,20 @@ class TestMultiplication:
         cfg.write_text("group = cyclic:2\nc = 1/2\nprime = 3\nlevel = 0\nelement = 2^1000001*x1\n")
         assert main(["norm", "--config", str(cfg)]) == 3
         assert "MAX_COEFF_BITS" in capsys.readouterr().err
+
+    def test_a_huge_scalar_power_stops_at_the_guard(self, tmp_path):
+        # 2^(10^10) would need 1.25 GB; squaring stops at the guard after
+        # about 20 products.  A fresh process, stopped after 10 s.
+        cfg = tmp_path / "job.cfg"
+        cfg.write_text("group = cyclic:2\nc = 1/2\nprime = 3\nlevel = 0\nelement = 2^10000000000*x1\n")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run(
+            [sys.executable, "-m", "cherednik.cli", "norm", "--config", str(cfg)],
+            capture_output=True, text=True, env=env, timeout=10,
+        )
+        assert done.returncode == 3
+        assert "MAX_COEFF_BITS" in done.stderr
 
     def test_y_free_left_term_stores_no_straightening(self):
         # x^I g * x^I2 g2 y^J2 needs no straightening, so the product leaves
@@ -131,11 +148,13 @@ class TestMultiplication:
     def test_powers_are_left_nested_products(self, spec, ell, c):
         alg = make_algebra(spec, ell, c)
         rng = random.Random(5)
-        for a in (alg.x(1), alg.y(2) + alg.g(1), random_element(alg, rng, 2, 2)):
+        # one-term bases are squared, x1 g1 and x1 y1 into longer elements
+        one_term = (alg.scalar(Fraction(-2, 3)), alg.x(1), alg.g(1), alg.x(1) * alg.g(1), alg.x(1) * alg.y(1))
+        for a in one_term + (alg.y(2) + alg.g(1), random_element(alg, rng, 2, 2)):
             assert a**0 == alg.one()
             assert a**1 == a
             nested = a
-            for k in range(2, 5):
+            for k in range(2, 8 if len(a.terms) == 1 else 5):
                 nested = nested * a
                 assert a**k == nested
 
