@@ -33,6 +33,8 @@ __all__ = [
     "CherednikError",
     "InvalidInput",
     "ComputationLimit",
+    "CoefficientBlowup",
+    "MAX_COEFF_BITS",
     "SplittingError",
     "DivisionByZero",
     "FieldMismatch",
@@ -50,6 +52,27 @@ class InvalidInput(CherednikError, ValueError):
 
 class ComputationLimit(CherednikError, RuntimeError):
     """A named computational limit was reached; the command line exits 3."""
+
+
+# the bit-size guard on exact coefficients: a PBW product or a scalar power
+# with a larger numerator or denominator raises CoefficientBlowup
+MAX_COEFF_BITS = 1_000_000
+
+
+class CoefficientBlowup(ComputationLimit):
+    """A coefficient exceeded MAX_COEFF_BITS."""
+
+
+def check_coeff_bits(x: Scalar) -> Scalar:
+    """x itself, or CoefficientBlowup if a numerator coordinate or the
+    denominator of x has more than MAX_COEFF_BITS bits."""
+    if x.den.bit_length() > MAX_COEFF_BITS or any(
+        c.bit_length() > MAX_COEFF_BITS for c in x.coeffs
+    ):
+        raise CoefficientBlowup(
+            f"a coefficient exceeds the limit MAX_COEFF_BITS = {MAX_COEFF_BITS} bits"
+        )
+    return x
 
 
 class SplittingError(CherednikError, ValueError):
@@ -346,14 +369,16 @@ class Scalar:
     def __pow__(self, k: int):
         if k < 0:
             return self.inverse() ** (-k)
+        # every product passes the blow-up guard, so a huge exponent stops
+        # once a coefficient outgrows MAX_COEFF_BITS
         out = ONE
         base = self
         while k:
             if k & 1:
-                out = out * base
+                out = check_coeff_bits(out * base)
             k >>= 1
             if k:
-                base = base * base
+                base = check_coeff_bits(base * base)
         return out
 
     # -- comparisons ---------------------------------------------------

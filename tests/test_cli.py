@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import cherednik
-from cherednik import banach, category_o, cli, groups, pbw
+from cherednik import banach, category_o, cli, groups, pbw, scalars
 from cherednik.cli import build_algebra, emit_report, main, run_command
 from cherednik.config import KNOWN_KEYS, ParseError, ValidationError, parse_config
 from cherednik.scalars import CherednikError, ComputationLimit, ExprError, InvalidInput
@@ -487,7 +487,7 @@ def test_readme_lists_every_key_and_command():
         (category_o.InconsistentTruncation, ComputationLimit, RuntimeError),
         (groups.CapExceeded, ComputationLimit, RuntimeError),
         (groups.InfiniteOrder, ComputationLimit, RuntimeError),
-        (pbw.CoefficientBlowup, ComputationLimit, RuntimeError),
+        (scalars.CoefficientBlowup, ComputationLimit, RuntimeError),
         (banach.LatticeViolation, ComputationLimit, RuntimeError),
         (banach.UnboundedGenerator, ComputationLimit, RuntimeError),
         (banach.PrecisionExhausted, ComputationLimit, RuntimeError),

@@ -29,14 +29,13 @@ from cherednik.groups import (
 from cherednik.pbw import (
     AlgebraMismatch,
     CherednikAlgebra,
-    MAX_COEFF_BITS,
-    CoefficientBlowup,
     PBWElement,
     _add_deg,
     _chain,
     monomials,
 )
 from cherednik.scalars import Scalar, ZERO, ONE, ExprError, FieldMismatch, euler_phi
+from cherednik.scalars import MAX_COEFF_BITS, CoefficientBlowup
 from cherednik.scalars import _accumulate, _settle
 
 
@@ -157,6 +156,18 @@ class TestMultiplication:
             for k in range(2, 8 if len(a.terms) == 1 else 5):
                 nested = nested * a
                 assert a**k == nested
+
+    @pytest.mark.parametrize("name", ["s3", "dihedral:5"])
+    def test_powers_multiply_on_the_side_with_fewer_swaps(self, name):
+        # x1 + x2 + x1*y1 has |I| 3 to |J| 1 summed over its terms, so each
+        # factor goes in on the left and straightens y-words of at most one
+        # letter; y1 + y2 + x1 goes in on the right, past x-words of at most
+        # one letter.  A _ji_cache key is (J, I) of a straightened y^J x^I
+        for text, side in (("x1 + x2 + x1*y1", 0), ("y1 + y2 + x1", 1)):
+            alg = make_algebra(*PROPERTY_ALGEBRAS[name])
+            alg.parse_element(text) ** 5
+            assert alg._ji_cache
+            assert max(sum(key[side]) for key in alg._ji_cache) <= 1, text
 
 
 RELATION_GROUPS = (
@@ -576,6 +587,19 @@ class TestProperties:
         alg = property_algebra(name)
         a, b, c = (data.draw(pbw_elements(alg, 1, 2)) for _ in range(3))
         assert (a * b) * c == a * (b * c)
+
+    @pytest.mark.parametrize("name", sorted(PROPERTY_ALGEBRAS))
+    @settings(derandomize=True, deadline=None, max_examples=15)
+    @given(data=st.data())
+    def test_powers_are_left_and_right_nested_products(self, name, data):
+        # a power picks a side per factor; both nestings give the same terms
+        alg = property_algebra(name)
+        a = data.draw(pbw_elements(alg, 1, 3).filter(lambda el: len(el.terms) > 1))
+        k = data.draw(st.integers(2, 5))
+        left = right = a
+        for _ in range(k - 1):
+            left, right = left * a, a * right
+        assert (a**k).terms == left.terms == right.terms
 
     @pytest.mark.parametrize("name", sorted(PROPERTY_ALGEBRAS))
     @settings(derandomize=True, deadline=None, max_examples=25)

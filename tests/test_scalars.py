@@ -14,6 +14,8 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from cherednik.scalars import (
+    MAX_COEFF_BITS,
+    CoefficientBlowup,
     DivisionByZero,
     ExprError,
     FieldMismatch,
@@ -170,17 +172,22 @@ class TestIsPrime:
         assert ("not prime" if code == 2 else "certifies no prime") in done.stderr
 
 
-def lattice_check_job(tmp_path, prime):
-    """`cherednik lattice-check` on s3 at the prime, in a fresh process
-    stopped after 10 s."""
+def cli_job(tmp_path, command, config):
+    """`cherednik <command>` on the config text, in a fresh process stopped
+    after 10 s."""
     cfg = tmp_path / "job.cfg"
-    cfg.write_text(f"group = s3\nc = 1/2\nprime = {prime}\nlevels = 0..2\n")
+    cfg.write_text(config)
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     return subprocess.run(
-        [sys.executable, "-m", "cherednik.cli", "lattice-check", "--config", str(cfg)],
+        [sys.executable, "-m", "cherednik.cli", command, "--config", str(cfg)],
         capture_output=True, text=True, env=env, timeout=10,
     )
+
+
+def lattice_check_job(tmp_path, prime):
+    """`cherednik lattice-check` on s3 at the prime, in a fresh process."""
+    return cli_job(tmp_path, "lattice-check", f"group = s3\nc = 1/2\nprime = {prime}\nlevels = 0..2\n")
 
 
 class TestCyclotomicPolynomial:
@@ -785,6 +792,33 @@ class TestScalarExpressions:
         assert parse_scalar("(-z^2)", 5) == -Scalar.zeta(5, 2)
         assert parse_scalar("z*-z^2", 5) == -Scalar.zeta(5, 3)
         assert parse_scalar("1/-z^2", 5) == -Scalar.zeta(5, -2)
+
+    def test_powers_check_the_blowup_guard(self):
+        # 2^999999 has MAX_COEFF_BITS bits; every product of a power is checked
+        assert MAX_COEFF_BITS == 1_000_000
+        assert parse_scalar("2^999999") == 2**999999
+        assert parse_scalar("2^-999999") == Fraction(1, 2**999999)
+        for text in ("2^1000000", "2^-1000000", "3^10000000000"):
+            with pytest.raises(CoefficientBlowup, match="MAX_COEFF_BITS = 1000000"):
+                parse_scalar(text)
+        # powers whose coefficients stay small run to any exponent
+        assert parse_scalar("z^10000000001", 5) == Scalar.zeta(5)
+        assert parse_scalar("(-1)^10000000001") == -1
+
+    @pytest.mark.parametrize("where", ["c", "group file"])
+    def test_a_huge_power_in_a_job_stops_at_the_guard(self, tmp_path, where):
+        # 2^(10^10) would need 1.25 GB; squaring stops at the guard after
+        # about 20 products, in c and in a matrix entry of a group file alike
+        huge = "2^10000000000"
+        if where == "c":
+            config = f"group = cyclic:2\nc = {huge}\n"
+        else:
+            group_file = tmp_path / "group.txt"
+            group_file.write_text(f"dimension = 1\nbegin generator\n{huge}\nend\n")
+            config = f"group = file:{group_file}\nc = 0\n"
+        done = cli_job(tmp_path, "euler", config)
+        assert done.returncode == 3, done.stderr
+        assert "MAX_COEFF_BITS = 1000000" in done.stderr and "Traceback" not in done.stderr
 
     def test_every_sign_counts_toward_nesting(self):
         # a leading sign counts as much as a sign inside a product
