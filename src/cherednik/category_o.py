@@ -6,6 +6,9 @@ A VermaSlice holds the degrees 0..N of A tensor W together with any
 quotienting that has happened; quotients are tracked as echelon bases
 (pivot -> sparse row) of the killed subspaces per degree, so module vectors
 in a quotient are coordinates on the surviving (non-pivot) basis positions.
+Every action that moves a degree reads one degree rule (`VermaSlice._apply`),
+and every singular space, the radical's included, comes from one routine
+(`singular_vectors`).
 """
 
 from __future__ import annotations
@@ -162,82 +165,63 @@ class VermaSlice:
             for m in self.irrep.matrices
         ]
 
-    def _act_dense(self, image, n: int, target: int, vec: list) -> list:
-        """`_act` on a dense degree-n vector, with a dense image."""
-        return linalg.dense(self._act(image, n, linalg.sparse(vec)), self.full_dim(target))
-
-    def apply_x_full(self, i: int, n: int, vec: list) -> list:
-        """Action of x_i (0-based), the term (e_i, 1, 0), from degree n to n + 1."""
-        if n + 1 > self.cutoff:
-            raise CutoffExceeded(
-                f"x-action leaves the truncation (degree {n} -> {n + 1} > {self.cutoff})"
-            )
-        return self._act_dense(self._image(self.algebra.x(i + 1)), n, n + 1, vec)
-
-    def apply_y_full(self, i: int, n: int, vec: list) -> list:
-        """Action of y_i (0-based), the term (0, 1, e_i), from degree n to
-        n - 1; degree 0 maps to the empty vector."""
-        if n == 0:
-            return []
-        return self._act_dense(self._image(self.algebra.y(i + 1)), n, n - 1, vec)
-
-    def apply_g_full(self, g: int, n: int, vec: list) -> list:
-        """Action of the group element g, the term (0, g, 0), on degree n."""
-        return self._act_dense(self._image(self.algebra.g(g)), n, n, vec)
-
-    def apply_term_full(self, term, coef, n: int, vec: list):
-        """One PBW monomial acting from degree n; returns (degree, vector),
-        with the vector None when the term kills degree n."""
-        ideg, _, jdeg = term
-        jtot = sum(jdeg)
-        target = n - jtot + sum(ideg)
-        if target > self.cutoff:
-            raise CutoffExceeded(
-                f"term raises degree {n} beyond the truncation {self.cutoff}"
-            )
-        if jtot > n:
-            return target, None
-        image = self._image(self.algebra.monomial(*term, coef))
-        return target, self._act_dense(image, n, target, vec)
-
-    # -- public module action ----------------------------------------------
-
-    def apply_element(self, a: PBWElement, mv: dict) -> dict:
-        """Module action of a PBW element on a vector in slice coordinates.
-        The terms are grouped by degree shift |I| - |J|, and each group acts
-        through its merged image (`act_on_verma_terms`): one scatter per
-        input monomial into one accumulator per target degree.  As for a
-        single term, a degree n of the input that some term would raise past
-        the cutoff raises CutoffExceeded, even where the vector is zero, and
-        terms with |J| > n act on degree n by zero.  A degree outside
-        0..cutoff, or coordinates not dim(n) long, raise ValueError."""
-        if a.algebra is not self.algebra:
-            raise ValueError("element belongs to a different algebra")
+    def _groups(self, a: PBWElement) -> list:
+        """(shift, least |J|, image) per degree shift |I| - |J| of a's terms,
+        the image merging that shift's terms (`act_on_verma_terms`)."""
         by_shift: dict[int, list] = {}
         for term, coef in a.terms.items():
             ideg, _, jdeg = term
             by_shift.setdefault(sum(ideg) - sum(jdeg), []).append((term, coef))
         merged_image = self.algebra.act_on_verma_terms
-        # (shift, least |J|, image function) per group
-        groups = [
+        return [
             (shift, min(sum(j) for (_, _, j), _ in pairs), merged_image(frozenset(pairs)))
             for shift, pairs in by_shift.items()
         ]
-        top = max(by_shift, default=0)
-        acc: dict[int, dict] = {}
-        for n, freevec in mv.items():
-            self._check_vector(n, freevec)
-            vec = self.lift(n, freevec)
-            if groups and n + top > self.cutoff:
-                raise CutoffExceeded(
-                    f"term raises degree {n} beyond the truncation {self.cutoff}"
-                )
-            for shift, least_j, image in groups:
-                # the least-|J| term keeps the target n + shift >= 0
-                if least_j <= n:
-                    target = n + shift
-                    acc[target] = self._act(image, n, vec, acc.get(target))
-        return _mv_prune({n: self.to_free(n, v) for n, v in acc.items()})
+
+    def _apply(self, groups: list, n: int, vec: dict, acc: dict) -> dict:
+        """The degree rule of every action on the slice: each (shift, least
+        |J|, image) group sends the sparse degree-n vector to degree
+        n + shift, added into acc[n + shift], and acts by zero when its
+        least |J| exceeds n (that term keeps n + shift >= 0).  A degree n
+        that some group would raise past the cutoff raises CutoffExceeded,
+        even where the vector is zero or the group acts by zero.  Returns
+        acc."""
+        if groups and n + max(shift for shift, _, _ in groups) > self.cutoff:
+            raise CutoffExceeded(
+                f"term raises degree {n} beyond the truncation {self.cutoff}"
+            )
+        for shift, least_j, image in groups:
+            if least_j <= n:
+                acc[n + shift] = self._act(image, n, vec, acc.get(n + shift))
+        return acc
+
+    def _apply_full(self, group, n: int, vec: list):
+        """One group on a dense ambient degree-n vector: (target degree, dense
+        image), the image None when the group acts by zero on degree n."""
+        target = n + group[0]
+        out = self._apply([group], n, linalg.sparse(vec), {}).get(target)
+        return target, None if out is None else linalg.dense(out, self.full_dim(target))
+
+    def apply_x_full(self, i: int, n: int, vec: list) -> list:
+        """Action of x_i (0-based), the term (e_i, 1, 0), from degree n to n + 1."""
+        return self._apply_full(*self._groups(self.algebra.x(i + 1)), n, vec)[1]
+
+    def apply_y_full(self, i: int, n: int, vec: list) -> list:
+        """Action of y_i (0-based), the term (0, 1, e_i), from degree n to
+        n - 1; degree 0 maps to the empty vector."""
+        return self._apply_full(*self._groups(self.algebra.y(i + 1)), n, vec)[1] or []
+
+    def apply_g_full(self, g: int, n: int, vec: list) -> list:
+        """Action of the group element g, the term (0, g, 0), on degree n."""
+        return self._apply_full(*self._groups(self.algebra.g(g)), n, vec)[1]
+
+    def apply_term_full(self, term, coef, n: int, vec: list):
+        """One PBW monomial acting from degree n; returns (degree, vector),
+        with the vector None when the term kills degree n.  A zero
+        coefficient gives the zero vector where the term does not."""
+        ideg, _, jdeg = term
+        image = self._image(self.algebra.monomial(*term, coef))
+        return self._apply_full((sum(ideg) - sum(jdeg), sum(jdeg), image), n, vec)
 
     def basis_vector(self, n: int, index: int) -> dict:
         vec = [ZERO] * self.dim(n)
@@ -250,7 +234,8 @@ class VermaSlice:
         """One upward step of the simple quotient, for n >= 1: given the
         radical J_{n-1} in killed[n - 1], make killed[n] the radical J_n.
 
-        It adds R_n = sum_i x_i . J_{n-1}, then the lifts of the joint kernel
+        It adds R_n = sum_i x_i . J_{n-1}, then the singular vectors of the
+        partial quotient (`singular_vectors`): the lifts of the joint kernel
         of the y's from degree n modulo R_n to degree n - 1 modulo J_{n-1}.
         No G-closure is needed: that kernel is G-stable, and x . J is
         G-stable whenever J is."""
@@ -259,7 +244,7 @@ class VermaSlice:
         for row in self.killed[n - 1].values():
             for image in xs:
                 linalg.extend_echelon(killed, self._act(image, n - 1, row))
-        for v in _kernel_at_degree(self, n):
+        for v in singular_vectors(self, n).vectors:
             linalg.extend_echelon(killed, v)
 
     # -- characters ----------------------------------------------------------
@@ -384,8 +369,20 @@ def _linkage(algebra: CherednikAlgebra, c: Scalar) -> dict:
 
 
 def verma_action(slice_: VermaSlice, a: PBWElement, mv: dict) -> dict:
-    """Evaluate a PBW element on a module vector; linear in the vector."""
-    return slice_.apply_element(a, mv)
+    """Module action of a PBW element on a vector in slice coordinates;
+    linear in the vector.  The terms act through one merged image per
+    degree shift (`VermaSlice._groups`), each degree of the vector through
+    the slice's one degree rule (`VermaSlice._apply`), so a degree that
+    some term would raise past the cutoff raises CutoffExceeded.  A degree
+    outside 0..cutoff, or coordinates not dim(n) long, raise ValueError."""
+    if a.algebra is not slice_.algebra:
+        raise ValueError("element belongs to a different algebra")
+    groups = slice_._groups(a)
+    acc: dict[int, dict] = {}
+    for n, freevec in mv.items():
+        slice_._check_vector(n, freevec)
+        slice_._apply(groups, n, slice_.lift(n, freevec), acc)
+    return _mv_prune({n: slice_.to_free(n, v) for n, v in acc.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -450,7 +447,7 @@ def dunkl_action(slice_: VermaSlice, direction, mv: dict) -> dict:
     vector in h on polynomial-tensor-irrep vectors.
 
     This is an oracle route: it never consults the straightening caches.
-    The vector is checked as in `VermaSlice.apply_element`.
+    The vector is checked as in `verma_action`.
     """
     if slice_.quotiented:
         raise ValueError("the Dunkl route is defined on genuine Verma slices only")
@@ -538,22 +535,6 @@ class SingularSpace:
         return len(self.vectors)
 
 
-def _kernel_at_degree(slice_: VermaSlice, n: int, parts: dict | None = None) -> list:
-    """Joint kernel of the y's on degree n, as in `SingularSpace`; empty at a
-    degree where the Euler rule leaves no room for a singular vector.  With
-    a complete irrep table it is the direct sum of the isotypic parts that
-    `_singular_parts` finds (or the parts passed in, already found);
-    otherwise the kernel on the whole degree."""
-    if slice_.dim(n) == 0 or n not in slice_.singular_isotypes:
-        return []
-    if _complete_table(slice_.algebra):
-        parts = _singular_parts(slice_, n) if parts is None else parts
-        vectors = [row for part in parts.values() for row in part]
-    else:
-        vectors = _y_kernel(slice_, n, [{p: ONE} for p in slice_.free_positions(n)])
-    return _span(slice_, n, vectors, len(vectors))
-
-
 def _y_kernel(slice_: VermaSlice, n: int, block: list) -> list:
     """The combinations of the degree-n block vectors (sparse ambient rows)
     that every y_i sends into killed[n - 1], one per row of the reduced
@@ -561,10 +542,11 @@ def _y_kernel(slice_: VermaSlice, n: int, block: list) -> list:
     alg, below = slice_.algebra, slice_.killed[n - 1]
     # one row per (i, coordinate of degree n - 1), one column per block vector
     stacked: dict = {}
-    for i in range(alg.dim if n else 0):
-        image = slice_._image(alg.y(i + 1))
+    for i in range(alg.dim):
+        groups = slice_._groups(alg.y(i + 1))
         for b, vec in enumerate(block):
-            for q, x in linalg.reduce_against(slice_._act(image, n, vec), below).items():
+            image = slice_._apply(groups, n, vec, {}).get(n - 1, {})
+            for q, x in linalg.reduce_against(image, below).items():
                 stacked.setdefault((i, q), {})[b] = x
     basis = linalg.kernel(stacked.values(), len(block))
     out = []
@@ -589,10 +571,8 @@ def _singular_parts(slice_: VermaSlice, n: int) -> dict:
     2.7), and that image has the multiplicity m_E of E as its dimension.
     So the y's act on m_E block vectors only, and the G-span stops at
     dim E times the number of kernel vectors."""
-    labels = slice_.singular_isotypes.get(n, [])
-    if not labels or slice_.dim(n) == 0:
-        return {}
-    mults = slice_.multiplicities(n)
+    labels = slice_.singular_isotypes[n]
+    mults = slice_.multiplicities(n) if labels else {}
     parts: dict[str, list] = {}
     for irr in slice_.algebra.irreps:
         m = mults.get(irr.label, 0)
@@ -644,16 +624,28 @@ def _span(slice_: VermaSlice, n: int, images, dim: int) -> list:
 
 
 def singular_vectors(slice_: VermaSlice, n: int) -> SingularSpace:
-    """Deterministic basis of the degree-n singular space with isotypic labels.
+    """Deterministic basis of the degree-n singular space with isotypic
+    labels: the joint kernel of the y's on degree n, taken only at a degree
+    where the Euler rule leaves room for a singular vector.
 
     The components are the parts of the isotypes the Euler rule allows at
-    degree n; every other isotypic piece of the kernel is zero.  When the
-    irrep table is incomplete, the kernel is taken on the whole degree, so
-    it may hold unlisted isotypes that no component names."""
+    degree n; every other isotypic piece of the kernel is zero.  With a
+    complete irrep table the kernel is the direct sum of the components.
+    When the table is incomplete, the kernel is taken on the whole degree,
+    so it may hold unlisted isotypes that no component names.  A negative
+    degree raises ValueError, one above the cutoff CutoffExceeded."""
+    if n < 0:
+        raise ValueError(f"degree {n} is negative")
     if n > slice_.cutoff:
         raise CutoffExceeded(f"degree {n} exceeds the cutoff {slice_.cutoff}")
+    if slice_.dim(n) == 0 or n not in slice_.singular_isotypes:
+        return SingularSpace(n, [], {})
     parts = _singular_parts(slice_, n)
-    return SingularSpace(n, _kernel_at_degree(slice_, n, parts), parts)
+    if _complete_table(slice_.algebra):
+        vectors = [row for part in parts.values() for row in part]
+    else:
+        vectors = _y_kernel(slice_, n, [{p: ONE} for p in slice_.free_positions(n)])
+    return SingularSpace(n, _span(slice_, n, vectors, len(vectors)), parts)
 
 
 def simple_quotient_slice(algebra: CherednikAlgebra, irrep: Irrep, cutoff: int):

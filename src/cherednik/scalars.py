@@ -69,10 +69,32 @@ def check_coeff_bits(x: Scalar) -> Scalar:
     if x.den.bit_length() > MAX_COEFF_BITS or any(
         c.bit_length() > MAX_COEFF_BITS for c in x.coeffs
     ):
-        raise CoefficientBlowup(
-            f"a coefficient exceeds the limit MAX_COEFF_BITS = {MAX_COEFF_BITS} bits"
-        )
+        raise _blowup()
     return x
+
+
+def _blowup() -> CoefficientBlowup:
+    return CoefficientBlowup(
+        f"a coefficient exceeds the limit MAX_COEFF_BITS = {MAX_COEFF_BITS} bits"
+    )
+
+
+def _power_product(a: Scalar, b: Scalar) -> Scalar:
+    """a * b for two powers of one scalar.  Rational powers of one scalar
+    are powers of one rational in lowest terms, so their product is in
+    lowest terms too: it is built without a gcd, and refused with
+    CoefficientBlowup before it is built when its numerator or denominator,
+    at least bits(a) + bits(b) - 1 bits long (2b - 1 for a square), must
+    pass MAX_COEFF_BITS."""
+    if a.ell != 1 or b.ell != 1:
+        return a * b
+    (m,), (n,) = a.coeffs, b.coeffs
+    if (
+        m.bit_length() + n.bit_length() > MAX_COEFF_BITS + 1
+        or a.den.bit_length() + b.den.bit_length() > MAX_COEFF_BITS + 1
+    ):
+        raise _blowup()
+    return Scalar(1, (m * n,), a.den * b.den)
 
 
 class SplittingError(CherednikError, ValueError):
@@ -375,10 +397,10 @@ class Scalar:
         base = self
         while k:
             if k & 1:
-                out = check_coeff_bits(out * base)
+                out = check_coeff_bits(_power_product(out, base))
             k >>= 1
             if k:
-                base = check_coeff_bits(base * base)
+                base = check_coeff_bits(_power_product(base, base))
         return out
 
     # -- comparisons ---------------------------------------------------

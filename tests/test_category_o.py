@@ -355,7 +355,7 @@ MERGED_ACTION_CASES = (
 
 
 class TestMergedAction:
-    """apply_element acts by one merged image per degree shift; it must
+    """verma_action acts by one merged image per degree shift; it must
     agree with the term-by-term action, CutoffExceeded included."""
 
     CUTOFF = 5
@@ -435,6 +435,26 @@ class TestMergedAction:
         assert sizes() == filled
         assert run(cold, cold_slice) == first
 
+    def test_zero_coefficient_keeps_the_degree_rule(self):
+        # a zero monomial has no terms, yet the term still acts by the zero
+        # vector where it reaches, kills the degrees below its |J| and
+        # raises past the cutoff
+        coef = 0
+        alg = make_algebra("s3", 1, [Fraction(1, 2)])
+        slice_ = VermaSlice(alg, irrep_of(alg, "standard"), self.CUTOFF)
+        zero = alg._zero_deg
+        raising, lowering = ((1, 0), 1, zero), (zero, 2, (0, 2))
+        vec = [ONE] * slice_.full_dim(2)
+        assert slice_.apply_term_full(raising, coef, 2, vec) == (3, [ZERO] * slice_.full_dim(3))
+        assert slice_.apply_term_full(lowering, coef, 2, vec) == (0, [ZERO] * slice_.full_dim(0))
+        assert slice_.apply_term_full(lowering, coef, 1, vec[:slice_.full_dim(1)]) == (-1, None)
+        top = [ONE] * slice_.full_dim(self.CUTOFF)
+        with pytest.raises(CutoffExceeded, match="degree 5 beyond the truncation 5"):
+            slice_.apply_term_full(raising, coef, self.CUTOFF, top)
+        # a nonzero coefficient reaches the same degree with a nonzero image
+        target, image = slice_.apply_term_full(raising, 2, 2, vec)
+        assert target == 3 and any(image)
+
     def test_one_table_per_shift_and_content(self):
         alg = make_algebra("s3", 1, [Fraction(1, 2)])
         slice_ = VermaSlice(alg, irrep_of(alg, "standard"), self.CUTOFF)
@@ -500,25 +520,23 @@ class TestDunklOracle:
         rng = random.Random(7)
         for w in alg.irreps:
             slice_ = VermaSlice(alg, w, 10)
-            for _ in range(25):
-                n = rng.randint(1, 10)
+            # the edge degrees 0 and cutoff, then random ones
+            for n in [0, slice_.cutoff] + [rng.randint(1, 10) for _ in range(25)]:
                 vec = random_vector(slice_, rng, n)
                 for i in range(1, alg.dim + 1):
                     lowered = dunkl_action(slice_, i, vec)
                     assert lowered == verma_action(slice_, alg.y(i), vec)
-                    # the special paths used by singular_vectors,
-                    # kill_submodule and trace agree with the oracle too
-                    assert mv_eq(lowered, {n - 1: slice_.apply_y_full(i - 1, n, vec[n])})
-                    if n < slice_.cutoff:
-                        assert mv_eq(
-                            verma_action(slice_, alg.x(i), vec),
-                            {n + 1: slice_.apply_x_full(i - 1, n, vec[n])},
-                        )
+                    # the named dense entry points give the same vectors, or
+                    # raise the same CutoffExceeded with the same message
+                    assert dense_agrees(slice_, alg.y(i), vec, n - 1,
+                                        lambda v: slice_.apply_y_full(i - 1, n, v))
+                    assert dense_agrees(slice_, alg.x(i), vec, n + 1,
+                                        lambda v: slice_.apply_x_full(i - 1, n, v))
+                    if n == 0:
+                        assert slice_.apply_y_full(i - 1, 0, vec[0]) == []
                 for k in range(len(alg.group)):
-                    assert mv_eq(
-                        verma_action(slice_, alg.g(k), vec),
-                        {n: slice_.apply_g_full(k, n, vec[n])},
-                    )
+                    assert dense_agrees(slice_, alg.g(k), vec, n,
+                                        lambda v: slice_.apply_g_full(k, n, v))
 
     def test_general_direction_vector(self):
         alg = make_algebra("s3", 1, [Fraction(1, 3)])
@@ -555,6 +573,18 @@ class TestDunklOracle:
                 verma_action(slice_, alg.y(1), mv)
             else:
                 dunkl_action(slice_, 1, mv)
+
+
+def dense_agrees(slice_, a, mv, target, entry):
+    """Whether verma_action of a on the one-degree vector mv matches the
+    dense entry point `entry` (a function of the dense vector) put at the
+    target degree: equal vectors, or CutoffExceeded of one message."""
+    (vec,) = mv.values()
+    expected = outcome(verma_action, slice_, a, mv)
+    got = outcome(lambda *_: {target: entry(vec)}, slice_, a, mv)
+    if isinstance(expected, dict) and isinstance(got, dict):
+        return mv_eq(expected, got)
+    return expected == got
 
 
 def brute_force_singular_dims(alg, w, cutoff):
@@ -658,6 +688,17 @@ class TestSingularVectors:
             space = singular_vectors(bare_slice, n)
             assert space.components == {}
             assert space.vectors == singular_vectors(slice_, n).vectors
+
+    def test_degrees_outside_the_slice_are_rejected(self):
+        # dim(-1) would read the top degree's list entry
+        alg = make_algebra("s3", 1, [Fraction(1, 3)])
+        slice_ = VermaSlice(alg, irrep_of(alg, "standard"), 4)
+        for n in (-1, -5):
+            with pytest.raises(ValueError, match=f"degree {n} is negative"):
+                singular_vectors(slice_, n)
+        with pytest.raises(CutoffExceeded, match="degree 5 exceeds the cutoff 4"):
+            singular_vectors(slice_, 5)
+        assert singular_vectors(slice_, 4).degree == 4
 
     def test_echelon_form_is_deterministic(self):
         alg = make_algebra("cyclic:2", 1, [Fraction(3, 2)])
@@ -958,7 +999,7 @@ def projected_components(slice_, n, kernel):
                 for g in range(len(group))
             }
         )
-        images = [slice_.apply_element(projector, {n: v}).get(n) for v in kernel]
+        images = [verma_action(slice_, projector, {n: v}).get(n) for v in kernel]
         basis = linalg.rref([v for v in images if v])[0]
         if basis:
             components[irr.label] = basis
@@ -993,7 +1034,6 @@ class TestIsotypicKernels:
         # not free
         kernel = stacked_kernel(slice_, n)
         lifted = [slice_.lift(n, v) for v in kernel]
-        assert category_o._kernel_at_degree(slice_, n) == lifted, n
         space = singular_vectors(slice_, n)
         assert space.vectors == lifted, n
         components = {
@@ -1016,13 +1056,13 @@ class TestIsotypicKernels:
         # R_n = sum_i x_i J_(n-1) and the lower degrees hold the radical
         alg = make_algebra(spec, ell, [c])
         states = []
-        real = category_o._kernel_at_degree
+        real = category_o.singular_vectors
 
         def recording(slice_, n):
             states.append((snapshot(slice_), n))
             return real(slice_, n)
 
-        monkeypatch.setattr(category_o, "_kernel_at_degree", recording)
+        monkeypatch.setattr(category_o, "singular_vectors", recording)
         for w in alg.irreps:
             simple_quotient_slice(alg, w, cutoff)
         monkeypatch.undo()

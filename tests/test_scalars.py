@@ -28,6 +28,7 @@ from cherednik.scalars import (
     ZERO,
     SplittingError,
     Valuation,
+    check_coeff_bits,
     cyclotomic_polynomial,
     euler_phi,
     hensel_embed,
@@ -805,13 +806,33 @@ class TestScalarExpressions:
         assert parse_scalar("z^10000000001", 5) == Scalar.zeta(5)
         assert parse_scalar("(-1)^10000000001") == -1
 
-    @pytest.mark.parametrize("where", ["c", "group file"])
+    def test_a_rational_power_is_refused_before_its_last_product(self, monkeypatch):
+        # powers of 3/2 multiply without cancelling, so the product that
+        # would pass the guard is refused before it is built
+        handed = []
+
+        def recording(x):
+            handed.append(max(x.den.bit_length(), *(c.bit_length() for c in x.coeffs)))
+            return check_coeff_bits(x)
+
+        monkeypatch.setattr("cherednik.scalars.check_coeff_bits", recording)
+        for text in ("(3/2)^10000000000", "(3/2)^-10000000000", "3^10000000000"):
+            handed.clear()
+            with pytest.raises(CoefficientBlowup, match="MAX_COEFF_BITS = 1000000"):
+                parse_scalar(text)
+            assert handed and max(handed) <= MAX_COEFF_BITS, text
+        assert parse_scalar("(-3/2)^3") == Fraction(-27, 8)
+
+    @pytest.mark.parametrize("where", ["c", "group file", "rational c"])
     def test_a_huge_power_in_a_job_stops_at_the_guard(self, tmp_path, where):
         # 2^(10^10) would need 1.25 GB; squaring stops at the guard after
-        # about 20 products, in c and in a matrix entry of a group file alike
+        # about 20 products, in c and in a matrix entry of a group file
+        # alike, and (3/2)^(10^10) before a gcd on numbers past the guard
         huge = "2^10000000000"
         if where == "c":
             config = f"group = cyclic:2\nc = {huge}\n"
+        elif where == "rational c":
+            config = "group = cyclic:2\nc = (3/2)^10000000000\n"
         else:
             group_file = tmp_path / "group.txt"
             group_file.write_text(f"dimension = 1\nbegin generator\n{huge}\nend\n")
