@@ -94,6 +94,7 @@ class VermaSlice:
         return len(self._monos[n]) * self.irrep.dim
 
     def dim(self, n: int) -> int:
+        self._check_degree(n)
         return self.full_dim(n) - len(self.killed[n])
 
     @property
@@ -113,11 +114,14 @@ class VermaSlice:
         reduced = linalg.reduce_against(vec, self.killed[n])
         return [reduced.get(p, ZERO) for p in self.free_positions(n)]
 
+    def _check_degree(self, n: int, least: int = 0):
+        """Raise ValueError unless least <= n <= cutoff."""
+        if not least <= n <= self.cutoff:
+            raise ValueError(f"degree {n} is outside {least}..{self.cutoff}")
+
     def _check_vector(self, n: int, freevec: list):
         """Raise ValueError unless freevec is a degree-n coordinate list:
         0 <= n <= cutoff and len(freevec) == dim(n)."""
-        if not 0 <= n <= self.cutoff:
-            raise ValueError(f"degree {n} is outside 0..{self.cutoff}")
         if len(freevec) != self.dim(n):
             raise ValueError(f"degree {n} has {self.dim(n)} coordinates, not {len(freevec)}")
 
@@ -152,8 +156,26 @@ class VermaSlice:
 
     def _image(self, element: PBWElement):
         """The image function of `_act` for a PBW element whose terms share
-        one degree shift |I| - |J|: the table of its content."""
-        return self.algebra.act_on_verma_terms(frozenset(element.terms.items()))
+        one degree shift |I| - |J|: the table of its content (the zero
+        element's acts by zero).  ValueError for more than one shift."""
+        split = element.degree_split()
+        if len(split) > 1:
+            raise ValueError(
+                f"element has {len(split)} degree shifts; an image takes one"
+            )
+        return self.algebra.act_on_verma_terms(split[0][2] if split else frozenset())
+
+    @cached_property
+    def _x_images(self) -> list:
+        """The image function of each x_i, built once per slice."""
+        alg = self.algebra
+        return [self._image(alg.x(i + 1)) for i in range(alg.dim)]
+
+    @cached_property
+    def _g_images(self) -> list:
+        """The image function of each group element g, built once per slice."""
+        alg = self.algebra
+        return [self._image(alg.g(g)) for g in range(len(alg.group))]
 
     @cached_property
     def _rho_columns(self) -> list:
@@ -167,15 +189,12 @@ class VermaSlice:
 
     def _groups(self, a: PBWElement) -> list:
         """(shift, least |J|, image) per degree shift |I| - |J| of a's terms,
-        the image merging that shift's terms (`act_on_verma_terms`)."""
-        by_shift: dict[int, list] = {}
-        for term, coef in a.terms.items():
-            ideg, _, jdeg = term
-            by_shift.setdefault(sum(ideg) - sum(jdeg), []).append((term, coef))
+        the image merging that shift's terms (`act_on_verma_terms`), read
+        off the element's kept split (`PBWElement.degree_split`)."""
         merged_image = self.algebra.act_on_verma_terms
         return [
-            (shift, min(sum(j) for (_, _, j), _ in pairs), merged_image(frozenset(pairs)))
-            for shift, pairs in by_shift.items()
+            (shift, least_j, merged_image(pairs))
+            for shift, least_j, pairs in a.degree_split()
         ]
 
     def _apply(self, groups: list, n: int, vec: dict, acc: dict) -> dict:
@@ -238,11 +257,11 @@ class VermaSlice:
         partial quotient (`singular_vectors`): the lifts of the joint kernel
         of the y's from degree n modulo R_n to degree n - 1 modulo J_{n-1}.
         No G-closure is needed: that kernel is G-stable, and x . J is
-        G-stable whenever J is."""
-        alg, killed = self.algebra, self.killed[n]
-        xs = [self._image(alg.x(i + 1)) for i in range(alg.dim)]
+        G-stable whenever J is.  ValueError for n outside 1..cutoff."""
+        self._check_degree(n, 1)
+        killed = self.killed[n]
         for row in self.killed[n - 1].values():
-            for image in xs:
+            for image in self._x_images:
                 linalg.extend_echelon(killed, self._act(image, n - 1, row))
         for v in singular_vectors(self, n).vectors:
             linalg.extend_echelon(killed, v)
@@ -252,7 +271,9 @@ class VermaSlice:
     def trace(self, g: int, n: int) -> Scalar:
         """Trace of the group element g on the degree-n quotient slice: the
         Verma part chi_lambda(g) h_n(g), with h_n(g) the Molien coefficient,
-        minus the pivot coordinate of g . row for each killed row."""
+        minus the pivot coordinate of g . row for each killed row.
+        ValueError for n outside 0..cutoff."""
+        self._check_degree(n)
         h = self.algebra.molien_coefficients(g, self.cutoff)
         total = h[n] * self.irrep.character[g]
         d, monos, rho = self.irrep.dim, self._monos[n], self.irrep.matrix(g)
@@ -269,7 +290,8 @@ class VermaSlice:
     def multiplicities(self, n: int) -> dict:
         """Label -> multiplicity of each listed irrep E occurring in the
         degree-n quotient slice, from one trace per conjugacy class:
-        sum_C |C| chi_E(g_C^-1) tr(g_C) / |G|."""
+        sum_C |C| chi_E(g_C^-1) tr(g_C) / |G|.  ValueError (from `trace`)
+        for n outside 0..cutoff."""
         alg = self.algebra
         group = alg.group
         traces = [
@@ -603,9 +625,7 @@ def _isotypic_block(slice_: VermaSlice, irr: Irrep, n: int, m: int) -> list:
 def _g_span(slice_: VermaSlice, n: int, vectors: list, dim: int) -> list:
     """Reduced echelon basis (sparse ambient rows, reduced against the
     killed rows) of the G-span of the vectors, which has dimension dim."""
-    alg = slice_.algebra
-    gs = [slice_._image(alg.g(g)) for g in range(len(alg.group))]
-    images = (slice_._act(image, n, v) for image in gs for v in vectors)
+    images = (slice_._act(image, n, v) for image in slice_._g_images for v in vectors)
     return _span(slice_, n, images, dim)
 
 

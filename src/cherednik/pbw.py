@@ -93,13 +93,33 @@ def _chain(cache: dict, key, deg: tuple, start, step) -> dict:
 
 
 class PBWElement:
-    """Finitely supported map from PBW monomials to nonzero coefficients."""
+    """Finitely supported map from PBW monomials to nonzero coefficients.
 
-    __slots__ = ("algebra", "terms")
+    An immutable value: `terms` is never changed after construction, so the
+    split by degree shift (`degree_split`) is built on first use and kept."""
+
+    __slots__ = ("algebra", "terms", "_split")
 
     def __init__(self, algebra, terms: dict):
         self.algebra = algebra
         self.terms = terms
+        self._split = None
+
+    def degree_split(self) -> tuple:
+        """(shift, least |J|, frozenset of (term, coef) pairs) per degree
+        shift |I| - |J| of the terms, in first-seen order.  The frozenset
+        keys the element's Verma image (`act_on_verma_terms`) and caches its
+        own hash, so the split is built and hashed once per element."""
+        if self._split is None:
+            by_shift: dict[int, list] = {}
+            for term, coef in self.terms.items():
+                ideg, _, jdeg = term
+                by_shift.setdefault(sum(ideg) - sum(jdeg), []).append((term, coef))
+            self._split = tuple(
+                (shift, min(sum(j) for (_, _, j), _ in pairs), frozenset(pairs))
+                for shift, pairs in by_shift.items()
+            )
+        return self._split
 
     def items(self):
         return sorted(self.terms.items(), key=lambda kv: term_sort_key(kv[0]))

@@ -66,8 +66,9 @@ class CoefficientBlowup(ComputationLimit):
 def check_coeff_bits(x: Scalar) -> Scalar:
     """x itself, or CoefficientBlowup if a numerator coordinate or the
     denominator of x has more than MAX_COEFF_BITS bits."""
-    if x.den.bit_length() > MAX_COEFF_BITS or any(
-        c.bit_length() > MAX_COEFF_BITS for c in x.coeffs
+    if (
+        x.den.bit_length() > MAX_COEFF_BITS
+        or max(map(int.bit_length, x.coeffs)) > MAX_COEFF_BITS
     ):
         raise _blowup()
     return x

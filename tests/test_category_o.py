@@ -468,6 +468,59 @@ class TestMergedAction:
         x_table = alg._verma_element_cache[frozenset(alg.x(1).terms.items())]
         assert list(x_table) == list(slice_._monos[2])
 
+    @pytest.mark.parametrize("spec,ell,c,label", MERGED_ACTION_CASES[1:])
+    def test_the_split_is_built_once(self, spec, ell, c, label):
+        warm, cold = make_algebra(spec, ell, [c]), make_algebra(spec, ell, [c])
+        rest = warm._zero_deg[1:]
+        a = warm.euler_element() + warm.element({
+            ((2,) + rest, 1, (1,) + rest): 3,
+            (warm._zero_deg, 2, (2,) + rest): Fraction(1, 2),
+            ((1,) + rest, 0, (0, 2) + rest[1:]): -1,
+        })
+        split = a.degree_split()
+        assert a.degree_split() is split
+        # (shift, least |J|): the Euler element's central part has J = 0, and
+        # the shift -1 term has |J| = 2
+        assert sorted(entry[:2] for entry in split) == [(-2, 2), (-1, 2), (0, 0), (1, 1)]
+        assert set().union(*(pairs for _, _, pairs in split)) == set(a.terms.items())
+        assert all(
+            sum(i) - sum(j) == shift for shift, _, pairs in split for (i, _, j), _ in pairs
+        )
+        # an equal element built separately, on a warm and a cold algebra
+        warm_slice = VermaSlice(warm, irrep_of(warm, label), 3)
+        mv = {n: [ONE] * warm_slice.dim(n) for n in (0, 1, 2)}
+        first = verma_action(warm_slice, a, mv)
+        again = warm.element(dict(a.terms))
+        assert again.degree_split() is not split
+        assert verma_action(warm_slice, again, mv) == first
+        twin = cold.element(dict(a.terms))
+        assert verma_action(VermaSlice(cold, irrep_of(cold, label), 3), twin, mv) == first
+        for alg in (warm, cold):
+            assert set(alg._verma_element_cache) == {pairs for _, _, pairs in split}
+
+    def test_a_group_is_not_looked_up_below_its_least_j(self):
+        alg = make_algebra("s3", 1, [Fraction(1, 2)])
+        slice_ = VermaSlice(alg, irrep_of(alg, "standard"), self.CUTOFF)
+        y1 = alg.y(1)
+        assert verma_action(slice_, y1, {0: [ONE] * slice_.dim(0)}) == {}
+        ((_, least_j, pairs),) = y1.degree_split()
+        assert least_j == 1 and alg._verma_element_cache[pairs] == {}
+        verma_action(slice_, y1, {1: [ONE] * slice_.dim(1)})
+        assert list(alg._verma_element_cache[pairs]) == list(slice_._monos[1])
+
+    def test_an_image_takes_one_degree_shift(self):
+        alg = make_algebra("s3", 1, [Fraction(1, 2)])
+        slice_ = VermaSlice(alg, irrep_of(alg, "standard"), self.CUTOFF)
+        for mixed in (alg.x(1) + alg.y(1), alg.euler_element() + alg.x(2)):
+            with pytest.raises(ValueError, match="element has 2 degree shifts"):
+                slice_._image(mixed)
+        mono = slice_._monos[1][0]
+        assert slice_._image(alg.zero())(mono) == ()
+        euler = alg.euler_element()
+        ((_, _, pairs),) = euler.degree_split()
+        assert slice_._image(euler)(mono) == alg.act_on_verma_terms(pairs)(mono)
+        assert slice_._image(euler)(mono)
+
 
 class TestMvScale:
     def test_zero_entries_are_kept_and_entries_canonical(self):
@@ -844,6 +897,29 @@ class TestSimpleQuotients:
                     assert set(row) & set(basis) == {p}
                 stored += len(basis)
         assert stored
+
+    def test_degrees_outside_the_slice_are_rejected(self):
+        # a negative degree used to read the top degree's list entry, and
+        # kill_submodule(0) to take degree-0 singular vectors
+        alg = make_algebra("s3", 1, [Fraction(1, 2)])
+        quotient, _ = simple_quotient_slice(alg, irrep_of(alg, "triv"), 4)
+        for n in (-1, -5, 5):
+            for call in (quotient.dim, quotient.multiplicities, lambda n: quotient.trace(0, n)):
+                with pytest.raises(ValueError, match=f"degree {n} is outside 0..4"):
+                    call(n)
+        fresh = VermaSlice(alg, irrep_of(alg, "triv"), 4)
+        for n in (-1, 0, 5):
+            with pytest.raises(ValueError, match=f"degree {n} is outside 1..4"):
+                fresh.kill_submodule(n)
+        assert fresh.killed == [{}] * 5
+        # the in-range values are those of the unchecked slice
+        assert [quotient.dim(n) for n in range(5)] == [1, 2, 3, 3, 3]
+        traces = [[quotient.trace(g, n) for g in range(6)] for n in range(5)]
+        assert traces == [[1] * 6, [2, 0, 0, -1, -1, 0]] + [[3, 1, 1, 0, 0, 1]] * 3
+        both = {"triv": 1, "standard": 1}
+        assert [quotient.multiplicities(n) for n in range(5)] == (
+            [{"triv": 1}, {"standard": 1}] + [both] * 3
+        )
 
     def test_exactness_bookkeeping(self):
         alg = make_algebra("s3", 1, [Fraction(1, 3)])

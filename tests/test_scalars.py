@@ -823,6 +823,27 @@ class TestScalarExpressions:
             assert handed and max(handed) <= MAX_COEFF_BITS, text
         assert parse_scalar("(-3/2)^3") == Fraction(-27, 8)
 
+    @pytest.mark.parametrize("bits", [MAX_COEFF_BITS, MAX_COEFF_BITS + 1])
+    def test_the_guard_boundary(self, bits):
+        # a value with `bits` bits as the denominator, coordinate 0, a
+        # non-leading Q(zeta_5) coordinate, and a negative coordinate (which
+        # counts by its absolute value)
+        big = 2 ** (bits - 1)
+        assert big.bit_length() == (-big).bit_length() == bits
+        values = [
+            Scalar.from_coords(1, [1], big),
+            Scalar.from_coords(5, [big, 1, 0, 0]),
+            Scalar.from_coords(5, [1, 0, big, 0]),
+            Scalar.from_coords(5, [1, 0, 0, -big]),
+            Scalar.from_coords(1, [-big]),
+        ]
+        for x in values:
+            if bits <= MAX_COEFF_BITS:
+                assert check_coeff_bits(x) is x
+            else:
+                with pytest.raises(CoefficientBlowup, match="MAX_COEFF_BITS = 1000000"):
+                    check_coeff_bits(x)
+
     @pytest.mark.parametrize("where", ["c", "group file", "rational c"])
     def test_a_huge_power_in_a_job_stops_at_the_guard(self, tmp_path, where):
         # 2^(10^10) would need 1.25 GB; squaring stops at the guard after
