@@ -114,10 +114,6 @@ class BanachElement:
         """(weighted valuation, exact) of every stored term."""
         return self._weighted
 
-    def weights(self) -> dict:
-        """Weighted valuation of every stored term."""
-        return {term: w for term, (w, _) in self.weighted().items()}
-
     def to_pbw(self) -> PBWElement:
         return PBWElement(self.algebra, dict(self.terms))
 
@@ -265,13 +261,6 @@ def lattice_check(algebra: CherednikAlgebra, ctx: PadicContext, m: int, r: int) 
     return LatticeReport(m, r, violations)
 
 
-def choose_r(algebra: CherednikAlgebra, ctx: PadicContext, m: int) -> int:
-    """The lowering weight r(m) that level_tower certifies for level m."""
-    if m < 0:
-        raise ValueError("level must be >= 0")
-    return level_tower(algebra, ctx, m)[m].r
-
-
 def level_tower(algebra: CherednikAlgebra, ctx: PadicContext, top: int) -> list:
     """LevelParams for levels 0..top.  Level m starts at
     r = max(r(m-1) + 1, m + rho_c) (with r(-1) = 0) and bumps r until the
@@ -288,40 +277,18 @@ def level_tower(algebra: CherednikAlgebra, ctx: PadicContext, top: int) -> list:
     return out
 
 
-@dataclass
-class WeightDecomposition:
-    """Components of a truncated element by inner degree |I| - |J|."""
-
-    components: dict
-
-    @property
-    def weights(self) -> tuple:
-        return tuple(self.components)
-
-    def resummed(self) -> BanachElement:
-        parts = list(self.components.values())
-        if not parts:
-            raise ValueError("empty decomposition")
-        terms, weighted = {}, {}
-        for part in parts:
-            terms.update(part.terms)
-            weighted.update(part.weighted())
-        tau = min(part.tau for part in parts)
-        return BanachElement(parts[0].algebra, parts[0].params, terms, tau, weighted)
-
-
-def weight_decompose_banach(x: BanachElement) -> WeightDecomposition:
-    """Collect stored terms by weight; each component keeps the level and
-    tail bound, and its norm exponent is at least the whole element's."""
+def weight_decompose_banach(x: BanachElement) -> dict:
+    """Weight -> component, in increasing weight: the stored terms of each
+    degree shift |I| - |J| (`PBWElement.degree_split`), with the level, tail
+    bound and weights kept.  So a component's norm exponent is at least the
+    element's, and the components, on disjoint terms, add up (`+`) to it."""
     weighted = x.weighted()
-    return WeightDecomposition(
-        {
-            n: BanachElement(
-                x.algebra, x.params, part.terms, x.tau, {t: weighted[t] for t in part.terms}
-            )
-            for n, part in x.to_pbw().grade_decompose().items()
-        }
-    )
+    return {
+        shift: BanachElement(
+            x.algebra, x.params, dict(pairs), x.tau, {t: weighted[t] for t, _ in pairs}
+        )
+        for shift, _, pairs in sorted(x.to_pbw().degree_split())
+    }
 
 
 def transition(x: BanachElement, target: LevelParams) -> BanachElement:
@@ -415,8 +382,8 @@ def analytic_verma_slice(
     # valuation of its image entries (each sums over group elements before it
     # is valued) plus r (the shift adds to a valuation), plus m for the
     # degree it lowers; each distinct entry value is valued once
-    ys = [(f"p^{r}*y{i + 1}", slice_._image(algebra.y(i + 1))) for i in range(algebra.dim)]
-    euler = slice_._image(algebra.euler_element())
+    ys = [(f"p^{r}*y{i + 1}", groups) for i, groups in enumerate(slice_._y_groups)]
+    euler = slice_._groups(algebra.euler_element())
     recovered = True
     for n in range(cutoff + 1):
         # the Euler element acts on degree n by c_lambda + n
@@ -424,11 +391,11 @@ def analytic_verma_slice(
         for col in range(slice_.full_dim(n)):
             unit = {col: ONE}
             if n:
-                for name, image in ys:
-                    entries = slice_._act(image, n, unit).values()
+                for name, groups in ys:
+                    entries = slice_._apply(groups, n, unit, {})[n - 1].values()
                     least = min((vals[v].value for v in entries), default=INF)
                     norms[name] = min(norms.get(name, INF), least + r + m)
-            if slice_._act(euler, n, unit) != ({col: weight} if weight else {}):
+            if slice_._apply(euler, n, unit, {})[n] != ({col: weight} if weight else {}):
                 recovered = False
 
     offenders = {k: v for k, v in norms.items() if v < 0}

@@ -137,7 +137,7 @@ class VermaSlice:
         map's image of x^mono (x) w, a flat tuple (pos, h, coefficient, ...)
         meaning coefficient * x^M (x) rho(h) w with M at position pos of the
         target-degree monomials: the `act_on_verma_terms` table of one
-        degree shift's terms (see `_image`)."""
+        degree shift's terms (see `_groups`).  `_apply` is its one caller."""
         d = self.irrep.dim
         acc = {} if out is None else out
         blocks: dict[int, list] = {}
@@ -154,28 +154,20 @@ class VermaSlice:
                         _accumulate(acc, tgt + k2, vc * entry)
         return _settle(acc)
 
-    def _image(self, element: PBWElement):
-        """The image function of `_act` for a PBW element whose terms share
-        one degree shift |I| - |J|: the table of its content (the zero
-        element's acts by zero).  ValueError for more than one shift."""
-        split = element.degree_split()
-        if len(split) > 1:
-            raise ValueError(
-                f"element has {len(split)} degree shifts; an image takes one"
-            )
-        return self.algebra.act_on_verma_terms(split[0][2] if split else frozenset())
+    @cached_property
+    def _x_groups(self) -> list:
+        """The groups (`_groups`) of each x_i, built once per slice."""
+        return [self._groups(self.algebra.x(i + 1)) for i in range(self.algebra.dim)]
 
     @cached_property
-    def _x_images(self) -> list:
-        """The image function of each x_i, built once per slice."""
-        alg = self.algebra
-        return [self._image(alg.x(i + 1)) for i in range(alg.dim)]
+    def _y_groups(self) -> list:
+        """The groups (`_groups`) of each y_i, built once per slice."""
+        return [self._groups(self.algebra.y(i + 1)) for i in range(self.algebra.dim)]
 
     @cached_property
-    def _g_images(self) -> list:
-        """The image function of each group element g, built once per slice."""
-        alg = self.algebra
-        return [self._image(alg.g(g)) for g in range(len(alg.group))]
+    def _g_groups(self) -> list:
+        """The groups (`_groups`) of each group element g, built once per slice."""
+        return [self._groups(self.algebra.g(g)) for g in range(len(self.algebra.group))]
 
     @cached_property
     def _rho_columns(self) -> list:
@@ -239,7 +231,8 @@ class VermaSlice:
         with the vector None when the term kills degree n.  A zero
         coefficient gives the zero vector where the term does not."""
         ideg, _, jdeg = term
-        image = self._image(self.algebra.monomial(*term, coef))
+        pairs = frozenset(self.algebra.monomial(*term, coef).terms.items())
+        image = self.algebra.act_on_verma_terms(pairs)
         return self._apply_full((sum(ideg) - sum(jdeg), sum(jdeg), image), n, vec)
 
     def basis_vector(self, n: int, index: int) -> dict:
@@ -261,8 +254,8 @@ class VermaSlice:
         self._check_degree(n, 1)
         killed = self.killed[n]
         for row in self.killed[n - 1].values():
-            for image in self._x_images:
-                linalg.extend_echelon(killed, self._act(image, n - 1, row))
+            for groups in self._x_groups:
+                linalg.extend_echelon(killed, self._apply(groups, n - 1, row, {})[n])
         for v in singular_vectors(self, n).vectors:
             linalg.extend_echelon(killed, v)
 
@@ -561,11 +554,10 @@ def _y_kernel(slice_: VermaSlice, n: int, block: list) -> list:
     """The combinations of the degree-n block vectors (sparse ambient rows)
     that every y_i sends into killed[n - 1], one per row of the reduced
     echelon basis of their coefficients."""
-    alg, below = slice_.algebra, slice_.killed[n - 1]
+    below = slice_.killed[n - 1]
     # one row per (i, coordinate of degree n - 1), one column per block vector
     stacked: dict = {}
-    for i in range(alg.dim):
-        groups = slice_._groups(alg.y(i + 1))
+    for i, groups in enumerate(slice_._y_groups):
         for b, vec in enumerate(block):
             image = slice_._apply(groups, n, vec, {}).get(n - 1, {})
             for q, x in linalg.reduce_against(image, below).items():
@@ -617,15 +609,15 @@ def _isotypic_block(slice_: VermaSlice, irr: Irrep, n: int, m: int) -> list:
     e_E = alg.element(
         {(zero, g, zero): weight * irr.matrix(group.inv(g))[0][0] for g in range(len(group))}
     )
-    idempotent = slice_._image(e_E)
-    images = (slice_._act(idempotent, n, {p: ONE}) for p in slice_.free_positions(n))
+    groups = slice_._groups(e_E)
+    images = (slice_._apply(groups, n, {p: ONE}, {})[n] for p in slice_.free_positions(n))
     return _span(slice_, n, images, m)
 
 
 def _g_span(slice_: VermaSlice, n: int, vectors: list, dim: int) -> list:
     """Reduced echelon basis (sparse ambient rows, reduced against the
     killed rows) of the G-span of the vectors, which has dimension dim."""
-    images = (slice_._act(image, n, v) for image in slice_._g_images for v in vectors)
+    images = (slice_._apply(groups, n, v, {})[n] for groups in slice_._g_groups for v in vectors)
     return _span(slice_, n, images, dim)
 
 
@@ -681,12 +673,6 @@ def simple_quotient_slice(algebra: CherednikAlgebra, irrep: Irrep, cutoff: int):
     for n in range(1, cutoff + 1):
         slice_.kill_submodule(n)
     return slice_, slice_.graded_character()
-
-
-def verma_character(algebra: CherednikAlgebra, irrep: Irrep, cutoff: int) -> GradedCharacter:
-    """Graded character of the Verma slice: chi_lambda times the Molien
-    series, class by class; no module action is involved."""
-    return VermaSlice(algebra, irrep, cutoff).graded_character()
 
 
 def hom_dim(irrep: Irrep, slice_: VermaSlice) -> int:

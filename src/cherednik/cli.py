@@ -202,8 +202,8 @@ def _cmd_norm(cfg: JobConfig, algebra: CherednikAlgebra) -> Report:
     params = banach.level_tower(algebra, build_context(cfg), level)[level]
     element = banach.BanachElement.from_pbw(parse_job_element(cfg, algebra), params)
     rows = []
-    for term, weight in sorted(
-        element.weights().items(), key=lambda kv: (kv[1], kv[0])
+    for term, (weight, _) in sorted(
+        element.weighted().items(), key=lambda kv: (kv[1][0], kv[0])
     ):
         mono = algebra.element({term: element.terms[term]})
         rows.append((str(mono), int(weight), level))
@@ -224,10 +224,9 @@ def _cmd_ws_decompose(cfg: JobConfig, algebra: CherednikAlgebra) -> Report:
     level = cfg.get_int("level", minimum=0)
     params = banach.level_tower(algebra, build_context(cfg), level)[level]
     element = banach.BanachElement.from_pbw(parse_job_element(cfg, algebra), params)
-    decomposition = banach.weight_decompose_banach(element)
     rows = [
         (weight, _norm_text(component), str(component.to_pbw()))
-        for weight, component in decomposition.components.items()
+        for weight, component in banach.weight_decompose_banach(element).items()
     ]
     return Report(("weight", "exponent", "component"), rows)
 

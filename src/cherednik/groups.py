@@ -314,21 +314,31 @@ def irrep_from_generators(label: str, gen_matrices, group: GroupAction) -> Irrep
     d = len(gens[0])
     mats = [linalg.identity(d)] + [None] * (len(group) - 1)
     _group_law(label, mats, gens, group)
-    character = tuple(sum((m[i][i] for i in range(d)), ZERO) for m in mats)
-    return _irreducible(Irrep(label, d, tuple(mats), character), group)
+    return _irreducible(Irrep(label, d, tuple(mats), _character(mats)), group)
+
+
+def _character(mats) -> tuple:
+    """The trace of each matrix."""
+    return tuple(sum((m[i][i] for i in range(len(m))), ZERO) for m in mats)
 
 
 def validate_irrep(candidate: Irrep, group: GroupAction) -> Irrep:
-    """Check the homomorphism property (rho(identity) = I and _group_law on
-    the candidate's own matrices) and irreducibility (character norm 1)."""
+    """Check the group law (rho(identity) = I and _group_law on the given
+    matrices), the character (their traces) and irreducibility (norm 1)."""
     mats = candidate.matrices
-    if len(mats) != len(group):
-        raise ValueError("one matrix per group element is required")
+    if len(mats) != len(group) or len(candidate.character) != len(group):
+        raise ValueError("one matrix and one character value per group element are required")
     if mats[group.identity] != linalg.identity(candidate.dim):
         raise NotHomomorphism(
             f"irrep {candidate.label!r} violates the group law at the identity"
         )
     _group_law(candidate.label, mats, [mats[s] for s in group.generators], group)
+    for g, (given, trace) in enumerate(zip(candidate.character, _character(mats))):
+        if given != trace:
+            raise InvalidInput(
+                f"irrep {candidate.label!r} gives the character {given} at "
+                f"element {g}, whose matrix has trace {trace}"
+            )
     return _irreducible(candidate, group)
 
 

@@ -186,15 +186,6 @@ class PBWElement:
                 base, k = base * base, k >> 1
         return out
 
-    def grade_decompose(self) -> dict:
-        """Split into components of fixed inner degree |I| - |J|."""
-        out: dict[int, dict] = {}
-        for (i, g, j), coef in self.terms.items():
-            out.setdefault(sum(i) - sum(j), {})[(i, g, j)] = coef
-        return {
-            n: PBWElement(self.algebra, terms) for n, terms in sorted(out.items())
-        }
-
     def __str__(self):
         return self.algebra.format_element(self)
 
@@ -263,6 +254,7 @@ class CherednikAlgebra:
         self._molien: dict = {}
         # irrep label -> c_E for the listed irreps, filled by category_o
         self._c_table: dict = {}
+        # the terms of the Euler element and of its central part
         self._euler = self._central = None
 
     # -- element constructors -------------------------------------------
@@ -516,24 +508,26 @@ class CherednikAlgebra:
     # -- grading ----------------------------------------------------------
 
     def euler_element(self) -> PBWElement:
-        """The deformed Euler element sum_i x_i y_i + dim/2 - sum_s kappa_s s."""
+        """The deformed Euler element sum_i x_i y_i + dim/2 - sum_s kappa_s s,
+        a fresh element over terms computed once (an element kept on the
+        algebra would refer back to it)."""
         if self._euler is None:
-            self._euler = self.euler_central_part() + sum(
-                (self.x(i) * self.y(i) for i in range(1, self.dim + 1)), self.zero()
-            )
-        return self._euler
+            xy = sum((self.x(i) * self.y(i) for i in range(1, self.dim + 1)), self.zero())
+            self._euler = (self.euler_central_part() + xy).terms
+        return PBWElement(self, self._euler)
 
     def euler_central_part(self) -> PBWElement:
         """The degree-zero central summand dim/2 - sum_s kappa_s s, where
         kappa_s = 2c(s)/(1 - lambda_s^-1) and lambda_s is the eigenvalue on
         the coroot.  Equivalently 2c(s)/(1 - lambda) for the conormal
-        eigenvalue; the two readings agree for real reflections."""
+        eigenvalue; the two readings agree for real reflections.  Kept as
+        terms, like `euler_element`."""
         if self._central is None:
             out = self.scalar(Scalar.rational(self.dim) / 2)
             for r in self.reflections:
                 out = out - self.g(r.index) * self.reflection_coefficient(r)
-            self._central = out
-        return self._central
+            self._central = out.terms
+        return PBWElement(self, self._central)
 
     def ad_euler(self, x: PBWElement) -> PBWElement:
         """Commutator with the Euler element; scales each PBW monomial by its degree."""

@@ -312,10 +312,10 @@ def test_criterion_09_weight_component_norm_bound():
                 continue
             whole = gauss_norm(el)
             decomposition = weight_decompose_banach(el)
-            for component in decomposition.components.values():
+            for component in decomposition.values():
                 assert gauss_norm(component) >= whole
             resummed = {}
-            for component in decomposition.components.values():
+            for component in decomposition.values():
                 resummed.update(component.terms)
             assert resummed == el.terms
             checked += 1

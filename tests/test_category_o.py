@@ -3,6 +3,7 @@ blocks, and decomposition matrices, with brute-force kernel oracles."""
 
 import math
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -26,7 +27,6 @@ from cherednik.category_o import (
     simple_quotient_slice,
     singular_vectors,
     verma_action,
-    verma_character,
 )
 from cherednik.groups import (
     Irrep,
@@ -35,9 +35,9 @@ from cherednik.groups import (
     find_reflections,
     load_group_file,
 )
-from cherednik.pbw import CherednikAlgebra
+from cherednik.pbw import CherednikAlgebra, PBWElement
 from cherednik.scalars import Scalar, ZERO, ONE
-from test_pbw import monomial_trace
+from test_pbw import gc_disabled, monomial_trace
 
 
 def make_algebra(spec, ell, c_values):
@@ -508,18 +508,38 @@ class TestMergedAction:
         verma_action(slice_, y1, {1: [ONE] * slice_.dim(1)})
         assert list(alg._verma_element_cache[pairs]) == list(slice_._monos[1])
 
-    def test_an_image_takes_one_degree_shift(self):
+
+    def test_each_generator_is_split_once_per_slice(self, monkeypatch):
+        # a slice builds the groups of its x_i, y_i and g on first use and
+        # keeps them: a second singular space, at another degree, and a later
+        # radical step split no generator again (the idempotents e_E are
+        # still built and split per call)
+        alg = make_algebra("s3", 1, [Fraction(1, 3)])
+        triv = irrep_of(alg, "triv")
+        verma, quotient = VermaSlice(alg, triv, 3), VermaSlice(alg, triv, 3)
+        assert singular_vectors(verma, 0).dimension == 1
+        quotient.kill_submodule(1)
+        quotient.kill_submodule(2)
+        generators = [alg.x(i).terms for i in (1, 2)] + [alg.y(i).terms for i in (1, 2)]
+        generators += [alg.g(g).terms for g in range(len(alg.group))]
+        split, seen = PBWElement.degree_split, []
+        monkeypatch.setattr(PBWElement, "degree_split", lambda el: seen.append(el.terms) or split(el))
+        assert singular_vectors(verma, 1).dimension == 2
+        quotient.kill_submodule(3)
+        assert quotient.dim(3) == 0 and seen
+        assert [terms for terms in seen if terms in generators] == []
+
+    def test_a_slice_leaves_its_algebra_free(self):
+        # building a slice reads the central Euler part (c_scalar); nothing
+        # that the slice and its actions leave on the algebra may point back
         alg = make_algebra("s3", 1, [Fraction(1, 2)])
-        slice_ = VermaSlice(alg, irrep_of(alg, "standard"), self.CUTOFF)
-        for mixed in (alg.x(1) + alg.y(1), alg.euler_element() + alg.x(2)):
-            with pytest.raises(ValueError, match="element has 2 degree shifts"):
-                slice_._image(mixed)
-        mono = slice_._monos[1][0]
-        assert slice_._image(alg.zero())(mono) == ()
-        euler = alg.euler_element()
-        ((_, _, pairs),) = euler.degree_split()
-        assert slice_._image(euler)(mono) == alg.act_on_verma_terms(pairs)(mono)
-        assert slice_._image(euler)(mono)
+        slice_ = VermaSlice(alg, irrep_of(alg, "standard"), 3)
+        singular_vectors(slice_, 1)
+        verma_action(slice_, alg.euler_element(), {2: [ONE] * slice_.dim(2)})
+        ref = weakref.ref(alg)
+        with gc_disabled():
+            del alg, slice_
+            assert ref() is None
 
 
 class TestMvScale:
@@ -840,7 +860,7 @@ class TestCharacters:
         alg = make_algebra("dihedral:5", 5, [Fraction(1, 5)])
         for w in alg.irreps:
             expected = elementwise_character(VermaSlice(alg, w, 6))
-            assert verma_character(alg, w, 6) == expected
+            assert VermaSlice(alg, w, 6).graded_character() == expected
 
 
 class TestSimpleQuotients:
@@ -1397,7 +1417,7 @@ class TestDecomposition:
                     row = total.setdefault(n + shift, {})
                     for lbl2, mult2 in level.items():
                         row[lbl2] = row.get(lbl2, 0) + m * mult2
-            expected = verma_character(alg, w, cutoff)
+            expected = VermaSlice(alg, w, cutoff).graded_character()
             assert GradedCharacter(total) == expected
 
     def test_inconsistent_truncation_detected(self):
@@ -1480,7 +1500,7 @@ class TestWeightOneBlocks:
                 data: dict = {}
                 for j, other in enumerate(chain[i:]):
                     shift = (c_values[other] - c_values[label]).as_int()
-                    verma = verma_character(alg, irrep_of(alg, other), cutoff).data
+                    verma = VermaSlice(alg, irrep_of(alg, other), cutoff).graded_character().data
                     for d in range(cutoff + 1 - shift):
                         level = data.setdefault(d + shift, {})
                         for lbl, m in verma.get(d, {}).items():

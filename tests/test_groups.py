@@ -23,7 +23,7 @@ from cherednik.groups import (
     load_group_file,
     validate_irrep,
 )
-from cherednik.scalars import Scalar, ZERO, ONE
+from cherednik.scalars import Scalar, ZERO, ONE, InvalidInput
 
 S3_GENS = [[[-1, 1], [0, 1]], [[1, 0], [1, -1]]]
 
@@ -304,6 +304,21 @@ class TestIrreps:
             gens = [[[-1]] if i == bad else [[1]] for i in range(k)]
             with pytest.raises(NotHomomorphism):
                 irrep_from_generators("mixed", gens, group)
+
+    @pytest.mark.parametrize("spec,ell", [("s3", 1), ("dihedral:5", 5)])
+    def test_the_character_is_the_traces(self, spec, ell):
+        # trivial matrices with the sign character pass the group law and
+        # the norm-1 test on the character given; the traces refuse them
+        group, irreps = builtin_group(spec, ell)
+        triv, sign = irreps[0], irreps[1]
+        assert validate_irrep(triv, group) is triv and validate_irrep(sign, group) is sign
+        first = next(g for g in range(len(group)) if sign.character[g] != ONE)
+        candidate = Irrep("fake", 1, triv.matrices, sign.character)
+        message = f"character -1 at element {first}, whose matrix has trace 1"
+        with pytest.raises(InvalidInput, match=message):
+            validate_irrep(candidate, group)
+        with pytest.raises(ValueError, match="one character value per group element"):
+            validate_irrep(Irrep("short", 1, triv.matrices, triv.character[:-1]), group)
 
     def test_identity_must_act_as_identity(self):
         # rho = 0 satisfies rho(a) rho(s) = rho(a s) but is no representation

@@ -8,11 +8,13 @@ generators with the closed binomial formula instead of rewriting.
 
 import contextlib
 import functools
+import gc
 import math
 import os
 import random
 import subprocess
 import sys
+import weakref
 from fractions import Fraction
 from pathlib import Path
 
@@ -57,6 +59,24 @@ def random_element(alg, rng, max_degree=4, terms=3):
         coeff = Fraction(rng.randint(-4, 4), rng.randint(1, 4))
         out = out + alg.monomial(ideg, rng.randrange(len(alg.group)), jdeg, coeff)
     return out
+
+
+@contextlib.contextmanager
+def gc_disabled():
+    """Run the block with the cyclic garbage collector off."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def shift_parts(a):
+    """Shift |I| - |J| -> the element made of a's terms of that shift, read
+    off its split (`PBWElement.degree_split`)."""
+    return {shift: a.algebra.element(dict(pairs)) for shift, _, pairs in a.degree_split()}
 
 
 def _random_multideg(rng, n, total):
@@ -300,8 +320,23 @@ class TestEulerElement:
         assert alg.euler_element() == expected
 
     def test_central_part_is_built_once(self):
+        # the terms are kept; each call hands out a fresh element over them
         alg = make_algebra("s4", 1, [Fraction(1, 2)])
-        assert alg.euler_central_part() is alg.euler_central_part()
+        first, second = alg.euler_central_part(), alg.euler_central_part()
+        assert first.terms is second.terms and first is not second
+        assert alg.euler_element().terms is alg.euler_element().terms
+
+    @pytest.mark.parametrize("build", ["euler_element", "euler_central_part"])
+    def test_the_euler_element_leaves_its_algebra_free(self, build):
+        # with the cyclic collector off, only reference counts free an
+        # algebra: nothing the Euler element leaves on it may point back
+        alg = make_algebra("s3", 1, [Fraction(1, 2)])
+        element = getattr(alg, build)()
+        assert element.degree_split()
+        ref = weakref.ref(alg)
+        with gc_disabled():
+            del alg, element
+            assert ref() is None
 
 
 class TestInnerGrading:
@@ -334,22 +369,22 @@ class TestInnerGrading:
             rhs = alg.ad_euler(a) * b + a * alg.ad_euler(b)
             assert lhs == rhs
 
-    def test_grade_decompose_examples(self):
+    def test_degree_split_examples(self):
         alg = make_algebra("cyclic:2", 1, [Fraction(1, 2)])
-        parts = (alg.x(1) + alg.y(1)).grade_decompose()
+        parts = shift_parts(alg.x(1) + alg.y(1))
         assert set(parts) == {-1, 1}
         assert parts[1] == alg.x(1) and parts[-1] == alg.y(1)
-        assert (alg.g(1)).grade_decompose() == {0: alg.g(1)}
+        assert shift_parts(alg.g(1)) == {0: alg.g(1)}
         mixed = alg.monomial((1,), 0, (1,)) + alg.g(1) * alg.y(1) ** 2
-        parts = mixed.grade_decompose()
-        assert set(parts) == {-2, 0}
+        assert sorted(entry[:2] for entry in mixed.degree_split()) == [(-2, 2), (0, 1)]
+        assert shift_parts(alg.zero()) == {}
 
     def test_components_resum_and_are_eigenvectors(self):
         alg = make_algebra("s3", 1, [Fraction(1, 3)])
         rng = random.Random(2)
         for _ in range(8):
             a = random_element(alg, rng)
-            parts = a.grade_decompose()
+            parts = shift_parts(a)
             total = alg.zero()
             for n, comp in parts.items():
                 assert alg.ad_euler(comp) == comp * n
@@ -361,8 +396,8 @@ class TestInnerGrading:
         rng = random.Random(3)
         for _ in range(8):
             a, b = random_element(alg, rng, 3), random_element(alg, rng, 3)
-            pa, pb = a.grade_decompose(), b.grade_decompose()
-            prod_parts = (a * b).grade_decompose()
+            pa, pb = shift_parts(a), shift_parts(b)
+            prod_parts = shift_parts(a * b)
             for n, comp in prod_parts.items():
                 expect = alg.zero()
                 for da, ca in pa.items():
