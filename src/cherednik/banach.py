@@ -48,14 +48,6 @@ class UnboundedGenerator(ComputationLimit):
     """A generator has negative operator-norm exponent on the unit lattice."""
 
 
-class IncompatibleFamily(ComputationLimit):
-    """A cross-level family fails the transition compatibility check."""
-
-    def __init__(self, level: int):
-        super().__init__(f"family is incompatible at level {level}")
-        self.level = level
-
-
 @dataclass(frozen=True)
 class LevelParams:
     """One Banach level: the polynomial weight m, the derived lowering
@@ -306,31 +298,17 @@ def transition(x: BanachElement, target: LevelParams) -> BanachElement:
     return BanachElement.from_pbw(x.to_pbw(), target, x.tau)
 
 
-@dataclass
-class CoadmissibleReport:
-    failing_level: int | None = None
-
-    @property
-    def passed(self) -> bool:
-        return self.failing_level is None
-
-    def ensure(self):
-        if not self.passed:
-            raise IncompatibleFamily(self.failing_level)
-        return self
-
-
-def coadmissible_check(family) -> CoadmissibleReport:
-    """Check that consecutive members match under the transition maps; the
+def coadmissible_check(family) -> int | None:
+    """The first level whose member does not match the one below it under
+    the transition map, or None when consecutive members all match; the
     family then represents one element of the inverse-limit algebra."""
     members = sorted(family, key=lambda x: x.params.level)
     for low, high in zip(members, members[1:]):
         if high.params.level != low.params.level + 1:
             raise ValueError("family levels must be consecutive")
-        moved = transition(high, low.params)
-        if moved.terms != low.terms:
-            return CoadmissibleReport(high.params.level)
-    return CoadmissibleReport()
+        if transition(high, low.params).terms != low.terms:
+            return high.params.level
+    return None
 
 
 @dataclass
@@ -344,9 +322,6 @@ class AnalyticVermaSlice:
     params: LevelParams
     generator_norms: dict
     ws_recovered: bool
-
-    def degree_dims(self) -> list:
-        return [self.slice.dim(n) for n in range(self.slice.cutoff + 1)]
 
 
 def analytic_verma_slice(

@@ -13,7 +13,7 @@ and every singular space, the radical's included, comes from one routine
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 from . import linalg
@@ -269,7 +269,7 @@ class VermaSlice:
         self._check_degree(n)
         h = self.algebra.molien_coefficients(g, self.cutoff)
         total = h[n] * self.irrep.character[g]
-        d, monos, rho = self.irrep.dim, self._monos[n], self.irrep.matrix(g)
+        d, monos, rho = self.irrep.dim, self._monos[n], self.irrep.matrices[g]
         act = self.algebra.act_on_x_monomial
         for p, row in self.killed[n].items():
             target, rho_row = monos[p // d], rho[p % d]
@@ -304,42 +304,16 @@ class VermaSlice:
                 level[irr.label] = mult.as_int()
         return level
 
-    def graded_character(self) -> "GradedCharacter":
-        """Multiplicities from one trace per conjugacy class and degree."""
+    def graded_character(self) -> dict:
+        """Degree -> label -> nonzero multiplicity, for every degree
+        0..cutoff, from one trace per conjugacy class and degree."""
         if not self.algebra.irreps:
             raise ValueError("the algebra carries no irrep table")
-        return GradedCharacter(
-            {n: self.multiplicities(n) for n in range(self.cutoff + 1)}
-        )
+        return {n: self.multiplicities(n) for n in range(self.cutoff + 1)}
 
     def weights(self) -> list:
         """The occurring generalized eigenvalues of the Euler element."""
         return [self.c_value + n for n in range(self.cutoff + 1) if self.dim(n)]
-
-
-@dataclass
-class GradedCharacter:
-    """Map degree -> irrep label -> multiplicity."""
-
-    data: dict = field(default_factory=dict)
-
-    def multiplicity(self, degree: int, label: str) -> int:
-        return self.data.get(degree, {}).get(label, 0)
-
-    def rows(self):
-        for n in sorted(self.data):
-            for label in sorted(self.data[n]):
-                if self.data[n][label]:
-                    yield n, label, self.data[n][label]
-
-    def dimension(self, degree: int, irreps) -> int:
-        dims = {irr.label: irr.dim for irr in irreps}
-        return sum(m * dims[lbl] for lbl, m in self.data.get(degree, {}).items())
-
-    def __eq__(self, other):
-        if not isinstance(other, GradedCharacter):
-            return NotImplemented
-        return list(self.rows()) == list(other.rows())
 
 
 def c_scalar(algebra: CherednikAlgebra, irrep: Irrep) -> Scalar:
@@ -349,7 +323,7 @@ def c_scalar(algebra: CherednikAlgebra, irrep: Irrep) -> Scalar:
     d = irrep.dim
     mat = [[ZERO] * d for _ in range(d)]
     for (_, g, _), coef in algebra.euler_central_part().terms.items():
-        rho = irrep.matrix(g)
+        rho = irrep.matrices[g]
         for i in range(d):
             for j in range(d):
                 if rho[i][j]:
@@ -511,7 +485,7 @@ def dunkl_action(slice_: VermaSlice, direction, mv: dict) -> dict:
             for s_idx, weight, alpha in refl:
                 if not weight:
                     continue
-                rho = slice_.irrep.matrix(s_idx)
+                rho = slice_.irrep.matrices[s_idx]
                 moved = _subst_dual(
                     alg.group.matrices[alg.group.inv(s_idx)], mono
                 )
@@ -607,7 +581,7 @@ def _isotypic_block(slice_: VermaSlice, irr: Irrep, n: int, m: int) -> list:
     group, zero = alg.group, alg._zero_deg
     weight = Scalar.rational(irr.dim) / len(group)
     e_E = alg.element(
-        {(zero, g, zero): weight * irr.matrix(group.inv(g))[0][0] for g in range(len(group))}
+        {(zero, g, zero): weight * irr.matrices[group.inv(g)][0][0] for g in range(len(group))}
     )
     groups = slice_._groups(e_E)
     images = (slice_._apply(groups, n, {p: ONE}, {})[n] for p in slice_.free_positions(n))
@@ -662,7 +636,8 @@ def singular_vectors(slice_: VermaSlice, n: int) -> SingularSpace:
 
 def simple_quotient_slice(algebra: CherednikAlgebra, irrep: Irrep, cutoff: int):
     """The simple quotient L(lambda) in degrees 0..cutoff and its graded
-    character, built in one pass upward through the degrees.
+    character (`VermaSlice.graded_character`), built in one pass upward
+    through the degrees.
 
     The radical J of the Verma module satisfies J_0 = 0 and J_n = {v in
     degree n : y_i . v in J_{n-1} for all i} (Dunkl, de Jeu and Opdam), so
@@ -698,9 +673,8 @@ def hom_dim(irrep: Irrep, slice_: VermaSlice) -> int:
 @dataclass
 class OrderGraph:
     """Directed linkage graph: an edge (W, E) means c(E) - c(W) is a strictly
-    positive rational integer."""
+    positive rational integer.  c_values lists the labels in irrep order."""
 
-    labels: list
     c_values: dict
     edges: list
 
@@ -717,7 +691,7 @@ def highest_weight_order(algebra: CherednikAlgebra) -> OrderGraph:
     edges = [
         (w, e) for w, c in c_values.items() for e, n in _linkage(algebra, c).items() if n > 0
     ]
-    return OrderGraph(list(c_values), c_values, edges)
+    return OrderGraph(c_values, edges)
 
 
 def blocks(algebra: CherednikAlgebra) -> list:
@@ -747,15 +721,16 @@ def decompose_verma_character(
     simple_characters: dict,
 ) -> dict:
     """Multiplicities of the truncated simple modules in the Verma character,
-    solved degree by degree along the highest-weight order."""
+    solved degree by degree along the highest-weight order; simple_characters
+    maps each label to a graded character (`VermaSlice.graded_character`)."""
     irreps = algebra.irreps
     if not irreps:
         raise ValueError("the algebra carries no irrep table")
     verma = VermaSlice(algebra, irrep, cutoff)
-    residual = {n: dict(level) for n, level in verma.graded_character().data.items()}
+    residual = verma.graded_character()
     mults = {irr.label: 0 for irr in irreps}
     for d in range(cutoff + 1):
-        level = residual.setdefault(d, {})
+        level = residual[d]
         for label in sorted(verma.singular_isotypes.get(d, ())):
             m = level.get(label, 0)
             if m < 0:
@@ -767,10 +742,10 @@ def decompose_verma_character(
             mults[label] = m
             simple = simple_characters[label]
             for n2 in range(d, cutoff + 1):
-                lvl2 = residual.setdefault(n2, {})
-                for lbl2, mult2 in simple.data.get(n2 - d, {}).items():
+                lvl2 = residual[n2]
+                for lbl2, mult2 in simple.get(n2 - d, {}).items():
                     lvl2[lbl2] = lvl2.get(lbl2, 0) - m * mult2
-        if any(level.get(lbl, 0) for lbl in level):
+        if any(level.values()):
             raise InconsistentTruncation(
                 f"characters do not cancel at degree {d}; cutoff {cutoff} too small"
             )

@@ -160,19 +160,15 @@ def _cmd_simple_character(cfg: JobConfig, algebra: CherednikAlgebra) -> Report:
     for irr in selected_irreps(cfg, algebra):
         _, character = category_o.simple_quotient_slice(algebra, irr, cutoff)
         stable.append(f"{irr.label}=yes")
-        for n, label, mult in character.rows():
-            rows.append((irr.label, n, label, mult))
+        for n in sorted(character):
+            rows += [(irr.label, n, label, character[n][label]) for label in sorted(character[n])]
     return Report(("irrep", "degree", "label", "mult"), rows, extra={"stable": "; ".join(stable)})
 
 
 def _cmd_order(cfg: JobConfig, algebra: CherednikAlgebra) -> Report:
     graph = category_o.highest_weight_order(algebra)
     rows = [(w, e) for w, e in graph.edges]
-    extra = {
-        "c_values": "; ".join(
-            f"{lbl}={graph.c_values[lbl]}" for lbl in graph.labels
-        )
-    }
+    extra = {"c_values": "; ".join(f"{lbl}={c}" for lbl, c in graph.c_values.items())}
     return Report(("source", "target"), rows, extra=extra)
 
 
@@ -239,11 +235,11 @@ def _cmd_coadmissible_check(cfg: JobConfig, algebra: CherednikAlgebra) -> Report
     tower = banach.level_tower(algebra, ctx, hi)
     element = parse_job_element(cfg, algebra)
     family = [banach.BanachElement.from_pbw(element, params) for params in tower]
-    outcome = banach.coadmissible_check(family)
+    failing = banach.coadmissible_check(family)
     rows = [(params.level, params.r, "ok") for params in tower]
     extra = {
-        "passed": "yes" if outcome.passed else "no",
-        "failing_level": "" if outcome.failing_level is None else str(outcome.failing_level),
+        "passed": "yes" if failing is None else "no",
+        "failing_level": "" if failing is None else str(failing),
     }
     return Report(("level", "r", "status"), rows, extra=extra)
 

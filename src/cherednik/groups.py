@@ -10,7 +10,7 @@ the dual eigenvector normalized so the pairing equals 2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 from . import linalg
@@ -275,15 +275,20 @@ class ReflectionFunction:
 
 @dataclass(frozen=True)
 class Irrep:
-    """A validated split irreducible representation: one matrix per element."""
+    """A split irreducible representation, as `irrep_from_generators` builds
+    and checks it: one matrix per element, indexed like the group.  Its
+    dimension and character (the traces) are worked out from the matrices,
+    so they cannot disagree with them."""
 
     label: str
-    dim: int
     matrices: tuple  # Matrix per group element index
-    character: tuple  # Scalar per group element index
+    dim: int = field(init=False)
+    character: tuple = field(init=False)  # Scalar per group element index
 
-    def matrix(self, g: int) -> Matrix:
-        return self.matrices[g]
+    def __post_init__(self):
+        object.__setattr__(self, "dim", len(self.matrices[0]))
+        traces = (sum((m[i][i] for i in range(len(m))), ZERO) for m in self.matrices)
+        object.__setattr__(self, "character", tuple(traces))
 
 
 def _group_law(label: str, mats, gens, group: GroupAction) -> None:
@@ -307,49 +312,20 @@ def _group_law(label: str, mats, gens, group: GroupAction) -> None:
 
 def irrep_from_generators(label: str, gen_matrices, group: GroupAction) -> Irrep:
     """Extend matrices given on the generators by the group law, then check
-    irreducibility."""
+    irreducibility (character norm 1).  This is the one way an irrep is
+    built: a full matrix table is checked by building from its generators'
+    matrices and comparing."""
     gens = [_freeze(m) for m in gen_matrices]
     if len(gens) != len(group.generators):
         raise ValueError(f"irrep {label!r} needs {len(group.generators)} generator matrices")
-    d = len(gens[0])
-    mats = [linalg.identity(d)] + [None] * (len(group) - 1)
+    mats = [linalg.identity(len(gens[0]))] + [None] * (len(group) - 1)
     _group_law(label, mats, gens, group)
-    return _irreducible(Irrep(label, d, tuple(mats), _character(mats)), group)
-
-
-def _character(mats) -> tuple:
-    """The trace of each matrix."""
-    return tuple(sum((m[i][i] for i in range(len(m))), ZERO) for m in mats)
-
-
-def validate_irrep(candidate: Irrep, group: GroupAction) -> Irrep:
-    """Check the group law (rho(identity) = I and _group_law on the given
-    matrices), the character (their traces) and irreducibility (norm 1)."""
-    mats = candidate.matrices
-    if len(mats) != len(group) or len(candidate.character) != len(group):
-        raise ValueError("one matrix and one character value per group element are required")
-    if mats[group.identity] != linalg.identity(candidate.dim):
-        raise NotHomomorphism(
-            f"irrep {candidate.label!r} violates the group law at the identity"
-        )
-    _group_law(candidate.label, mats, [mats[s] for s in group.generators], group)
-    for g, (given, trace) in enumerate(zip(candidate.character, _character(mats))):
-        if given != trace:
-            raise InvalidInput(
-                f"irrep {candidate.label!r} gives the character {given} at "
-                f"element {g}, whose matrix has trace {trace}"
-            )
-    return _irreducible(candidate, group)
-
-
-def _irreducible(candidate: Irrep, group: GroupAction) -> Irrep:
-    chi = candidate.character
+    irrep = Irrep(label, tuple(mats))
+    chi = irrep.character
     norm = sum((chi[g] * chi[group.inv(g)] for g in range(len(group))), ZERO) / len(group)
     if norm != ONE:
-        raise NotIrreducible(
-            f"irrep {candidate.label!r} has character norm {norm}, expected 1"
-        )
-    return candidate
+        raise NotIrreducible(f"irrep {label!r} has character norm {norm}, expected 1")
+    return irrep
 
 
 # ---------------------------------------------------------------------------

@@ -34,6 +34,7 @@ from .scalars import (
     ZERO,
     ONE,
     CherednikError,
+    ComputationLimit,
     ExprError,
     InvalidInput,
     _accumulate,
@@ -53,6 +54,16 @@ class AlgebraMismatch(CherednikError, ValueError):
 
 class RepeatedIrrep(InvalidInput):
     """Two listed irreps share a label or a character."""
+
+
+# the work bound on a power: a^k refuses to form the product that takes the
+# running count of term pairs multiplied (len(power) * len(factor) per
+# product) past it, about 0.4 s of products
+MAX_POWER_PAIRS = 100_000
+
+
+class PowerTooLarge(ComputationLimit):
+    """A power would multiply more than MAX_POWER_PAIRS term pairs."""
 
 
 def term_sort_key(term: Term):
@@ -175,10 +186,17 @@ class PBWElement:
         # out and base are powers of self and commute, so a factor goes in on
         # the side with fewer y-past-x swaps: straightening a * b makes about
         # |J|(a) * |I|(b) of them, |J| and |I| summed over the terms.  A tie
-        # keeps out * base.
-        out, base = self.algebra.one(), self
+        # keeps out * base.  Each such product first adds its term pairs to
+        # the count that MAX_POWER_PAIRS bounds.
+        out, base, pairs = self.algebra.one(), self, 0
         while k:
             if k & 1 or len(base.terms) > 1:
+                pairs += len(out.terms) * len(base.terms)
+                if pairs > MAX_POWER_PAIRS:
+                    raise PowerTooLarge(
+                        f"the power multiplies more than MAX_POWER_PAIRS = "
+                        f"{MAX_POWER_PAIRS} term pairs"
+                    )
                 ox, oy = _degree_sums(out)
                 bx, by = _degree_sums(base)
                 out, k = (out * base if oy * bx <= by * ox else base * out), k - 1

@@ -35,6 +35,8 @@ __all__ = [
     "ComputationLimit",
     "CoefficientBlowup",
     "MAX_COEFF_BITS",
+    "ModulusTooLarge",
+    "MAX_MODULUS_BITS",
     "SplittingError",
     "DivisionByZero",
     "FieldMismatch",
@@ -61,6 +63,15 @@ MAX_COEFF_BITS = 1_000_000
 
 class CoefficientBlowup(ComputationLimit):
     """A coefficient exceeded MAX_COEFF_BITS."""
+
+
+# the bit-size bound on the p-adic working modulus p**precision, checked
+# before hensel_embed lifts a root to it
+MAX_MODULUS_BITS = 65_536
+
+
+class ModulusTooLarge(ComputationLimit):
+    """p**precision has more than MAX_MODULUS_BITS bits."""
 
 
 def check_coeff_bits(x: Scalar) -> Scalar:
@@ -595,13 +606,25 @@ def least_cyclotomic_root(ell: int, p: int) -> int:
 
 def hensel_embed(ell: int, p: int, precision: int) -> int:
     """Newton-lift the smallest root of the ell-th cyclotomic polynomial mod p
-    to a root mod p**precision."""
+    to a root mod p**precision, refusing a modulus of more than
+    MAX_MODULUS_BITS bits before the lift starts.  p**precision has more
+    than precision * (p.bit_length() - 1) bits, and when that product is
+    below the bound, fewer than twice the bound's bits: the exact test is
+    cheap."""
     if precision < 1:
         raise ValueError("precision must be >= 1")
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if (p - 1) % ell != 0:
         raise SplittingError(f"p = {p} is not congruent to 1 mod {ell}")
+    if (
+        precision * (p.bit_length() - 1) >= MAX_MODULUS_BITS
+        or (p**precision).bit_length() > MAX_MODULUS_BITS
+    ):
+        raise ModulusTooLarge(
+            f"p**precision = {p}**{precision} has more than MAX_MODULUS_BITS = "
+            f"{MAX_MODULUS_BITS} bits"
+        )
     phi = cyclotomic_polynomial(ell)
     dphi = [i * c for i, c in enumerate(phi)][1:]
     root = least_cyclotomic_root(ell, p)

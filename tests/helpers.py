@@ -1,0 +1,78 @@
+"""Helpers shared by the test modules: built-in algebras, random Banach
+elements, the Dunkl-route singular-space oracle, and the command line run
+in a fresh interpreter."""
+
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+from cherednik import linalg
+from cherednik.banach import BanachElement
+from cherednik.category_o import VermaSlice, dunkl_action
+from cherednik.groups import ReflectionFunction, builtin_group, find_reflections
+from cherednik.pbw import CherednikAlgebra
+from cherednik.scalars import ZERO
+
+
+def make_algebra(spec, ell, c_values):
+    group, irreps = builtin_group(spec, ell)
+    refl = find_reflections(group)
+    c = ReflectionFunction(group, refl, c_values)
+    return CherednikAlgebra(group, c, irreps=irreps)
+
+
+def random_banach(alg, params, rng, terms=3, max_degree=4):
+    el = alg.zero()
+    for _ in range(terms):
+        total = rng.randint(0, max_degree)
+        isum = rng.randint(0, total)
+        ideg = [0] * alg.dim
+        for _ in range(isum):
+            ideg[rng.randrange(alg.dim)] += 1
+        jdeg = [0] * alg.dim
+        for _ in range(total - isum):
+            jdeg[rng.randrange(alg.dim)] += 1
+        coeff = Fraction(
+            rng.randint(-9, 9) * 5 ** rng.randint(0, 3), rng.randint(1, 9)
+        )
+        el = el + alg.monomial(tuple(ideg), rng.randrange(len(alg.group)), tuple(jdeg), coeff)
+    return BanachElement.from_pbw(el, params)
+
+
+def brute_force_singular_dims(alg, w, cutoff):
+    """Oracle: nullspace of the stacked Dunkl matrices, built columnwise
+    from the divided-difference route only."""
+    slice_ = VermaSlice(alg, w, cutoff)
+    dims = {}
+    for n in range(1, cutoff + 1):
+        cols = slice_.dim(n)
+        rows = []
+        images = []
+        for j in range(cols):
+            unit = slice_.basis_vector(n, j)
+            img = {}
+            for i in range(1, alg.dim + 1):
+                part = dunkl_action(slice_, i, unit)
+                img[i] = part.get(n - 1, [ZERO] * slice_.dim(n - 1))
+            images.append(img)
+        for i in range(1, alg.dim + 1):
+            for r in range(slice_.dim(n - 1)):
+                rows.append([images[j][i][r] for j in range(cols)])
+        dims[n] = len(linalg.nullspace(rows)) if rows else cols
+    return dims
+
+
+
+def cli_job(tmp_path, command, config, timeout=10):
+    """`cherednik <command>` on the config text, in a fresh process stopped
+    after timeout seconds (subprocess.TimeoutExpired)."""
+    cfg = tmp_path / "job.cfg"
+    cfg.write_text(config)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run(
+        [sys.executable, "-m", "cherednik.cli", command, "--config", str(cfg)],
+        capture_output=True, text=True, env=env, timeout=timeout,
+    )

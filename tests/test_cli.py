@@ -488,10 +488,11 @@ def test_readme_lists_every_key_and_command():
         (groups.CapExceeded, ComputationLimit, RuntimeError),
         (groups.InfiniteOrder, ComputationLimit, RuntimeError),
         (scalars.CoefficientBlowup, ComputationLimit, RuntimeError),
+        (scalars.ModulusTooLarge, ComputationLimit, RuntimeError),
+        (pbw.PowerTooLarge, ComputationLimit, RuntimeError),
         (banach.LatticeViolation, ComputationLimit, RuntimeError),
         (banach.UnboundedGenerator, ComputationLimit, RuntimeError),
         (banach.PrecisionExhausted, ComputationLimit, RuntimeError),
-        (banach.IncompatibleFamily, ComputationLimit, RuntimeError),
         (banach.TailDominated, ComputationLimit, ArithmeticError),
     ],
 )

@@ -10,13 +10,10 @@ import contextlib
 import functools
 import gc
 import math
-import os
 import random
-import subprocess
 import sys
 import weakref
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -30,8 +27,10 @@ from cherednik.groups import (
 )
 from cherednik.pbw import (
     AlgebraMismatch,
+    MAX_POWER_PAIRS,
     CherednikAlgebra,
     PBWElement,
+    PowerTooLarge,
     _add_deg,
     _chain,
     monomials,
@@ -39,13 +38,7 @@ from cherednik.pbw import (
 from cherednik.scalars import Scalar, ZERO, ONE, ExprError, FieldMismatch, euler_phi
 from cherednik.scalars import MAX_COEFF_BITS, CoefficientBlowup
 from cherednik.scalars import _accumulate, _settle
-
-
-def make_algebra(spec, ell, c_values):
-    group, irreps = builtin_group(spec, ell)
-    refl = find_reflections(group)
-    c = ReflectionFunction(group, refl, c_values)
-    return CherednikAlgebra(group, c, irreps=irreps)
+from helpers import cli_job, make_algebra
 
 
 def random_element(alg, rng, max_degree=4, terms=3):
@@ -141,16 +134,33 @@ class TestMultiplication:
     def test_a_huge_scalar_power_stops_at_the_guard(self, tmp_path):
         # 2^(10^10) would need 1.25 GB; squaring stops at the guard after
         # about 20 products.  A fresh process, stopped after 10 s.
-        cfg = tmp_path / "job.cfg"
-        cfg.write_text("group = cyclic:2\nc = 1/2\nprime = 3\nlevel = 0\nelement = 2^10000000000*x1\n")
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        done = subprocess.run(
-            [sys.executable, "-m", "cherednik.cli", "norm", "--config", str(cfg)],
-            capture_output=True, text=True, env=env, timeout=10,
-        )
+        config = "group = cyclic:2\nc = 1/2\nprime = 3\nlevel = 0\nelement = 2^10000000000*x1\n"
+        done = cli_job(tmp_path, "norm", config)
         assert done.returncode == 3
         assert "MAX_COEFF_BITS" in done.stderr
+
+    def test_a_long_power_stops_at_the_pair_bound(self, tmp_path):
+        # (x1 + g1)^k multiplies about 0.75 k^2 term pairs, so k = 100000
+        # would run for hours; the count passes MAX_POWER_PAIRS near k = 365
+        # and the job exits 3.  A fresh process, stopped after 2 s.
+        assert MAX_POWER_PAIRS == 100_000
+        config = "group = cyclic:2\nc = 1/2\nprime = 3\nlevel = 0\nelement = (x1 + g1)^100000\n"
+        done = cli_job(tmp_path, "norm", config, timeout=2)
+        assert done.returncode == 3
+        assert "MAX_POWER_PAIRS = 100000" in done.stderr
+
+    def test_the_pair_bound_counts_every_product(self):
+        alg = make_algebra("cyclic:2", 1, [Fraction(1, 2)])
+        base = alg.x(1) + alg.g(1)
+        pairs, power = 0, alg.one()
+        for k in range(1, 400):
+            pairs += len(power.terms) * len(base.terms)
+            if pairs > MAX_POWER_PAIRS:
+                break
+            power = power * base
+        with pytest.raises(PowerTooLarge):
+            base**k
+        assert base ** (k - 1) == power
 
     def test_y_free_left_term_stores_no_straightening(self):
         # x^I g * x^I2 g2 y^J2 needs no straightening, so the product leaves

@@ -1,13 +1,10 @@
 """Exact scalar arithmetic, cyclotomic reduction, and p-adic valuations."""
 
 import math
-import os
 import random
-import subprocess
 import sys
 import time
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 import sympy
@@ -15,12 +12,14 @@ from hypothesis import given, settings, strategies as st
 
 from cherednik.scalars import (
     MAX_COEFF_BITS,
+    MAX_MODULUS_BITS,
     CoefficientBlowup,
     DivisionByZero,
     ExprError,
     FieldMismatch,
     INF,
     MAX_NESTING,
+    ModulusTooLarge,
     ONE,
     PadicContext,
     PrimalityUncertified,
@@ -38,6 +37,7 @@ from cherednik.scalars import (
     val,
 )
 from cherednik.scalars import _PSI_13 as PSI_13, _accumulate, _product_table, _settle
+from helpers import cli_job
 
 
 def brute_roots(ell, p, N):
@@ -78,6 +78,33 @@ class TestHenselEmbed:
         low = hensel_embed(12, 13, 2)
         high = hensel_embed(12, 13, 8)
         assert high % 13**2 == low
+
+    def test_modulus_bound(self):
+        # 2**65535 has MAX_MODULUS_BITS bits, 2**65536 one more; the refusal
+        # comes before the lift, so a precision of 10^11 costs nothing
+        assert MAX_MODULUS_BITS == 65_536
+        assert hensel_embed(1, 2, 65_535) == 1
+        for ell, p, precision in ((1, 2, 65_536), (5, 11, 100_000), (1, 3, 10**11)):
+            with pytest.raises(ModulusTooLarge, match="MAX_MODULUS_BITS = 65536"):
+                hensel_embed(ell, p, precision)
+        # 11**18944 has 65536 bits, 11**18945 has 65539
+        assert PadicContext(11, 18_944, 5).modulus.bit_length() == 65_536
+        with pytest.raises(ModulusTooLarge):
+            PadicContext(11, 18_945, 5)
+
+    @pytest.mark.parametrize("precision", [100_000, 10**11])
+    def test_a_huge_precision_exits_3_at_once(self, tmp_path, precision):
+        # precision 10^5 over Q(zeta_5) took 14.7 s to lift, and 10^11 over
+        # Q did not end; both are refused before the lift.  A fresh process,
+        # stopped after 2 s.
+        field = "field = cyclotomic:5\n" if precision == 100_000 else ""
+        config = (
+            f"group = cyclic:2\n{field}c = 1/2\nprime = 11\nprecision = {precision}\n"
+            "level = 0\nelement = x1\n"
+        )
+        done = cli_job(tmp_path, "norm", config, timeout=2)
+        assert done.returncode == 3
+        assert "MAX_MODULUS_BITS = 65536" in done.stderr
 
     def test_splitting_condition_enforced(self):
         with pytest.raises(SplittingError):
@@ -171,19 +198,6 @@ class TestIsPrime:
         assert time.monotonic() - start < 3
         assert "Traceback" not in done.stderr
         assert ("not prime" if code == 2 else "certifies no prime") in done.stderr
-
-
-def cli_job(tmp_path, command, config):
-    """`cherednik <command>` on the config text, in a fresh process stopped
-    after 10 s."""
-    cfg = tmp_path / "job.cfg"
-    cfg.write_text(config)
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    return subprocess.run(
-        [sys.executable, "-m", "cherednik.cli", command, "--config", str(cfg)],
-        capture_output=True, text=True, env=env, timeout=10,
-    )
 
 
 def lattice_check_job(tmp_path, prime):
