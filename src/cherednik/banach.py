@@ -11,7 +11,7 @@ is in closed form from the Cherednik relation for y_i x_j: no products.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .category_o import VermaSlice
 from .groups import Irrep
@@ -28,17 +28,6 @@ class TailDominated(ComputationLimit, ArithmeticError):
         self.tau = tau
 
 
-class LatticeViolation(ComputationLimit):
-    """A lattice generator product escapes the unit ball."""
-
-    def __init__(self, violations):
-        first = violations[0]
-        super().__init__(
-            f"lattice check failed: {first[0]} has norm exponent {first[1]}"
-        )
-        self.violations = violations
-
-
 class PrecisionExhausted(ComputationLimit):
     """A result rests on valuations that exhausted the working precision, so
     it is undecided: rho_c, or a lattice check whose violations all do."""
@@ -46,6 +35,14 @@ class PrecisionExhausted(ComputationLimit):
 
 class UnboundedGenerator(ComputationLimit):
     """A generator has negative operator-norm exponent on the unit lattice."""
+
+
+# the highest level a tower is built to; the largest recorded job reaches 30
+MAX_LEVEL = 10_000
+
+
+class LevelTooHigh(ComputationLimit):
+    """A level tower would be built past MAX_LEVEL."""
 
 
 @dataclass(frozen=True)
@@ -64,18 +61,11 @@ class LevelParams:
             raise ValueError("the lowering weight r must be a positive integer")
 
 
-def _weight_of(coeff: Scalar, term, m: int, r: int, ctx) -> tuple:
-    """(v_p(coeff) - m|I| - r|J|, whether that valuation is exact) of one
-    stored term."""
-    v = val(coeff, ctx)
-    return v.value - m * sum(term[0]) - r * sum(term[2]), v.exact
-
-
 class BanachElement:
     """A norm-truncated element: exact stored PBW terms at one level, plus a
     tail bound tau meaning every omitted term has weighted valuation >= tau."""
 
-    __slots__ = ("algebra", "params", "terms", "tau", "_weighted")
+    __slots__ = ("algebra", "params", "terms", "tau", "weighted")
 
     def __init__(self, algebra, params: LevelParams, terms: dict, tau: int, weighted: dict):
         self.algebra = algebra
@@ -83,7 +73,7 @@ class BanachElement:
         self.terms = terms
         self.tau = tau
         # term -> (weighted valuation, exact) of every stored term
-        self._weighted = weighted
+        self.weighted = weighted
 
     @classmethod
     def from_pbw(
@@ -96,21 +86,19 @@ class BanachElement:
         m, r, ctx = params.level, params.r, params.ctx
         kept, weighted = {}, {}
         for term, coeff in element.terms.items():
-            w = _weight_of(coeff, term, m, r, ctx)
-            if w[0] < tau:
+            # v_p(coeff) - m|I| - r|J|, and whether that valuation is exact
+            v = val(coeff, ctx)
+            w = v.value - m * sum(term[0]) - r * sum(term[2])
+            if w < tau:
                 kept[term] = coeff
-                weighted[term] = w
+                weighted[term] = w, v.exact
         return cls(element.algebra, params, kept, tau, weighted)
-
-    def weighted(self) -> dict:
-        """(weighted valuation, exact) of every stored term."""
-        return self._weighted
 
     def to_pbw(self) -> PBWElement:
         return PBWElement(self.algebra, dict(self.terms))
 
     def min_weight(self) -> float:
-        return min((w for w, _ in self.weighted().values()), default=INF)
+        return min((w for w, _ in self.weighted.values()), default=INF)
 
     def __eq__(self, other):
         if not isinstance(other, BanachElement):
@@ -151,10 +139,9 @@ def gauss_norm(x: BanachElement) -> int:
     Raises TailDominated when no stored term certifies a value below tau,
     including when the minimal coefficient valuation exhausted the working
     precision (the remedy is the same: increase the precision)."""
-    weighted = x.weighted()
-    if not weighted:
+    if not x.weighted:
         raise TailDominated(x.tau)
-    term, (mval, exact) = min(weighted.items(), key=lambda kv: (kv[1][0], kv[0]))
+    term, (mval, exact) = min(x.weighted.items(), key=lambda kv: (kv[1][0], kv[0]))
     if mval >= x.tau or not exact:
         raise TailDominated(x.tau)
     return int(mval)
@@ -180,20 +167,14 @@ def rho_c(algebra: CherednikAlgebra, ctx: PadicContext) -> int:
 
 @dataclass
 class LatticeReport:
-    """Outcome of the unit-ball stability check for one level."""
+    """The (product or commutator, norm exponent) pairs of one level that
+    escape the unit ball."""
 
-    level: int
-    r: int
-    violations: list = field(default_factory=list)
+    violations: list
 
     @property
     def passed(self) -> bool:
         return not self.violations
-
-    def ensure(self):
-        if not self.passed:
-            raise LatticeViolation(self.violations)
-        return self
 
 
 class _Valuations(dict):
@@ -250,14 +231,16 @@ def lattice_check(algebra: CherednikAlgebra, ctx: PadicContext, m: int, r: int) 
             f"{ctx.precision}: {name} has norm exponent >= {weight} only; "
             "raise the precision"
         )
-    return LatticeReport(m, r, violations)
+    return LatticeReport(violations)
 
 
 def level_tower(algebra: CherednikAlgebra, ctx: PadicContext, top: int) -> list:
     """LevelParams for levels 0..top.  Level m starts at
     r = max(r(m-1) + 1, m + rho_c) (with r(-1) = 0) and bumps r until the
     lattice check passes, so every r is certified and the sequence strictly
-    increases."""
+    increases.  A top above MAX_LEVEL raises LevelTooHigh at once."""
+    if top > MAX_LEVEL:
+        raise LevelTooHigh(f"level {top} is above the limit MAX_LEVEL = {MAX_LEVEL}")
     rho = rho_c(algebra, ctx)
     out = []
     r = 0
@@ -274,10 +257,9 @@ def weight_decompose_banach(x: BanachElement) -> dict:
     degree shift |I| - |J| (`PBWElement.degree_split`), with the level, tail
     bound and weights kept.  So a component's norm exponent is at least the
     element's, and the components, on disjoint terms, add up (`+`) to it."""
-    weighted = x.weighted()
     return {
         shift: BanachElement(
-            x.algebra, x.params, dict(pairs), x.tau, {t: weighted[t] for t, _ in pairs}
+            x.algebra, x.params, dict(pairs), x.tau, {t: x.weighted[t] for t, _ in pairs}
         )
         for shift, _, pairs in sorted(x.to_pbw().degree_split())
     }
@@ -325,20 +307,16 @@ class AnalyticVermaSlice:
 
 
 def analytic_verma_slice(
-    algebra: CherednikAlgebra,
-    irrep: Irrep,
-    params: LevelParams,
-    cutoff: int,
-    check_lattice: bool = True,
+    algebra: CherednikAlgebra, irrep: Irrep, ctx: PadicContext, level: int, cutoff: int
 ) -> AnalyticVermaSlice:
-    """The Verma slice of the irrep at one level, with the operator-norm
+    """The Verma slice of the irrep at one level of the tower (`level_tower`,
+    whose every entry has passed the lattice check), with the operator-norm
     exponent of each weighted generator on the unit lattice and whether the
     Euler element acts on degree n by c_lambda + n.  The x and g exponents
     have closed forms; only the y images and the Euler element are read."""
-    if check_lattice:
-        lattice_check(algebra, params.ctx, params.level, params.r).ensure()
+    params = level_tower(algebra, ctx, level)[level]
     slice_ = VermaSlice(algebra, irrep, cutoff)
-    ctx, m, r = params.ctx, params.level, params.r
+    m, r = params.level, params.r
     vals = _Valuations(ctx)
     # x_i sends x^M (x) w to x^(M + e_i) (x) w with coefficient 1, so p^m x_i
     # has the exponent m - m * 1 = 0 whenever degree 1 is in range

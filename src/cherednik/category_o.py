@@ -13,12 +13,13 @@ and every singular space, the radical's included, comes from one routine
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
 from . import linalg
 from .groups import Irrep
-from .pbw import CherednikAlgebra, PBWElement
+from .pbw import AlgebraMismatch, CherednikAlgebra, PBWElement
 from .scalars import Scalar, ZERO, ONE, ComputationLimit, InvalidInput, _accumulate, _settle
 
 
@@ -32,6 +33,14 @@ class NotScalarAction(InvalidInput):
 
 class InconsistentTruncation(ComputationLimit):
     """The character system is unsolvable at this cutoff; increase it."""
+
+
+# the most basis vectors of a slice (the largest recorded job has 5,313)
+MAX_SLICE_DIM = 100_000
+
+
+class SliceTooLarge(ComputationLimit):
+    """A Verma slice would hold more than MAX_SLICE_DIM basis vectors."""
 
 
 # module vectors: {degree: dense coordinate list}
@@ -60,6 +69,12 @@ class VermaSlice:
     def __init__(self, algebra: CherednikAlgebra, irrep: Irrep, cutoff: int):
         if cutoff < 0:
             raise ValueError("cutoff must be >= 0")
+        # the monomials of degrees 0..cutoff in dim variables, times dim W
+        size = math.comb(cutoff + algebra.dim, algebra.dim) * irrep.dim
+        if size > MAX_SLICE_DIM:
+            raise SliceTooLarge(
+                f"the slice has {size} basis vectors, more than MAX_SLICE_DIM = {MAX_SLICE_DIM}"
+            )
         self.algebra = algebra
         self.irrep = irrep
         self.cutoff = cutoff
@@ -365,7 +380,7 @@ def verma_action(slice_: VermaSlice, a: PBWElement, mv: dict) -> dict:
     some term would raise past the cutoff raises CutoffExceeded.  A degree
     outside 0..cutoff, or coordinates not dim(n) long, raise ValueError."""
     if a.algebra is not slice_.algebra:
-        raise ValueError("element belongs to a different algebra")
+        raise AlgebraMismatch("element belongs to a different algebra")
     groups = slice_._groups(a)
     acc: dict[int, dict] = {}
     for n, freevec in mv.items():

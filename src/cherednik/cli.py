@@ -76,10 +76,10 @@ def build_algebra(cfg: JobConfig) -> CherednikAlgebra:
     return CherednikAlgebra(group, c, irreps=irreps, field_ell=ell)
 
 
-def build_context(cfg: JobConfig) -> PadicContext:
-    prime, precision, ell = cfg.get_int("prime"), cfg.precision(), field_ell(cfg)
+def build_context(cfg: JobConfig, algebra: CherednikAlgebra) -> PadicContext:
+    prime, precision = cfg.get_int("prime"), cfg.precision()
     try:
-        return PadicContext(prime, precision, ell)
+        return PadicContext(prime, precision, algebra.field_ell)
     except ValueError as exc:
         raise ValidationError("prime", str(exc)) from exc
 
@@ -195,11 +195,11 @@ def _norm_text(element: banach.BanachElement) -> str:
 
 def _cmd_norm(cfg: JobConfig, algebra: CherednikAlgebra) -> Report:
     level = cfg.get_int("level", minimum=0)
-    params = banach.level_tower(algebra, build_context(cfg), level)[level]
+    params = banach.level_tower(algebra, build_context(cfg, algebra), level)[level]
     element = banach.BanachElement.from_pbw(parse_job_element(cfg, algebra), params)
     rows = []
     for term, (weight, _) in sorted(
-        element.weighted().items(), key=lambda kv: (kv[1][0], kv[0])
+        element.weighted.items(), key=lambda kv: (kv[1][0], kv[0])
     ):
         mono = algebra.element({term: element.terms[term]})
         rows.append((str(mono), int(weight), level))
@@ -209,7 +209,7 @@ def _cmd_norm(cfg: JobConfig, algebra: CherednikAlgebra) -> Report:
 
 def _cmd_lattice_check(cfg: JobConfig, algebra: CherednikAlgebra) -> Report:
     lo, hi = cfg.level_range()
-    ctx = build_context(cfg)
+    ctx = build_context(cfg, algebra)
     tower = banach.level_tower(algebra, ctx, hi)
     # level_tower returns only r values whose lattice check passed
     rows = [(params.level, params.r, "pass", "") for params in tower[lo : hi + 1]]
@@ -218,7 +218,7 @@ def _cmd_lattice_check(cfg: JobConfig, algebra: CherednikAlgebra) -> Report:
 
 def _cmd_ws_decompose(cfg: JobConfig, algebra: CherednikAlgebra) -> Report:
     level = cfg.get_int("level", minimum=0)
-    params = banach.level_tower(algebra, build_context(cfg), level)[level]
+    params = banach.level_tower(algebra, build_context(cfg, algebra), level)[level]
     element = banach.BanachElement.from_pbw(parse_job_element(cfg, algebra), params)
     rows = [
         (weight, _norm_text(component), str(component.to_pbw()))
@@ -231,7 +231,7 @@ def _cmd_coadmissible_check(cfg: JobConfig, algebra: CherednikAlgebra) -> Report
     lo, hi = cfg.level_range()
     if lo != 0:
         raise ValidationError("levels", "coadmissible families start at level 0")
-    ctx = build_context(cfg)
+    ctx = build_context(cfg, algebra)
     tower = banach.level_tower(algebra, ctx, hi)
     element = parse_job_element(cfg, algebra)
     family = [banach.BanachElement.from_pbw(element, params) for params in tower]

@@ -647,10 +647,6 @@ class Valuation:
     value: float  # int-valued, or math.inf
     exact: bool = True
 
-    @classmethod
-    def infinite(cls) -> "Valuation":
-        return cls(INF, True)
-
 
 def _vp_int(n: int, p: int) -> int:
     v = 0
@@ -663,19 +659,17 @@ def _vp_int(n: int, p: int) -> int:
 @dataclass(frozen=True)
 class PadicContext:
     """Prime, working precision, and a Hensel root of the ell-th cyclotomic
-    polynomial mod p**precision (1 for ell = 1)."""
+    polynomial mod p**precision (1 for ell = 1), with that modulus."""
 
     prime: int
     precision: int = 64
     ell: int = 1
     root: int = field(default=0, init=False)
+    modulus: int = field(default=0, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "root", hensel_embed(self.ell, self.prime, self.precision))
-
-    @property
-    def modulus(self) -> int:
-        return self.prime**self.precision
+        object.__setattr__(self, "modulus", self.prime**self.precision)
 
 
 def val(x: Scalar, ctx: PadicContext) -> Valuation:
@@ -689,7 +683,7 @@ def val(x: Scalar, ctx: PadicContext) -> Valuation:
     the same flag, instead of forming the product.
     """
     if not x:
-        return Valuation.infinite()
+        return Valuation(INF)
     vden = _vp_int(x.den, ctx.prime)
     if x.ell == 1:
         return Valuation(_vp_int(x.coeffs[0], ctx.prime) - vden)

@@ -10,9 +10,11 @@ import pytest
 
 from cherednik import category_o, linalg
 from cherednik.category_o import (
+    MAX_SLICE_DIM,
     CutoffExceeded,
     InconsistentTruncation,
     NotScalarAction,
+    SliceTooLarge,
     VermaSlice,
     blocks,
     c_scalar,
@@ -34,9 +36,9 @@ from cherednik.groups import (
     find_reflections,
     load_group_file,
 )
-from cherednik.pbw import CherednikAlgebra, PBWElement
+from cherednik.pbw import AlgebraMismatch, CherednikAlgebra, PBWElement
 from cherednik.scalars import Scalar, ZERO, ONE
-from helpers import brute_force_singular_dims, make_algebra
+from helpers import brute_force_singular_dims, cli_job, make_algebra
 from test_pbw import gc_disabled, monomial_trace
 
 
@@ -184,6 +186,42 @@ class TestVermaAction:
             verma_action(slice_, alg.x(1), slice_.basis_vector(3, 0))
         with pytest.raises(CutoffExceeded):
             slice_.apply_x_full(0, 3, slice_.basis_vector(3, 0)[3])
+
+    def test_element_of_another_algebra_is_refused(self):
+        # the same group and parameter, but another algebra instance
+        alg = make_algebra("cyclic:2", 1, [Fraction(1, 2)])
+        other = make_algebra("cyclic:2", 1, [Fraction(1, 2)])
+        slice_ = VermaSlice(alg, irrep_of(alg, "triv"), 3)
+        with pytest.raises(AlgebraMismatch, match="element belongs to a different algebra"):
+            verma_action(slice_, other.x(1), slice_.basis_vector(0, 0))
+
+
+class TestSliceLimit:
+    def test_the_bound_counts_every_basis_vector(self):
+        # s4 acts on 3 variables: degrees 0..82 hold comb(85, 3) = 98,770
+        # monomials, degrees 0..83 hold comb(86, 3) = 102,340
+        assert MAX_SLICE_DIM == 100_000
+        alg = make_algebra("s4", 1, [Fraction(1, 2)])
+        triv, standard = irrep_of(alg, "triv"), irrep_of(alg, "standard")
+        slice_ = VermaSlice(alg, triv, 82)
+        assert sum(slice_.full_dim(n) for n in range(83)) == 98_770
+        with pytest.raises(SliceTooLarge, match="102340 basis vectors"):
+            VermaSlice(alg, triv, 83)
+        # standard has dimension 3: comb(59, 3) * 3 = 97,527 vectors in
+        # degrees 0..56, comb(60, 3) * 3 = 102,660 in degrees 0..57
+        VermaSlice(alg, standard, 56)
+        with pytest.raises(SliceTooLarge) as err:
+            VermaSlice(alg, standard, 57)
+        assert str(err.value) == "the slice has 102660 basis vectors, more than MAX_SLICE_DIM = 100000"
+
+    def test_a_huge_cutoff_exits_3_at_once(self, tmp_path):
+        # verma-weights on s4 at cutoff 100000 built monomial tables until it
+        # was stopped (1.9 GB in 10 s); it is refused before the first one.
+        # A fresh process, stopped after 2 s.
+        config = "group = s4\nc = 1/2\ncutoff = 100000\n"
+        done = cli_job(tmp_path, "verma-weights", config, timeout=2)
+        assert done.returncode == 3
+        assert "MAX_SLICE_DIM = 100000" in done.stderr
 
 
 # each irrep has a radical below the cutoff, so its simple quotient is a

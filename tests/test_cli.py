@@ -485,12 +485,13 @@ def test_readme_lists_every_key_and_command():
         (pbw.RepeatedIrrep, InvalidInput, ValueError),
         (category_o.CutoffExceeded, ComputationLimit, RuntimeError),
         (category_o.InconsistentTruncation, ComputationLimit, RuntimeError),
+        (category_o.SliceTooLarge, ComputationLimit, RuntimeError),
         (groups.CapExceeded, ComputationLimit, RuntimeError),
         (groups.InfiniteOrder, ComputationLimit, RuntimeError),
         (scalars.CoefficientBlowup, ComputationLimit, RuntimeError),
         (scalars.ModulusTooLarge, ComputationLimit, RuntimeError),
         (pbw.PowerTooLarge, ComputationLimit, RuntimeError),
-        (banach.LatticeViolation, ComputationLimit, RuntimeError),
+        (banach.LevelTooHigh, ComputationLimit, RuntimeError),
         (banach.UnboundedGenerator, ComputationLimit, RuntimeError),
         (banach.PrecisionExhausted, ComputationLimit, RuntimeError),
         (banach.TailDominated, ComputationLimit, ArithmeticError),
