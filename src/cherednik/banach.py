@@ -354,9 +354,12 @@ def analytic_verma_slice(
     offenders = {k: v for k, v in norms.items() if v < 0}
     if offenders:
         name, exp = sorted(offenders.items())[0]
+        fault = "it sends a unit vector off the unit lattice"
+        if name.startswith("g"):
+            fault = f"rho({name}) has an entry of negative valuation"
         raise UnboundedGenerator(
             f"generator {name} has operator-norm exponent {exp}; "
-            "the level weights are misconfigured"
+            f"{fault} at p = {ctx.prime} in irrep {irrep.label!r}"
         )
 
     generator_norms = {k: (int(v) if v != INF else 0) for k, v in norms.items()}

@@ -326,10 +326,6 @@ class VermaSlice:
             raise ValueError("the algebra carries no irrep table")
         return {n: self.multiplicities(n) for n in range(self.cutoff + 1)}
 
-    def weights(self) -> list:
-        """The occurring generalized eigenvalues of the Euler element."""
-        return [self.c_value + n for n in range(self.cutoff + 1) if self.dim(n)]
-
 
 def c_scalar(algebra: CherednikAlgebra, irrep: Irrep) -> Scalar:
     """The scalar by which the central Euler part dim/2 - sum_s kappa_s s
@@ -530,7 +526,6 @@ class SingularSpace:
     """Joint kernel of the lowering operators at one degree, together with
     its isotypic pieces, as sparse ambient rows in reduced echelon form."""
 
-    degree: int
     vectors: list
     components: dict
 
@@ -640,13 +635,13 @@ def singular_vectors(slice_: VermaSlice, n: int) -> SingularSpace:
     if n > slice_.cutoff:
         raise CutoffExceeded(f"degree {n} exceeds the cutoff {slice_.cutoff}")
     if slice_.dim(n) == 0 or n not in slice_.singular_isotypes:
-        return SingularSpace(n, [], {})
+        return SingularSpace([], {})
     parts = _singular_parts(slice_, n)
     if _complete_table(slice_.algebra):
         vectors = [row for part in parts.values() for row in part]
     else:
         vectors = _y_kernel(slice_, n, [{p: ONE} for p in slice_.free_positions(n)])
-    return SingularSpace(n, _span(slice_, n, vectors, len(vectors)), parts)
+    return SingularSpace(_span(slice_, n, vectors, len(vectors)), parts)
 
 
 def simple_quotient_slice(algebra: CherednikAlgebra, irrep: Irrep, cutoff: int):
@@ -663,21 +658,6 @@ def simple_quotient_slice(algebra: CherednikAlgebra, irrep: Irrep, cutoff: int):
     for n in range(1, cutoff + 1):
         slice_.kill_submodule(n)
     return slice_, slice_.graded_character()
-
-
-def hom_dim(irrep: Irrep, slice_: VermaSlice) -> int:
-    """Multiplicity of the irrep in the singular vectors, i.e. the truncated
-    dimension of Hom from its Verma module.  The Euler rule puts them all in
-    the one degree c(irrep) - c_lambda."""
-    for n, labels in slice_.singular_isotypes.items():
-        if irrep.label in labels:
-            comp = singular_vectors(slice_, n).components.get(irrep.label, [])
-            if len(comp) % irrep.dim:
-                raise InconsistentTruncation(
-                    f"isotypic piece of {irrep.label!r} has broken dimension"
-                )
-            return len(comp) // irrep.dim
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -730,17 +710,23 @@ def blocks(algebra: CherednikAlgebra) -> list:
 
 
 def decompose_verma_character(
-    algebra: CherednikAlgebra,
-    irrep: Irrep,
-    cutoff: int,
-    simple_characters: dict,
+    algebra: CherednikAlgebra, irrep: Irrep, cutoff: int, simple_characters: dict
 ) -> dict:
     """Multiplicities of the truncated simple modules in the Verma character,
     solved degree by degree along the highest-weight order; simple_characters
-    maps each label to a graded character (`VermaSlice.graded_character`)."""
+    maps each label to a graded character (`VermaSlice.graded_character`).
+    On an incomplete irrep table an unsolvable residual is InvalidInput: an
+    unlisted composition factor may be left, which no cutoff removes."""
     irreps = algebra.irreps
     if not irreps:
         raise ValueError("the algebra carries no irrep table")
+    if _complete_table(algebra):
+        unsolvable, why = InconsistentTruncation, f"cutoff {cutoff} too small"
+    else:
+        unsolvable, why = InvalidInput, (
+            f"the listed irreps' squared dimensions sum to {sum(i.dim**2 for i in irreps)} "
+            f"< |G| = {len(algebra.group)}, so every irrep must be listed"
+        )
     verma = VermaSlice(algebra, irrep, cutoff)
     residual = verma.graded_character()
     mults = {irr.label: 0 for irr in irreps}
@@ -749,9 +735,7 @@ def decompose_verma_character(
         for label in sorted(verma.singular_isotypes.get(d, ())):
             m = level.get(label, 0)
             if m < 0:
-                raise InconsistentTruncation(
-                    f"negative multiplicity for {label!r} at degree {d}"
-                )
+                raise unsolvable(f"negative multiplicity for {label!r} at degree {d}; {why}")
             if m == 0:
                 continue
             mults[label] = m
@@ -761,9 +745,7 @@ def decompose_verma_character(
                 for lbl2, mult2 in simple.get(n2 - d, {}).items():
                     lvl2[lbl2] = lvl2.get(lbl2, 0) - m * mult2
         if any(level.values()):
-            raise InconsistentTruncation(
-                f"characters do not cancel at degree {d}; cutoff {cutoff} too small"
-            )
+            raise unsolvable(f"characters do not cancel at degree {d}; {why}")
     return mults
 
 

@@ -21,12 +21,16 @@ from .scalars import ComputationLimit, ExprError, InvalidInput
 Matrix = tuple  # tuple of row tuples of Scalar
 
 
+# the most elements a group closure may reach
+MAX_GROUP_ORDER = 10_000
+
+
 class CapExceeded(ComputationLimit):
-    """Closure enumeration exceeded the configured size cap."""
+    """A group closure would hold more than MAX_GROUP_ORDER elements."""
 
 
 class InfiniteOrder(CapExceeded):
-    """A generator has infinite order, so no closure cap can be met."""
+    """A generator has infinite order, so its closure would pass MAX_GROUP_ORDER."""
 
 
 class NonIntegralEntry(InvalidInput):
@@ -76,7 +80,7 @@ def _has_finite_order(g: Matrix) -> bool:
     False certifies infinite order.  Working mod p keeps the entries bounded
     however large N is.  p exceeds every d in N's lcm, so a unipotent I + M
     passes only if M = 0 mod p; any g of infinite order that passes is left
-    to the closure's cap."""
+    to the closure's bound MAX_GROUP_ORDER."""
     n, ell = len(g), math.lcm(*(x.ell for row in g for x in row))
     bound, p, r = _order_bound(n, ell)
     power = g = [[horner(x.coeffs, pow(r, ell // x.ell, p), p) for x in row] for row in g]
@@ -128,16 +132,17 @@ class GroupAction:
         return classes
 
 
-def enumerate_group(generators, cap: int = 10_000) -> GroupAction:
+def enumerate_group(generators) -> GroupAction:
     """Breadth-first closure of a list of invertible integral matrices.
 
     Every generator must have finite order (checked before the closure
-    starts).  Elements are numbered in breadth-first (element, generator)
-    order.  The closure records step[a][i], the index of element a times
-    generator i, and how each element was first reached.  The multiplication
-    table is filled from those steps alone: if b was first reached as
-    b' * s, then a * b = (a * b') * s, and b' comes before b.  Every step is
-    an exact matrix product, so the table is associative by construction.
+    starts), and a closure past MAX_GROUP_ORDER elements raises CapExceeded.
+    Elements are numbered in breadth-first (element, generator) order.  The
+    closure records step[a][i], the index of element a times generator i,
+    and how each element was first reached.  The multiplication table is
+    filled from those steps alone: if b was first reached as b' * s, then
+    a * b = (a * b') * s, and b' comes before b.  Every step is an exact
+    matrix product, so the table is associative by construction.
     """
     gens = [_freeze(g) for g in generators]
     if not gens:
@@ -167,8 +172,8 @@ def enumerate_group(generators, cap: int = 10_000) -> GroupAction:
             prod = linalg.mat_mul(elements[a], g)
             b = index.get(prod)
             if b is None:
-                if len(elements) >= cap:
-                    raise CapExceeded(f"group closure exceeds cap {cap}")
+                if len(elements) >= MAX_GROUP_ORDER:
+                    raise CapExceeded(f"group closure exceeds MAX_GROUP_ORDER = {MAX_GROUP_ORDER}")
                 b = index[prod] = len(elements)
                 elements.append(prod)
                 origin.append((a, gi))

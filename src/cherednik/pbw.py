@@ -411,13 +411,6 @@ class CherednikAlgebra:
             self._ji_cache, lambda d: (d, ideg), jdeg, lambda: {(ideg, 0, zero_deg): ONE}, step
         )
 
-    def _straighten(self, jdeg: tuple, ideg: tuple) -> dict:
-        """PBW expansion of y^jdeg * x^ideg; a y-free word is already in PBW
-        form and stores nothing in the y^J x^I cache."""
-        if any(jdeg):
-            return self._straighten_ji(jdeg, ideg)
-        return {(ideg, self.group.identity, self._zero_deg): ONE}
-
     def monomial_table(self, n: int) -> tuple:
         """The degree-n monomials in `monomials(dim, n)` order and the map from
         each to its position; one shared table per algebra."""
@@ -431,10 +424,11 @@ class CherednikAlgebra:
 
     def _moved(self, g1: int, j1: tuple, i2: tuple):
         """The terms (A, h, B, coef) of g1 * y^j1 * x^i2 = sum coef * x^A h y^B,
-        not merged: each term x^A h y^B of y^j1 x^i2 becomes
-        (g1 . x^A) g1 h y^B, since g1 * x^A = (g1 . x^A) * g1."""
+        not merged: each term x^A h y^B of y^j1 x^i2 becomes (g1 . x^A) g1 h y^B,
+        since g1 * x^A = (g1 . x^A) * g1; a y-free word enters no straightening cache."""
         left = self.group.mult_table[g1]
-        for (A, h, B), coef in self._straighten(j1, i2).items():
+        terms = self._straighten_ji(j1, i2) if any(j1) else {(i2, 0, self._zero_deg): ONE}
+        for (A, h, B), coef in terms.items():
             k = left[h]
             for A2, ca in self.act_on_x_monomial(g1, A).items():
                 yield A2, k, B, coef * ca
@@ -546,11 +540,6 @@ class CherednikAlgebra:
                 out = out - self.g(r.index) * self.reflection_coefficient(r)
             self._central = out.terms
         return PBWElement(self, self._central)
-
-    def ad_euler(self, x: PBWElement) -> PBWElement:
-        """Commutator with the Euler element; scales each PBW monomial by its degree."""
-        e = self.euler_element()
-        return self.multiply(e, x) - self.multiply(x, e)
 
     def reflection_coefficient(self, r: PseudoReflection) -> Scalar:
         """The Euler coefficient kappa_s = 2c(s)/(1 - lambda_s^-1)."""

@@ -1,6 +1,6 @@
-"""Helpers shared by the test modules: built-in algebras, random Banach
-elements, the Dunkl-route singular-space oracle, and the command line run
-in a fresh interpreter."""
+"""Helpers shared by the test modules: built-in algebras, the commutator
+with the Euler element, random Banach elements, the Dunkl-route
+singular-space oracle, and the command line run in a fresh interpreter."""
 
 import os
 import subprocess
@@ -21,6 +21,12 @@ def make_algebra(spec, ell, c_values):
     refl = find_reflections(group)
     c = ReflectionFunction(group, refl, c_values)
     return CherednikAlgebra(group, c, irreps=irreps)
+
+
+def ad_euler(alg, a):
+    """The commutator e * a - a * e with the Euler element e of the algebra."""
+    e = alg.euler_element()
+    return e * a - a * e
 
 
 def random_banach(alg, params, rng, terms=3, max_degree=4):
@@ -63,6 +69,26 @@ def brute_force_singular_dims(alg, w, cutoff):
         dims[n] = len(linalg.nullspace(rows)) if rows else cols
     return dims
 
+
+def group_file_text(spec, labels=None):
+    """The built-in rational group spec in the group-file format: its
+    generators in order, then its irreps in built-in order (those named in
+    labels, when given), each with one matrix per generator."""
+    group, irreps = builtin_group(spec)
+
+    def block(mat):
+        return [" ".join(map(str, row)) for row in mat]
+
+    lines = [f"dimension = {group.dimension}"]
+    for s in group.generators:
+        lines += ["begin generator", *block(group.matrices[s]), "end"]
+    for irr in irreps:
+        if labels is None or irr.label in labels:
+            lines.append(f"begin irrep {irr.label} dim={irr.dim}")
+            for s in group.generators:
+                lines += ["gen", *block(irr.matrices[s])]
+            lines.append("end")
+    return "\n".join(lines) + "\n"
 
 
 def cli_job(tmp_path, command, config, timeout=10):

@@ -31,7 +31,7 @@ from cherednik.category_o import (
 )
 from cherednik.pbw import monomials
 from cherednik.scalars import PadicContext, Scalar
-from helpers import brute_force_singular_dims, make_algebra, random_banach
+from helpers import ad_euler, brute_force_singular_dims, make_algebra, random_banach
 
 
 @contextmanager
@@ -90,7 +90,7 @@ def test_criterion_02_inner_grading():
                         for jdeg in monomials(alg.dim, total - isum):
                             for g in range(len(alg.group)):
                                 mono = alg.monomial(ideg, g, jdeg)
-                                assert alg.ad_euler(mono) == mono * (isum - (total - isum))
+                                assert ad_euler(alg, mono) == mono * (isum - (total - isum))
 
 
 RELATION_ALGEBRAS = (

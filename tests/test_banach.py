@@ -35,7 +35,7 @@ from cherednik.category_o import (
 )
 from cherednik.groups import irrep_from_generators
 from cherednik.scalars import INF, ONE, PadicContext, Scalar, ZERO, val
-from helpers import cli_job, make_algebra, random_banach
+from helpers import ad_euler, cli_job, make_algebra, random_banach
 
 
 CTX5 = PadicContext(5, 64)
@@ -533,7 +533,7 @@ class TestWeightDecomposition:
                 if weight == 0 or not component.terms:
                     continue
                 moved = BanachElement.from_pbw(
-                    alg.ad_euler(component.to_pbw()), params, component.tau
+                    ad_euler(alg, component.to_pbw()), params, component.tau
                 )
                 expected = gauss_norm(component) + val(
                     Scalar.rational(weight), CTX5
@@ -636,9 +636,13 @@ def dense_certificates(algebra, irrep, params, cutoff):
     offenders = {k: v for k, v in norms.items() if v < 0}
     if offenders:
         name, exp = sorted(offenders.items())[0]
+        if name.startswith("g"):
+            fault = f"rho({name}) has an entry of negative valuation"
+        else:
+            fault = "it sends a unit vector off the unit lattice"
         raise UnboundedGenerator(
             f"generator {name} has operator-norm exponent {exp}; "
-            "the level weights are misconfigured"
+            f"{fault} at p = {ctx.prime} in irrep {irrep.label!r}"
         )
     euler = algebra.euler_element()
     recovered = True
@@ -729,6 +733,10 @@ class TestAnalyticVermaOracle:
             analytic_verma_slice(alg, w, CTX7, 1, 4)
         assert str(analytic.value) == str(dense.value)
         assert str(dense.value).startswith("generator g2 has operator-norm exponent -1;")
+        assert str(analytic.value) == (
+            "generator g2 has operator-norm exponent -1; rho(g2) has an entry of "
+            "negative valuation at p = 7 in irrep 'standard7'"
+        )
 
     def test_only_y_and_euler_images_are_read(self):
         alg = make_algebra("s3", 1, [Fraction(1, 3)])

@@ -13,8 +13,9 @@ import pytest
 import cherednik
 from cherednik import banach, category_o, cli, groups, pbw, scalars
 from cherednik.cli import build_algebra, emit_report, main, run_command
-from cherednik.config import KNOWN_KEYS, ParseError, ValidationError, parse_config
+from cherednik.config import ParseError, ValidationError, parse_config
 from cherednik.scalars import CherednikError, ComputationLimit, ExprError, InvalidInput
+from helpers import cli_job, group_file_text
 
 MINIMAL = """
 group = cyclic:2
@@ -268,7 +269,7 @@ class TestExitCodes:
         [("1 1\n0 1", 3, "generator 1 of 1 has infinite order"), ("1 1\n1 1", 2, "invertible")],
     )
     def test_unipotent_and_singular_generators(self, tmp_path, capsys, rows, code, message):
-        # det 1 does not let the unipotent generator reach the closure cap: the
+        # det 1 does not let the unipotent generator reach MAX_GROUP_ORDER: the
         # finite-order rule names it before the closure starts; a singular
         # generator is invalid input, not a generator of infinite order
         group_file = tmp_path / "group.txt"
@@ -459,17 +460,6 @@ class TestJobIntegers:
         assert echo.count("command=") == 1 and echo.endswith("; command=reflections")
 
 
-def test_readme_lists_every_key_and_command():
-    """README's key table and `Commands:` line name exactly the config keys
-    and the commands that exist."""
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    grammar = readme.split("### Config file grammar", 1)[1].split("Example:", 1)[0]
-    keys = re.findall(r"^\| `([a-z]+)` ", grammar, re.MULTILINE)
-    assert sorted(keys) == sorted(KNOWN_KEYS) and len(keys) == len(set(keys))
-    commands = readme.split("\nCommands:", 1)[1].split("\n\n", 1)[0]
-    assert re.findall(r"`([a-z-]+)`", commands) == list(cli.COMMANDS)
-
-
 @pytest.mark.parametrize(
     "cls,root,builtin",
     [
@@ -538,6 +528,33 @@ def test_group_file_job(tmp_path):
     cfg.command = "decomp-matrix"
     rows = set(run_command(cfg).rows)
     assert ("triv", "sgn", 1) in rows
+
+
+@pytest.mark.parametrize("c", ["1/2", "1/3", "2/3"])
+def test_decomp_matrix_on_a_partial_table_is_invalid_input(c, tmp_path):
+    # s3 with triv and standard listed: the unlisted L(sgn) is a composition
+    # factor whose character cannot be subtracted, so no cutoff helps
+    group_file = tmp_path / "s3_partial.txt"
+    group_file.write_text(group_file_text("s3", ("triv", "standard")))
+    done = cli_job(tmp_path, "decomp-matrix", f"group = file:{group_file}\nc = {c}\ncutoff = 8\n")
+    assert done.returncode == 2, done.stderr
+    assert "squared dimensions sum to 5 < |G| = 6, so every irrep must be listed" in done.stderr
+    assert "cutoff" not in done.stderr and done.stdout == ""
+
+
+def test_decomp_matrix_on_a_partial_table_still_solves_a_semisimple_case(tmp_path):
+    # at c = 1/5 every Verma module is simple, so nothing unlisted is left
+    group_file = tmp_path / "s3_partial.txt"
+    group_file.write_text(group_file_text("s3", ("triv", "standard")))
+    done = cli_job(tmp_path, "decomp-matrix", f"group = file:{group_file}\nc = 1/5\ncutoff = 8\n")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[2:] == [
+        "verma\tsimple\tmult",
+        "triv\ttriv\t1",
+        "triv\tstandard\t0",
+        "standard\ttriv\t0",
+        "standard\tstandard\t1",
+    ]
 
 
 def test_runtime_imports_only_stdlib():

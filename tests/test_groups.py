@@ -65,9 +65,13 @@ class TestEnumeration:
         group = enumerate_group([[[1]]])
         assert len(group) == 1
 
-    def test_cap(self):
-        with pytest.raises(CapExceeded):
-            enumerate_group(S3_GENS, cap=3)
+    def test_cap(self, monkeypatch):
+        assert groups.MAX_GROUP_ORDER == 10_000
+        monkeypatch.setattr(groups, "MAX_GROUP_ORDER", 6)
+        assert len(enumerate_group(S3_GENS)) == 6
+        monkeypatch.setattr(groups, "MAX_GROUP_ORDER", 5)
+        with pytest.raises(CapExceeded, match="group closure exceeds MAX_GROUP_ORDER = 5"):
+            enumerate_group(S3_GENS)
 
     @pytest.mark.parametrize(
         "generator",
@@ -75,7 +79,7 @@ class TestEnumeration:
         ids=["two", "three", "one-plus-zeta5", "sqrt-minus-three"],
     )
     def test_determinant_off_the_roots_of_unity_rejected(self, generator):
-        # the closure never starts, so the default cap is never approached
+        # the closure never starts, so MAX_GROUP_ORDER is never approached
         with pytest.raises(InfiniteOrder, match="generator 2 of 2"):
             enumerate_group([linalg.identity(len(generator)), generator])
 
@@ -92,21 +96,24 @@ class TestEnumeration:
             for name, block in [("two", [[2]]), ("hyperbolic", [[2, 1], [1, 1]]), ("unipotent", [[1, 1], [0, 1]])]
         ],
     )
-    def test_infinite_order_rejected_before_the_closure(self, generator):
+    def test_infinite_order_rejected_before_the_closure(self, generator, monkeypatch):
         # det is a root of unity in each case, so only g^N = I tells; a closure
-        # that started would fail on its cap of 1 with another message.  N is
-        # 24,504,480 at dimension 16 and 6,983,776,800 at 20: the exact g^N
-        # of diag(2, 1, ...) would have about N bits, so the check works mod p
+        # that started would fail on a MAX_GROUP_ORDER of 1 with another
+        # message.  N is 24,504,480 at dimension 16 and 6,983,776,800 at 20:
+        # the exact g^N of diag(2, 1, ...) would have about N bits, so the
+        # check works mod p
+        monkeypatch.setattr(groups, "MAX_GROUP_ORDER", 1)
         with pytest.raises(InfiniteOrder, match="generator 1 of 1 has infinite order"):
-            enumerate_group([generator], cap=1)
+            enumerate_group([generator])
 
-    def test_cyclotomic_generators_reduce_through_a_root_of_unity(self):
+    def test_cyclotomic_generators_reduce_through_a_root_of_unity(self, monkeypatch):
         # [[z, 1], [0, 1]] has distinct eigenvalues z and 1, so order 5;
         # [[z, 1], [0, z]] is a Jordan block with det z^2, of infinite order
         z = Scalar.zeta(5)
         assert len(enumerate_group([[[z, ONE], [ZERO, ONE]]])) == 5
+        monkeypatch.setattr(groups, "MAX_GROUP_ORDER", 1)
         with pytest.raises(InfiniteOrder, match="generator 1 of 1 has infinite order"):
-            enumerate_group([[[z, ONE], [ZERO, z]]], cap=1)
+            enumerate_group([[[z, ONE], [ZERO, z]]])
 
     def test_singular_generator_is_not_infinite_order(self):
         with pytest.raises(ValueError, match="invertible") as info:

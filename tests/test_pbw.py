@@ -38,7 +38,7 @@ from cherednik.pbw import (
 from cherednik.scalars import Scalar, ZERO, ONE, ExprError, FieldMismatch, euler_phi
 from cherednik.scalars import MAX_COEFF_BITS, CoefficientBlowup
 from cherednik.scalars import _accumulate, _settle
-from helpers import cli_job, make_algebra
+from helpers import ad_euler, cli_job, make_algebra
 
 
 def random_element(alg, rng, max_degree=4, terms=3):
@@ -352,15 +352,15 @@ class TestEulerElement:
 class TestInnerGrading:
     def test_ad_euler_on_generators(self):
         alg = make_algebra("cyclic:2", 1, [Fraction(1, 2)])
-        assert alg.ad_euler(alg.x(1)) == alg.x(1)
-        assert alg.ad_euler(alg.y(1)) == -alg.y(1)
+        assert ad_euler(alg, alg.x(1)) == alg.x(1)
+        assert ad_euler(alg, alg.y(1)) == -alg.y(1)
         for g in range(2):
-            assert alg.ad_euler(alg.g(g)) == alg.zero()
+            assert ad_euler(alg, alg.g(g)) == alg.zero()
 
     def test_ad_euler_on_mixed_monomial(self):
         alg = make_algebra("cyclic:2", 1, [Fraction(1, 2)])
         mono = alg.monomial((2,), 0, (1,))
-        assert alg.ad_euler(mono) == mono
+        assert ad_euler(alg, mono) == mono
 
     def test_ad_euler_eigenvalues_cyclotomic(self):
         alg = make_algebra("cyclic:4", 4, [Fraction(1, 2), Fraction(1, 3), Fraction(1, 5)])
@@ -368,15 +368,15 @@ class TestInnerGrading:
             for j in range(4):
                 for g in range(4):
                     mono = alg.monomial((i,), g, (j,))
-                    assert alg.ad_euler(mono) == mono * (i - j)
+                    assert ad_euler(alg, mono) == mono * (i - j)
 
     def test_derivation_property(self):
         alg = make_algebra("s3", 1, [Fraction(1, 3)])
         rng = random.Random(1)
         for _ in range(10):
             a, b = random_element(alg, rng), random_element(alg, rng)
-            lhs = alg.ad_euler(a * b)
-            rhs = alg.ad_euler(a) * b + a * alg.ad_euler(b)
+            lhs = ad_euler(alg, a * b)
+            rhs = ad_euler(alg, a) * b + a * ad_euler(alg, b)
             assert lhs == rhs
 
     def test_degree_split_examples(self):
@@ -397,7 +397,7 @@ class TestInnerGrading:
             parts = shift_parts(a)
             total = alg.zero()
             for n, comp in parts.items():
-                assert alg.ad_euler(comp) == comp * n
+                assert ad_euler(alg, comp) == comp * n
                 total = total + comp
             assert total == a
 
@@ -869,7 +869,7 @@ def _multiply_by_terms(alg, a, b):
         for (i2, g2, j2), c2 in b.terms.items():
             base = c1 * c2
             g2inv = alg.group.inv(g2)
-            for (A, h, B), coef in alg._straighten(j1, i2).items():
+            for (A, h, B), coef in alg._straighten_ji(j1, i2).items():
                 mid = base * coef
                 for A2, ca in alg.act_on_x_monomial(g1, A).items():
                     gh = table[g1][h]
