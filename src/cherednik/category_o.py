@@ -279,11 +279,16 @@ class VermaSlice:
     def trace(self, g: int, n: int) -> Scalar:
         """Trace of the group element g on the degree-n quotient slice: the
         Verma part chi_lambda(g) h_n(g), with h_n(g) the Molien coefficient,
-        minus the pivot coordinate of g . row for each killed row.
-        ValueError for n outside 0..cutoff."""
+        minus the killed part (`_killed_trace`).  ValueError for n outside
+        0..cutoff or g outside 0..|G|-1."""
         self._check_degree(n)
         h = self.algebra.molien_coefficients(g, self.cutoff)
-        total = h[n] * self.irrep.character[g]
+        return h[n] * self.irrep.character[g] - self._killed_trace(g, n)
+
+    def _killed_trace(self, g: int, n: int) -> Scalar:
+        """Trace of g on the killed subspace of degree n: the pivot
+        coordinate of g . row for each killed row."""
+        total = ZERO
         d, monos, rho = self.irrep.dim, self._monos[n], self.irrep.matrices[g]
         act = self.algebra.act_on_x_monomial
         for p, row in self.killed[n].items():
@@ -292,39 +297,125 @@ class VermaSlice:
                 if rho_row[q % d]:
                     coef = act(g, monos[q // d]).get(target)
                     if coef:
-                        total = total - v * coef * rho_row[q % d]
+                        total = total + v * coef * rho_row[q % d]
         return total
 
     def multiplicities(self, n: int) -> dict:
         """Label -> multiplicity of each listed irrep E occurring in the
-        degree-n quotient slice, from one trace per conjugacy class:
-        sum_C |C| chi_E(g_C^-1) tr(g_C) / |G|.  ValueError (from `trace`)
-        for n outside 0..cutoff."""
+        degree-n quotient slice: the Verma part minus the killed part, and
+        nothing on a degree whose quotient is zero.
+
+        The Verma part comes from the Koszul recurrence (`_verma_levels`) on
+        a complete irrep table, and otherwise from one trace per conjugacy
+        class, sum_C |C| chi_E(g_C^-1) chi_lambda(g_C) h_n(g_C) / |G|.  The
+        killed part is that class sum over `_killed_trace`, taken only when
+        degree n has killed rows.  A killed space that is not G-stable gives
+        a non-integral or negative multiplicity, which raises RuntimeError.
+        ValueError for n outside 0..cutoff."""
+        if self.dim(n) == 0:
+            return {}
         alg = self.algebra
-        group = alg.group
-        traces = [
-            (cls[0], len(cls) * self.trace(cls[0], n)) for cls in group.conjugacy_classes
-        ]
+        classes = [cls[0] for cls in alg.group.conjugacy_classes]
+        if self._verma_levels:
+            values = self._verma_levels[n]
+        else:
+            chi = self.irrep.character
+            verma = [alg.molien_coefficients(g, self.cutoff)[n] * chi[g] for g in classes]
+            values = _class_sums(alg, verma)
+        if self.killed[n]:
+            killed = _class_sums(alg, [self._killed_trace(g, n) for g in classes])
+            values = [v - k for v, k in zip(values, killed)]
         level: dict[str, int] = {}
-        for irr in alg.irreps:
-            acc = ZERO
-            for g, weighted in traces:
-                acc = acc + irr.character[group.inv(g)] * weighted
-            mult = acc / len(group)
+        for irr, mult in zip(alg.irreps, values):
             if mult:
-                if not mult.is_integer() or mult.as_int() < 0:
-                    raise InconsistentTruncation(
-                        f"non-integral multiplicity {mult} at degree {n}"
-                    )
-                level[irr.label] = mult.as_int()
+                level[irr.label] = mult if type(mult) is int else _multiplicity(
+                    mult, f"of {irr.label!r} at degree {n}; the killed space is not G-stable"
+                )
         return level
+
+    @cached_property
+    def _verma_levels(self) -> list:
+        """Degree n -> the multiplicity of each listed irrep E in S^n(h*)
+        tensor lambda, for n = 0..cutoff, by the Koszul recurrence
+        v(n) = sum_{k=1..min(n, dim)} (-1)^(k+1) T_k v(n - k) from v(0) =
+        e_lambda, with T_k the Koszul tables (`_koszul_tables`).  Empty when
+        the irrep table is incomplete or lists no irrep with lambda's
+        character: the recurrence closes only over every irrep."""
+        alg = self.algebra
+        start = [int(irr.character == self.irrep.character) for irr in alg.irreps]
+        if not _complete_table(alg) or 1 not in start:
+            return []
+        tables = _koszul_tables(alg)
+        levels = [start]
+        for n in range(1, self.cutoff + 1):
+            out = [0] * len(start)
+            for k, table in enumerate(tables[:n], 1):
+                sign = 1 if k % 2 else -1
+                for f, m in enumerate(levels[n - k]):
+                    if m:
+                        for e, t in table[f]:
+                            out[e] += sign * t * m
+            levels.append(out)
+        return levels
 
     def graded_character(self) -> dict:
         """Degree -> label -> nonzero multiplicity, for every degree
-        0..cutoff, from one trace per conjugacy class and degree."""
+        0..cutoff (`multiplicities`)."""
         if not self.algebra.irreps:
             raise ValueError("the algebra carries no irrep table")
         return {n: self.multiplicities(n) for n in range(self.cutoff + 1)}
+
+
+def _class_sums(algebra: CherednikAlgebra, traces: list) -> list:
+    """Per listed irrep E, sum_C |C| chi_E(g_C^-1) t_C / |G| for the traces
+    t_C, one per conjugacy class in class order: the multiplicity of E in a
+    representation whose character is t (Serre, Linear Representations of
+    Finite Groups, 2.3)."""
+    group = algebra.group
+    classes = group.conjugacy_classes
+    weighted = [len(cls) * t for cls, t in zip(classes, traces)]
+    return [
+        sum((irr.character[group.inv(cls[0])] * w for cls, w in zip(classes, weighted)), ZERO)
+        / len(group)
+        for irr in algebra.irreps
+    ]
+
+
+def _multiplicity(value: Scalar, where: str) -> int:
+    """A multiplicity as an int.  One that is non-integral or negative is a
+    bug, not a truncation effect, and raises RuntimeError saying where."""
+    if not value.is_integer():
+        raise RuntimeError(f"non-integral multiplicity {value} {where}")
+    if value.as_int() < 0:
+        raise RuntimeError(f"negative multiplicity {value} {where}")
+    return value.as_int()
+
+
+def _koszul_tables(algebra: CherednikAlgebra) -> list:
+    """The Koszul tables of a complete irrep table, computed on first use
+    and kept on the algebra: entry k - 1 lists, per irrep F (by index), the
+    pairs (E, T_k[E][F]) with T_k[E][F] = [Lambda^k h* tensor F : E] nonzero,
+    for k = 1..dim, from the class sums (`_class_sums`) of the characters
+    e_k chi_F, e_k the exterior traces (`exterior_traces`).  An entry that is
+    not a non-negative integer is a bug and raises RuntimeError."""
+    tables = algebra._koszul
+    if not tables:
+        classes = [cls[0] for cls in algebra.group.conjugacy_classes]
+        built = []
+        for k in range(1, algebra.dim + 1):
+            table = []
+            for f in algebra.irreps:
+                traces = [algebra.exterior_traces(g)[k] * f.character[g] for g in classes]
+                row = []
+                for e, value in enumerate(_class_sums(algebra, traces)):
+                    where = f"of {algebra.irreps[e].label!r} in Lambda^{k} h* (x) {f.label!r}"
+                    count = _multiplicity(value, where)
+                    if count:
+                        row.append((e, count))
+                table.append(tuple(row))
+            built.append(table)
+        tables.extend(built)
+    return tables
 
 
 def c_scalar(algebra: CherednikAlgebra, irrep: Irrep) -> Scalar:

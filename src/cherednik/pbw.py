@@ -269,9 +269,13 @@ class CherednikAlgebra:
         self._verma_element_cache: dict = {}
         # degree n -> (monomials(dim, n) as a list, monomial -> position)
         self._mono_table: dict = {}
+        # g -> Molien coefficients h_0..h_N; g -> exterior traces e_0..e_dim
         self._molien: dict = {}
+        self._exterior: dict = {}
         # irrep label -> c_E for the listed irreps, filled by category_o
         self._c_table: dict = {}
+        # k - 1 -> the Koszul table of Lambda^k h*, filled by category_o
+        self._koszul: list = []
         # the terms of the Euler element and of its central part
         self._euler = self._central = None
 
@@ -545,21 +549,42 @@ class CherednikAlgebra:
         """The Euler coefficient kappa_s = 2c(s)/(1 - lambda_s^-1)."""
         return self._kappa[r.index]
 
-    def molien_coefficients(self, g: int, cutoff: int) -> list:
-        """Traces h_0..h_cutoff of g on the degree slices of A, the Molien
-        series 1/det(1 - t g|h*), by Newton's identity
-        n h_n = sum_{k=1..n} tr(g^k|h*) h_{n-k}; g acts on the x's through
-        M(g^-1), so tr(g^k|h*) = tr M(g^-k)."""
-        h = self._molien.get(g, [])
-        if len(h) <= cutoff:
-            group, power, traces = self.group, self.group.identity, [None]
-            for _ in range(cutoff):
+    def exterior_traces(self, g: int) -> tuple:
+        """Traces e_0..e_dim of g on the exterior powers of h*, the
+        coefficients of det(1 + t g|h*), by Newton's identities
+        k e_k = sum_{i=1..k} (-1)^(i-1) tr(g^i|h*) e_{k-i}; g acts on the x's
+        through M(g^-1), so tr(g^i|h*) = tr M(g^-i).  Cached per g;
+        ValueError for g outside 0..|G|-1."""
+        if not 0 <= g < len(self.group):
+            raise ValueError(f"group element {g} is outside 0..{len(self.group) - 1}")
+        e = self._exterior.get(g)
+        if e is None:
+            group, power, powers = self.group, self.group.identity, [None]
+            for _ in range(self.dim):
                 power = group.mul(power, group.inv(g))
                 mat = group.matrices[power]
-                traces.append(sum((mat[i][i] for i in range(self.dim)), ZERO))
-            h = [ONE]
-            for n in range(1, cutoff + 1):
-                h.append(sum((traces[k] * h[n - k] for k in range(1, n + 1)), ZERO) / n)
+                powers.append(sum((mat[i][i] for i in range(self.dim)), ZERO))
+            e = [ONE]
+            for k in range(1, self.dim + 1):
+                signed = (e[k - i] * powers[i] * (-1) ** (i - 1) for i in range(1, k + 1))
+                e.append(sum(signed, ZERO) / k)
+            e = self._exterior[g] = tuple(e)
+        return e
+
+    def molien_coefficients(self, g: int, cutoff: int) -> list:
+        """Traces h_0..h_cutoff of g on the degree slices of A, the Molien
+        series 1/det(1 - t g|h*): from the exterior traces (`exterior_traces`),
+        h_n = sum_{k=1..min(n, dim)} (-1)^(k+1) e_k h_{n-k}.  ValueError for g
+        outside 0..|G|-1 or a negative cutoff."""
+        e = self.exterior_traces(g)
+        if cutoff < 0:
+            raise ValueError(f"cutoff {cutoff} is negative")
+        h = self._molien.get(g, [ONE])
+        if len(h) <= cutoff:
+            signed = [(k, e[k] if k % 2 else -e[k]) for k in range(1, self.dim + 1) if e[k]]
+            h = list(h)
+            for n in range(len(h), cutoff + 1):
+                h.append(sum((s * h[n - k] for k, s in signed if k <= n), ZERO))
             self._molien[g] = h
         return h[: cutoff + 1]
 

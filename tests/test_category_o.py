@@ -870,6 +870,176 @@ class TestCharacters:
             assert VermaSlice(alg, w, 6).graded_character() == expected
 
 
+def class_trace_multiplicities(slice_, n):
+    """Oracle: the multiplicities from one trace per conjugacy class,
+    sum_C |C| chi_E(g_C^-1) tr(g_C) / |G|, with the traces of `trace`."""
+    alg = slice_.algebra
+    group = alg.group
+    level = {}
+    for irr in alg.irreps:
+        total = sum(
+            (
+                len(cls) * irr.character[group.inv(cls[0])] * slice_.trace(cls[0], n)
+                for cls in group.conjugacy_classes
+            ),
+            ZERO,
+        )
+        mult = total / len(group)
+        if mult:
+            level[irr.label] = mult.as_int()
+    return level
+
+
+def partial_quotient(alg, w, cutoff):
+    """The radical of the Verma slice killed in degrees 1..cutoff // 2 only."""
+    slice_ = VermaSlice(alg, w, cutoff)
+    for n in range(1, cutoff // 2 + 1):
+        slice_.kill_submodule(n)
+    return slice_
+
+
+KOSZUL_GROUPS = [("s3", 1), ("s4", 1), ("cyclic:6", 6)] + [
+    (f"dihedral:{m}", m) for m in range(4, 9)
+]
+
+# (spec, ell, c, cutoff): c = 1/h leaves some simple quotient zero above
+# degree 0, and c = 1/2 gives radicals in several degrees
+ORACLE_CASES = [
+    ("s3", 1, Fraction(1, 3), 6),
+    ("s3", 1, Fraction(1, 2), 6),
+    ("s4", 1, Fraction(1, 4), 4),
+    ("s4", 1, Fraction(1, 2), 4),
+    ("cyclic:6", 6, Fraction(1, 2), 8),
+] + [
+    (f"dihedral:{m}", m, c, 6)
+    for m in range(4, 9)
+    for c in (Fraction(1, m), Fraction(1, 2))
+]
+
+
+def without(alg, label):
+    """The algebra of alg with the irrep `label` left out of its table."""
+    return CherednikAlgebra(alg.group, alg.c, irreps=[w for w in alg.irreps if w.label != label])
+
+
+class TestKoszulCharacters:
+    """Verma multiplicities from the Koszul recurrence on a complete irrep
+    table, against the class-trace route and the dimension counts."""
+
+    @pytest.mark.parametrize("spec,ell,c,cutoff", ORACLE_CASES)
+    def test_multiplicities_match_the_class_trace_route(self, spec, ell, c, cutoff):
+        alg = make_algebra(spec, ell, [c])
+        zero_degrees = 0
+        for w in alg.irreps:
+            simple, _ = simple_quotient_slice(alg, w, cutoff)
+            for slice_ in (VermaSlice(alg, w, cutoff), partial_quotient(alg, w, cutoff), simple):
+                for n in range(cutoff + 1):
+                    expected = class_trace_multiplicities(slice_, n)
+                    assert slice_.multiplicities(n) == expected, (w.label, n)
+                    zero_degrees += slice_.dim(n) == 0
+        if c != Fraction(1, 2):
+            assert zero_degrees
+
+    @pytest.mark.parametrize("spec,ell", KOSZUL_GROUPS)
+    def test_koszul_tables_count_dimensions(self, spec, ell):
+        # Lambda^k h* (x) F has dimension C(dim, k) dim F, and Lambda^dim h*
+        # is one-dimensional, so T_dim permutes the irreps
+        alg = make_algebra(spec, ell, [Fraction(1, 3)])
+        tables = category_o._koszul_tables(alg)
+        assert len(tables) == alg.dim
+        dims = [w.dim for w in alg.irreps]
+        for k, table in enumerate(tables, 1):
+            for f, row in enumerate(table):
+                assert sum(t * dims[e] for e, t in row) == math.comb(alg.dim, k) * dims[f]
+        top = tables[-1]
+        assert all(len(row) == 1 and row[0][1] == 1 for row in top)
+        assert sorted(row[0][0] for row in top) == list(range(len(alg.irreps)))
+        assert category_o._koszul_tables(alg) is tables
+
+    @pytest.mark.parametrize("spec,ell", KOSZUL_GROUPS)
+    def test_verma_levels_count_monomials(self, spec, ell):
+        alg = make_algebra(spec, ell, [Fraction(1, 3)])
+        dims = [w.dim for w in alg.irreps]
+        for w in alg.irreps:
+            levels = VermaSlice(alg, w, 10)._verma_levels
+            assert len(levels) == 11
+            for n, level in enumerate(levels):
+                monomials = math.comb(n + alg.dim - 1, alg.dim - 1)
+                assert sum(m * d for m, d in zip(level, dims)) == w.dim * monomials
+
+    @pytest.mark.parametrize(
+        "spec,ell,c,left_out,cutoff",
+        [
+            ("s3", 1, Fraction(1, 2), "standard", 6),
+            ("s3", 1, Fraction(1, 3), "sgn", 6),
+            ("s4", 1, Fraction(1, 2), "dim2", 6),
+            ("dihedral:4", 4, Fraction(1, 4), "eps", 8),
+            ("dihedral:5", 5, Fraction(1, 5), "rho2", 10),
+        ],
+    )
+    def test_incomplete_table_agrees_with_the_complete_one(self, spec, ell, c, left_out, cutoff):
+        # the class route of an incomplete table gives the listed labels'
+        # part of the complete table's characters, and the radical does not
+        # depend on which irreps are listed
+        complete = make_algebra(spec, ell, [c])
+        partial = without(complete, left_out)
+        for w in partial.irreps:
+            for verma in (VermaSlice(complete, w, cutoff), VermaSlice(partial, w, cutoff)):
+                assert bool(verma._verma_levels) == (verma.algebra is complete)
+            for build in (VermaSlice, lambda *args: simple_quotient_slice(*args)[0]):
+                full = build(complete, w, cutoff).graded_character()
+                part = build(partial, w, cutoff).graded_character()
+                restricted = {
+                    n: {label: m for label, m in level.items() if label != left_out}
+                    for n, level in full.items()
+                }
+                assert part == restricted, w.label
+
+    def test_broken_killed_space_is_a_bug_not_a_cutoff(self):
+        # a killed space that is not G-stable gives a multiplicity that no
+        # cutoff can mend: a plain RuntimeError, not the ComputationLimit
+        # InconsistentTruncation that asks for a larger cutoff
+        alg = make_algebra("s3", 1, [Fraction(1, 2)])
+        cases = [
+            ("standard", {0: {0: ONE}}, "non-integral multiplicity 1/3 "),
+            ("triv", {0: {0: ONE}}, "non-integral multiplicity 2/3 "),
+            ("triv", {0: {0: ONE, 1: Scalar.rational(-2)}}, "negative multiplicity -1 "),
+        ]
+        for label, killed, message in cases:
+            slice_ = VermaSlice(alg, irrep_of(alg, label), 3)
+            slice_.killed[1] = killed
+            with pytest.raises(RuntimeError, match=message) as info:
+                slice_.multiplicities(1)
+            assert type(info.value) is RuntimeError
+
+    def test_group_elements_outside_the_group_are_rejected(self):
+        # a negative index used to read an element from the end
+        alg = make_algebra("s3", 1, [Fraction(1, 2)])
+        slice_ = VermaSlice(alg, irrep_of(alg, "standard"), 3)
+        for g in (-1, 6):
+            with pytest.raises(ValueError, match=f"group element {g} is outside 0..5"):
+                slice_.trace(g, 2)
+            with pytest.raises(ValueError, match=f"group element {g} is outside 0..5"):
+                alg.molien_coefficients(g, 3)
+            with pytest.raises(ValueError, match=f"group element {g} is outside 0..5"):
+                alg.exterior_traces(g)
+        with pytest.raises(ValueError, match="cutoff -1 is negative"):
+            alg.molien_coefficients(0, -1)
+        assert set(alg._molien) <= set(range(6))
+        assert alg.molien_coefficients(5, 3) == [1, 0, 1, 0]
+
+    def test_a_koszul_entry_that_is_not_a_count_raises(self, monkeypatch):
+        alg = make_algebra("s3", 1, [Fraction(1, 2)])
+        traces = alg.exterior_traces
+        half = Scalar.rational(Fraction(1, 2))
+        monkeypatch.setattr(alg, "exterior_traces", lambda g: tuple(e * half for e in traces(g)))
+        slice_ = VermaSlice(alg, irrep_of(alg, "triv"), 3)
+        message = r"non-integral multiplicity 1/2 .* in Lambda\^1 h\*"
+        with pytest.raises(RuntimeError, match=message):
+            slice_.multiplicities(1)
+        assert alg._koszul == []
+
+
 class TestSimpleQuotients:
     def test_order_two_half_parameter(self):
         alg = make_algebra("cyclic:2", 1, [Fraction(1, 2)])

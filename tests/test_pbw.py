@@ -774,6 +774,21 @@ def test_molien_coefficients_match_monomial_traces(spec, ell):
         assert alg.molien_coefficients(g, 3) == expected[:4], g
 
 
+@pytest.mark.parametrize("spec,ell", BUILTIN_FAMILIES)
+def test_exterior_traces_invert_the_monomial_traces(spec, ell):
+    # det(1 - t g|h*) = sum_k (-1)^k e_k t^k times the Molien series is 1,
+    # and e_1 is the trace of g on h*
+    alg = make_algebra(spec, ell, [Fraction(1, 3)])
+    for g in range(len(alg.group)):
+        e = alg.exterior_traces(g)
+        h = [monomial_trace(alg, g, n) for n in range(7)]
+        assert len(e) == alg.dim + 1 and e[0] == 1 and e[1] == h[1]
+        for n in range(1, 7):
+            terms = (e[k] * h[n - k] * (-1) ** k for k in range(min(n, alg.dim) + 1))
+            assert sum(terms, ZERO) == 0, (g, n)
+        assert alg.exterior_traces(g) is e
+
+
 @contextlib.contextmanager
 def recursion_limit_near_current_depth(headroom=100):
     """Lower the recursion limit to the current stack depth plus headroom, so
