@@ -252,6 +252,8 @@ class VermaSlice:
 
     def basis_vector(self, n: int, index: int) -> dict:
         vec = [ZERO] * self.dim(n)
+        if not 0 <= index < len(vec):
+            raise ValueError(f"index {index} is outside 0..{len(vec) - 1}")
         vec[index] = ONE
         return {n: vec}
 
@@ -278,12 +280,13 @@ class VermaSlice:
 
     def trace(self, g: int, n: int) -> Scalar:
         """Trace of the group element g on the degree-n quotient slice: the
-        Verma part chi_lambda(g) h_n(g), with h_n(g) the Molien coefficient,
-        minus the killed part (`_killed_trace`).  ValueError for n outside
-        0..cutoff or g outside 0..|G|-1."""
+        Verma part (`_class_series`) minus the killed part (`_killed_trace`).
+        ValueError for n outside 0..cutoff or g outside 0..|G|-1."""
         self._check_degree(n)
-        h = self.algebra.molien_coefficients(g, self.cutoff)
-        return h[n] * self.irrep.character[g] - self._killed_trace(g, n)
+        group = self.algebra.group
+        if not 0 <= g < len(group):
+            raise ValueError(f"group element {g} is outside 0..{len(group) - 1}")
+        return self._class_series[n][group.class_of[g]] - self._killed_trace(g, n)
 
     def _killed_trace(self, g: int, n: int) -> Scalar:
         """Trace of g on the killed subspace of degree n: the pivot
@@ -305,10 +308,9 @@ class VermaSlice:
         degree-n quotient slice: the Verma part minus the killed part, and
         nothing on a degree whose quotient is zero.
 
-        The Verma part comes from the Koszul recurrence (`_verma_levels`) on
-        a complete irrep table, and otherwise from one trace per conjugacy
-        class, sum_C |C| chi_E(g_C^-1) chi_lambda(g_C) h_n(g_C) / |G|.  The
-        killed part is that class sum over `_killed_trace`, taken only when
+        The Verma part is `_verma_levels` on a complete irrep table, and
+        otherwise the class sum (`_class_sums`) of `_class_series`.  The
+        killed part is the class sum of `_killed_trace`, taken only when
         degree n has killed rows.  A killed space that is not G-stable gives
         a non-integral or negative multiplicity, which raises RuntimeError.
         ValueError for n outside 0..cutoff."""
@@ -316,12 +318,8 @@ class VermaSlice:
             return {}
         alg = self.algebra
         classes = [cls[0] for cls in alg.group.conjugacy_classes]
-        if self._verma_levels:
-            values = self._verma_levels[n]
-        else:
-            chi = self.irrep.character
-            verma = [alg.molien_coefficients(g, self.cutoff)[n] * chi[g] for g in classes]
-            values = _class_sums(alg, verma)
+        levels = self._verma_levels
+        values = levels[n] if levels else _class_sums(alg, self._class_series[n])
         if self.killed[n]:
             killed = _class_sums(alg, [self._killed_trace(g, n) for g in classes])
             values = [v - k for v, k in zip(values, killed)]
@@ -336,27 +334,31 @@ class VermaSlice:
     @cached_property
     def _verma_levels(self) -> list:
         """Degree n -> the multiplicity of each listed irrep E in S^n(h*)
-        tensor lambda, for n = 0..cutoff, by the Koszul recurrence
-        v(n) = sum_{k=1..min(n, dim)} (-1)^(k+1) T_k v(n - k) from v(0) =
-        e_lambda, with T_k the Koszul tables (`_koszul_tables`).  Empty when
-        the irrep table is incomplete or lists no irrep with lambda's
-        character: the recurrence closes only over every irrep."""
+        tensor lambda, for n = 0..cutoff: the Koszul series
+        (`_koszul_series`) on the irrep basis, from v(0) = e_lambda with the
+        Koszul tables (`_koszul_tables`).  Empty when the irrep table is
+        incomplete or lists no irrep with lambda's character: the recurrence
+        closes only over every irrep."""
         alg = self.algebra
         start = [int(irr.character == self.irrep.character) for irr in alg.irreps]
         if not _complete_table(alg) or 1 not in start:
             return []
-        tables = _koszul_tables(alg)
-        levels = [start]
-        for n in range(1, self.cutoff + 1):
-            out = [0] * len(start)
-            for k, table in enumerate(tables[:n], 1):
-                sign = 1 if k % 2 else -1
-                for f, m in enumerate(levels[n - k]):
-                    if m:
-                        for e, t in table[f]:
-                            out[e] += sign * t * m
-            levels.append(out)
-        return levels
+        return _koszul_series(start, _koszul_tables(alg), self.cutoff)
+
+    @cached_property
+    def _class_series(self) -> list:
+        """Degree n -> the trace of each class's first element g_C on S^n(h*)
+        tensor lambda, in class order, for n = 0..cutoff: the Koszul series
+        (`_koszul_series`) on the class basis, from v(0) = chi_lambda(g_C),
+        with T_k diagonal of entries e_k(g_C) (`_exterior_traces`)."""
+        group = self.algebra.group
+        reps = [cls[0] for cls in group.conjugacy_classes]
+        exterior = [_exterior_traces(group, g) for g in reps]
+        tables = [
+            [((c, e[k]),) if e[k] else () for c, e in enumerate(exterior)]
+            for k in range(1, group.dimension + 1)
+        ]
+        return _koszul_series([self.irrep.character[g] for g in reps], tables, self.cutoff)
 
     def graded_character(self) -> dict:
         """Degree -> label -> nonzero multiplicity, for every degree
@@ -391,21 +393,57 @@ def _multiplicity(value: Scalar, where: str) -> int:
     return value.as_int()
 
 
+def _koszul_series(start: list, tables: list, cutoff: int) -> list:
+    """Degree n -> v(n) for n = 0..cutoff, by the Koszul recurrence
+    v(n) = sum_{k=1..min(n, dim)} (-1)^(k+1) T_k v(n - k) from v(0) = start,
+    as C[h] tensor lambda has the character lambda / sum_k (-1)^k
+    Lambda^k h* t^k.  tables[k - 1] lists, per coordinate f, the pairs
+    (e, T_k[e][f]) with a nonzero entry; an entry nothing adds to is 0."""
+    levels = [start]
+    for n in range(1, cutoff + 1):
+        out = [0] * len(start)
+        for k, table in enumerate(tables[:n], 1):
+            sign = 1 if k % 2 else -1
+            for f, m in enumerate(levels[n - k]):
+                if m:
+                    for e, t in table[f]:
+                        out[e] += sign * t * m
+        levels.append(out)
+    return levels
+
+
+def _exterior_traces(group, g: int) -> tuple:
+    """Traces e_0..e_dim of g on the exterior powers of h*, the
+    coefficients of det(1 + t g|h*), by Newton's identities
+    k e_k = sum_{i=1..k} (-1)^(i-1) tr(g^i|h*) e_{k-i}; g acts on the x's
+    through M(g^-1), so tr(g^i|h*) = tr M(g^-i)."""
+    dim, power, powers = group.dimension, group.identity, [None]
+    for _ in range(dim):
+        power = group.mul(power, group.inv(g))
+        powers.append(sum((group.matrices[power][i][i] for i in range(dim)), ZERO))
+    e = [ONE]
+    for k in range(1, dim + 1):
+        signed = (e[k - i] * powers[i] * (-1) ** (i - 1) for i in range(1, k + 1))
+        e.append(sum(signed, ZERO) / k)
+    return tuple(e)
+
+
 def _koszul_tables(algebra: CherednikAlgebra) -> list:
     """The Koszul tables of a complete irrep table, computed on first use
     and kept on the algebra: entry k - 1 lists, per irrep F (by index), the
     pairs (E, T_k[E][F]) with T_k[E][F] = [Lambda^k h* tensor F : E] nonzero,
     for k = 1..dim, from the class sums (`_class_sums`) of the characters
-    e_k chi_F, e_k the exterior traces (`exterior_traces`).  An entry that is
-    not a non-negative integer is a bug and raises RuntimeError."""
+    e_k chi_F, e_k the exterior traces (`_exterior_traces`).  An entry that
+    is not a non-negative integer is a bug and raises RuntimeError."""
     tables = algebra._koszul
     if not tables:
         classes = [cls[0] for cls in algebra.group.conjugacy_classes]
+        exterior = [_exterior_traces(algebra.group, g) for g in classes]
         built = []
         for k in range(1, algebra.dim + 1):
             table = []
             for f in algebra.irreps:
-                traces = [algebra.exterior_traces(g)[k] * f.character[g] for g in classes]
+                traces = [e[k] * f.character[g] for e, g in zip(exterior, classes)]
                 row = []
                 for e, value in enumerate(_class_sums(algebra, traces)):
                     where = f"of {algebra.irreps[e].label!r} in Lambda^{k} h* (x) {f.label!r}"
@@ -545,10 +583,11 @@ def dunkl_action(slice_: VermaSlice, direction, mv: dict) -> dict:
     alg = slice_.algebra
     dim = alg.dim
     if isinstance(direction, int):
-        coords = [ZERO] * dim
-        coords[direction - 1] = ONE
+        coords = alg._unit(direction, ONE, "direction")
     else:
         coords = [Scalar.rational(x) for x in direction]
+        if len(coords) != dim:
+            raise ValueError(f"direction has {len(coords)} coordinates, not {dim}")
     d = slice_.irrep.dim
     refl = [
         (

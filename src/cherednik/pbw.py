@@ -31,7 +31,6 @@ from operator import add
 from .groups import GroupAction, PseudoReflection, ReflectionFunction
 from .scalars import (
     Scalar,
-    ZERO,
     ONE,
     CherednikError,
     ComputationLimit,
@@ -269,9 +268,6 @@ class CherednikAlgebra:
         self._verma_element_cache: dict = {}
         # degree n -> (monomials(dim, n) as a list, monomial -> position)
         self._mono_table: dict = {}
-        # g -> Molien coefficients h_0..h_N; g -> exterior traces e_0..e_dim
-        self._molien: dict = {}
-        self._exterior: dict = {}
         # irrep label -> c_E for the listed irreps, filled by category_o
         self._c_table: dict = {}
         # k - 1 -> the Koszul table of Lambda^k h*, filled by category_o
@@ -284,11 +280,23 @@ class CherednikAlgebra:
     def element(self, terms: dict | None = None) -> PBWElement:
         out: dict = {}
         for k, v in (terms or {}).items():
-            i, g, j = k
             coef = Scalar.rational(v)
             if coef:
-                out[(tuple(i), g, tuple(j))] = coef
+                out[self._term(*k)] = coef
         return PBWElement(self, out)
+
+    def _term(self, i, g: int, j) -> Term:
+        """(I, g, J) with I and J as tuples; ValueError unless I and J are
+        dim non-negative ints and g is an int in 0..|G|-1."""
+        i, j = tuple(i), tuple(j)
+        ok = len(i) == len(j) == self.dim
+        for e in i + j:
+            ok = ok and type(e) is int and e >= 0
+        if not ok:
+            raise ValueError(f"multidegrees {i} and {j} are not {self.dim} non-negative ints each")
+        if type(g) is not int or not 0 <= g < len(self.group):
+            raise ValueError(f"group element {g} is outside 0..{len(self.group) - 1}")
+        return i, g, j
 
     def zero(self) -> PBWElement:
         return PBWElement(self, {})
@@ -297,22 +305,26 @@ class CherednikAlgebra:
         return self.monomial(self._zero_deg, 0, self._zero_deg)
 
     def monomial(self, i, g: int, j, coeff=ONE) -> PBWElement:
+        term = self._term(i, g, j)
         coef = Scalar.rational(coeff)
         if not coef:
             return self.zero()
-        return PBWElement(self, {(tuple(i), g, tuple(j)): coef})
+        return PBWElement(self, {term: coef})
 
     def x(self, i: int, power: int = 1) -> PBWElement:
         """The degree-raising generator x_i (1-based index)."""
-        deg = [0] * self.dim
-        deg[i - 1] = power
-        return self.monomial(tuple(deg), 0, self._zero_deg)
+        return self.monomial(self._unit(i, power, "x"), 0, self._zero_deg)
 
     def y(self, i: int, power: int = 1) -> PBWElement:
         """The degree-lowering generator y_i (1-based index)."""
-        deg = [0] * self.dim
-        deg[i - 1] = power
-        return self.monomial(self._zero_deg, 0, tuple(deg))
+        return self.monomial(self._zero_deg, 0, self._unit(i, power, "y"))
+
+    def _unit(self, i: int, power: int, name: str) -> tuple:
+        """dim entries, power at the 1-based place i and 0 elsewhere (a unit
+        multidegree or direction); ValueError for i outside 1..dim."""
+        if not 1 <= i <= self.dim:
+            raise ValueError(f"{name} index {i} is outside 1..{self.dim}")
+        return self._zero_deg[: i - 1] + (power,) + self._zero_deg[i:]
 
     def g(self, index: int) -> PBWElement:
         return self.monomial(self._zero_deg, index, self._zero_deg)
@@ -548,45 +560,6 @@ class CherednikAlgebra:
     def reflection_coefficient(self, r: PseudoReflection) -> Scalar:
         """The Euler coefficient kappa_s = 2c(s)/(1 - lambda_s^-1)."""
         return self._kappa[r.index]
-
-    def exterior_traces(self, g: int) -> tuple:
-        """Traces e_0..e_dim of g on the exterior powers of h*, the
-        coefficients of det(1 + t g|h*), by Newton's identities
-        k e_k = sum_{i=1..k} (-1)^(i-1) tr(g^i|h*) e_{k-i}; g acts on the x's
-        through M(g^-1), so tr(g^i|h*) = tr M(g^-i).  Cached per g;
-        ValueError for g outside 0..|G|-1."""
-        if not 0 <= g < len(self.group):
-            raise ValueError(f"group element {g} is outside 0..{len(self.group) - 1}")
-        e = self._exterior.get(g)
-        if e is None:
-            group, power, powers = self.group, self.group.identity, [None]
-            for _ in range(self.dim):
-                power = group.mul(power, group.inv(g))
-                mat = group.matrices[power]
-                powers.append(sum((mat[i][i] for i in range(self.dim)), ZERO))
-            e = [ONE]
-            for k in range(1, self.dim + 1):
-                signed = (e[k - i] * powers[i] * (-1) ** (i - 1) for i in range(1, k + 1))
-                e.append(sum(signed, ZERO) / k)
-            e = self._exterior[g] = tuple(e)
-        return e
-
-    def molien_coefficients(self, g: int, cutoff: int) -> list:
-        """Traces h_0..h_cutoff of g on the degree slices of A, the Molien
-        series 1/det(1 - t g|h*): from the exterior traces (`exterior_traces`),
-        h_n = sum_{k=1..min(n, dim)} (-1)^(k+1) e_k h_{n-k}.  ValueError for g
-        outside 0..|G|-1 or a negative cutoff."""
-        e = self.exterior_traces(g)
-        if cutoff < 0:
-            raise ValueError(f"cutoff {cutoff} is negative")
-        h = self._molien.get(g, [ONE])
-        if len(h) <= cutoff:
-            signed = [(k, e[k] if k % 2 else -e[k]) for k in range(1, self.dim + 1) if e[k]]
-            h = list(h)
-            for n in range(len(h), cutoff + 1):
-                h.append(sum((s * h[n - k] for k, s in signed if k <= n), ZERO))
-            self._molien[g] = h
-        return h[: cutoff + 1]
 
     # -- text form ---------------------------------------------------------
 

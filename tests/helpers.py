@@ -1,6 +1,7 @@
 """Helpers shared by the test modules: built-in algebras, the commutator
 with the Euler element, random Banach elements, the Dunkl-route
-singular-space oracle, and the command line run in a fresh interpreter."""
+singular-space oracle, and the command line or Python run in a fresh
+interpreter."""
 
 import os
 import subprocess
@@ -96,9 +97,15 @@ def cli_job(tmp_path, command, config, timeout=10):
     after timeout seconds (subprocess.TimeoutExpired)."""
     cfg = tmp_path / "job.cfg"
     cfg.write_text(config)
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return python_job(["-m", "cherednik.cli", command, "--config", str(cfg)], timeout)
+
+
+def python_job(args, timeout=10, cwd=None):
+    """The interpreter on args, with src and the tests on its path, in a
+    fresh process stopped after timeout seconds (subprocess.TimeoutExpired)."""
+    root = Path(__file__).resolve().parents[1]
+    paths = [str(root / "src"), str(root / "tests"), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
     return subprocess.run(
-        [sys.executable, "-m", "cherednik.cli", command, "--config", str(cfg)],
-        capture_output=True, text=True, env=env, timeout=timeout,
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=timeout, cwd=cwd
     )

@@ -194,6 +194,16 @@ class TestVermaAction:
         with pytest.raises(AlgebraMismatch, match="element belongs to a different algebra"):
             verma_action(slice_, other.x(1), slice_.basis_vector(0, 0))
 
+    def test_basis_vector_indices_run_over_the_degree(self):
+        # a negative index used to read a unit vector from the end
+        alg = make_algebra("s3", 1, [Fraction(1, 2)])
+        slice_ = VermaSlice(alg, irrep_of(alg, "standard"), 3)
+        for index in (-1, 6):
+            with pytest.raises(ValueError, match=f"index {index} is outside 0..5"):
+                slice_.basis_vector(2, index)
+        assert slice_.basis_vector(2, 0) == {2: [ONE] + [ZERO] * 5}
+        assert slice_.basis_vector(2, 5) == {2: [ZERO] * 5 + [ONE]}
+
 
 class TestSliceLimit:
     def test_the_bound_counts_every_basis_vector(self):
@@ -656,6 +666,20 @@ class TestDunklOracle:
         with pytest.raises(ValueError):
             dunkl_action(quotient, 1, quotient.basis_vector(0, 0))
 
+    def test_directions_are_checked(self):
+        alg = make_algebra("s3", 1, [Fraction(1, 3)])
+        slice_ = VermaSlice(alg, irrep_of(alg, "standard"), 3)
+        vec = slice_.basis_vector(2, 0)
+        for i in (0, 3):
+            with pytest.raises(ValueError, match=f"direction index {i} is outside 1..2"):
+                dunkl_action(slice_, i, vec)
+        for coords in ([ONE], [ONE, ZERO, ZERO]):
+            message = f"direction has {len(coords)} coordinates, not 2"
+            with pytest.raises(ValueError, match=message):
+                dunkl_action(slice_, coords, vec)
+        for i in (1, 2):
+            assert dunkl_action(slice_, i, vec) == verma_action(slice_, alg.y(i), vec)
+
     @pytest.mark.parametrize("route", ["verma_action", "dunkl_action"])
     @pytest.mark.parametrize(
         "mv, message",
@@ -995,6 +1019,27 @@ class TestKoszulCharacters:
                 }
                 assert part == restricted, w.label
 
+    @pytest.mark.parametrize(
+        "spec,ell,c,cutoff",
+        [
+            ("s3", 1, Fraction(1, 2), 6),
+            ("s4", 1, Fraction(1, 2), 4),
+            ("dihedral:5", 5, Fraction(1, 5), 8),
+            ("cyclic:6", 6, Fraction(1, 2), 8),
+        ],
+    )
+    def test_traces_do_not_read_the_irrep_table(self, spec, ell, c, cutoff):
+        # the Verma part of a trace is the series on the class basis, so a
+        # table missing its last irrep gives the complete table's traces
+        complete = make_algebra(spec, ell, [c])
+        partial = without(complete, complete.irreps[-1].label)
+        for w in partial.irreps:
+            for build in (VermaSlice, lambda *args: simple_quotient_slice(*args)[0]):
+                full, part = build(complete, w, cutoff), build(partial, w, cutoff)
+                for g in range(len(complete.group)):
+                    for n in range(cutoff + 1):
+                        assert part.trace(g, n) == full.trace(g, n), (w.label, g, n)
+
     def test_broken_killed_space_is_a_bug_not_a_cutoff(self):
         # a killed space that is not G-stable gives a multiplicity that no
         # cutoff can mend: a plain RuntimeError, not the ComputationLimit
@@ -1013,26 +1058,25 @@ class TestKoszulCharacters:
             assert type(info.value) is RuntimeError
 
     def test_group_elements_outside_the_group_are_rejected(self):
-        # a negative index used to read an element from the end
+        # a negative index used to read an element from the end; the degree
+        # is checked first
         alg = make_algebra("s3", 1, [Fraction(1, 2)])
-        slice_ = VermaSlice(alg, irrep_of(alg, "standard"), 3)
+        slice_ = VermaSlice(alg, irrep_of(alg, "triv"), 3)
         for g in (-1, 6):
             with pytest.raises(ValueError, match=f"group element {g} is outside 0..5"):
                 slice_.trace(g, 2)
-            with pytest.raises(ValueError, match=f"group element {g} is outside 0..5"):
-                alg.molien_coefficients(g, 3)
-            with pytest.raises(ValueError, match=f"group element {g} is outside 0..5"):
-                alg.exterior_traces(g)
-        with pytest.raises(ValueError, match="cutoff -1 is negative"):
-            alg.molien_coefficients(0, -1)
-        assert set(alg._molien) <= set(range(6))
-        assert alg.molien_coefficients(5, 3) == [1, 0, 1, 0]
+            with pytest.raises(ValueError, match="degree 4 is outside 0..3"):
+                slice_.trace(g, 4)
+        # g5 is a reflection: 1 / det(1 - t g5|h*) = 1 / (1 - t^2)
+        assert [slice_.trace(5, n) for n in range(4)] == [1, 0, 1, 0]
 
     def test_a_koszul_entry_that_is_not_a_count_raises(self, monkeypatch):
         alg = make_algebra("s3", 1, [Fraction(1, 2)])
-        traces = alg.exterior_traces
+        traces = category_o._exterior_traces
         half = Scalar.rational(Fraction(1, 2))
-        monkeypatch.setattr(alg, "exterior_traces", lambda g: tuple(e * half for e in traces(g)))
+        monkeypatch.setattr(
+            category_o, "_exterior_traces", lambda *args: tuple(e * half for e in traces(*args))
+        )
         slice_ = VermaSlice(alg, irrep_of(alg, "triv"), 3)
         message = r"non-integral multiplicity 1/2 .* in Lambda\^1 h\*"
         with pytest.raises(RuntimeError, match=message):

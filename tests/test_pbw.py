@@ -18,6 +18,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cherednik.category_o import VermaSlice, _exterior_traces
 from cherednik.cli import main
 from cherednik.groups import (
     ReflectionFunction,
@@ -38,7 +39,7 @@ from cherednik.pbw import (
 from cherednik.scalars import Scalar, ZERO, ONE, ExprError, FieldMismatch, euler_phi
 from cherednik.scalars import MAX_COEFF_BITS, CoefficientBlowup
 from cherednik.scalars import _accumulate, _settle
-from helpers import ad_euler, cli_job, make_algebra
+from helpers import ad_euler, cli_job, make_algebra, python_job
 
 
 def random_element(alg, rng, max_degree=4, terms=3):
@@ -205,6 +206,74 @@ RELATION_GROUPS = (
     + [("s3", 1), ("s4", 1)]
     + [(f"dihedral:{n}", n) for n in range(3, 9)]
 )
+
+
+class TestTermChecks:
+    """Every PBW term built from outside holds dim non-negative ints in I
+    and J and a group element in 0..|G|-1."""
+
+    def test_a_negative_exponent_is_rejected_in_a_fresh_process(self):
+        # lowering the first nonzero exponent of (-1, 0) never reaches degree
+        # zero, so the product used to straighten forever with its caches
+        # growing without bound.  A fresh process, stopped after 2 s.
+        code = (
+            "from fractions import Fraction\n"
+            "from helpers import make_algebra\n"
+            "alg = make_algebra('s3', 1, [Fraction(1, 2)])\n"
+            "try:\n"
+            "    alg.y(1) * alg.monomial((-1, 0), 0, (0, 0))\n"
+            "except ValueError as exc:\n"
+            "    print(exc)\n"
+        )
+        done = python_job(["-c", code], timeout=2)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "multidegrees (-1, 0) and (0, 0) are not 2 non-negative ints each\n"
+
+    BAD_TERMS = [
+        (((-1, 0), 0, (0, 0)), r"multidegrees \(-1, 0\) and \(0, 0\) are not 2"),
+        (((0, 0), 0, (0, -1)), r"multidegrees \(0, 0\) and \(0, -1\) are not 2"),
+        (((1,), 0, (0, 0)), r"multidegrees \(1,\) and \(0, 0\) are not 2"),
+        (((0, 0), 0, (0, 0, 1)), r"multidegrees \(0, 0\) and \(0, 0, 1\) are not 2"),
+        (((1.0, 0), 0, (0, 0)), r"multidegrees \(1.0, 0\) and \(0, 0\) are not 2"),
+        (((0, 0), -1, (0, 0)), "group element -1 is outside 0..5"),
+        (((0, 0), 6, (0, 0)), "group element 6 is outside 0..5"),
+    ]
+
+    def test_monomial_checks_its_term(self):
+        alg = make_algebra("s3", 1, [Fraction(1, 2)])
+        for term, message in self.BAD_TERMS:
+            with pytest.raises(ValueError, match=message):
+                alg.monomial(*term)
+            # a zero coefficient is checked too
+            with pytest.raises(ValueError, match=message):
+                alg.monomial(*term, 0)
+        for g in (0, 5):
+            assert str(alg.monomial([2, 0], g, [0, 1])) == ("x1^2*y2" if g == 0 else "x1^2*g5*y2")
+
+    def test_element_checks_every_term(self):
+        alg = make_algebra("s3", 1, [Fraction(1, 2)])
+        for term, message in self.BAD_TERMS:
+            with pytest.raises(ValueError, match=message):
+                alg.element({((0, 0), 0, (0, 0)): 1, term: 2})
+        assert str(alg.element({((0, 1), 5, (1, 0)): 2, ((0, 0), 0, (0, 0)): 1})) == "1 + 2*x2*g5*y1"
+
+    @pytest.mark.parametrize("name", ["x", "y"])
+    def test_generator_indices_run_from_one_to_dim(self, name):
+        alg = make_algebra("s3", 1, [Fraction(1, 2)])
+        make = getattr(alg, name)
+        for i in (0, 3):
+            with pytest.raises(ValueError, match=f"{name} index {i} is outside 1..2"):
+                make(i)
+        with pytest.raises(ValueError, match="multidegrees"):
+            make(1, -1)
+        assert [str(make(i, 2)) for i in (1, 2)] == [f"{name}1^2", f"{name}2^2"]
+
+    def test_group_elements_run_from_zero_to_the_order_less_one(self):
+        alg = make_algebra("s3", 1, [Fraction(1, 2)])
+        for g in (-1, 6):
+            with pytest.raises(ValueError, match=f"group element {g} is outside 0..5"):
+                alg.g(g)
+        assert [str(alg.g(g)) for g in (0, 5)] == ["1", "g5"]
 
 
 @pytest.mark.parametrize("spec, ell", RELATION_GROUPS, ids=[g[0] for g in RELATION_GROUPS])
@@ -765,13 +834,16 @@ BUILTIN_FAMILIES = (
 
 @pytest.mark.parametrize("spec,ell", BUILTIN_FAMILIES)
 def test_molien_coefficients_match_monomial_traces(spec, ell):
+    # the trace of g on degree n of a Verma slice is chi(g) times the Molien
+    # coefficient h_n(g), the trace of g on the degree-n monomials
     alg = make_algebra(spec, ell, [Fraction(1, 3)])
-    for g in range(len(alg.group)):
-        expected = [monomial_trace(alg, g, n) for n in range(7)]
-        # a longer request recomputes; a shorter one slices the cached series
-        assert alg.molien_coefficients(g, 2) == expected[:3], g
-        assert alg.molien_coefficients(g, 6) == expected, g
-        assert alg.molien_coefficients(g, 3) == expected[:4], g
+    molien = [[monomial_trace(alg, g, n) for n in range(7)] for g in range(len(alg.group))]
+    for irr in alg.irreps:
+        slice_ = VermaSlice(alg, irr, 6)
+        for g, h in enumerate(molien):
+            assert [slice_.trace(g, n) for n in range(7)] == [
+                irr.character[g] * hn for hn in h
+            ], (irr.label, g)
 
 
 @pytest.mark.parametrize("spec,ell", BUILTIN_FAMILIES)
@@ -780,13 +852,12 @@ def test_exterior_traces_invert_the_monomial_traces(spec, ell):
     # and e_1 is the trace of g on h*
     alg = make_algebra(spec, ell, [Fraction(1, 3)])
     for g in range(len(alg.group)):
-        e = alg.exterior_traces(g)
+        e = _exterior_traces(alg.group, g)
         h = [monomial_trace(alg, g, n) for n in range(7)]
         assert len(e) == alg.dim + 1 and e[0] == 1 and e[1] == h[1]
         for n in range(1, 7):
             terms = (e[k] * h[n - k] * (-1) ** k for k in range(min(n, alg.dim) + 1))
             assert sum(terms, ZERO) == 0, (g, n)
-        assert alg.exterior_traces(g) is e
 
 
 @contextlib.contextmanager
