@@ -79,6 +79,14 @@ def _degree_sums(el: PBWElement) -> tuple[int, int]:
     return sum(sum(i) for i, _, _ in el.terms), sum(sum(j) for _, _, j in el.terms)
 
 
+def _naturals(values: tuple) -> bool:
+    """Whether every value is a non-negative int (a bool is not)."""
+    for e in values:
+        if type(e) is not int or e < 0:
+            return False
+    return True
+
+
 def _chain(cache: dict, key, deg: tuple, start, step) -> dict:
     """The value at deg of a table cached under key(degree), filled without
     recursion: walk down by lowering the first nonzero exponent b until a
@@ -289,10 +297,7 @@ class CherednikAlgebra:
         """(I, g, J) with I and J as tuples; ValueError unless I and J are
         dim non-negative ints and g is an int in 0..|G|-1."""
         i, j = tuple(i), tuple(j)
-        ok = len(i) == len(j) == self.dim
-        for e in i + j:
-            ok = ok and type(e) is int and e >= 0
-        if not ok:
+        if not (len(i) == len(j) == self.dim and _naturals(i + j)):
             raise ValueError(f"multidegrees {i} and {j} are not {self.dim} non-negative ints each")
         if type(g) is not int or not 0 <= g < len(self.group):
             raise ValueError(f"group element {g} is outside 0..{len(self.group) - 1}")
@@ -343,21 +348,37 @@ class CherednikAlgebra:
 
     def act_on_x_monomial(self, g: int, deg: tuple) -> dict:
         """Expansion of g acting on the A-monomial x^deg (dual action):
-        g(x_b) = sum_i M(g^-1)[b][i] x_i."""
+        g(x_b) = sum_i M(g^-1)[b][i] x_i.  ValueError (`_check_action`)
+        unless g is in 0..|G|-1 and deg is dim non-negative ints."""
+        cached = self._act_a_cache.get((g, deg))
+        if cached is not None:
+            return cached
+        self._check_action(g, deg)
         rows = self.group.matrices[self.group.inv(g)]
         return self._act_on_monomial(self._act_a_cache, rows, g, deg)
 
     def act_on_y_monomial(self, g: int, deg: tuple) -> dict:
         """Expansion of g acting on the B-monomial y^deg (matrix action):
-        g(y_b) = sum_i M(g)[i][b] y_i."""
+        g(y_b) = sum_i M(g)[i][b] y_i, checked as `act_on_x_monomial`."""
+        cached = self._act_b_cache.get((g, deg))
+        if cached is not None:
+            return cached
+        self._check_action(g, deg)
         return self._act_on_monomial(self._act_b_cache, self._transposed[g], g, deg)
+
+    def _check_action(self, g: int, deg: tuple) -> None:
+        """ValueError unless g is an int in 0..|G|-1 and deg is dim
+        non-negative ints; run only on a cache miss, so nothing invalid is
+        ever cached."""
+        if type(g) is not int or not 0 <= g < len(self.group):
+            raise ValueError(f"group element {g} is outside 0..{len(self.group) - 1}")
+        if not (len(deg) == self.dim and _naturals(deg)):
+            raise ValueError(f"multidegree {deg} is not {self.dim} non-negative ints")
 
     def _act_on_monomial(self, cache: dict, rows, g: int, deg: tuple) -> dict:
         """Expansion of a monomial under the linear substitution sending the
-        b-th generator to sum_i rows[b][i] (i-th generator); cached by (g, deg)."""
-        cached = cache.get((g, deg))
-        if cached is not None:
-            return cached
+        b-th generator to sum_i rows[b][i] (i-th generator), cached by
+        (g, deg); the callers look the key up first."""
 
         def step(prev, b, _):
             row = rows[b]

@@ -1,7 +1,7 @@
 """Helpers shared by the test modules: built-in algebras, the commutator
 with the Euler element, random Banach elements, the Dunkl-route
-singular-space oracle, and the command line or Python run in a fresh
-interpreter."""
+singular-space oracle, the all-candidates radical oracle, and the command
+line or Python run in a fresh interpreter."""
 
 import os
 import subprocess
@@ -11,7 +11,7 @@ from pathlib import Path
 
 from cherednik import linalg
 from cherednik.banach import BanachElement
-from cherednik.category_o import VermaSlice, dunkl_action
+from cherednik.category_o import VermaSlice, dunkl_action, singular_vectors
 from cherednik.groups import ReflectionFunction, builtin_group, find_reflections
 from cherednik.pbw import CherednikAlgebra
 from cherednik.scalars import ZERO
@@ -69,6 +69,23 @@ def brute_force_singular_dims(alg, w, cutoff):
                 rows.append([images[j][i][r] for j in range(cols)])
         dims[n] = len(linalg.nullspace(rows)) if rows else cols
     return dims
+
+
+def all_candidates_radical(alg, w, cutoff):
+    """Oracle: the killed rows of the simple quotient of the Verma slice,
+    built with every x_i . row of J_(n-1) as a candidate for degree n (no
+    Groebner bookkeeping), then the singular vectors of that partial
+    quotient."""
+    slice_ = VermaSlice(alg, w, cutoff)
+    x_groups = [slice_._groups(alg.x(i + 1)) for i in range(alg.dim)]
+    for n in range(1, cutoff + 1):
+        killed = slice_.killed[n]
+        for row in slice_.killed[n - 1].values():
+            for groups in x_groups:
+                linalg.extend_echelon(killed, slice_._apply(groups, n - 1, row, {})[n])
+        for v in singular_vectors(slice_, n).vectors:
+            linalg.extend_echelon(killed, v)
+    return slice_.killed
 
 
 def group_file_text(spec, labels=None):

@@ -1,6 +1,7 @@
 """Verma slices, singular vectors, simple quotients, the linkage order,
 blocks, and decomposition matrices, with brute-force kernel oracles."""
 
+import copy
 import math
 import random
 import weakref
@@ -37,7 +38,7 @@ from cherednik.groups import (
 )
 from cherednik.pbw import AlgebraMismatch, CherednikAlgebra, PBWElement
 from cherednik.scalars import Scalar, ZERO, ONE
-from helpers import brute_force_singular_dims, cli_job, make_algebra
+from helpers import all_candidates_radical, brute_force_singular_dims, cli_job, make_algebra
 from test_pbw import gc_disabled, monomial_trace
 
 
@@ -185,6 +186,21 @@ class TestVermaAction:
             verma_action(slice_, alg.x(1), slice_.basis_vector(3, 0))
         with pytest.raises(CutoffExceeded):
             slice_.apply_x_full(0, 3, slice_.basis_vector(3, 0)[3])
+
+    @pytest.mark.parametrize("name", ["x", "y"])
+    def test_dense_generator_indices_run_from_zero(self, name):
+        # apply_x_full(-1, ...) used to fail naming x index 0, an index the
+        # caller never gave
+        alg = make_algebra("s3", 1, [Fraction(1, 2)])
+        slice_ = VermaSlice(alg, irrep_of(alg, "standard"), 3)
+        apply, vec = getattr(slice_, f"apply_{name}_full"), slice_.basis_vector(1, 0)[1]
+        for i in (-1, 2):
+            with pytest.raises(ValueError, match=f"{name} index {i} is outside 0..1"):
+                apply(i, 1, vec)
+        target = 2 if name == "x" else 0
+        for i in (0, 1):
+            image = verma_action(slice_, getattr(alg, name)(i + 1), {1: vec})
+            assert apply(i, 1, vec) == image.get(target, [ZERO] * slice_.dim(target))
 
     def test_element_of_another_algebra_is_refused(self):
         # the same group and parameter, but another algebra instance
@@ -1245,6 +1261,101 @@ def beg_trace_series(alg, g, r, h, cutoff):
         sum((numerator[k] * molien[n - k] for k in range(n + 1)), ZERO)
         for n in range(cutoff + 1)
     ]
+
+
+def radical_state(slice_):
+    """A deep copy of the radical and its Groebner bookkeeping."""
+    return copy.deepcopy(
+        (slice_.killed, slice_._radical_top, slice_._generators, slice_._pairs)
+    )
+
+
+class TestGroebnerRadical:
+    """The radical's x step by Groebner bookkeeping (one candidate per new
+    lead plus the degree's S-pairs) against the all-candidates oracle, and
+    the order of the steps."""
+
+    S4_LISTED = ("triv", "standard", "dim2")
+
+    @pytest.mark.parametrize(
+        "spec,ell,c,cutoff,listed",
+        [
+            ("s3", 1, Fraction(1, 2), 8, None),
+            ("s4", 1, Fraction(1, 2), 8, None),
+            ("s4", 1, Fraction(1, 3), 8, None),
+            ("s4", 1, Fraction(3, 2), 8, None),
+            # triv: a chain criterion that skips every pair whose lcm a third
+            # lead divides drops S-pairs it needs here
+            ("s4", 1, Fraction(3, 4), 8, None),
+            ("dihedral:5", 5, Fraction(1, 5), 12, None),
+            ("dihedral:5", 5, Fraction(2, 5), 12, None),
+            ("s4", 1, Fraction(1, 2), 8, S4_LISTED),
+        ],
+    )
+    def test_killed_rows_match_the_all_candidates_oracle(self, spec, ell, c, cutoff, listed):
+        alg = make_algebra(spec, ell, [c])
+        if listed:
+            alg = CherednikAlgebra(
+                alg.group, alg.c, irreps=[w for w in alg.irreps if w.label in listed]
+            )
+        for w in alg.irreps:
+            oracle = all_candidates_radical(alg, w, cutoff)
+            slice_ = VermaSlice(alg, w, cutoff)
+            for n in range(1, cutoff + 1):
+                slice_.kill_submodule(n)
+                assert slice_.killed[n] == oracle[n], (w.label, n)
+            assert slice_.killed == oracle
+
+    def test_the_s_pairs_carry_new_leads(self):
+        # s4 at c = 1/3, triv: without its S-pairs the radical misses rows,
+        # and the killed space stops being G-stable at degree 4
+        alg = make_algebra("s4", 1, [Fraction(1, 3)])
+        triv = irrep_of(alg, "triv")
+        slice_, _ = simple_quotient_slice(alg, triv, 12)
+        assert slice_.killed == all_candidates_radical(alg, triv, 12)
+        assert sum(len(pairs) for pairs in slice_._pairs.values()) > 0
+
+    def test_steps_run_in_order(self):
+        # kill_submodule(3) on a fresh slice used to read J_2 as zero and
+        # build a wrong radical
+        alg = make_algebra("s3", 1, [Fraction(1, 3)])
+        triv = irrep_of(alg, "triv")
+        slice_ = VermaSlice(alg, triv, 4)
+        with pytest.raises(ValueError, match="built through degree 0, so the next step is 1, not 3"):
+            slice_.kill_submodule(3)
+        assert radical_state(slice_) == radical_state(VermaSlice(alg, triv, 4))
+        slice_.kill_submodule(1)
+        slice_.kill_submodule(2)
+        state = radical_state(slice_)
+        assert state[0][1] and state[2]
+        for n in (1, 2, 4):
+            with pytest.raises(ValueError, match=f"through degree 2, so the next step is 3, not {n}"):
+                slice_.kill_submodule(n)
+            assert radical_state(slice_) == state
+        slice_.kill_submodule(3)
+        slice_.kill_submodule(4)
+        assert slice_.killed == all_candidates_radical(alg, triv, 4)
+        assert [slice_.dim(n) for n in range(5)] == [1, 0, 0, 0, 0]
+
+    def test_a_step_that_raises_leaves_the_slice_as_it_was(self, monkeypatch):
+        alg = make_algebra("s4", 1, [Fraction(1, 3)])
+        triv = irrep_of(alg, "triv")
+        slice_ = VermaSlice(alg, triv, 6)
+        for n in range(1, 4):
+            slice_.kill_submodule(n)
+        state = radical_state(slice_)
+
+        def failing(slice_, n):
+            raise RuntimeError("stopped")
+
+        monkeypatch.setattr(category_o, "singular_vectors", failing)
+        with pytest.raises(RuntimeError, match="stopped"):
+            slice_.kill_submodule(4)
+        assert radical_state(slice_) == state
+        monkeypatch.undo()
+        for n in range(4, 7):
+            slice_.kill_submodule(n)
+        assert slice_.killed == all_candidates_radical(alg, triv, 6)
 
 
 class TestFiniteDimensionalTriv:

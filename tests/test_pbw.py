@@ -268,6 +268,58 @@ class TestTermChecks:
             make(1, -1)
         assert [str(make(i, 2)) for i in (1, 2)] == [f"{name}1^2", f"{name}2^2"]
 
+    def test_a_negative_exponent_in_a_monomial_action_in_a_fresh_process(self):
+        # act_on_x_monomial(0, (-1, 0)) used to walk _chain down forever
+        code = (
+            "from fractions import Fraction\n"
+            "from helpers import make_algebra\n"
+            "alg = make_algebra('s3', 1, [Fraction(1, 2)])\n"
+            "for act in (alg.act_on_x_monomial, alg.act_on_y_monomial):\n"
+            "    try:\n"
+            "        act(0, (-1, 0))\n"
+            "    except ValueError as exc:\n"
+            "        print(exc)\n"
+        )
+        done = python_job(["-c", code], timeout=2)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "multidegree (-1, 0) is not 2 non-negative ints\n" * 2
+
+    BAD_ACTIONS = [
+        (-1, (1, 0), "group element -1 is outside 0..5"),
+        (6, (1, 0), "group element 6 is outside 0..5"),
+        (0, (1,), r"multidegree \(1,\) is not 2 non-negative ints"),
+        (0, (1, 0, 0), r"multidegree \(1, 0, 0\) is not 2"),
+        (0, (1.0, 0), r"multidegree \(1.0, 0\) is not 2"),
+        (0, (0, -2), r"multidegree \(0, -2\) is not 2"),
+    ]
+
+    @pytest.mark.parametrize("side", ["x", "y"])
+    def test_monomial_actions_check_a_missed_key(self, side, monkeypatch):
+        # g = -1 used to act as g5 and be cached under -1, and (1,) to
+        # return garbage; the check runs only when the key misses the cache
+        alg = make_algebra("s3", 1, [Fraction(1, 2)])
+        act = getattr(alg, f"act_on_{side}_monomial")
+        cache = alg._act_a_cache if side == "x" else alg._act_b_cache
+        for g, deg, message in self.BAD_ACTIONS:
+            with pytest.raises(ValueError, match=message):
+                act(g, deg)
+            assert (g, deg) not in cache
+        group = alg.group
+        matrix = group.matrices[group.inv(5) if side == "x" else 5]
+        column = [row[0] for row in matrix]
+        expected = {(1, 0): matrix[0][0], (0, 1): matrix[0][1]} if side == "x" else {
+            (1, 0): column[0], (0, 1): column[1]
+        }
+        assert act(5, (1, 0)) == {m: v for m, v in expected.items() if v}
+        assert act(0, (2, 1)) == {(2, 1): ONE}
+        checked = []
+        monkeypatch.setattr(alg, "_check_action", lambda g, deg: checked.append((g, deg)))
+        act(5, (1, 0))
+        act(0, (2, 1))
+        assert checked == []
+        act(1, (1, 1))
+        assert checked == [(1, (1, 1))]
+
     def test_group_elements_run_from_zero_to_the_order_less_one(self):
         alg = make_algebra("s3", 1, [Fraction(1, 2)])
         for g in (-1, 6):
