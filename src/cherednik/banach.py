@@ -1,5 +1,5 @@
 """Level-m Banach completions of the algebra: weighted Gauss norms, the
-lattice condition selecting the lowering weight r(m), weight-space
+lattice condition certifying the lowering weight r(m), weight-space
 decompositions of norm-truncated elements, analytic Verma slices with
 operator-norm certificates, and cross-level compatibility of families.
 
@@ -20,12 +20,13 @@ from .scalars import INF, ONE, ComputationLimit, PadicContext, Scalar, Valuation
 
 
 class TailDominated(ComputationLimit, ArithmeticError):
-    """Every stored term sits at or beyond the tail bound; the norm is only
-    known to lie in [tau, infinity).  Increase the precision."""
+    """No exact stored weight is at or below every inexact bound and the
+    tail bound; the norm is only known to lie in [bound, infinity).
+    Increase the precision."""
 
-    def __init__(self, tau):
-        super().__init__(f"norm is tail-dominated: only >= {tau} is known")
-        self.tau = tau
+    def __init__(self, bound):
+        super().__init__(f"norm is tail-dominated: only >= {bound} is known")
+        self.bound = bound
 
 
 class PrecisionExhausted(ComputationLimit):
@@ -115,10 +116,11 @@ class BanachElement:
         if self.params != other.params:
             raise ValueError("operands live at different levels")
         prod = self.to_pbw() * other.to_pbw()
-        # conservative tail rule: tau(ab) = min(tau_a + minw(b), tau_b + minw(a))
-        tau = min(self.tau + other.min_weight(), other.tau + self.min_weight())
-        if tau == INF:  # one factor is exactly zero
-            tau = min(self.tau, other.tau)
+        # every omitted term of ab comes from a tail times a stored part or
+        # a tail: tau(ab) = min(tau_a + minw(b), tau_b + minw(a), tau_a + tau_b)
+        tau = min(
+            self.tau + other.min_weight(), other.tau + self.min_weight(), self.tau + other.tau
+        )
         return BanachElement.from_pbw(prod, self.params, int(tau))
 
     def __add__(self, other):
@@ -134,17 +136,26 @@ class BanachElement:
         return f"<Banach level={self.params.level} tau={self.tau} {self.to_pbw()}>"
 
 
+def _least(values) -> tuple:
+    """(e, b) over a collection of (value, exact) pairs: e the least exact
+    value and b the least inexact bound, each INF when there is none.  The
+    least value is certified to be e exactly when e <= b."""
+    exact = min((v for v, ex in values if ex), default=INF)
+    bound = min((v for v, ex in values if not ex), default=INF)
+    return exact, bound
+
+
 def gauss_norm(x: BanachElement) -> int:
-    """The norm exponent: min over stored terms of the weighted valuation.
-    Raises TailDominated when no stored term certifies a value below tau,
-    including when the minimal coefficient valuation exhausted the working
-    precision (the remedy is the same: increase the precision)."""
-    if not x.weighted:
-        raise TailDominated(x.tau)
-    term, (mval, exact) = min(x.weighted.items(), key=lambda kv: (kv[1][0], kv[0]))
-    if mval >= x.tau or not exact:
-        raise TailDominated(x.tau)
-    return int(mval)
+    """The norm exponent: the least weighted valuation of the element.
+    With e the least exact stored weight and b the lesser of the least
+    inexact stored bound and tau (`_least`), it is e when e <= b; otherwise
+    only >= b is known and TailDominated(b) is raised (the remedy is to
+    increase the precision)."""
+    exact, bound = _least(x.weighted.values())
+    bound = min(bound, x.tau)
+    if exact > bound:
+        raise TailDominated(int(bound))
+    return int(exact)
 
 
 def rho_c(algebra: CherednikAlgebra, ctx: PadicContext) -> int:
@@ -152,11 +163,11 @@ def rho_c(algebra: CherednikAlgebra, ctx: PadicContext) -> int:
     which r(m) must exceed m so the weighted Dunkl data is integral.
 
     With e the least exact valuation of the coefficients and b the least
-    inexact bound, it is max(0, -e) when b >= min(e, 0); otherwise the
-    precision decides nothing and PrecisionExhausted is raised."""
+    inexact bound (`_least`), it is max(0, -e) when b >= min(e, 0);
+    otherwise the precision decides nothing and PrecisionExhausted is
+    raised."""
     vals = [val(algebra.reflection_coefficient(r), ctx) for r in algebra.reflections]
-    exact = min((v.value for v in vals if v.exact), default=INF)
-    bound = min((v.value for v in vals if not v.exact), default=INF)
+    exact, bound = _least([(v.value, v.exact) for v in vals])
     if bound < min(exact, 0):
         raise PrecisionExhausted(
             f"rho_c is undecided at precision {ctx.precision}: a reflection "
@@ -235,21 +246,24 @@ def lattice_check(algebra: CherednikAlgebra, ctx: PadicContext, m: int, r: int) 
 
 
 def level_tower(algebra: CherednikAlgebra, ctx: PadicContext, top: int) -> list:
-    """LevelParams for levels 0..top.  Level m starts at
-    r = max(r(m-1) + 1, m + rho_c) (with r(-1) = 0) and bumps r until the
-    lattice check passes, so every r is certified and the sequence strictly
-    increases.  A top above MAX_LEVEL raises LevelTooHigh at once."""
+    """LevelParams for levels 0..top, level m with r = m + max(1, rho_c).
+
+    Write s - 1 = u beta^T, so <beta, u> = lambda_s - 1, and let q be the
+    first nonzero coordinate of beta: alpha_s = beta / beta_q and
+    alpha_s^v = 2 beta_q u / (lambda_s - 1), so each relation coefficient
+    is c(s) alpha_s[a] alpha_s^v[b] = kappa_s (s - 1)[b][a] / lambda_s.
+    The group matrices are integral and lambda_s is a root of unity, so its
+    valuation v is >= v(kappa_s) >= -rho_c.  A lattice-check weight
+    v + m + r = v + 2m + max(1, rho_c) is least at level 0, so the one
+    check there certifies every level; its failing would contradict the
+    identity, a bug (RuntimeError).  A top above MAX_LEVEL raises
+    LevelTooHigh at once."""
     if top > MAX_LEVEL:
         raise LevelTooHigh(f"level {top} is above the limit MAX_LEVEL = {MAX_LEVEL}")
-    rho = rho_c(algebra, ctx)
-    out = []
-    r = 0
-    for m in range(top + 1):
-        r = max(r + 1, m + rho)
-        while not lattice_check(algebra, ctx, m, r).passed:
-            r += 1
-        out.append(LevelParams(m, r, ctx))
-    return out
+    r0 = max(1, rho_c(algebra, ctx))
+    if top >= 0 and not lattice_check(algebra, ctx, 0, r0).passed:
+        raise RuntimeError(f"the lattice check fails at level 0 with r = {r0} = max(1, rho_c)")
+    return [LevelParams(m, m + r0, ctx) for m in range(top + 1)]
 
 
 def weight_decompose_banach(x: BanachElement) -> dict:
@@ -335,8 +349,8 @@ def analytic_verma_slice(
     # valuation of its image entries (each sums over group elements before it
     # is valued) plus r (the shift adds to a valuation), plus m for the
     # degree it lowers; each distinct entry value is valued once
-    ys = [(f"p^{r}*y{i + 1}", groups) for i, groups in enumerate(slice_._y_groups)]
-    euler = slice_._groups(algebra.euler_element())
+    ys = [(f"p^{r}*y{i + 1}", y) for i, y in enumerate(slice_._ys)]
+    euler = algebra.euler_element()
     recovered = True
     for n in range(cutoff + 1):
         # the Euler element acts on degree n by c_lambda + n
@@ -344,8 +358,8 @@ def analytic_verma_slice(
         for col in range(slice_.full_dim(n)):
             unit = {col: ONE}
             if n:
-                for name, groups in ys:
-                    entries = slice_._apply(groups, n, unit, {})[n - 1].values()
+                for name, y in ys:
+                    entries = slice_._apply(y, n, unit, {})[n - 1].values()
                     least = min((vals[v].value for v in entries), default=INF)
                     norms[name] = min(norms.get(name, INF), least + r + m)
             if slice_._apply(euler, n, unit, {})[n] != ({col: weight} if weight else {}):

@@ -156,13 +156,14 @@ class VermaSlice:
 
     # -- the module action (ambient coordinates) ----------------------------
 
-    def _act(self, image, n: int, vec: dict, out=None) -> dict:
-        """Scatter a module map on a sparse degree-n vector; returns the sparse
-        image plus `out` (consumed) when it is given.  image(mono) is the
-        map's image of x^mono (x) w, a flat tuple (pos, h, coefficient, ...)
-        meaning coefficient * x^M (x) rho(h) w with M at position pos of the
-        target-degree monomials: the `act_on_verma_terms` table of one
-        degree shift's terms (see `_groups`).  `_apply` is its one caller."""
+    def _act(self, pairs: frozenset, n: int, vec: dict, out=None) -> dict:
+        """Scatter the (term, coef) pairs of one degree shift on a sparse
+        degree-n vector; returns the sparse image plus `out` (consumed) when
+        it is given.  The pairs' image of x^mono (x) w (`act_on_verma_terms`)
+        is a flat tuple (pos, h, coefficient, ...) meaning coefficient *
+        x^M (x) rho(h) w with M at position pos of the target-degree
+        monomials.  `_apply` is its one caller."""
+        image = self.algebra.act_on_verma_terms(pairs)
         d = self.irrep.dim
         acc = {} if out is None else out
         blocks: dict[int, list] = {}
@@ -180,14 +181,14 @@ class VermaSlice:
         return _settle(acc)
 
     @cached_property
-    def _y_groups(self) -> list:
-        """The groups (`_groups`) of each y_i, built once per slice."""
-        return [self._groups(self.algebra.y(i + 1)) for i in range(self.algebra.dim)]
+    def _ys(self) -> list:
+        """Each y_i, kept with its split for the life of the slice."""
+        return [self.algebra.y(i + 1) for i in range(self.algebra.dim)]
 
     @cached_property
-    def _g_groups(self) -> list:
-        """The groups (`_groups`) of each group element g, built once per slice."""
-        return [self._groups(self.algebra.g(g)) for g in range(len(self.algebra.group))]
+    def _gs(self) -> list:
+        """Each group element g, kept with its split for the life of the slice."""
+        return [self.algebra.g(g) for g in range(len(self.algebra.group))]
 
     @cached_property
     def _rho_columns(self) -> list:
@@ -199,52 +200,45 @@ class VermaSlice:
             for m in self.irrep.matrices
         ]
 
-    def _groups(self, a: PBWElement) -> list:
-        """(shift, least |J|, image) per degree shift |I| - |J| of a's terms,
-        the image merging that shift's terms (`act_on_verma_terms`), read
-        off the element's kept split (`PBWElement.degree_split`)."""
-        merged_image = self.algebra.act_on_verma_terms
-        return [
-            (shift, least_j, merged_image(pairs))
-            for shift, least_j, pairs in a.degree_split()
-        ]
-
-    def _apply(self, groups: list, n: int, vec: dict, acc: dict) -> dict:
+    def _apply(self, a: PBWElement, n: int, vec: dict, acc: dict) -> dict:
         """The degree rule of every action on the slice: each (shift, least
-        |J|, image) group sends the sparse degree-n vector to degree
-        n + shift, added into acc[n + shift], and acts by zero when its
-        least |J| exceeds n (that term keeps n + shift >= 0).  A degree n
-        that some group would raise past the cutoff raises CutoffExceeded,
-        even where the vector is zero or the group acts by zero.  Returns
-        acc."""
-        if groups and n + max(shift for shift, _, _ in groups) > self.cutoff:
+        |J|, pairs) entry of a's kept split (`PBWElement.degree_split`)
+        sends the sparse degree-n vector to degree n + shift, added into
+        acc[n + shift], and acts by zero when its least |J| exceeds n (that
+        term keeps n + shift >= 0).  A degree n that some shift would raise
+        past the cutoff raises CutoffExceeded, even where the vector is zero
+        or the shift acts by zero.  Returns acc."""
+        split = a.degree_split()
+        if split and n + max(shift for shift, _, _ in split) > self.cutoff:
             raise CutoffExceeded(
                 f"term raises degree {n} beyond the truncation {self.cutoff}"
             )
-        for shift, least_j, image in groups:
+        for shift, least_j, pairs in split:
             if least_j <= n:
-                acc[n + shift] = self._act(image, n, vec, acc.get(n + shift))
+                acc[n + shift] = self._act(pairs, n, vec, acc.get(n + shift))
         return acc
 
-    def _apply_full(self, group, n: int, vec: list):
-        """One group on a dense ambient degree-n vector: (target degree, dense
-        image), the image None when the group acts by zero on degree n."""
-        target = n + group[0]
-        out = self._apply([group], n, linalg.sparse(vec), {}).get(target)
+    def _apply_full(self, a: PBWElement, n: int, vec: list):
+        """An element of one degree shift on a dense ambient degree-n vector:
+        (target degree, dense image), the image None when it acts by zero
+        on degree n."""
+        ((shift, _, _),) = a.degree_split()
+        target = n + shift
+        out = self._apply(a, n, linalg.sparse(vec), {}).get(target)
         return target, None if out is None else linalg.dense(out, self.full_dim(target))
 
     def apply_x_full(self, i: int, n: int, vec: list) -> list:
         """Action of x_i (0-based), the term (e_i, 1, 0), from degree n to
         n + 1.  ValueError for i outside 0..dim-1."""
         self._check_index(i, "x")
-        return self._apply_full(*self._groups(self.algebra.x(i + 1)), n, vec)[1]
+        return self._apply_full(self.algebra.x(i + 1), n, vec)[1]
 
     def apply_y_full(self, i: int, n: int, vec: list) -> list:
         """Action of y_i (0-based), the term (0, 1, e_i), from degree n to
         n - 1; degree 0 maps to the empty vector.  ValueError for i outside
         0..dim-1."""
         self._check_index(i, "y")
-        return self._apply_full(*self._groups(self.algebra.y(i + 1)), n, vec)[1] or []
+        return self._apply_full(self._ys[i], n, vec)[1] or []
 
     def _check_index(self, i: int, name: str):
         """Raise ValueError unless the 0-based generator index i is in 0..dim-1."""
@@ -253,16 +247,15 @@ class VermaSlice:
 
     def apply_g_full(self, g: int, n: int, vec: list) -> list:
         """Action of the group element g, the term (0, g, 0), on degree n."""
-        return self._apply_full(*self._groups(self.algebra.g(g)), n, vec)[1]
+        return self._apply_full(self.algebra.g(g), n, vec)[1]
 
     def apply_term_full(self, term, coef, n: int, vec: list):
         """One PBW monomial acting from degree n; returns (degree, vector),
         with the vector None when the term kills degree n.  A zero
         coefficient gives the zero vector where the term does not."""
-        ideg, _, jdeg = term
-        pairs = frozenset(self.algebra.monomial(*term, coef).terms.items())
-        image = self.algebra.act_on_verma_terms(pairs)
-        return self._apply_full((sum(ideg) - sum(jdeg), sum(jdeg), image), n, vec)
+        alg = self.algebra
+        # a zero coefficient is kept, so the term still sets the degree rule
+        return self._apply_full(PBWElement(alg, {alg._term(*term): Scalar.rational(coef)}), n, vec)
 
     def basis_vector(self, n: int, index: int) -> dict:
         vec = [ZERO] * self.dim(n)
@@ -616,17 +609,17 @@ def _linkage(algebra: CherednikAlgebra, c: Scalar) -> dict:
 def verma_action(slice_: VermaSlice, a: PBWElement, mv: dict) -> dict:
     """Module action of a PBW element on a vector in slice coordinates;
     linear in the vector.  The terms act through one merged image per
-    degree shift (`VermaSlice._groups`), each degree of the vector through
-    the slice's one degree rule (`VermaSlice._apply`), so a degree that
-    some term would raise past the cutoff raises CutoffExceeded.  A degree
+    degree shift of the element's kept split (`PBWElement.degree_split`),
+    each degree of the vector through the slice's one degree rule
+    (`VermaSlice._apply`), so a degree that some term would raise past the
+    cutoff raises CutoffExceeded.  A degree
     outside 0..cutoff, or coordinates not dim(n) long, raise ValueError."""
     if a.algebra is not slice_.algebra:
         raise AlgebraMismatch("element belongs to a different algebra")
-    groups = slice_._groups(a)
     acc: dict[int, dict] = {}
     for n, freevec in mv.items():
         slice_._check_vector(n, freevec)
-        slice_._apply(groups, n, slice_.lift(n, freevec), acc)
+        slice_._apply(a, n, slice_.lift(n, freevec), acc)
     return _mv_prune({n: slice_.to_free(n, v) for n, v in acc.items()})
 
 
@@ -787,9 +780,9 @@ def _y_kernel(slice_: VermaSlice, n: int, block: list) -> list:
     below = slice_.killed[n - 1]
     # one row per (i, coordinate of degree n - 1), one column per block vector
     stacked: dict = {}
-    for i, groups in enumerate(slice_._y_groups):
+    for i, y in enumerate(slice_._ys):
         for b, vec in enumerate(block):
-            image = slice_._apply(groups, n, vec, {}).get(n - 1, {})
+            image = slice_._apply(y, n, vec, {}).get(n - 1, {})
             for q, x in linalg.reduce_against(image, below).items():
                 stacked.setdefault((i, q), {})[b] = x
     basis = linalg.kernel(stacked.values(), len(block))
@@ -839,15 +832,14 @@ def _isotypic_block(slice_: VermaSlice, irr: Irrep, n: int, m: int) -> list:
     e_E = alg.element(
         {(zero, g, zero): weight * irr.matrices[group.inv(g)][0][0] for g in range(len(group))}
     )
-    groups = slice_._groups(e_E)
-    images = (slice_._apply(groups, n, {p: ONE}, {})[n] for p in slice_.free_positions(n))
+    images = (slice_._apply(e_E, n, {p: ONE}, {})[n] for p in slice_.free_positions(n))
     return _span(slice_, n, images, m)
 
 
 def _g_span(slice_: VermaSlice, n: int, vectors: list, dim: int) -> list:
     """Reduced echelon basis (sparse ambient rows, reduced against the
     killed rows) of the G-span of the vectors, which has dimension dim."""
-    images = (slice_._apply(groups, n, v, {})[n] for groups in slice_._g_groups for v in vectors)
+    images = (slice_._apply(g, n, v, {})[n] for g in slice_._gs for v in vectors)
     return _span(slice_, n, images, dim)
 
 

@@ -190,7 +190,7 @@ def _norm_text(element: banach.BanachElement) -> str:
     try:
         return str(banach.gauss_norm(element))
     except banach.TailDominated as exc:
-        return f"tail-dominated (>= {exc.tau})"
+        return f"tail-dominated (>= {exc.bound})"
 
 
 def _cmd_norm(cfg: JobConfig, algebra: CherednikAlgebra) -> Report:
@@ -211,7 +211,7 @@ def _cmd_lattice_check(cfg: JobConfig, algebra: CherednikAlgebra) -> Report:
     lo, hi = cfg.level_range()
     ctx = build_context(cfg, algebra)
     tower = banach.level_tower(algebra, ctx, hi)
-    # level_tower returns only r values whose lattice check passed
+    # level_tower's one lattice check, at level 0, certifies every level
     rows = [(params.level, params.r, "pass", "") for params in tower[lo : hi + 1]]
     return Report(("level", "r", "status", "detail"), rows)
 

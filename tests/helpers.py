@@ -77,12 +77,12 @@ def all_candidates_radical(alg, w, cutoff):
     Groebner bookkeeping), then the singular vectors of that partial
     quotient."""
     slice_ = VermaSlice(alg, w, cutoff)
-    x_groups = [slice_._groups(alg.x(i + 1)) for i in range(alg.dim)]
+    xs = [alg.x(i + 1) for i in range(alg.dim)]
     for n in range(1, cutoff + 1):
         killed = slice_.killed[n]
         for row in slice_.killed[n - 1].values():
-            for groups in x_groups:
-                linalg.extend_echelon(killed, slice_._apply(groups, n - 1, row, {})[n])
+            for x in xs:
+                linalg.extend_echelon(killed, slice_._apply(x, n - 1, row, {})[n])
         for v in singular_vectors(slice_, n).vectors:
             linalg.extend_echelon(killed, v)
     return slice_.killed

@@ -9,10 +9,12 @@ from functools import reduce
 
 import pytest
 
-from cherednik import banach, linalg
+from cherednik import banach, cli, linalg
 from cherednik.banach import (
     MAX_LEVEL,
     BanachElement,
+    LatticeReport,
+    LevelParams,
     LevelTooHigh,
     PrecisionExhausted,
     TailDominated,
@@ -46,6 +48,14 @@ CYCLIC6_C = [
 ]
 
 
+# every built-in group, each over the field of its order
+BUILTIN_SPECS = (
+    [(f"cyclic:{n}", n) for n in range(1, 13)]
+    + [(f"dihedral:{n}", n) for n in range(3, 9)]
+    + [("s3", 1), ("s4", 1)]
+)
+
+
 def params_for(alg, ctx, m):
     return level_tower(alg, ctx, m)[m]
 
@@ -76,8 +86,37 @@ class TestGaussNorm:
             gauss_norm(BanachElement.from_pbw(alg.zero(), params))
         tiny = BanachElement.from_pbw(alg.scalar(5**70), params)
         assert tiny.terms == {}
-        with pytest.raises(TailDominated):
+        with pytest.raises(TailDominated) as err:
             gauss_norm(tiny)
+        assert err.value.bound == CTX5.precision
+
+    @pytest.mark.parametrize(
+        "element, shown",
+        [
+            ("(z - 3)*x1^2 + 121*(z-3)*y1", "tail-dominated (>= 0)"),
+            ("11*x1 + 121*(z - 3)*y1", "0"),
+        ],
+    )
+    def test_the_norm_job_prints_only_certified_exponents(self, tmp_path, element, shown):
+        # z - 3 vanishes modulo 11^2, so at precision 2 both (z - 3) terms
+        # weigh >= 0 only (precision 64 finds the x1^2 term at exactly 0):
+        # an exact weight is the norm only when no inexact bound lies below
+        # it, whichever term sorts first
+        cfg, out = tmp_path / "norm.cfg", tmp_path / "norm.tsv"
+        cfg.write_text(
+            "group = dihedral:5\nfield = cyclotomic:5\nc = 1/5\nprime = 11\n"
+            f"precision = 2\nlevel = 1\nelement = {element}\n"
+        )
+        assert cli.main(["norm", "--config", str(cfg), "--out", str(out)]) == 0
+        assert f"# norm_exponent: {shown}\n" in out.read_text(encoding="utf-8")
+
+    def test_a_product_of_two_tails_bounds_its_omitted_terms(self):
+        # x1 weighs -1 at level 1, so with tau = -1 nothing is stored, yet
+        # the omitted x1^2 of the product weighs -2
+        alg = make_algebra("cyclic:2", 1, [Fraction(1, 2)])
+        a = BanachElement.from_pbw(alg.x(1), params_for(alg, CTX5, 1), tau=-1)
+        assert a.terms == {}
+        assert (a * a).tau == -2
 
     def test_each_term_is_valued_once(self, monkeypatch):
         # the norm job reads weights, the least weight and the norm of one
@@ -212,6 +251,59 @@ class TestChooseR:
         else:
             assert rho_c(alg, ctx) == 2
             assert [p.r for p in level_tower(alg, ctx, 2)] == rs
+
+    @pytest.mark.parametrize("spec, ell", BUILTIN_SPECS)
+    def test_relation_coefficients_are_kappa_times_integral_entries(self, spec, ell):
+        # c(s) alpha_s[a] alpha_s^v[b] = kappa_s (s - 1)[b][a] / lambda_s,
+        # which bounds their valuations below by -rho_c
+        alg = make_algebra(spec, ell, [Fraction(3, 7)])
+        for (a, b), pairs in alg.relation.items():
+            expected = []
+            for r in alg.reflections:
+                entry = alg.group.matrices[r.index][b][a] - int(a == b)
+                coef = alg.reflection_coefficient(r) * entry / r.eigenvalue
+                if coef:
+                    expected.append((r.index, coef))
+            assert pairs == expected
+
+    @pytest.mark.parametrize(
+        "spec, ell, c, ctx, rho",
+        [
+            ("cyclic:2", 1, [0], CTX5, 0),
+            ("cyclic:2", 1, [Fraction(1, 2)], CTX5, 0),
+            ("cyclic:2", 1, [Fraction(1, 5)], CTX5, 1),
+            ("cyclic:2", 1, [Fraction(1, 25)], CTX5, 2),
+            ("s3", 1, [Fraction(2, 81)], PadicContext(3, 64), 4),
+            ("dihedral:5", 5, [Fraction(1, 5)], PadicContext(11, 2, 5), 0),
+            ("dihedral:5", 5, [(Scalar.zeta(5) - 3) / 11**4], PadicContext(11, 3, 5), 2),
+            ("cyclic:6", 6, CYCLIC6_C, PadicContext(7, 64, 6), 3),
+        ],
+    )
+    def test_r_is_m_plus_max_one_rho_c(self, spec, ell, c, ctx, rho, monkeypatch):
+        # one lattice check, at level 0, certifies the whole tower
+        alg = make_algebra(spec, ell, c)
+        assert rho_c(alg, ctx) == rho
+        check, calls = banach.lattice_check, []
+        monkeypatch.setattr(banach, "lattice_check", lambda *a: calls.append(a[2:]) or check(*a))
+        tower = level_tower(alg, ctx, 6)
+        assert calls == [(0, max(1, rho))]
+        assert [p.r for p in tower] == [m + max(1, rho) for m in range(7)]
+        assert all(check(alg, ctx, p.level, p.r).passed for p in tower)
+
+    def test_a_failing_level_zero_check_is_a_bug(self, monkeypatch):
+        alg = make_algebra("cyclic:2", 1, [Fraction(1, 2)])
+        failing = LatticeReport([("p^0*y1 * p^0*x1", -1)])
+        monkeypatch.setattr(banach, "lattice_check", lambda *a: failing)
+        with pytest.raises(RuntimeError, match="level 0 with r = 1"):
+            level_tower(alg, CTX5, 2)
+        # an empty tower runs no check
+        assert level_tower(alg, CTX5, -1) == []
+
+    def test_level_params_are_checked(self):
+        with pytest.raises(ValueError, match="level must be >= 0"):
+            LevelParams(-1, 1, CTX5)
+        with pytest.raises(ValueError, match="r must be a positive integer"):
+            LevelParams(0, 0, CTX5)
 
     def test_the_tower_stops_at_max_level(self):
         assert MAX_LEVEL == 10_000
@@ -576,6 +668,13 @@ class TestTransition:
         with pytest.raises(ValueError):
             transition(el, tower[0])
 
+    def test_context_mismatch_rejected(self):
+        alg = make_algebra("cyclic:2", 1, [Fraction(1, 2)])
+        high = BanachElement.from_pbw(alg.x(1), level_tower(alg, CTX5, 1)[1])
+        low = level_tower(alg, PadicContext(5, 32), 0)[0]
+        with pytest.raises(ValueError, match="one p-adic context"):
+            transition(high, low)
+
 
 class TestCoadmissible:
     def test_constant_polynomial_family(self):
@@ -598,6 +697,13 @@ class TestCoadmissible:
         family = [BanachElement.from_pbw(el, p) for p in tower]
         family[2] = BanachElement.from_pbw(el + alg.one() * 5, tower[2])
         assert coadmissible_check(family) == 2
+
+    def test_a_level_gap_is_rejected(self):
+        alg = make_algebra("cyclic:2", 1, [Fraction(1, 2)])
+        tower = level_tower(alg, CTX5, 2)
+        family = [BanachElement.from_pbw(alg.x(1), tower[m]) for m in (0, 2)]
+        with pytest.raises(ValueError, match="consecutive"):
+            coadmissible_check(family)
 
 
 def dense_certificates(algebra, irrep, params, cutoff):

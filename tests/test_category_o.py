@@ -239,6 +239,11 @@ class TestSliceLimit:
             VermaSlice(alg, standard, 57)
         assert str(err.value) == "the slice has 102660 basis vectors, more than MAX_SLICE_DIM = 100000"
 
+    def test_a_negative_cutoff_is_refused(self):
+        alg = make_algebra("s3", 1, [Fraction(1, 2)])
+        with pytest.raises(ValueError, match="cutoff must be >= 0"):
+            VermaSlice(alg, irrep_of(alg, "triv"), -1)
+
     def test_a_huge_cutoff_exits_3_at_once(self, tmp_path):
         # verma-weights on s4 at cutoff 100000 built monomial tables until it
         # was stopped (1.9 GB in 10 s); it is refused before the first one.
@@ -560,30 +565,36 @@ class TestMergedAction:
         y1 = alg.y(1)
         assert verma_action(slice_, y1, {0: [ONE] * slice_.dim(0)}) == {}
         ((_, least_j, pairs),) = y1.degree_split()
-        assert least_j == 1 and alg._verma_element_cache[pairs] == {}
+        # nothing registers a table for the shift below its least |J|
+        assert least_j == 1 and alg._verma_element_cache.get(pairs, {}) == {}
         verma_action(slice_, y1, {1: [ONE] * slice_.dim(1)})
         assert list(alg._verma_element_cache[pairs]) == list(slice_._monos[1])
 
-
     def test_each_generator_is_split_once_per_slice(self, monkeypatch):
-        # a slice builds the groups of its x_i, y_i and g on first use and
-        # keeps them: a second singular space, at another degree, and a later
-        # radical step split no generator again (the idempotents e_E are
-        # still built and split per call)
+        # a slice keeps its y_i and g with their splits: singular spaces at
+        # two degrees and three radical steps build at most one split per
+        # generator per slice (the idempotents e_E are still built and
+        # split per call)
+        split, built = PBWElement.degree_split, []
+
+        def counted(el):
+            if el._split is None:
+                built.append(el.terms)
+            return split(el)
+
+        monkeypatch.setattr(PBWElement, "degree_split", counted)
         alg = make_algebra("s3", 1, [Fraction(1, 3)])
         triv = irrep_of(alg, "triv")
-        verma, quotient = VermaSlice(alg, triv, 3), VermaSlice(alg, triv, 3)
+        slices = verma, quotient = VermaSlice(alg, triv, 3), VermaSlice(alg, triv, 3)
         assert singular_vectors(verma, 0).dimension == 1
-        quotient.kill_submodule(1)
-        quotient.kill_submodule(2)
+        assert singular_vectors(verma, 1).dimension == 2
+        for n in (1, 2, 3):
+            quotient.kill_submodule(n)
+        assert quotient.dim(3) == 0 and built
         generators = [alg.x(i).terms for i in (1, 2)] + [alg.y(i).terms for i in (1, 2)]
         generators += [alg.g(g).terms for g in range(len(alg.group))]
-        split, seen = PBWElement.degree_split, []
-        monkeypatch.setattr(PBWElement, "degree_split", lambda el: seen.append(el.terms) or split(el))
-        assert singular_vectors(verma, 1).dimension == 2
-        quotient.kill_submodule(3)
-        assert quotient.dim(3) == 0 and seen
-        assert [terms for terms in seen if terms in generators] == []
+        assert any(terms in generators for terms in built)
+        assert all(built.count(terms) <= len(slices) for terms in generators)
 
     def test_a_slice_leaves_its_algebra_free(self):
         # building a slice reads the central Euler part (c_scalar); nothing
@@ -902,6 +913,14 @@ class TestCharacters:
                 for cls in alg.group.conjugacy_classes:
                     traces = {quotient.trace(g, n) for g in cls}
                     assert len(traces) == 1, (w.label, n, cls)
+
+    def test_no_irrep_table_has_no_graded_character(self):
+        # the slice is built from an irrep the algebra does not list
+        group, irreps = builtin_group("s3")
+        c = ReflectionFunction(group, find_reflections(group), [Fraction(1, 2)])
+        slice_ = VermaSlice(CherednikAlgebra(group, c), irreps[0], 2)
+        with pytest.raises(ValueError, match="no irrep table"):
+            slice_.graded_character()
 
     def test_verma_character_matches_elementwise_traces(self):
         alg = make_algebra("dihedral:5", 5, [Fraction(1, 5)])

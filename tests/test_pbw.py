@@ -163,6 +163,11 @@ class TestMultiplication:
             base**k
         assert base ** (k - 1) == power
 
+    def test_a_negative_power_is_refused(self):
+        alg = make_algebra("cyclic:2", 1, [Fraction(1, 2)])
+        with pytest.raises(ValueError, match="negative powers"):
+            alg.x(1) ** -1
+
     def test_y_free_left_term_stores_no_straightening(self):
         # x^I g * x^I2 g2 y^J2 needs no straightening, so the product leaves
         # no (0, I) entry in the y^J x^I cache
