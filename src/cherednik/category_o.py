@@ -81,6 +81,11 @@ class VermaSlice:
         self.irrep = irrep
         self.cutoff = cutoff
         self.c_value = c_scalar(algebra, irrep)
+        # the irrep's position in the algebra's table, by identity: it keys
+        # the resolved columns (`_content`); None for an irrep outside it
+        self._irrep_index = next((i for i, w in enumerate(algebra.irreps) if w is irrep), None)
+        # content -> (its image function, its resolved columns or None)
+        self._contents: dict = {}
         levels = [algebra.monomial_table(n) for n in range(cutoff + 1)]
         self._monos = [monos for monos, _ in levels]
         self._mono_index = [index for _, index in levels]
@@ -157,28 +162,75 @@ class VermaSlice:
     # -- the module action (ambient coordinates) ----------------------------
 
     def _act(self, pairs: frozenset, n: int, vec: dict, out=None) -> dict:
-        """Scatter the (term, coef) pairs of one degree shift on a sparse
+        """Apply the (term, coef) pairs of one degree shift to a sparse
         degree-n vector; returns the sparse image plus `out` (consumed) when
-        it is given.  The pairs' image of x^mono (x) w (`act_on_verma_terms`)
-        is a flat tuple (pos, h, coefficient, ...) meaning coefficient *
-        x^M (x) rho(h) w with M at position pos of the target-degree
-        monomials.  `_apply` is its one caller."""
-        image = self.algebra.act_on_verma_terms(pairs)
+        it is given.  While the pairs are not resolved on this irrep
+        (`_content`), each monomial's image goes through rho (`_scatter`);
+        once they are, x^mono (x) w_k reads its stored column, a flat tuple
+        (target, coefficient, ...) built by `_scatter` on the unit w_k, at
+        one product per entry.  `_apply` is its one caller."""
+        entry = self._contents.get(pairs)
+        if entry is None:
+            entry = self._contents[pairs] = self._content(pairs)
+        image, resolved = entry
         d = self.irrep.dim
         acc = {} if out is None else out
         blocks: dict[int, list] = {}
         for p, v in vec.items():
             blocks.setdefault(p // d, []).append((p % d, v))
-        monos, columns = self._monos[n], self._rho_columns
+        monos = self._monos[n]
         for mi, block in blocks.items():
-            flat = image(monos[mi])
-            for t in range(0, len(flat), 3):
-                tgt, cols, coef = flat[t] * d, columns[flat[t + 1]], flat[t + 2]
-                for k, v in block:
-                    vc = v * coef
-                    for k2, entry in cols[k]:
-                        _accumulate(acc, tgt + k2, vc * entry)
+            if resolved is None:
+                self._scatter(image(monos[mi]), block, acc)
+                continue
+            mono = monos[mi]
+            columns = resolved.get(mono)
+            if columns is None:
+                flat = image(mono)
+                units = (_settle(self._scatter(flat, ((k, ONE),), {})) for k in range(d))
+                columns = resolved[mono] = tuple(
+                    tuple(x for item in unit.items() for x in item) for unit in units
+                )
+            for k, v in block:
+                column = iter(columns[k])
+                for tgt, coef in zip(column, column):
+                    _accumulate(acc, tgt, v * coef)
         return _settle(acc)
+
+    def _scatter(self, flat: tuple, block, acc: dict) -> dict:
+        """Add the image of x^mono (x) sum v w_k over the (k, v) of block to
+        acc (unsettled), flat being x^mono's image (`act_on_verma_terms`): a
+        flat tuple (pos, h, coefficient, ...) meaning coefficient *
+        x^M (x) rho(h) w with M at position pos of the target-degree
+        monomials.  Returns acc."""
+        d, columns = self.irrep.dim, self._rho_columns
+        for t in range(0, len(flat), 3):
+            tgt, cols, coef = flat[t] * d, columns[flat[t + 1]], flat[t + 2]
+            for k, v in block:
+                vc = v * coef
+                for k2, entry in cols[k]:
+                    _accumulate(acc, tgt + k2, vc * entry)
+        return acc
+
+    def _content(self, pairs: frozenset) -> tuple:
+        """The image function of the pairs (`act_on_verma_terms`) and their
+        resolved columns on this irrep, {monomial: one column per component}
+        kept on the algebra, or None while this slice scatters.  The first
+        slice on an irrep to apply a content only registers it; the second
+        and later ones resolve it, so a job that builds one slice per irrep
+        stores no column.  An irrep outside the algebra's table never
+        resolves."""
+        alg, index = self.algebra, self._irrep_index
+        resolved = None
+        if index is not None:
+            key = (pairs, index)
+            resolved = alg._verma_resolved.get(key)
+            if resolved is None:
+                if key in alg._verma_applied:
+                    resolved = alg._verma_resolved[key] = {}
+                else:
+                    alg._verma_applied.add(key)
+        return alg.act_on_verma_terms(pairs), resolved
 
     @cached_property
     def _ys(self) -> list:

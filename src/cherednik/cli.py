@@ -180,9 +180,11 @@ def _cmd_blocks(cfg: JobConfig, algebra: CherednikAlgebra) -> Report:
 
 def _cmd_decomp_matrix(cfg: JobConfig, algebra: CherednikAlgebra) -> Report:
     cutoff = cfg.get_int("cutoff", minimum=1)
+    # `irrep` picks the Verma rows; every simple label stays a column
+    vermas = [irr.label for irr in selected_irreps(cfg, algebra)]
     matrix = category_o.decomposition_matrix(algebra, cutoff)
     labels = [irr.label for irr in algebra.irreps]
-    rows = [(w, e, matrix[w][e]) for w in labels for e in labels]
+    rows = [(w, e, matrix[w][e]) for w in vermas for e in labels]
     return Report(("verma", "simple", "mult"), rows)
 
 

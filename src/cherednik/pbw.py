@@ -274,6 +274,11 @@ class CherednikAlgebra:
         self._pair_cache: dict = {}
         # frozenset of (term, coef) pairs -> {monomial: merged Verma image}
         self._verma_element_cache: dict = {}
+        # (content, irrep index) pairs that some slice has applied, and
+        # (content, irrep index) -> {monomial: resolved columns} for those a
+        # second slice on that irrep applied, filled by category_o
+        self._verma_applied: set = set()
+        self._verma_resolved: dict = {}
         # degree n -> (monomials(dim, n) as a list, monomial -> position)
         self._mono_table: dict = {}
         # irrep label -> c_E for the listed irreps, filled by category_o

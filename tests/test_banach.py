@@ -865,6 +865,20 @@ class TestAnalyticVermaOracle:
         assert a.generator_norms == b.generator_norms
         assert a.ws_recovered and b.ws_recovered
 
+    def test_a_tower_on_one_algebra_matches_fresh_algebras(self):
+        # every level's slice carries the same Delta(lambda): from level 1 on,
+        # the y and Euler images read the columns resolved on the irrep
+        ctx = PadicContext(3, 64)
+        alg = make_algebra("s4", 1, [Fraction(1, 2)])
+        tower = [analytic_verma_slice(alg, alg.irreps[2], ctx, m, 5) for m in range(4)]
+        assert alg._verma_resolved
+        for m, level in enumerate(tower):
+            fresh = make_algebra("s4", 1, [Fraction(1, 2)])
+            alone = analytic_verma_slice(fresh, fresh.irreps[2], ctx, m, 5)
+            assert not fresh._verma_resolved
+            assert level.generator_norms == alone.generator_norms
+            assert level.ws_recovered == alone.ws_recovered is True
+
 
 class TestAnalyticVerma:
     def test_degree_zero_norm_and_dimensions(self):

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from cherednik import category_o, linalg
+from cherednik import category_o, cli, linalg
 from cherednik.category_o import (
     MAX_SLICE_DIM,
     CutoffExceeded,
@@ -29,6 +29,7 @@ from cherednik.category_o import (
     singular_vectors,
     verma_action,
 )
+from cherednik.config import parse_config
 from cherednik.groups import (
     Irrep,
     ReflectionFunction,
@@ -607,6 +608,151 @@ class TestMergedAction:
         with gc_disabled():
             del alg, slice_
             assert ref() is None
+
+
+# (group, field, c, irrep, cutoff): two parameters per group, each with an
+# irrep of dimension > 1 whose simple quotient is proper below the cutoff
+RESOLVED_CASES = (
+    ("s3", 1, Fraction(1, 3), "standard", 4),
+    ("s3", 1, Fraction(2, 3), "standard", 4),
+    ("s4", 1, Fraction(1, 2), "standard", 3),
+    ("s4", 1, Fraction(1, 4), "standard_sgn", 3),
+    ("dihedral:5", 5, Fraction(1, 5), "rho1", 4),
+    ("dihedral:5", 5, Fraction(2, 5), "rho2", 4),
+)
+
+
+def every_basis_image(slice_, elements):
+    """Each element on each basis vector of the slice, in order, with
+    CutoffExceeded as its outcome where a term leaves the truncation."""
+    return [
+        outcome(verma_action, slice_, a, slice_.basis_vector(n, j))
+        for a in elements
+        for n in range(slice_.cutoff + 1)
+        for j in range(slice_.dim(n))
+    ]
+
+
+class TestResolvedColumns:
+    """From the second slice on an irrep that applies a content, the slice
+    reads the content's columns resolved through rho (`VermaSlice._content`)
+    instead of scattering; the images must not change."""
+
+    def operations(self, alg):
+        """The Euler element, each x_i, y_i and g, and a seeded mixed element."""
+        dim = range(1, alg.dim + 1)
+        out = [alg.euler_element()]
+        out += [alg.x(i) for i in dim] + [alg.y(i) for i in dim]
+        out += [alg.g(g) for g in range(len(alg.group))]
+        return out + [alg.element(shifted_terms(alg, random.Random(41)))]
+
+    def scatter_images(self, spec, ell, c, label, cutoff, quotient):
+        """The images on the first slice of a fresh algebra, which scatters."""
+        alg = make_algebra(spec, ell, [c])
+        w = irrep_of(alg, label)
+        if quotient:
+            slice_, _ = simple_quotient_slice(alg, w, cutoff)
+        else:
+            slice_ = VermaSlice(alg, w, cutoff)
+        assert not alg._verma_resolved
+        return slice_.killed, every_basis_image(slice_, self.operations(alg))
+
+    @pytest.mark.parametrize("spec,ell,c,label,cutoff", RESOLVED_CASES)
+    def test_resolved_slices_match_the_scatter(self, spec, ell, c, label, cutoff):
+        alg = make_algebra(spec, ell, [c])
+        w, ops = irrep_of(alg, label), self.operations(alg)
+        _, expected = self.scatter_images(spec, ell, c, label, cutoff, False)
+        slices = [VermaSlice(alg, w, cutoff) for _ in range(3)]
+        for slice_ in slices:
+            assert every_basis_image(slice_, ops) == expected
+        # the first slice scattered every content, the others read columns
+        assert {resolved for _, resolved in slices[0]._contents.values()} == {None}
+        for slice_ in slices[1:]:
+            assert slice_._contents.keys() == slices[0]._contents.keys()
+            assert all(resolved is not None for _, resolved in slice_._contents.values())
+        # the simple quotient reads the same columns for its kernels and
+        # its killed rows, and acts on the quotient as a fresh one does
+        quotient, character = simple_quotient_slice(alg, w, cutoff)
+        assert quotient.quotiented
+        shared = quotient._contents.keys() & slices[0]._contents.keys()
+        assert shared and all(quotient._contents[pairs][1] is not None for pairs in shared)
+        assert (quotient.killed, every_basis_image(quotient, ops)) == self.scatter_images(
+            spec, ell, c, label, cutoff, True
+        )
+        fresh = make_algebra(spec, ell, [c])
+        assert character == simple_quotient_slice(fresh, irrep_of(fresh, label), cutoff)[1]
+
+    def test_an_equal_irrep_of_another_algebra_reads_no_columns(self):
+        alg, other = (make_algebra("s4", 1, [Fraction(1, 2)]) for _ in range(2))
+        w, twin = irrep_of(alg, "standard"), irrep_of(other, "standard")
+        assert twin == w and twin is not w
+        ops = self.operations(alg)
+        images = [every_basis_image(VermaSlice(alg, w, 2), ops) for _ in range(2)]
+        applied = set(alg._verma_applied)
+        columns = {key: dict(table) for key, table in alg._verma_resolved.items()}
+        assert columns
+        for _ in range(2):
+            slice_ = VermaSlice(alg, twin, 2)
+            assert slice_._irrep_index is None
+            assert every_basis_image(slice_, ops) == images[0] == images[1]
+            assert {resolved for _, resolved in slice_._contents.values()} == {None}
+        assert alg._verma_applied == applied
+        assert {key: dict(table) for key, table in alg._verma_resolved.items()} == columns
+
+    @pytest.mark.parametrize("command", ["singular", "simple-character", "decomp-matrix"])
+    def test_a_cold_job_resolves_nothing(self, command):
+        # one slice per irrep applies each content once on its irrep, so a
+        # cold job keeps the scatter and stores no column
+        alg = make_algebra("s4", 1, [Fraction(1, 2)])
+        cfg = parse_config("group = s4\nc = 1/2\ncutoff = 4\n")
+        cfg.command = command
+        assert cli._HANDLERS[command](cfg, alg).rows
+        assert alg._verma_applied
+        assert alg._verma_resolved == {}
+
+    def test_the_third_euler_slice_reads_no_image(self, monkeypatch):
+        alg = make_algebra("s4", 1, [Fraction(1, 2)])
+        w, euler = irrep_of(alg, "standard"), [alg.euler_element()]
+        reads = []
+        images_of = alg.act_on_verma_terms
+
+        def counted(terms):
+            image = images_of(terms)
+
+            def read(mono):
+                reads.append(mono)
+                return image(mono)
+
+            return read
+
+        monkeypatch.setattr(alg, "act_on_verma_terms", counted)
+        first = every_basis_image(VermaSlice(alg, w, 5), euler)
+        assert reads
+        # the second slice builds each column from one image read
+        del reads[:]
+        assert every_basis_image(VermaSlice(alg, w, 5), euler) == first
+        assert len(reads) == len(set(reads)) > 0
+        del reads[:]
+        assert every_basis_image(VermaSlice(alg, w, 5), euler) == first
+        assert reads == []
+
+    def test_a_resolved_slice_and_its_algebra_are_freed(self):
+        # with the cyclic collector off, only reference counts free them:
+        # the columns on the algebra may point to no slice, and the slice's
+        # image functions not back to it
+        alg = make_algebra("s3", 1, [Fraction(1, 3)])
+        w = irrep_of(alg, "standard")
+        for _ in range(2):
+            simple_quotient_slice(alg, w, 3)
+        slice_, _ = simple_quotient_slice(alg, w, 3)
+        verma_action(slice_, alg.euler_element(), {2: [ONE] * slice_.dim(2)})
+        assert alg._verma_resolved and any(resolved for _, resolved in slice_._contents.values())
+        slice_ref, alg_ref = weakref.ref(slice_), weakref.ref(alg)
+        with gc_disabled():
+            del slice_
+            assert slice_ref() is None and alg_ref() is alg
+            del alg
+            assert alg_ref() is None
 
 
 class TestMvScale:

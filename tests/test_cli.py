@@ -169,6 +169,22 @@ class TestRunCommand:
         with pytest.raises(ValidationError):
             run_command(cfg)
 
+    def test_decomp_matrix_reads_the_irrep(self, tmp_path, capsys):
+        # an unknown label is bad input naming the key, not a full matrix
+        job = tmp_path / "job.cfg"
+        job.write_text("group = s3\nc = 1/3\ncutoff = 4\nirrep = nope\n")
+        assert main(["decomp-matrix", "--config", str(job)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "cherednik: invalid job: irrep: unknown irrep 'nope'\n"
+        # a known label keeps that Verma row, with every simple label
+        cfg = parse_config("group = s3\nc = 1/3\ncutoff = 4\n")
+        cfg.command = "decomp-matrix"
+        every = run_command(cfg).rows
+        cfg.raw["irrep"] = "sgn"
+        assert run_command(cfg).rows == [row for row in every if row[0] == "sgn"]
+        assert [row[1] for row in run_command(cfg).rows] == ["triv", "sgn", "standard"]
+
 
 class TestEmission:
     def test_tsv_shape(self):
