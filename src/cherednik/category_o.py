@@ -64,6 +64,21 @@ def _mv_prune(a: dict) -> dict:
     return {n: v for n, v in a.items() if any(v)}
 
 
+def _slice_size(algebra: CherednikAlgebra, irrep: Irrep, cutoff: int) -> int:
+    """The basis vectors of a slice in degrees 0..cutoff: the monomials of
+    those degrees in dim variables, times dim W."""
+    return math.comb(cutoff + algebra.dim, algebra.dim) * irrep.dim
+
+
+def _check_slice_size(algebra: CherednikAlgebra, irrep: Irrep, cutoff: int):
+    """Raise SliceTooLarge unless the slice fits in MAX_SLICE_DIM."""
+    size = _slice_size(algebra, irrep, cutoff)
+    if size > MAX_SLICE_DIM:
+        raise SliceTooLarge(
+            f"the slice has {size} basis vectors, more than MAX_SLICE_DIM = {MAX_SLICE_DIM}"
+        )
+
+
 class VermaSlice:
     """Degrees 0..cutoff of the standard module attached to an irrep, with
     stored generator actions and optional quotient bookkeeping."""
@@ -71,19 +86,18 @@ class VermaSlice:
     def __init__(self, algebra: CherednikAlgebra, irrep: Irrep, cutoff: int):
         if cutoff < 0:
             raise ValueError("cutoff must be >= 0")
-        # the monomials of degrees 0..cutoff in dim variables, times dim W
-        size = math.comb(cutoff + algebra.dim, algebra.dim) * irrep.dim
-        if size > MAX_SLICE_DIM:
-            raise SliceTooLarge(
-                f"the slice has {size} basis vectors, more than MAX_SLICE_DIM = {MAX_SLICE_DIM}"
-            )
+        _check_slice_size(algebra, irrep, cutoff)
         self.algebra = algebra
         self.irrep = irrep
         self.cutoff = cutoff
-        self.c_value = c_scalar(algebra, irrep)
         # the irrep's position in the algebra's table, by identity: it keys
         # the resolved columns (`_content`); None for an irrep outside it
         self._irrep_index = next((i for i, w in enumerate(algebra.irreps) if w is irrep), None)
+        self.c_value = (
+            c_scalar(algebra, irrep)
+            if self._irrep_index is None
+            else _c_values(algebra)[irrep.label]
+        )
         # content -> (its image function, its resolved columns or None)
         self._contents: dict = {}
         levels = [algebra.monomial_table(n) for n in range(cutoff + 1)]
@@ -494,17 +508,8 @@ class VermaSlice:
 
     @cached_property
     def _verma_levels(self) -> list:
-        """Degree n -> the multiplicity of each listed irrep E in S^n(h*)
-        tensor lambda, for n = 0..cutoff: the Koszul series
-        (`_koszul_series`) on the irrep basis, from v(0) = e_lambda with the
-        Koszul tables (`_koszul_tables`).  Empty when the irrep table is
-        incomplete or lists no irrep with lambda's character: the recurrence
-        closes only over every irrep."""
-        alg = self.algebra
-        start = [int(irr.character == self.irrep.character) for irr in alg.irreps]
-        if not _complete_table(alg) or 1 not in start:
-            return []
-        return _koszul_series(start, _koszul_tables(alg), self.cutoff)
+        """The slice's Verma part on a complete table (`_verma_series`)."""
+        return _verma_series(self.algebra, self.irrep, self.cutoff)
 
     @cached_property
     def _class_series(self) -> list:
@@ -527,6 +532,19 @@ class VermaSlice:
         if not self.algebra.irreps:
             raise ValueError("the algebra carries no irrep table")
         return {n: self.multiplicities(n) for n in range(self.cutoff + 1)}
+
+
+def _verma_series(algebra: CherednikAlgebra, irrep: Irrep, cutoff: int) -> list:
+    """Degree n -> the multiplicity of each listed irrep E in S^n(h*) tensor
+    lambda, for n = 0..cutoff: the Koszul series (`_koszul_series`) on the
+    irrep basis, from v(0) = e_lambda with the Koszul tables
+    (`_koszul_tables`), as fresh lists.  Empty when the irrep table is
+    incomplete or lists no irrep with lambda's character: the recurrence
+    closes only over every irrep."""
+    start = [int(irr.character == irrep.character) for irr in algebra.irreps]
+    if not _complete_table(algebra) or 1 not in start:
+        return []
+    return _koszul_series(start, _koszul_tables(algebra), cutoff)
 
 
 def _class_sums(algebra: CherednikAlgebra, traces: list) -> list:
@@ -1052,3 +1070,83 @@ def decomposition_matrix(algebra: CherednikAlgebra, cutoff: int):
             algebra, irr, cutoff, simple_characters
         )
     return matrix
+
+
+def certified_cutoff(algebra: CherednikAlgebra):
+    """N0, the largest integer difference c_mu - c_lambda of two listed
+    irreps (`_linkage`), on a complete irrep table; None on an incomplete
+    one.  Each decomposition number d_lambda,mu is read at degree
+    c_mu - c_lambda of the Verma character, so on a complete table the
+    matrix at cutoff N0 is the matrix at every cutoff above it."""
+    if not _complete_table(algebra):
+        return None
+    c_values = _c_values(algebra).values()
+    return max((n for c in c_values for n in _linkage(algebra, c).values()), default=0)
+
+
+def certified_decomposition(algebra: CherednikAlgebra) -> tuple:
+    """(N0, D): the certified cutoff (`certified_cutoff`) and the
+    decomposition matrix at it (`decomposition_matrix`).  An incomplete
+    irrep table has no certificate and raises InvalidInput."""
+    n0 = certified_cutoff(algebra)
+    if n0 is None:
+        raise InvalidInput("the irrep table is incomplete, so no cutoff is certified")
+    return n0, decomposition_matrix(algebra, n0)
+
+
+def certified_route(algebra: CherednikAlgebra, irreps: list, cutoff: int) -> bool:
+    """Whether a job on the listed irreps at this cutoff reads the certified
+    decomposition (`certified_decomposition`) instead of radicals: the
+    table is complete, the cutoff is above N0, and every slice of D at N0
+    fits MAX_SLICE_DIM.  Each of the irreps keeps the radical route's bound
+    at the cutoff: SliceTooLarge where its slice would not fit."""
+    for irr in irreps:
+        _check_slice_size(algebra, irr, cutoff)
+    n0 = certified_cutoff(algebra)
+    return (
+        n0 is not None
+        and cutoff > n0
+        and all(_slice_size(algebra, irr, n0) <= MAX_SLICE_DIM for irr in algebra.irreps)
+    )
+
+
+def simple_characters(algebra: CherednikAlgebra, irreps: list, cutoff: int) -> dict:
+    """Label -> the graded character of L(lambda) in degrees 0..cutoff
+    (`VermaSlice.graded_character`), for each of the listed irreps.
+
+    On the certified route (`certified_route`) no radical is built above
+    N0: in the graded Grothendieck group [M(lambda)] = sum_mu d_lambda,mu
+    t^(c_mu - c_lambda) [L(mu)], D unitriangular (Ginzburg, Guay, Opdam and
+    Rouquier), so L(lambda)_n = v_lambda(n) - sum_{mu != lambda}
+    d_lambda,mu L(mu)_{n - (c_mu - c_lambda)} with the Verma parts v from
+    the Koszul series (`_verma_series`), recursing over the mu above
+    lambda.  Otherwise each character comes from its radical
+    (`simple_quotient_slice`).  A negative multiplicity is a bug and raises
+    RuntimeError."""
+    if not certified_route(algebra, irreps, cutoff):
+        return {irr.label: simple_quotient_slice(algebra, irr, cutoff)[1] for irr in irreps}
+    _, matrix = certified_decomposition(algebra)
+    c_values, table = _c_values(algebra), {irr.label: irr for irr in algebra.irreps}
+    series: dict = {}
+
+    def simple(label: str) -> list:
+        levels = series.get(label)
+        if levels is None:
+            levels = _verma_series(algebra, table[label], cutoff)
+            shifts = _linkage(algebra, c_values[label])
+            for mu, d in matrix[label].items():
+                if d and mu != label:
+                    shift, above = shifts[mu], simple(mu)
+                    for n in range(shift, cutoff + 1):
+                        levels[n] = [v - d * w for v, w in zip(levels[n], above[n - shift])]
+            series[label] = levels
+        return levels
+
+    out = {}
+    for irr in irreps:
+        character = out[irr.label] = {}
+        for n, level in enumerate(simple(irr.label)):
+            if min(level) < 0:
+                raise RuntimeError(f"negative multiplicity in L({irr.label!r}) at degree {n}")
+            character[n] = {lbl: m for lbl, m in zip(table, level) if m}
+    return out

@@ -157,11 +157,11 @@ def _cmd_simple_character(cfg: JobConfig, algebra: CherednikAlgebra) -> Report:
     # The truncation is exact by construction, so `stable` is always yes; the
     # field stays only because the recorded report digests pin these bytes.
     stable = []
-    for irr in selected_irreps(cfg, algebra):
-        _, character = category_o.simple_quotient_slice(algebra, irr, cutoff)
-        stable.append(f"{irr.label}=yes")
+    characters = category_o.simple_characters(algebra, selected_irreps(cfg, algebra), cutoff)
+    for label, character in characters.items():
+        stable.append(f"{label}=yes")
         for n in sorted(character):
-            rows += [(irr.label, n, label, character[n][label]) for label in sorted(character[n])]
+            rows += [(label, n, lbl, character[n][lbl]) for lbl in sorted(character[n])]
     return Report(("irrep", "degree", "label", "mult"), rows, extra={"stable": "; ".join(stable)})
 
 
@@ -182,7 +182,12 @@ def _cmd_decomp_matrix(cfg: JobConfig, algebra: CherednikAlgebra) -> Report:
     cutoff = cfg.get_int("cutoff", minimum=1)
     # `irrep` picks the Verma rows; every simple label stays a column
     vermas = [irr.label for irr in selected_irreps(cfg, algebra)]
-    matrix = category_o.decomposition_matrix(algebra, cutoff)
+    # above N0 the matrix at N0 is the matrix at the cutoff; every irrep
+    # keeps its slice bound at the cutoff, as on the radical route
+    if category_o.certified_route(algebra, algebra.irreps, cutoff):
+        _, matrix = category_o.certified_decomposition(algebra)
+    else:
+        matrix = category_o.decomposition_matrix(algebra, cutoff)
     labels = [irr.label for irr in algebra.irreps]
     rows = [(w, e, matrix[w][e]) for w in vermas for e in labels]
     return Report(("verma", "simple", "mult"), rows)
@@ -269,7 +274,10 @@ def run_command(cfg: JobConfig) -> Report:
     the report with the command and the config echo."""
     if cfg.command not in _HANDLERS:
         raise ValidationError("command", f"unknown command {cfg.command!r}")
-    report = _HANDLERS[cfg.command](cfg, build_algebra(cfg))
+    algebra = build_algebra(cfg)
+    # an unknown `irrep` is bad input for every command, read or not
+    selected_irreps(cfg, algebra)
+    report = _HANDLERS[cfg.command](cfg, algebra)
     report.command, report.config_echo = cfg.command, cfg.echo()
     return report
 

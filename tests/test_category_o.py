@@ -1756,9 +1756,14 @@ class TestOrderAndBlocks:
         first.c_values.clear()  # the graph holds a copy of the table
         blocks(alg)
         for w in alg.irreps:
-            # c_value is the slice's one call; singular_isotypes reads the table
-            assert VermaSlice(alg, w, 4).singular_isotypes
-        assert calls == [w.label for w in alg.irreps] * 2
+            # c_value and singular_isotypes both read the table
+            slice_ = VermaSlice(alg, w, 4)
+            assert slice_.singular_isotypes and slice_.c_value == real(alg, w)
+        assert calls == [w.label for w in alg.irreps]
+        # an equal irrep from another algebra is outside the table: one call
+        other = make_algebra("s4", 1, [Fraction(1, 2)]).irreps[1]
+        assert VermaSlice(alg, other, 4).c_value == real(alg, other)
+        assert calls == [w.label for w in alg.irreps] + ["sgn"]
         assert highest_weight_order(alg).c_values == {
             w.label: real(alg, w) for w in alg.irreps
         }
@@ -1936,6 +1941,98 @@ class TestDecomposition:
         }
         with pytest.raises(InconsistentTruncation):
             decompose_verma_character(alg, irrep_of(alg, "triv"), 10, wrong)
+
+
+# the cases of the simple-character formula, with N0 = c times the largest
+# Euler-value gap (12 on s4, 6 on s3, 10 on dihedral:5): its cutoff is N0 + 4
+FORMULA_CASES = (
+    ("s3", 1, Fraction(1, 3), 2),
+    ("s3", 1, Fraction(1, 2), 3),
+    ("s4", 1, Fraction(1, 4), 3),
+    ("s4", 1, Fraction(1, 3), 4),
+    ("s4", 1, Fraction(1, 2), 6),
+    ("s4", 1, Fraction(3, 4), 9),
+    ("s4", 1, Fraction(3, 2), 18),
+    ("dihedral:5", 5, Fraction(1, 5), 2),
+    ("dihedral:5", 5, Fraction(2, 5), 4),
+)
+
+# the matrix cases: s4 and dihedral groups on both sides of the blocks split
+MATRIX_CASES = (
+    [("s4", 1, Fraction(c)) for c in ("1/4", "1/3", "1/2", "2/3", "3/4", "5/4", "1")]
+    + [("dihedral:3", 3, Fraction(c)) for c in ("1/3", "1/2", "2/3")]
+    + [(f"dihedral:{n}", n, Fraction(1, 2)) for n in (4, 5, 6, 7, 8)]
+    + [(f"dihedral:{n}", n, Fraction(1, 3)) for n in (4, 5, 7, 8)]
+    + [(f"dihedral:{n}", n, Fraction(k, n)) for n in range(4, 9) for k in (1, 2)]
+)
+
+
+class TestCertifiedDecomposition:
+    """Above the certified cutoff N0 the simple characters come from the
+    decomposition matrix at N0 and the Koszul series, sharing no code with
+    the radicals; the radicals at the same cutoff are the oracle."""
+
+    @pytest.mark.parametrize(
+        "spec, ell, c, n0", FORMULA_CASES, ids=[f"{g}-{c}" for g, _, c, _ in FORMULA_CASES]
+    )
+    def test_the_formula_matches_the_radicals(self, spec, ell, c, n0):
+        alg = make_algebra(spec, ell, [c])
+        assert category_o.certified_cutoff(alg) == n0
+        cutoff = n0 + 4
+        assert category_o.certified_route(alg, alg.irreps, cutoff)
+        got = category_o.simple_characters(alg, alg.irreps, cutoff)
+        assert list(got) == [irr.label for irr in alg.irreps]
+        for irr in alg.irreps:
+            assert got[irr.label] == simple_quotient_slice(alg, irr, cutoff)[1], irr.label
+
+    @pytest.mark.parametrize(
+        "spec, ell, c", MATRIX_CASES, ids=[f"{g}-{c}" for g, _, c in MATRIX_CASES]
+    )
+    def test_the_matrix_at_n0_is_the_matrix_above(self, spec, ell, c):
+        alg = make_algebra(spec, ell, [c])
+        n0, matrix = category_o.certified_decomposition(alg)
+        assert n0 == category_o.certified_cutoff(alg)
+        # the radicals at N0 + 3, truncated, are the simple characters at
+        # N0 + 1 and N0 + 2 too: a radical's degree n reads degrees <= n
+        top = {irr.label: simple_quotient_slice(alg, irr, n0 + 3)[1] for irr in alg.irreps}
+        for cutoff in (n0 + 1, n0 + 2, n0 + 3):
+            above = {
+                irr.label: decompose_verma_character(alg, irr, cutoff, top) for irr in alg.irreps
+            }
+            assert above == matrix, cutoff
+
+    def test_no_slice_above_n0_on_the_certified_route(self, monkeypatch):
+        alg = make_algebra("s4", 1, [Fraction(1, 2)])
+        cutoffs = []
+        real = category_o.VermaSlice
+
+        class Recording(real):
+            def __init__(self, algebra, irrep, cutoff):
+                cutoffs.append(cutoff)
+                super().__init__(algebra, irrep, cutoff)
+
+        monkeypatch.setattr(category_o, "VermaSlice", Recording)
+        category_o.simple_characters(alg, [irrep_of(alg, "triv")], 16)
+        assert cutoffs and set(cutoffs) == {6}
+
+    def test_an_incomplete_table_has_no_certificate(self):
+        full = make_algebra("s3", 1, [Fraction(1, 2)])
+        alg = CherednikAlgebra(full.group, full.c, irreps=full.irreps[:-1])
+        assert category_o.certified_cutoff(alg) is None
+        assert not category_o.certified_route(alg, alg.irreps, 12)
+        with pytest.raises(category_o.InvalidInput, match="no cutoff is certified"):
+            category_o.certified_decomposition(alg)
+
+    def test_a_linked_slice_too_large_at_n0_keeps_the_radicals(self, monkeypatch):
+        # with the bound lowered so that standard (dim 3) does not fit at N0
+        # = 6 but triv fits at cutoff 8, the radical route keeps the answer
+        alg = make_algebra("s4", 1, [Fraction(1, 2)])
+        triv = irrep_of(alg, "triv")
+        monkeypatch.setattr(category_o, "MAX_SLICE_DIM", math.comb(11, 3))
+        assert not category_o.certified_route(alg, [triv], 8)
+        monkeypatch.setattr(category_o, "certified_decomposition", None)
+        got = category_o.simple_characters(alg, [triv], 8)
+        assert got == {"triv": simple_quotient_slice(alg, triv, 8)[1]}
 
 
 # the partition of each built-in S_n label

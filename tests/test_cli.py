@@ -186,6 +186,93 @@ class TestRunCommand:
         assert [row[1] for row in run_command(cfg).rows] == ["triv", "sgn", "standard"]
 
 
+# a job that every command that does not read `irrep` runs on
+NO_IRREP_JOB = "group = s3\nc = 1/3\nprime = 5\nlevel = 0\nlevels = 0..1\nelement = x1\n"
+NO_IRREP_COMMANDS = (
+    "euler",
+    "order",
+    "blocks",
+    "norm",
+    "lattice-check",
+    "ws-decompose",
+    "coadmissible-check",
+    "reflections",
+)
+
+
+@pytest.mark.parametrize("command", NO_IRREP_COMMANDS)
+def test_an_unknown_irrep_is_two_for_every_command(command, tmp_path, capsys):
+    job = tmp_path / "job.cfg"
+    job.write_text(NO_IRREP_JOB)
+    assert main([command, "--config", str(job)]) == 0
+    capsys.readouterr()
+    job.write_text(NO_IRREP_JOB + "irrep = nope\n")
+    assert main([command, "--config", str(job)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "cherednik: invalid job: irrep: unknown irrep 'nope'\n"
+    # a known label changes nothing a command that does not read it reports
+    job.write_text(NO_IRREP_JOB + "irrep = sgn\n")
+    assert main([command, "--config", str(job)]) == 0
+
+
+class TestCertifiedRoute:
+    """`simple-character` and `decomp-matrix` read the certified matrix only
+    above N0 on a complete table (N0 = 6 on s4 at c = 1/2), and exit 3 on
+    exactly the configs the radicals refuse."""
+
+    @staticmethod
+    def run(command, text):
+        cfg = parse_config(text)
+        cfg.command = command
+        return run_command(cfg).rows
+
+    @pytest.mark.parametrize("command", ["simple-character", "decomp-matrix"])
+    def test_cutoff_n0_builds_radicals(self, command, monkeypatch):
+        text = "group = s4\nc = 1/2\ncutoff = 6\n"
+        certified = self.run(command, text.replace("6", "7"))
+        monkeypatch.setattr(category_o, "certified_decomposition", None)
+        rows = self.run(command, text)
+        if command == "decomp-matrix":
+            assert rows == certified
+        else:
+            assert rows == [row for row in certified if row[1] <= 6]
+
+    @pytest.mark.parametrize("command", ["simple-character", "decomp-matrix"])
+    def test_an_incomplete_file_table_builds_radicals(self, command, tmp_path, monkeypatch):
+        group_file = tmp_path / "s3_partial.txt"
+        group_file.write_text(group_file_text("s3", ("triv", "standard")))
+        monkeypatch.setattr(category_o, "certified_decomposition", None)
+        rows = self.run(command, f"group = file:{group_file}\nc = 1/5\ncutoff = 8\n")
+        first = {"simple-character": ("triv", 0, "triv", 1), "decomp-matrix": ("triv", "triv", 1)}
+        assert rows[0] == first[command]
+
+    @pytest.mark.parametrize(
+        "command, text",
+        [
+            ("simple-character", "c = 1/2\ncutoff = 83\nirrep = triv\n"),
+            ("simple-character", "c = 1/2\ncutoff = 57\nirrep = standard\n"),
+            ("simple-character", "c = 1/2\ncutoff = 57\n"),
+            ("decomp-matrix", "c = 1/2\ncutoff = 57\nirrep = triv\n"),
+            # N0 = 96 at c = 8: the radical route
+            ("simple-character", "c = 8\ncutoff = 83\nirrep = triv\n"),
+        ],
+    )
+    def test_a_slice_past_the_bound_is_three(self, command, text, tmp_path, capsys):
+        job = tmp_path / "job.cfg"
+        job.write_text("group = s4\n" + text)
+        assert main([command, "--config", str(job)]) == 3
+        assert "MAX_SLICE_DIM = 100000" in capsys.readouterr().err
+
+    def test_a_larger_linked_irrep_does_not_fail_a_selected_one(self):
+        # standard would not fit at cutoff 82; triv does, and its character
+        # needs no slice of standard above N0
+        rows = self.run("simple-character", "group = s4\nc = 1/2\ncutoff = 82\nirrep = triv\n")
+        low = self.run("simple-character", "group = s4\nc = 1/2\ncutoff = 10\nirrep = triv\n")
+        assert [row for row in rows if row[1] <= 10] == low
+        assert max(row[1] for row in rows) == 82
+
+
 class TestEmission:
     def test_tsv_shape(self):
         cfg = parse_config(MINIMAL)
