@@ -1058,74 +1058,63 @@ def decompose_verma_character(
 
 
 def decomposition_matrix(algebra: CherednikAlgebra, cutoff: int):
-    """Rows indexed by Verma labels, columns by simple labels."""
-    irreps = algebra.irreps
-    simple_characters = {}
-    for irr in irreps:
-        _, ch = simple_quotient_slice(algebra, irr, cutoff)
-        simple_characters[irr.label] = ch
-    matrix = {}
-    for irr in irreps:
-        matrix[irr.label] = decompose_verma_character(
-            algebra, irr, cutoff, simple_characters
-        )
-    return matrix
+    """Rows indexed by Verma labels, columns by simple labels.
+
+    Each d_lambda,mu is read at degree c_mu - c_lambda of the Verma
+    character, so on a complete irrep table row lambda is complete at its
+    own cutoff N_lambda (`_row_cutoffs`): its radical, and the Verma slice
+    it peels, stop at min(cutoff, N_lambda).  Row lambda reads L(mu) up to
+    degree N_lambda - (c_mu - c_lambda) = N_mu, as linkage is an
+    equivalence.  On an incomplete table every row stays at the cutoff."""
+    rows = _row_cutoffs(algebra)
+    tops = [(w, cutoff if rows is None else min(cutoff, rows[w.label])) for w in algebra.irreps]
+    simple = {w.label: simple_quotient_slice(algebra, w, top)[1] for w, top in tops}
+    return {w.label: decompose_verma_character(algebra, w, top, simple) for w, top in tops}
+
+
+def _row_cutoffs(algebra: CherednikAlgebra):
+    """Label -> N_lambda, the largest integer difference c_mu - c_lambda over
+    the listed mu linked to lambda (`_linkage`), on a complete irrep table;
+    None on an incomplete one."""
+    if not _complete_table(algebra):
+        return None
+    return {label: max(_linkage(algebra, c).values()) for label, c in _c_values(algebra).items()}
 
 
 def certified_cutoff(algebra: CherednikAlgebra):
-    """N0, the largest integer difference c_mu - c_lambda of two listed
-    irreps (`_linkage`), on a complete irrep table; None on an incomplete
-    one.  Each decomposition number d_lambda,mu is read at degree
-    c_mu - c_lambda of the Verma character, so on a complete table the
-    matrix at cutoff N0 is the matrix at every cutoff above it."""
-    if not _complete_table(algebra):
-        return None
-    c_values = _c_values(algebra).values()
-    return max((n for c in c_values for n in _linkage(algebra, c).values()), default=0)
-
-
-def certified_decomposition(algebra: CherednikAlgebra) -> tuple:
-    """(N0, D): the certified cutoff (`certified_cutoff`) and the
-    decomposition matrix at it (`decomposition_matrix`).  An incomplete
-    irrep table has no certificate and raises InvalidInput."""
-    n0 = certified_cutoff(algebra)
-    if n0 is None:
-        raise InvalidInput("the irrep table is incomplete, so no cutoff is certified")
-    return n0, decomposition_matrix(algebra, n0)
-
-
-def certified_route(algebra: CherednikAlgebra, irreps: list, cutoff: int) -> bool:
-    """Whether a job on the listed irreps at this cutoff reads the certified
-    decomposition (`certified_decomposition`) instead of radicals: the
-    table is complete, the cutoff is above N0, and every slice of D at N0
-    fits MAX_SLICE_DIM.  Each of the irreps keeps the radical route's bound
-    at the cutoff: SliceTooLarge where its slice would not fit."""
-    for irr in irreps:
-        _check_slice_size(algebra, irr, cutoff)
-    n0 = certified_cutoff(algebra)
-    return (
-        n0 is not None
-        and cutoff > n0
-        and all(_slice_size(algebra, irr, n0) <= MAX_SLICE_DIM for irr in algebra.irreps)
-    )
+    """N0, the largest row cutoff N_lambda (`_row_cutoffs`), on a complete
+    irrep table; None on an incomplete one.  The matrix at N0 is the matrix
+    at every cutoff above it."""
+    rows = _row_cutoffs(algebra)
+    return None if rows is None else max(rows.values())
 
 
 def simple_characters(algebra: CherednikAlgebra, irreps: list, cutoff: int) -> dict:
     """Label -> the graded character of L(lambda) in degrees 0..cutoff
     (`VermaSlice.graded_character`), for each of the listed irreps.
 
-    On the certified route (`certified_route`) no radical is built above
+    On a complete irrep table with the cutoff above N0 (`certified_cutoff`),
+    where every slice at N0 fits MAX_SLICE_DIM, no radical is built above
     N0: in the graded Grothendieck group [M(lambda)] = sum_mu d_lambda,mu
     t^(c_mu - c_lambda) [L(mu)], D unitriangular (Ginzburg, Guay, Opdam and
     Rouquier), so L(lambda)_n = v_lambda(n) - sum_{mu != lambda}
-    d_lambda,mu L(mu)_{n - (c_mu - c_lambda)} with the Verma parts v from
-    the Koszul series (`_verma_series`), recursing over the mu above
-    lambda.  Otherwise each character comes from its radical
-    (`simple_quotient_slice`).  A negative multiplicity is a bug and raises
-    RuntimeError."""
-    if not certified_route(algebra, irreps, cutoff):
+    d_lambda,mu L(mu)_{n - (c_mu - c_lambda)} with D at N0
+    (`decomposition_matrix`) and the Verma parts v from the Koszul series
+    (`_verma_series`), recursing over the mu above lambda.  Otherwise each
+    character comes from its radical (`simple_quotient_slice`).  Either
+    way the listed irreps keep the radicals' bound at the cutoff:
+    SliceTooLarge where a slice would not fit.  A negative multiplicity is a
+    bug and raises RuntimeError."""
+    for irr in irreps:
+        _check_slice_size(algebra, irr, cutoff)
+    n0 = certified_cutoff(algebra)
+    if (
+        n0 is None
+        or cutoff <= n0
+        or any(_slice_size(algebra, irr, n0) > MAX_SLICE_DIM for irr in algebra.irreps)
+    ):
         return {irr.label: simple_quotient_slice(algebra, irr, cutoff)[1] for irr in irreps}
-    _, matrix = certified_decomposition(algebra)
+    matrix = decomposition_matrix(algebra, n0)
     c_values, table = _c_values(algebra), {irr.label: irr for irr in algebra.irreps}
     series: dict = {}
 

@@ -94,6 +94,14 @@ def selected_irreps(cfg: JobConfig, algebra: CherednikAlgebra):
     raise ValidationError("irrep", f"unknown irrep {want!r}")
 
 
+def _read_irreps(cfg: JobConfig, algebra: CherednikAlgebra):
+    """The selected irreps of a command that reads them: for it an algebra
+    with no irrep table is bad input."""
+    if not algebra.irreps:
+        raise ValidationError("irrep", "the algebra carries no irrep table")
+    return selected_irreps(cfg, algebra)
+
+
 def parse_job_element(cfg: JobConfig, algebra: CherednikAlgebra):
     text = cfg.require("element")
     if text.strip() == "euler":
@@ -132,7 +140,7 @@ def _cmd_euler(cfg: JobConfig, algebra: CherednikAlgebra) -> Report:
 def _cmd_verma_weights(cfg: JobConfig, algebra: CherednikAlgebra) -> Report:
     cutoff = cfg.get_int("cutoff", minimum=1)
     rows = []
-    for irr in selected_irreps(cfg, algebra):
+    for irr in _read_irreps(cfg, algebra):
         slice_ = category_o.VermaSlice(algebra, irr, cutoff)
         for n in range(cutoff + 1):
             rows.append((irr.label, n, str(slice_.c_value + n), slice_.dim(n)))
@@ -142,7 +150,7 @@ def _cmd_verma_weights(cfg: JobConfig, algebra: CherednikAlgebra) -> Report:
 def _cmd_singular(cfg: JobConfig, algebra: CherednikAlgebra) -> Report:
     cutoff = cfg.get_int("cutoff", minimum=1)
     rows = []
-    for irr in selected_irreps(cfg, algebra):
+    for irr in _read_irreps(cfg, algebra):
         slice_ = category_o.VermaSlice(algebra, irr, cutoff)
         for n in range(cutoff + 1):
             space = category_o.singular_vectors(slice_, n)
@@ -157,7 +165,7 @@ def _cmd_simple_character(cfg: JobConfig, algebra: CherednikAlgebra) -> Report:
     # The truncation is exact by construction, so `stable` is always yes; the
     # field stays only because the recorded report digests pin these bytes.
     stable = []
-    characters = category_o.simple_characters(algebra, selected_irreps(cfg, algebra), cutoff)
+    characters = category_o.simple_characters(algebra, _read_irreps(cfg, algebra), cutoff)
     for label, character in characters.items():
         stable.append(f"{label}=yes")
         for n in sorted(character):
@@ -181,13 +189,8 @@ def _cmd_blocks(cfg: JobConfig, algebra: CherednikAlgebra) -> Report:
 def _cmd_decomp_matrix(cfg: JobConfig, algebra: CherednikAlgebra) -> Report:
     cutoff = cfg.get_int("cutoff", minimum=1)
     # `irrep` picks the Verma rows; every simple label stays a column
-    vermas = [irr.label for irr in selected_irreps(cfg, algebra)]
-    # above N0 the matrix at N0 is the matrix at the cutoff; every irrep
-    # keeps its slice bound at the cutoff, as on the radical route
-    if category_o.certified_route(algebra, algebra.irreps, cutoff):
-        _, matrix = category_o.certified_decomposition(algebra)
-    else:
-        matrix = category_o.decomposition_matrix(algebra, cutoff)
+    vermas = [irr.label for irr in _read_irreps(cfg, algebra)]
+    matrix = category_o.decomposition_matrix(algebra, cutoff)
     labels = [irr.label for irr in algebra.irreps]
     rows = [(w, e, matrix[w][e]) for w in vermas for e in labels]
     return Report(("verma", "simple", "mult"), rows)

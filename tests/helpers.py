@@ -1,7 +1,7 @@
 """Helpers shared by the test modules: built-in algebras, the commutator
 with the Euler element, random Banach elements, the Dunkl-route
-singular-space oracle, the all-candidates radical oracle, and the command
-line or Python run in a fresh interpreter."""
+singular-space oracle, the all-candidates radical oracle, a recorder of the
+slices built, and the command line or Python run in a fresh interpreter."""
 
 import os
 import subprocess
@@ -9,7 +9,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from cherednik import linalg
+from cherednik import category_o, linalg
 from cherednik.banach import BanachElement
 from cherednik.category_o import VermaSlice, dunkl_action, singular_vectors
 from cherednik.groups import ReflectionFunction, builtin_group, find_reflections
@@ -22,6 +22,21 @@ def make_algebra(spec, ell, c_values):
     refl = find_reflections(group)
     c = ReflectionFunction(group, refl, c_values)
     return CherednikAlgebra(group, c, irreps=irreps)
+
+
+def record_slices(monkeypatch):
+    """Patch `category_o.VermaSlice` to record every slice built from then
+    on, as (irrep label, cutoff) in build order; returns that list."""
+    built = []
+    real = category_o.VermaSlice
+
+    class Recording(real):
+        def __init__(self, algebra, irrep, cutoff):
+            built.append((irrep.label, cutoff))
+            super().__init__(algebra, irrep, cutoff)
+
+    monkeypatch.setattr(category_o, "VermaSlice", Recording)
+    return built
 
 
 def ad_euler(alg, a):

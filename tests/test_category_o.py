@@ -39,7 +39,13 @@ from cherednik.groups import (
 )
 from cherednik.pbw import AlgebraMismatch, CherednikAlgebra, PBWElement
 from cherednik.scalars import Scalar, ZERO, ONE
-from helpers import all_candidates_radical, brute_force_singular_dims, cli_job, make_algebra
+from helpers import (
+    all_candidates_radical,
+    brute_force_singular_dims,
+    cli_job,
+    make_algebra,
+    record_slices,
+)
 from test_pbw import gc_disabled, monomial_trace
 
 
@@ -1975,12 +1981,14 @@ class TestCertifiedDecomposition:
     @pytest.mark.parametrize(
         "spec, ell, c, n0", FORMULA_CASES, ids=[f"{g}-{c}" for g, _, c, _ in FORMULA_CASES]
     )
-    def test_the_formula_matches_the_radicals(self, spec, ell, c, n0):
+    def test_the_formula_matches_the_radicals(self, spec, ell, c, n0, monkeypatch):
         alg = make_algebra(spec, ell, [c])
         assert category_o.certified_cutoff(alg) == n0
         cutoff = n0 + 4
-        assert category_o.certified_route(alg, alg.irreps, cutoff)
+        built = record_slices(monkeypatch)
         got = category_o.simple_characters(alg, alg.irreps, cutoff)
+        # the formula's route: no slice above N0
+        assert built and max(top for _, top in built) <= n0
         assert list(got) == [irr.label for irr in alg.irreps]
         for irr in alg.irreps:
             assert got[irr.label] == simple_quotient_slice(alg, irr, cutoff)[1], irr.label
@@ -1990,8 +1998,8 @@ class TestCertifiedDecomposition:
     )
     def test_the_matrix_at_n0_is_the_matrix_above(self, spec, ell, c):
         alg = make_algebra(spec, ell, [c])
-        n0, matrix = category_o.certified_decomposition(alg)
-        assert n0 == category_o.certified_cutoff(alg)
+        n0 = category_o.certified_cutoff(alg)
+        matrix = decomposition_matrix(alg, n0)
         # the radicals at N0 + 3, truncated, are the simple characters at
         # N0 + 1 and N0 + 2 too: a radical's degree n reads degrees <= n
         top = {irr.label: simple_quotient_slice(alg, irr, n0 + 3)[1] for irr in alg.irreps}
@@ -2003,25 +2011,22 @@ class TestCertifiedDecomposition:
 
     def test_no_slice_above_n0_on_the_certified_route(self, monkeypatch):
         alg = make_algebra("s4", 1, [Fraction(1, 2)])
-        cutoffs = []
-        real = category_o.VermaSlice
-
-        class Recording(real):
-            def __init__(self, algebra, irrep, cutoff):
-                cutoffs.append(cutoff)
-                super().__init__(algebra, irrep, cutoff)
-
-        monkeypatch.setattr(category_o, "VermaSlice", Recording)
+        built = record_slices(monkeypatch)
         category_o.simple_characters(alg, [irrep_of(alg, "triv")], 16)
-        assert cutoffs and set(cutoffs) == {6}
+        # the matrix at N0 = 6 builds each row at its own cutoff
+        assert {top for _, top in built} == set(S4_HALF_ROWS.values())
 
-    def test_an_incomplete_table_has_no_certificate(self):
+    def test_an_incomplete_table_has_no_certificate(self, monkeypatch):
         full = make_algebra("s3", 1, [Fraction(1, 2)])
         alg = CherednikAlgebra(full.group, full.c, irreps=full.irreps[:-1])
         assert category_o.certified_cutoff(alg) is None
-        assert not category_o.certified_route(alg, alg.irreps, 12)
-        with pytest.raises(category_o.InvalidInput, match="no cutoff is certified"):
-            category_o.certified_decomposition(alg)
+        built = record_slices(monkeypatch)
+        category_o.simple_characters(alg, alg.irreps, 12)
+        assert built == [(irr.label, 12) for irr in alg.irreps]
+        del built[:]
+        decomposition_matrix(alg, 12)
+        # every row stays at the cutoff
+        assert sorted(built) == sorted(2 * [(irr.label, 12) for irr in alg.irreps])
 
     def test_a_linked_slice_too_large_at_n0_keeps_the_radicals(self, monkeypatch):
         # with the bound lowered so that standard (dim 3) does not fit at N0
@@ -2029,10 +2034,49 @@ class TestCertifiedDecomposition:
         alg = make_algebra("s4", 1, [Fraction(1, 2)])
         triv = irrep_of(alg, "triv")
         monkeypatch.setattr(category_o, "MAX_SLICE_DIM", math.comb(11, 3))
-        assert not category_o.certified_route(alg, [triv], 8)
-        monkeypatch.setattr(category_o, "certified_decomposition", None)
+        monkeypatch.setattr(category_o, "decomposition_matrix", None)
         got = category_o.simple_characters(alg, [triv], 8)
         assert got == {"triv": simple_quotient_slice(alg, triv, 8)[1]}
+
+
+# N_lambda on s4 at c = 1/2: the largest c_mu - c_lambda over the mu linked
+# to lambda, so N0 = 6
+S4_HALF_ROWS = {"triv": 6, "sgn": 0, "standard": 4, "standard_sgn": 2, "dim2": 3}
+
+# the cases of the per-row oracle, with N0 = 6, 9, 2 and 4
+ROW_CASES = (
+    ("s4", 1, Fraction(1, 2)),
+    ("s4", 1, Fraction(3, 4)),
+    ("dihedral:5", 5, Fraction(1, 5)),
+    ("dihedral:6", 6, Fraction(1, 3)),
+)
+
+
+class TestRowCutoffs:
+    """On a complete table each row lambda of the decomposition matrix stops
+    at its own cutoff N_lambda <= N0, and reads the matrix of the radicals
+    at the full cutoff."""
+
+    @pytest.mark.parametrize("cutoff", [3, 5, 10])
+    def test_each_row_builds_its_slices_at_its_own_cutoff(self, cutoff, monkeypatch):
+        alg = make_algebra("s4", 1, [Fraction(1, 2)])
+        built = record_slices(monkeypatch)
+        decomposition_matrix(alg, cutoff)
+        # one radical and one peeled Verma slice per row
+        want = [(label, min(cutoff, n)) for label, n in S4_HALF_ROWS.items()]
+        assert sorted(built) == sorted(want + want)
+
+    @pytest.mark.parametrize("spec, ell, c", ROW_CASES, ids=[f"{g}-{c}" for g, _, c in ROW_CASES])
+    def test_every_cutoff_matches_the_radicals_at_the_cutoff(self, spec, ell, c):
+        alg = make_algebra(spec, ell, [c])
+        n0 = category_o.certified_cutoff(alg)
+        for cutoff in range(1, n0 + 2):
+            simple = {irr.label: simple_quotient_slice(alg, irr, cutoff)[1] for irr in alg.irreps}
+            want = {
+                irr.label: decompose_verma_character(alg, irr, cutoff, simple)
+                for irr in alg.irreps
+            }
+            assert decomposition_matrix(alg, cutoff) == want, cutoff
 
 
 # the partition of each built-in S_n label

@@ -15,7 +15,7 @@ from cherednik import banach, category_o, cli, groups, pbw, scalars
 from cherednik.cli import build_algebra, emit_report, main, run_command
 from cherednik.config import ParseError, ValidationError, parse_config
 from cherednik.scalars import CherednikError, ComputationLimit, ExprError, InvalidInput
-from helpers import cli_job, group_file_text
+from helpers import cli_job, group_file_text, record_slices
 
 MINIMAL = """
 group = cyclic:2
@@ -216,10 +216,34 @@ def test_an_unknown_irrep_is_two_for_every_command(command, tmp_path, capsys):
     assert main([command, "--config", str(job)]) == 0
 
 
+IRREP_COMMANDS = ("verma-weights", "singular", "simple-character", "decomp-matrix")
+
+
+@pytest.mark.parametrize("command", IRREP_COMMANDS + NO_IRREP_COMMANDS)
+def test_an_empty_irrep_table_is_two_for_the_commands_that_read_irreps(
+    command, tmp_path, capsys
+):
+    # a group file with no `begin irrep` block
+    group_file = tmp_path / "bare.txt"
+    group_file.write_text("dimension = 1\nbegin generator\n-1\nend\n")
+    job = tmp_path / "job.cfg"
+    job.write_text(NO_IRREP_JOB.replace("s3", f"file:{group_file}") + "cutoff = 3\n")
+    code = main([command, "--config", str(job)])
+    captured = capsys.readouterr()
+    if command in IRREP_COMMANDS:
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "cherednik: invalid job: irrep: the algebra carries no irrep table\n"
+    else:
+        assert code == 0
+        assert captured.err == ""
+
+
 class TestCertifiedRoute:
-    """`simple-character` and `decomp-matrix` read the certified matrix only
-    above N0 on a complete table (N0 = 6 on s4 at c = 1/2), and exit 3 on
-    exactly the configs the radicals refuse."""
+    """`simple-character` reads the certified matrix only above N0 on a
+    complete table (N0 = 6 on s4 at c = 1/2), and exits 3 on exactly the
+    configs the radicals refuse; `decomp-matrix` builds each row at its own
+    cutoff, so it is bounded by the slices it builds."""
 
     @staticmethod
     def run(command, text):
@@ -231,21 +255,26 @@ class TestCertifiedRoute:
     def test_cutoff_n0_builds_radicals(self, command, monkeypatch):
         text = "group = s4\nc = 1/2\ncutoff = 6\n"
         certified = self.run(command, text.replace("6", "7"))
-        monkeypatch.setattr(category_o, "certified_decomposition", None)
-        rows = self.run(command, text)
         if command == "decomp-matrix":
-            assert rows == certified
+            built = record_slices(monkeypatch)
+            assert self.run(command, text) == certified
+            # the rows' own cutoffs: triv 6, standard 4, dim2 3, standard_sgn 2, sgn 0
+            assert {top for _, top in built} == {0, 2, 3, 4, 6}
         else:
+            monkeypatch.setattr(category_o, "decomposition_matrix", None)
+            rows = self.run(command, text)
             assert rows == [row for row in certified if row[1] <= 6]
 
     @pytest.mark.parametrize("command", ["simple-character", "decomp-matrix"])
     def test_an_incomplete_file_table_builds_radicals(self, command, tmp_path, monkeypatch):
         group_file = tmp_path / "s3_partial.txt"
         group_file.write_text(group_file_text("s3", ("triv", "standard")))
-        monkeypatch.setattr(category_o, "certified_decomposition", None)
+        built = record_slices(monkeypatch)
         rows = self.run(command, f"group = file:{group_file}\nc = 1/5\ncutoff = 8\n")
         first = {"simple-character": ("triv", 0, "triv", 1), "decomp-matrix": ("triv", "triv", 1)}
         assert rows[0] == first[command]
+        # every slice at the cutoff: no row or character stops below it
+        assert built and {top for _, top in built} == {8}
 
     @pytest.mark.parametrize(
         "command, text",
@@ -253,7 +282,6 @@ class TestCertifiedRoute:
             ("simple-character", "c = 1/2\ncutoff = 83\nirrep = triv\n"),
             ("simple-character", "c = 1/2\ncutoff = 57\nirrep = standard\n"),
             ("simple-character", "c = 1/2\ncutoff = 57\n"),
-            ("decomp-matrix", "c = 1/2\ncutoff = 57\nirrep = triv\n"),
             # N0 = 96 at c = 8: the radical route
             ("simple-character", "c = 8\ncutoff = 83\nirrep = triv\n"),
         ],
@@ -263,6 +291,15 @@ class TestCertifiedRoute:
         job.write_text("group = s4\n" + text)
         assert main([command, "--config", str(job)]) == 3
         assert "MAX_SLICE_DIM = 100000" in capsys.readouterr().err
+
+    def test_decomp_matrix_above_n0_builds_no_slice_past_n0(self, tmp_path, capsys):
+        # standard would not fit at cutoff 57, but no row reaches past N0 = 6
+        job = tmp_path / "job.cfg"
+        job.write_text("group = s4\nc = 1/2\ncutoff = 57\nirrep = triv\n")
+        assert main(["decomp-matrix", "--config", str(job)]) == 0
+        rows = [line.split("\t") for line in capsys.readouterr().out.splitlines()[3:]]
+        low = self.run("decomp-matrix", "group = s4\nc = 1/2\ncutoff = 7\nirrep = triv\n")
+        assert rows == [[str(x) for x in row] for row in low]
 
     def test_a_larger_linked_irrep_does_not_fail_a_selected_one(self):
         # standard would not fit at cutoff 82; triv does, and its character
