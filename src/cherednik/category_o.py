@@ -1066,6 +1066,8 @@ def decomposition_matrix(algebra: CherednikAlgebra, cutoff: int):
     it peels, stop at min(cutoff, N_lambda).  Row lambda reads L(mu) up to
     degree N_lambda - (c_mu - c_lambda) = N_mu, as linkage is an
     equivalence.  On an incomplete table every row stays at the cutoff."""
+    if not algebra.irreps:
+        raise ValueError("the algebra carries no irrep table")
     rows = _row_cutoffs(algebra)
     tops = [(w, cutoff if rows is None else min(cutoff, rows[w.label])) for w in algebra.irreps]
     simple = {w.label: simple_quotient_slice(algebra, w, top)[1] for w, top in tops}
@@ -1105,6 +1107,8 @@ def simple_characters(algebra: CherednikAlgebra, irreps: list, cutoff: int) -> d
     way the listed irreps keep the radicals' bound at the cutoff:
     SliceTooLarge where a slice would not fit.  A negative multiplicity is a
     bug and raises RuntimeError."""
+    if not algebra.irreps:
+        raise ValueError("the algebra carries no irrep table")
     for irr in irreps:
         _check_slice_size(algebra, irr, cutoff)
     n0 = certified_cutoff(algebra)

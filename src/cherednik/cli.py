@@ -17,7 +17,7 @@ from .groups import (
     find_reflections,
     load_group_file,
 )
-from .pbw import CherednikAlgebra
+from .pbw import CherednikAlgebra, format_term
 from .scalars import (
     ComputationLimit,
     ExprError,
@@ -25,6 +25,7 @@ from .scalars import (
     PadicContext,
     decimal_int,
     parse_scalar,
+    signed_sum,
 )
 
 
@@ -211,8 +212,7 @@ def _cmd_norm(cfg: JobConfig, algebra: CherednikAlgebra) -> Report:
     for term, (weight, _) in sorted(
         element.weighted.items(), key=lambda kv: (kv[1][0], kv[0])
     ):
-        mono = algebra.element({term: element.terms[term]})
-        rows.append((str(mono), int(weight), level))
+        rows.append((signed_sum([format_term(term, element.terms[term])]), int(weight), level))
     extra = {"norm_exponent": _norm_text(element), "r": str(params.r), "tau": str(element.tau)}
     return Report(("term", "weighted_valuation", "level"), rows, extra=extra)
 

@@ -57,6 +57,43 @@ def _is_integral(mat: Matrix) -> bool:
     return all(x.den == 1 for row in mat for x in row)
 
 
+def _int_mul(a, b) -> tuple:
+    """`linalg.mat_mul` on matrices of ints: the product as int row tuples,
+    skipping zero entries the same way."""
+    out = []
+    for arow in a:
+        orow = [0] * len(b[0])
+        for aik, brow in zip(arow, b):
+            if aik:
+                for j, y in enumerate(brow):
+                    if y:
+                        orow[j] += aik * y
+        out.append(tuple(orow))
+    return tuple(out)
+
+
+def _thaw(mats) -> tuple:
+    """Int matrices as Scalar matrices, with one Scalar per distinct int."""
+    scalar = {x: Scalar.rational(x) for x in {x for m in mats for row in m for x in row}}
+    scalar.update({0: ZERO, 1: ONE})
+    return tuple(tuple(tuple(scalar[x] for x in row) for row in m) for m in mats)
+
+
+def _kernel(mats):
+    """(mul, mats, identity, thaw): the matrix product that a closure or a
+    group law over the square Scalar matrices mats runs on, mats and the
+    identity in its form, and the map from a list of its matrices back to
+    Scalar matrices.  When every entry is a rational integer the products
+    are exact on ints (`_int_mul`); otherwise they stay `linalg.mat_mul`.
+    Either way a product is equal to the one `linalg.mat_mul` forms."""
+    n = len(mats[0])
+    if all(x.is_integer() for m in mats for row in m for x in row):
+        ints = [tuple(tuple(x.coeffs[0] for x in row) for row in m) for m in mats]
+        ident = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+        return _int_mul, ints, ident, _thaw
+    return linalg.mat_mul, mats, linalg.identity(n), tuple
+
+
 @lru_cache(maxsize=None)
 def _order_bound(n: int, ell: int) -> tuple[int, int, int]:
     """(N, p, r).  N is the lcm of the d with phi(lcm(ell, d)) <= n * phi(ell):
@@ -142,7 +179,9 @@ def enumerate_group(generators) -> GroupAction:
     and how each element was first reached.  The multiplication table is
     filled from those steps alone: if b was first reached as b' * s, then
     a * b = (a * b') * s, and b' comes before b.  Every step is an exact
-    matrix product, so the table is associative by construction.
+    matrix product, so the table is associative by construction.  The
+    products run on ints when every generator entry is a rational integer
+    (`_kernel`).
     """
     gens = [_freeze(g) for g in generators]
     if not gens:
@@ -160,7 +199,7 @@ def enumerate_group(generators) -> GroupAction:
         if not _has_finite_order(g):
             raise InfiniteOrder(f"generator {number} of {len(gens)} has infinite order")
 
-    ident = linalg.identity(n)
+    mul, gens, ident, thaw = _kernel(gens)
     elements = [ident]
     index = {ident: 0}
     origin = [None]  # (element, generator) that first reached each element
@@ -169,7 +208,7 @@ def enumerate_group(generators) -> GroupAction:
     while a < len(elements):
         row = []
         for gi, g in enumerate(gens):
-            prod = linalg.mat_mul(elements[a], g)
+            prod = mul(elements[a], g)
             b = index.get(prod)
             if b is None:
                 if len(elements) >= MAX_GROUP_ORDER:
@@ -190,7 +229,7 @@ def enumerate_group(generators) -> GroupAction:
             row.append(step[row[parent]][gi])
         table.append(tuple(row))
     inverse = tuple(row.index(0) for row in table)
-    return GroupAction(n, tuple(elements), tuple(table), inverse, tuple(step[0]))
+    return GroupAction(n, thaw(elements), tuple(table), inverse, tuple(step[0]))
 
 
 @dataclass(frozen=True)
@@ -296,9 +335,10 @@ class Irrep:
         object.__setattr__(self, "character", tuple(traces))
 
 
-def _group_law(label: str, mats, gens, group: GroupAction) -> None:
-    """Form rho(a) rho(s) once for each element a, in index order, and each
-    generator s: it defines rho(a s) while that is None, and must equal it.
+def _group_law(label: str, mats, gens, group: GroupAction, mul) -> None:
+    """Form rho(a) rho(s) = mul(rho(a), rho(s)) once for each element a, in
+    index order, and each generator s: it defines rho(a s) while that is
+    None, and must equal it.
 
     mats starts with rho(identity) = I; gens are the generators' matrices.
     enumerate_group numbers elements in breadth-first (element, generator)
@@ -308,7 +348,7 @@ def _group_law(label: str, mats, gens, group: GroupAction) -> None:
     word b = b' s: rho(a) rho(b') rho(s) = rho(a b') rho(s) = rho(a b)."""
     for a in range(len(group)):
         for s, g in zip(group.generators, gens):
-            prod, b = linalg.mat_mul(mats[a], g), group.mul(a, s)
+            prod, b = mul(mats[a], g), group.mul(a, s)
             if mats[b] is None:
                 mats[b] = prod
             elif prod != mats[b]:
@@ -319,13 +359,18 @@ def irrep_from_generators(label: str, gen_matrices, group: GroupAction) -> Irrep
     """Extend matrices given on the generators by the group law, then check
     irreducibility (character norm 1).  This is the one way an irrep is
     built: a full matrix table is checked by building from its generators'
-    matrices and comparing."""
+    matrices and comparing.  The products run on ints when every generator
+    entry is a rational integer (`_kernel`)."""
     gens = [_freeze(m) for m in gen_matrices]
     if len(gens) != len(group.generators):
         raise ValueError(f"irrep {label!r} needs {len(group.generators)} generator matrices")
-    mats = [linalg.identity(len(gens[0]))] + [None] * (len(group) - 1)
-    _group_law(label, mats, gens, group)
-    irrep = Irrep(label, tuple(mats))
+    d = len(gens[0])
+    if any(len(m) != d or any(len(row) != d for row in m) for m in gens):
+        raise ValueError(f"irrep {label!r} needs square generator matrices of one size")
+    mul, gens, ident, thaw = _kernel(gens)
+    mats = [ident] + [None] * (len(group) - 1)
+    _group_law(label, mats, gens, group, mul)
+    irrep = Irrep(label, thaw(mats))
     chi = irrep.character
     norm = sum((chi[g] * chi[group.inv(g)] for g in range(len(group))), ZERO) / len(group)
     if norm != ONE:

@@ -70,6 +70,25 @@ def term_sort_key(term: Term):
     return (sum(i), i, g, sum(j), j)
 
 
+def format_term(term: Term, coef: Scalar) -> tuple[bool, str]:
+    """(negative, text) of the nonzero term coef * x^I g y^J, the text
+    without its sign: the piece of the element syntax that `signed_sum`
+    joins."""
+    i, g, j = term
+    factors = [f"x{k + 1}" + (f"^{e}" if e > 1 else "") for k, e in enumerate(i) if e]
+    if g != 0:
+        factors.append(f"g{g}")
+    factors += [f"y{k + 1}" + (f"^{e}" if e > 1 else "") for k, e in enumerate(j) if e]
+    negative = coef.is_rational and coef.as_fraction() < 0
+    mag = -coef if negative else coef
+    body = "*".join(factors)
+    if not factors:
+        body = str(mag)
+    elif mag != ONE:
+        body = f"{mag}*{body}"
+    return negative, body
+
+
 def _add_deg(a, b):
     return tuple(map(add, a, b))
 
@@ -592,26 +611,7 @@ class CherednikAlgebra:
     def format_element(self, el: PBWElement) -> str:
         if not el.terms:
             return "0"
-        chunks = []
-        for (i, g, j), coef in el.items():
-            factors = []
-            for k, e in enumerate(i):
-                if e:
-                    factors.append(f"x{k + 1}" + (f"^{e}" if e > 1 else ""))
-            if g != 0:
-                factors.append(f"g{g}")
-            for k, e in enumerate(j):
-                if e:
-                    factors.append(f"y{k + 1}" + (f"^{e}" if e > 1 else ""))
-            negative = coef.is_rational and coef.as_fraction() < 0
-            mag = -coef if negative else coef
-            body = "*".join(factors)
-            if not factors:
-                body = str(mag)
-            elif mag != ONE:
-                body = f"{mag}*{body}"
-            chunks.append((negative, body))
-        return signed_sum(chunks)
+        return signed_sum([format_term(term, coef) for term, coef in el.items()])
 
     def parse_element(self, text: str) -> PBWElement:
         """Parse the textual element syntax, e.g. ``3/2*x1^2*g2*y1 + 1``.

@@ -1074,6 +1074,23 @@ class TestCharacters:
         with pytest.raises(ValueError, match="no irrep table"):
             slice_.graded_character()
 
+    def test_no_irrep_table_has_no_decomposition(self):
+        # the one-generator group file with no `begin irrep` block: every
+        # reader of the table refuses it, none returns an empty answer
+        group, irreps = load_group_file("dimension = 1\nbegin generator\n-1\nend\n")
+        c = ReflectionFunction(group, find_reflections(group), [Fraction(1, 2)])
+        alg = CherednikAlgebra(group, c, irreps=irreps)
+        assert alg.irreps == []
+        triv = builtin_group("cyclic:2")[1][0]
+        calls = [
+            lambda: decomposition_matrix(alg, 2),
+            lambda: category_o.simple_characters(alg, [], 2),
+            lambda: decompose_verma_character(alg, triv, 2, {}),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="the algebra carries no irrep table"):
+                call()
+
     def test_verma_character_matches_elementwise_traces(self):
         alg = make_algebra("dihedral:5", 5, [Fraction(1, 5)])
         for w in alg.irreps:

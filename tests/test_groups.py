@@ -326,10 +326,12 @@ class TestIrreps:
     )
     def test_one_product_per_element_and_generator(self, spec, ell, monkeypatch):
         # each built-in irrep is built with |G| * |generators| matrix products,
-        # and its generators act by the matrices it was given
+        # on ints or on Scalars, and its generators act by the matrices it
+        # was given
         products = []
-        mat_mul = linalg.mat_mul
-        monkeypatch.setattr(linalg, "mat_mul", lambda a, b: products.append(1) or mat_mul(a, b))
+        for module, name in ((linalg, "mat_mul"), (groups, "_int_mul")):
+            mul = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda a, b, mul=mul: products.append(1) or mul(a, b))
         built = []
         make = groups.irrep_from_generators
 
@@ -350,7 +352,7 @@ class TestIrreps:
         if spec == "s4":
             assert {count for _, _, count in built} == {72}
 
-    @pytest.mark.parametrize("spec,ell", [("s3", 1), ("dihedral:6", 6), ("s4", 1)])
+    @pytest.mark.parametrize("spec,ell", BUILTIN_GROUPS)
     def test_builtin_irreps_respect_every_pair(self, spec, ell):
         group, irreps = builtin_group(spec, ell)
         for w in irreps:
@@ -358,6 +360,40 @@ class TestIrreps:
                 for b in range(len(group)):
                     product = linalg.mat_mul(w.matrices[a], w.matrices[b])
                     assert product == w.matrices[group.mul(a, b)]
+
+    @pytest.mark.parametrize("spec,ell,routed", [("s4", 1, 6), ("dihedral:6", 6, 4)])
+    def test_int_products_give_canonical_scalars(self, spec, ell, routed, monkeypatch):
+        # the int kernel builds s4 and its five irreps, and the four rational
+        # irreps of dihedral:6; every entry it returns is a canonical integer
+        # Scalar, and each table equals the linalg.mat_mul products
+        thawed = []
+        thaw = groups._thaw
+        monkeypatch.setattr(groups, "_thaw", lambda mats: thawed.append(thaw(mats)) or thawed[-1])
+        group, irreps = builtin_group(spec, ell)
+        assert len(thawed) == routed
+        for mats in thawed:
+            assert mats[group.identity] == linalg.identity(len(mats[0]))
+            for x in (x for m in mats for row in m for x in row):
+                assert (x.ell, x.den, len(x.coeffs), type(x.coeffs[0])) == (1, 1, 1, int)
+            for a in range(len(group)):
+                for s in group.generators:
+                    assert linalg.mat_mul(mats[a], mats[s]) == mats[group.mul(a, s)]
+
+    @pytest.mark.parametrize(
+        "given",
+        [
+            [[[1, 0, 0], [0, 1, 0]]] * 2,
+            [[[-1, 1], [0, 1]], [[1]]],
+            [[[1], [1]]] * 2,
+        ],
+        ids=["2x3", "2x2-and-1x1", "2x1"],
+    )
+    def test_malformed_shapes_rejected_before_any_product(self, given, monkeypatch):
+        group, _ = builtin_group("s3")
+        monkeypatch.setattr(linalg, "mat_mul", None)
+        monkeypatch.setattr(groups, "_int_mul", None)
+        with pytest.raises(ValueError, match="irrep 'bad' needs square generator matrices of one size"):
+            irrep_from_generators("bad", given, group)
 
     @pytest.mark.parametrize("spec,ell", BUILTIN_GROUPS)
     def test_builtin_tables_complete(self, spec, ell):
