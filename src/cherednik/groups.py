@@ -264,16 +264,23 @@ def _rank_one(diff: Matrix) -> bool:
     )
 
 
+def _minus(a, b) -> list:
+    """The matrix a - b, entrywise."""
+    return [[x - y for x, y in zip(arow, brow)] for arow, brow in zip(a, b)]
+
+
 def find_reflections(group: GroupAction) -> list[PseudoReflection]:
-    """All elements with rank(g - 1) = 1, with normalized eigen-data."""
+    """All elements with rank(g - 1) = 1, with normalized eigen-data.  The
+    rank test runs on ints when every entry is a rational integer
+    (`_kernel`); the eigen-data is formed in Scalars for the elements that
+    pass."""
     out = []
     n = group.dimension
-    for gi, mat in enumerate(group.matrices):
-        if gi == group.identity:
+    _, forms, ident, _ = _kernel(group.matrices)
+    for gi, (mat, form) in enumerate(zip(group.matrices, forms)):
+        if gi == group.identity or not _rank_one(_minus(form, ident)):
             continue
-        diff = [[mat[i][j] - (ONE if i == j else ZERO) for j in range(n)] for i in range(n)]
-        if not _rank_one(diff):
-            continue
+        diff = _minus(mat, linalg.identity(n))
         row = next(r for r in diff if any(r))
         lead = next(x for x in row if x)
         alpha = tuple(x / lead for x in row)

@@ -15,17 +15,20 @@ terminates; associativity is covered by the test suite.
 Products and module actions share one straighten-and-move step, `_moved`:
 the terms of g1 y^J1 x^I2 with g1 moved past the x's.  A product
 x^I1 g1 y^J1 * x^I2 g2 y^J2 reads one cached pair image, the PBW form of
-g1 y^J1 x^I2 g2 kept per (g1, J1, I2, g2) as a flat tuple, so a term pair
-costs one Scalar product per image entry.  A power of a base with several
-terms multiplies one factor in at a time, on the side where straightening
-moves fewer y's past x's: the factor and the power so far commute, and
-a * b makes about (sum of |J| over a's terms) * (sum of |I| over b's) such
-swaps.  On a standard module Delta(lambda) = H_c (x) lambda, x^I g y^J acts
-on x^mono (x) w by the y-free moved terms of g y^J x^mono, shifted by I.
+g1 y^J1 x^I2 g2 kept per (g1, J1, I2, g2) as a flat tuple of int
+numerators over one denominator; a product sums over one common
+denominator, so an image entry costs one int product and addition.  A
+power of a base with several terms multiplies one factor in at a time, on
+the side where straightening moves fewer y's past x's: the factor and the
+power so far commute, and a * b makes about (sum of |J| over a's terms) *
+(sum of |I| over b's) such swaps.  On a standard module
+Delta(lambda) = H_c (x) lambda, x^I g y^J acts on x^mono (x) w by the y-free
+moved terms of g y^J x^mono, shifted by I.
 """
 
 from __future__ import annotations
 
+import math
 from operator import add
 
 from .groups import GroupAction, PseudoReflection, ReflectionFunction
@@ -37,6 +40,10 @@ from .scalars import (
     ExprError,
     InvalidInput,
     _accumulate,
+    _common_field,
+    _from_numerator,
+    _numerator_product,
+    _numerators,
     _settle,
     check_coeff_bits,
     decimal_int,
@@ -57,7 +64,7 @@ class RepeatedIrrep(InvalidInput):
 
 # the work bound on a power: a^k refuses to form the product that takes the
 # running count of term pairs multiplied (len(power) * len(factor) per
-# product) past it, about 0.4 s of products
+# product) past it, about 0.3 s of products
 MAX_POWER_PAIRS = 100_000
 
 
@@ -534,11 +541,12 @@ class CherednikAlgebra:
 
     def _pair_image(self, g1: int, j1: tuple, i2: tuple, g2: int) -> tuple:
         """PBW form of g1 * y^j1 * x^i2 * g2 as a flat tuple
-        (A, k, B, coef, A, k, B, coef, ...) meaning sum coef * x^A k y^B, with
-        the entries at one (A, k, B) added and the cancelled ones dropped.
-        Each moved term x^A h y^B of g1 y^j1 x^i2 becomes x^A h g2
-        (g2^-1 . y^B), since y^B * g2 = g2 * (g2^-1 . y^B); cached by
-        (g1, j1, i2, g2)."""
+        (ell, E, A, k, B, n, A, k, B, n, ...) meaning sum (n / E) * x^A k y^B
+        over Q(zeta_ell): the entries at one (A, k, B) added, the cancelled
+        ones dropped, and each coefficient kept as its numerator n over the
+        one image denominator E (`scalars._numerators`).  Each moved term
+        x^A h y^B of g1 y^j1 x^i2 becomes x^A h g2 (g2^-1 . y^B), since
+        y^B * g2 = g2 * (g2^-1 . y^B); cached by (g1, j1, i2, g2)."""
         key = (g1, j1, i2, g2)
         cached = self._pair_cache.get(key)
         if cached is not None:
@@ -549,34 +557,71 @@ class CherednikAlgebra:
             k = table[h][g2]
             for B2, cb in self.act_on_y_monomial(g2inv, B).items():
                 _accumulate(merged, (A, k, B2), coef * cb)
-        cached = self._pair_cache[key] = tuple(
-            x for (A, k, B), c in _settle(merged).items() for x in (A, k, B, c)
+        merged = _settle(merged)
+        ell, den, nums = _numerators(merged.values())
+        cached = self._pair_cache[key] = (ell, den) + tuple(
+            x for (A, k, B), n in zip(merged, nums) for x in (A, k, B, n)
         )
         return cached
 
     def multiply(self, a: PBWElement, b: PBWElement) -> PBWElement:
         """Straightened product in PBW form: x^I1 g1 y^J1 * x^I2 g2 y^J2 is
-        x^I1 (the pair image of (g1, J1, I2, g2)) y^J2."""
+        x^I1 (the pair image of (g1, J1, I2, g2)) y^J2.  Every term pair's
+        image is fetched first, to fix one common denominator
+        D = lcm(dens of a) * lcm(dens of b) * lcm(image denominators); each
+        image entry then adds base * n in ints at (I1 + A, k, B + J2), base
+        the pair's numerator c1 * c2 over D / E, and every output term is
+        made one canonical Scalar at the end."""
         a = self._coerce(a)
         b = self._coerce(b)
         image = self._pair_image
+        images = [image(g1, j1, i2, g2) for _, g1, j1 in a.terms for i2, g2, _ in b.terms]
+        ell_a, den_a, nums_a = _numerators(a.terms.values())
+        ell_b, den_b, nums_b = _numerators(b.terms.values())
+        ell = _common_field([ell_a, ell_b, *(flat[0] for flat in images)])
+        den_e = math.lcm(*(flat[1] for flat in images))
         out: dict = {}
-        for (i1, g1, j1), c1 in a.terms.items():
+        get = out.get
+        images = iter(images)
+        for (i1, _, _), n1 in zip(a.terms, nums_a):
             shift_x = any(i1)
-            for (i2, g2, j2), c2 in b.terms.items():
-                base, shift_y = c1 * c2, any(j2)
-                flat = iter(image(g1, j1, i2, g2))
+            for (_, _, j2), n2 in zip(b.terms, nums_b):
+                flat = iter(next(images))
+                next(flat)
+                shift_y, scale = any(j2), den_e // next(flat)
+                base = _numerator_product(ell, _numerator_product(ell, n1, n2), scale)
+                int_base = type(base) is int
                 # a zero I1 or J2 keeps the image's degree tuples as they are
-                for A, k, B, coef in zip(flat, flat, flat, flat):
+                for A, k, B, n in zip(flat, flat, flat, flat):
                     if shift_x:
                         A = _add_deg(i1, A)
                     if shift_y:
                         B = _add_deg(B, j2)
-                    _accumulate(out, (A, k, B), base * coef)
-        out = _settle(out)
-        for coef in out.values():
+                    key = (A, k, B)
+                    # a sum stays an int until its first irrational summand
+                    acc = get(key, 0)
+                    if int_base and type(n) is int:
+                        if type(acc) is int:
+                            out[key] = acc + base * n
+                        else:
+                            acc[0] += base * n
+                        continue
+                    n = _numerator_product(ell, base, n)
+                    if type(acc) is int:
+                        n[0] += acc
+                        out[key] = n
+                    else:
+                        for t, c in enumerate(n):
+                            acc[t] += c
+        den = den_a * den_b * den_e
+        terms = {
+            key: _from_numerator(ell, num, den)
+            for key, num in out.items()
+            if (num if type(num) is int else any(num))
+        }
+        for coef in terms.values():
             check_coeff_bits(coef)
-        return PBWElement(self, out)
+        return PBWElement(self, terms)
 
     # -- grading ----------------------------------------------------------
 

@@ -350,10 +350,7 @@ class Scalar:
         elif a_ell == 1:
             a, b = other, self
         elif a_ell == b_ell:
-            xs, ys = self.coeffs, other.coeffs
-            out = [0] * len(xs)
-            for i, j, k, r in _product_table(a_ell):
-                out[k] += r * xs[i] * ys[j]
+            out = _numerator_product(a_ell, self.coeffs, other.coeffs)
             return Scalar._make(a_ell, out, self.den * other.den)
         else:
             raise FieldMismatch(f"cannot mix Q(zeta_{b_ell}) and Q(zeta_{a_ell}) values")
@@ -550,6 +547,65 @@ def _settle(terms: dict) -> dict:
             continue
         out[key] = v
     return out
+
+
+# Numerators: a list of Scalars over one common denominator, for sums run in
+# plain int arithmetic.  Over Q(zeta_ell) a rational value's numerator is an
+# int and any other value's is a tuple of phi(ell) power-basis ints.
+
+
+def _common_field(ells) -> int:
+    """The one cyclotomic index above 1 among ells, or 1 if there is none;
+    FieldMismatch if there are two."""
+    out = 1
+    for ell in ells:
+        if ell != 1 and ell != out:
+            if out != 1:
+                raise FieldMismatch(f"cannot mix Q(zeta_{ell}) and Q(zeta_{out}) values")
+            out = ell
+    return out
+
+
+def _numerators(values) -> tuple[int, int, list]:
+    """(ell, den, nums) for the Scalars in values: ell their common field
+    (`_common_field`), den the lcm of their denominators (1 for none) and
+    nums their numerators over den, in order: an int for a rational value
+    and a tuple of power-basis ints for any other."""
+    values = list(values)
+    ell = _common_field(v.ell for v in values)
+    den = math.lcm(*(v.den for v in values))
+    nums = []
+    for v in values:
+        f = den // v.den
+        if v.ell == 1:
+            nums.append(v.coeffs[0] * f)
+        else:
+            nums.append(v.coeffs if f == 1 else tuple(c * f for c in v.coeffs))
+    return ell, den, nums
+
+
+def _numerator_product(ell: int, x, y):
+    """x * y for two numerators over Q(zeta_ell) (`_numerators`): an int
+    when both are ints, else a list of phi(ell) power-basis ints, a product
+    of two tuples reduced modulo Phi_ell through `_product_table`."""
+    if type(x) is int:
+        return x * y if type(y) is int else [x * c for c in y]
+    if type(y) is int:
+        return [c * y for c in x]
+    out = [0] * len(x)
+    for i, j, k, r in _product_table(ell):
+        out[k] += r * x[i] * y[j]
+    return out
+
+
+def _from_numerator(ell: int, num, den: int) -> Scalar:
+    """The canonical Scalar num / den for a nonzero numerator over
+    Q(zeta_ell), an int or a list of phi(ell) ints, and a positive den: one
+    gcd over Q, `Scalar._make` over Q(zeta_ell)."""
+    if type(num) is not int:
+        return Scalar._make(ell, num, den)
+    g = math.gcd(num, den)
+    return Scalar(1, (num // g,), den // g)
 
 
 # ---------------------------------------------------------------------------

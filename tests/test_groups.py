@@ -23,6 +23,7 @@ from cherednik.groups import (
     load_group_file,
 )
 from cherednik.scalars import Scalar, ZERO, ONE
+from helpers import group_file_text
 
 S3_GENS = [[[-1, 1], [0, 1]], [[1, 0], [1, -1]]]
 
@@ -624,6 +625,39 @@ def test_reflections_are_exactly_the_rank_one_elements(spec, ell):
         if g != group.identity and linalg.rank(_minus_identity(mat)) == 1
     ]
     assert [r.index for r in find_reflections(group)] == expected
+
+
+def _scalar_kernel(mats):
+    return linalg.mat_mul, mats, linalg.identity(len(mats[0])), tuple
+
+
+@pytest.mark.parametrize(
+    "source", [*(f"{spec}@{ell}" for spec, ell in REFLECTION_FAMILIES), "file:s4", "file:two"]
+)
+def test_int_rank_test_finds_the_scalar_route_reflections(source, monkeypatch):
+    # find_reflections runs its rank test on ints for an integer group; the
+    # list, eigen-data included, equals the one of the all-Scalar route
+    if source.startswith("file:"):
+        text = group_file_text("s4") if source == "file:s4" else GROUP_FILE
+        group, _ = load_group_file(text)
+    else:
+        spec, ell = source.split("@")
+        group, _ = builtin_group(spec, int(ell))
+    found = find_reflections(group)
+    monkeypatch.setattr(groups, "_kernel", _scalar_kernel)
+    assert found == find_reflections(group)
+    assert found or len(group) == 1
+
+
+def test_int_rank_test_is_the_route_for_integer_groups(monkeypatch):
+    # s4 tests its 23 non-identity elements on ints and forms Scalar
+    # differences g - 1 only for its 6 reflections
+    group, _ = builtin_group("s4")
+    diffs = []
+    minus = groups._minus
+    monkeypatch.setattr(groups, "_minus", lambda a, b: diffs.append(type(a[0][0])) or minus(a, b))
+    assert len(find_reflections(group)) == 6
+    assert diffs.count(int) == 23 and diffs.count(Scalar) == 6
 
 
 def test_rank_one_minor_test_matches_elimination():

@@ -719,6 +719,8 @@ class TestElementSyntax:
 PROPERTY_ALGEBRAS = {
     "s3": ("s3", 1, [Fraction(1, 3)]),
     "dihedral:5": ("dihedral:5", 5, [Scalar.from_coords(5, [1, 1], 3)]),
+    # the field and parameter of the `norm` job
+    "dihedral:8": ("dihedral:8", 8, [Fraction(1, 8)]),
 }
 
 
@@ -730,19 +732,19 @@ def property_algebra(name):
 @st.composite
 def pbw_elements(draw, alg, max_exponent, max_terms):
     """A sum of 1 to max_terms PBW monomials with small exponents and nonzero
-    coefficients in the algebra's field."""
+    coefficients in the algebra's field; over Q(zeta_l) rational and
+    cyclotomic coefficients mix, with denominators 1 to 4 and 1 to 3."""
     ell = alg.field_ell
     exponents = st.tuples(*[st.integers(0, max_exponent)] * alg.dim)
+    coeffs = st.builds(Fraction, st.integers(-4, 4).filter(bool), st.integers(1, 4))
     if ell > 1:
         d = euler_phi(ell)
-        coeffs = st.builds(
+        coeffs |= st.builds(
             Scalar.from_coords,
             st.just(ell),
             st.lists(st.integers(-2, 2), min_size=d, max_size=d).filter(any),
             st.integers(1, 3),
         )
-    else:
-        coeffs = st.builds(Fraction, st.integers(-4, 4).filter(bool), st.integers(1, 4))
     terms = st.tuples(exponents, st.integers(0, len(alg.group) - 1), exponents, coeffs)
     out = alg.zero()
     for i, g, j, coeff in draw(st.lists(terms, min_size=1, max_size=max_terms)):
@@ -1027,8 +1029,27 @@ def _norm_job_algebra():
     return make_algebra("dihedral:8", 8, [Fraction(1, 8)])
 
 
-def _norm_job_base(alg):
-    return alg.parse_element("(-1)*x1 + y2 + x2 + g5")
+def _norm_job_base(alg, coefficient="-1"):
+    return alg.parse_element(f"({coefficient})*x1 + y2 + x2 + g5")
+
+
+def _decoded_image(flat) -> dict:
+    """{(A, k, B): Scalar} of a stored pair image (ell, E, A, k, B, n, ...):
+    each numerator n over E turned back into a Scalar."""
+    ell, den = flat[:2]
+    return {
+        tuple(flat[t : t + 3]): Scalar.from_coords(ell, (n,) if type(n) is int else n, den)
+        for t, n in zip(range(2, len(flat), 4), flat[5::4])
+    }
+
+
+def _assert_canonical(el):
+    # every coefficient is nonzero and survives Scalar._make unchanged, so a
+    # rational one carries ell = 1
+    for coef in el.terms.values():
+        made = Scalar._make(coef.ell, list(coef.coeffs), coef.den)
+        assert coef and type(coef.coeffs) is tuple
+        assert (coef.ell, coef.coeffs, coef.den) == (made.ell, made.coeffs, made.den)
 
 
 class TestPairImages:
@@ -1038,17 +1059,22 @@ class TestPairImages:
     def test_product_equals_the_term_loop(self, name, data):
         alg = property_algebra(name)
         a, b = data.draw(pbw_elements(alg, 2, 3)), data.draw(pbw_elements(alg, 2, 3))
-        assert alg.multiply(a, b) == _multiply_by_terms(alg, a, b)
+        product = alg.multiply(a, b)
+        assert product == _multiply_by_terms(alg, a, b)
+        _assert_canonical(product)
 
     def test_norm_job_powers_equal_the_term_loop(self):
+        # the coefficient z puts an irrational numerator on the base of
+        # every term pair whose left factor carries x1
         alg = _norm_job_algebra()
-        base = _norm_job_base(alg)
-        power = alg.one()
-        for k in range(1, 5):
-            expected = _multiply_by_terms(alg, power, base)
-            power = alg.multiply(power, base)
-            assert power == expected, k
-            assert power == base**k, k
+        for coefficient in ("-1", "z"):
+            base = _norm_job_base(alg, coefficient)
+            power = alg.one()
+            for k in range(1, 5):
+                expected = _multiply_by_terms(alg, power, base)
+                power = alg.multiply(power, base)
+                assert power == expected, (coefficient, k)
+                assert power == base**k, (coefficient, k)
 
     def test_warm_order_does_not_change_products(self):
         # one algebra multiplies a list of pairs in order on cold caches, the
@@ -1074,22 +1100,114 @@ class TestPairImages:
         assert alg.multiply(a, base) == first
         assert alg._pair_cache.keys() == entries.keys()
         assert all(alg._pair_cache[k] is v for k, v in entries.items())
+        zero = alg._zero_deg
+        for (g1, j1, i2, g2), flat in entries.items():
+            expected = _multiply_by_terms(alg, alg.monomial(zero, g1, j1), alg.monomial(i2, g2, zero))
+            assert _decoded_image(flat) == expected.terms
 
     def test_pair_image_is_the_merged_product(self):
-        # g1 * y^J1 * x^I2 * g2 as one entry per (A, k, B), none of them zero
-        alg = property_algebra("dihedral:5")
-        zero = alg._zero_deg
-        for g1, g2 in ((0, 0), (1, 3), (7, 2)):
-            for j1, i2 in (((0, 0), (1, 2)), ((2, 1), (1, 1)), ((1, 0), (0, 0))):
+        # g1 * y^J1 * x^I2 * g2 as one entry per (A, k, B), none of them zero,
+        # each an int numerator (a tuple of phi(l) ints for an irrational
+        # value) over the lcm E of the coefficients' denominators
+        for name, last in (("s3", (5, 2)), ("dihedral:5", (7, 2))):
+            alg = property_algebra(name)
+            zero = alg._zero_deg
+            cases = [(g1, g2, j1, i2) for g1, g2 in ((0, 0), (1, 3), last)
+                     for j1, i2 in (((0, 0), (1, 2)), ((2, 1), (1, 1)), ((1, 0), (0, 0)))]
+            for g1, g2, j1, i2 in cases:
                 flat = alg._pair_image(g1, j1, i2, g2)
-                assert len(flat) % 4 == 0
-                keys = [flat[t : t + 3] for t in range(0, len(flat), 4)]
+                ell, den = flat[:2]
+                assert len(flat) % 4 == 2
+                keys = [flat[t : t + 3] for t in range(2, len(flat), 4)]
                 assert len(set(keys)) == len(keys)
-                assert all(flat[3::4])
+                for n in flat[5::4]:
+                    assert type(n) is int or (ell > 1 and len(n) == euler_phi(ell))
+                decoded = _decoded_image(flat)
+                assert all(decoded.values())
+                assert den == math.lcm(*(c.den for c in decoded.values()))
+                assert ell == max((c.ell for c in decoded.values()), default=1)
                 expected = _multiply_by_terms(
                     alg, alg.monomial(zero, g1, j1), alg.monomial(i2, g2, zero)
                 )
-                assert dict(zip(keys, flat[3::4])) == expected.terms
+                assert decoded == expected.terms
+
+
+class TestMultiplyKernel:
+    """`multiply` sums int numerators over one common denominator and makes
+    one canonical Scalar per output term."""
+
+    @pytest.mark.parametrize("name", sorted(PROPERTY_ALGEBRAS))
+    def test_products_that_cancel_to_zero(self, name):
+        # s^2 = 1 for a reflection s, so (u + u s)(1 - s) = 0, and
+        # (x1 + x1 s) u (y1 - s y1) = 0 cancels at keys shifted by I1 and J2
+        alg = property_algebra(name)
+        one, s = alg.one(), alg.g(alg.reflections[0].index)
+        u = Scalar.zeta(alg.field_ell) / 3 if alg.field_ell > 1 else Scalar.rational(Fraction(2, 3))
+        assert alg.multiply((one + s) * u, one - s) == alg.zero()
+        x1s = alg.x(1) + alg.multiply(alg.x(1), s)
+        y1s = alg.y(1) - alg.multiply(s, alg.y(1))
+        assert alg.multiply(x1s * u, y1s) == alg.zero() == _multiply_by_terms(alg, x1s * u, y1s)
+
+    @pytest.mark.parametrize("name", sorted(PROPERTY_ALGEBRAS))
+    def test_zero_and_scalar_factors(self, name):
+        alg = property_algebra(name)
+        a = random_element(alg, random.Random(5), 2, 4)
+        assert alg.multiply(alg.zero(), a) == alg.zero() == alg.multiply(a, alg.zero())
+        assert alg.multiply(alg.zero(), alg.zero()) == alg.zero()
+        values = [Fraction(-3, 4), 5]
+        if alg.field_ell > 1:
+            values.append(Scalar.from_coords(alg.field_ell, [1, -2], 3))
+        for value in values:
+            coef = Scalar.rational(value)
+            scaled = PBWElement(alg, {k: v * coef for k, v in a.terms.items()})
+            for product in (alg.multiply(alg.scalar(1) * coef, a), alg.multiply(a, alg.scalar(1) * coef)):
+                assert product == scaled
+                _assert_canonical(product)
+
+    def test_a_rational_sum_of_irrational_summands_is_rational(self):
+        # z * s + (-z) * s meets at one key; (z + 1) * 1 - z leaves 1 over Q
+        alg = property_algebra("dihedral:8")
+        z = Scalar.zeta(8)
+        a = alg.one() * z + alg.g(3)
+        product = alg.multiply(a, alg.one() - alg.one() * (z * Scalar.zeta(8, 7)) + alg.g(3))
+        expected = _multiply_by_terms(alg, a, alg.one() - alg.one() * (z * Scalar.zeta(8, 7)) + alg.g(3))
+        assert product == expected
+        _assert_canonical(product)
+        product = alg.multiply(alg.one() * (z + 1), alg.one()) - alg.one() * z
+        assert product == alg.one() and product.terms[(alg._zero_deg, 0, alg._zero_deg)].ell == 1
+
+    def test_two_cyclotomic_fields_raise(self):
+        alg = property_algebra("dihedral:8")
+        z5 = alg.one() * Scalar.zeta(5)
+        zero, x1 = alg._zero_deg, (1, 0)
+        # a Q(zeta_5) coefficient against the Q(zeta_8) image of g * x1
+        g = next(g for g in range(len(alg.group)) if alg._pair_image(g, zero, x1, 0)[0] == 8)
+        with pytest.raises(FieldMismatch):
+            alg.multiply(z5 * alg.g(g), alg.x(1))
+        # and against a Q(zeta_8) coefficient, over a rational image
+        with pytest.raises(FieldMismatch):
+            alg.multiply(z5, alg.one() * Scalar.zeta(8))
+
+    @pytest.mark.parametrize("ell", [1, 8])
+    def test_guard_at_the_bit_limit(self, ell):
+        # a denominator of exactly MAX_COEFF_BITS bits passes, one more bit
+        # raises; the two factors' denominators multiply into it
+        alg = property_algebra("s3" if ell == 1 else "dihedral:8")
+        u = Scalar.zeta(ell) if ell > 1 else ONE
+        half = MAX_COEFF_BITS // 2
+        a = alg.one() * (u * Fraction(1, 2**half))
+        fine = alg.x(1) * Fraction(1, 2 ** (MAX_COEFF_BITS - 1 - half))
+        product = alg.multiply(a, fine)
+        ((_, coef),) = product.terms.items()
+        assert coef.den.bit_length() == MAX_COEFF_BITS
+        with pytest.raises(CoefficientBlowup, match="MAX_COEFF_BITS = 1000000"):
+            alg.multiply(a, fine * Fraction(1, 2))
+        # and the same at a numerator
+        big = alg.x(1) * 2 ** (MAX_COEFF_BITS - 1 - half)
+        ((_, coef),) = alg.multiply(alg.one() * (u * 2**half), big).terms.items()
+        assert max(c.bit_length() for c in coef.coeffs) == MAX_COEFF_BITS
+        with pytest.raises(CoefficientBlowup):
+            alg.multiply(alg.one() * (u * 2**half), big * 2)
 
 
 def test_chain_keys_each_degree_once_and_starts_only_at_zero():
