@@ -18,6 +18,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress, repeat
+from operator import is_not
 
 from . import linalg
 from .groups import Irrep
@@ -61,7 +63,8 @@ def mv_eq(a: dict, b: dict) -> bool:
 
 
 def _mv_prune(a: dict) -> dict:
-    return {n: v for n, v in a.items() if any(v)}
+    """a without its zero degrees: any(v), read past the ZERO objects."""
+    return {n: v for n, v in a.items() if any(compress(v, map(is_not, v, repeat(ZERO))))}
 
 
 def _slice_size(algebra: CherednikAlgebra, irrep: Irrep, cutoff: int) -> int:
@@ -170,8 +173,11 @@ class VermaSlice:
             raise ValueError(f"degree {n} has {self.dim(n)} coordinates, not {len(freevec)}")
 
     def lift(self, n: int, freevec: list) -> dict:
+        row = linalg.sparse(freevec)
+        if not self.killed[n]:
+            return row
         free = self.free_positions(n)
-        return {free[i]: x for i, x in linalg.sparse(freevec).items()}
+        return {free[i]: x for i, x in row.items()}
 
     # -- the module action (ambient coordinates) ----------------------------
 
@@ -690,7 +696,15 @@ def verma_action(slice_: VermaSlice, a: PBWElement, mv: dict) -> dict:
     for n, freevec in mv.items():
         slice_._check_vector(n, freevec)
         slice_._apply(a, n, slice_.lift(n, freevec), acc)
-    return _mv_prune({n: slice_.to_free(n, v) for n, v in acc.items()})
+    # the images are settled, so a degree is zero when nothing of it is
+    # left off the killed pivots
+    out = {}
+    for n, vec in acc.items():
+        if slice_.killed[n]:
+            vec = linalg.reduce_against(vec, slice_.killed[n])
+        if vec:
+            out[n] = slice_.to_free(n, vec)
+    return out
 
 
 # ---------------------------------------------------------------------------

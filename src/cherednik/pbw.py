@@ -38,6 +38,7 @@ from .scalars import (
     CherednikError,
     ComputationLimit,
     ExprError,
+    FieldMismatch,
     InvalidInput,
     _accumulate,
     _common_field,
@@ -200,7 +201,7 @@ class PBWElement:
     def __mul__(self, other):
         if isinstance(other, PBWElement):
             return self.algebra.multiply(self, other)
-        coef = Scalar.rational(other)
+        coef = self.algebra._coefficient(other)
         if not coef:
             return self.algebra.zero()
         return PBWElement(self.algebra, {k: v * coef for k, v in self.terms.items()})
@@ -319,7 +320,7 @@ class CherednikAlgebra:
     def element(self, terms: dict | None = None) -> PBWElement:
         out: dict = {}
         for k, v in (terms or {}).items():
-            coef = Scalar.rational(v)
+            coef = self._coefficient(v)
             if coef:
                 out[self._term(*k)] = coef
         return PBWElement(self, out)
@@ -334,6 +335,16 @@ class CherednikAlgebra:
             raise ValueError(f"group element {g} is outside 0..{len(self.group) - 1}")
         return i, g, j
 
+    def _coefficient(self, value) -> Scalar:
+        """value as a Scalar (`Scalar.rational`); FieldMismatch unless its
+        field is Q or the algebra's Q(zeta_field_ell), so no element holds
+        coefficients of two cyclotomic fields."""
+        coef = Scalar.rational(value)
+        if coef.ell != 1 and coef.ell != self.field_ell:
+            field = f"Q(zeta_{self.field_ell})" if self.field_ell > 1 else "Q"
+            raise FieldMismatch(f"a Q(zeta_{coef.ell}) coefficient in an algebra over {field}")
+        return coef
+
     def zero(self) -> PBWElement:
         return PBWElement(self, {})
 
@@ -342,7 +353,7 @@ class CherednikAlgebra:
 
     def monomial(self, i, g: int, j, coeff=ONE) -> PBWElement:
         term = self._term(i, g, j)
-        coef = Scalar.rational(coeff)
+        coef = self._coefficient(coeff)
         if not coef:
             return self.zero()
         return PBWElement(self, {term: coef})
@@ -570,8 +581,9 @@ class CherednikAlgebra:
         image is fetched first, to fix one common denominator
         D = lcm(dens of a) * lcm(dens of b) * lcm(image denominators); each
         image entry then adds base * n in ints at (I1 + A, k, B + J2), base
-        the pair's numerator c1 * c2 over D / E, and every output term is
-        made one canonical Scalar at the end."""
+        the pair's numerator c1 * c2 over D / E.  At the end each distinct
+        output numerator is made one canonical Scalar, shared by the terms
+        that carry it."""
         a = self._coerce(a)
         b = self._coerce(b)
         image = self._pair_image
@@ -613,14 +625,20 @@ class CherednikAlgebra:
                     else:
                         for t, c in enumerate(n):
                             acc[t] += c
+        # one canonical Scalar, checked once, per distinct output numerator
+        # (an int, or the tuple of a list's coordinates, which _make keeps)
         den = den_a * den_b * den_e
-        terms = {
-            key: _from_numerator(ell, num, den)
-            for key, num in out.items()
-            if (num if type(num) is int else any(num))
-        }
-        for coef in terms.values():
-            check_coeff_bits(coef)
+        made: dict = {}
+        terms = {}
+        for key, num in out.items():
+            if type(num) is not int:
+                num = tuple(num)
+            coef = made.get(num)
+            if coef is None:
+                if not (num if type(num) is int else any(num)):
+                    continue
+                coef = made[num] = check_coeff_bits(_from_numerator(ell, num, den))
+            terms[key] = coef
         return PBWElement(self, terms)
 
     # -- grading ----------------------------------------------------------

@@ -600,8 +600,9 @@ def _numerator_product(ell: int, x, y):
 
 def _from_numerator(ell: int, num, den: int) -> Scalar:
     """The canonical Scalar num / den for a nonzero numerator over
-    Q(zeta_ell), an int or a list of phi(ell) ints, and a positive den: one
-    gcd over Q, `Scalar._make` over Q(zeta_ell)."""
+    Q(zeta_ell), an int or a list or tuple of phi(ell) ints, and a positive
+    den: one gcd over Q, `Scalar._make` over Q(zeta_ell) (which keeps a
+    tuple whose coordinates need no division as the Scalar's own)."""
     if type(num) is not int:
         return Scalar._make(ell, num, den)
     g = math.gcd(num, den)

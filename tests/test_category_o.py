@@ -2,17 +2,20 @@
 blocks, and decomposition matrices, with brute-force kernel oracles."""
 
 import copy
+import functools
 import math
 import random
 import weakref
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cherednik import category_o, cli, linalg
 from cherednik.category_o import (
     MAX_SLICE_DIM,
     CutoffExceeded,
+    _mv_prune,
     InconsistentTruncation,
     NotScalarAction,
     SliceTooLarge,
@@ -784,6 +787,108 @@ class TestMvScale:
                         assert (x.ell, x.coeffs, x.den) == (
                             canonical.ell, canonical.coeffs, canonical.den
                         )
+
+
+# dense coordinates as they reach the plumbing: the ZERO object, zeros that
+# are other objects (arithmetic ones, and a non-canonical Q(zeta_5) zero,
+# which is truthy), rationals and Q(zeta_5) values
+_Z5 = Scalar.zeta(5)
+PLUMBING_SPECIALS = [ZERO, ONE - ONE, _Z5 - _Z5, Scalar(1, (0,), 3), Scalar(5, (0, 0, 0, 0), 1)]
+plumbing_entries = st.one_of(
+    st.sampled_from(PLUMBING_SPECIALS),
+    st.builds(Scalar.rational, st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))),
+    st.builds(
+        Scalar.from_coords,
+        st.just(5),
+        st.lists(st.integers(-2, 2), min_size=4, max_size=4),
+        st.integers(1, 3),
+    ),
+)
+PLUMBING_CUTOFF = 4
+
+
+def _plain_sparse(vec):
+    """The nonzero entries of a dense vector by its plain definition."""
+    return {j: x for j, x in enumerate(vec) if x is not ZERO and x}
+
+
+def _plain_verma_action(slice_, a, mv):
+    """verma_action with its conversions written coordinate by coordinate:
+    every vector lifted through free_positions, every image made dense by
+    to_free and kept when any(v)."""
+    acc = {}
+    for n, freevec in mv.items():
+        free = slice_.free_positions(n)
+        slice_._apply(a, n, {free[i]: x for i, x in _plain_sparse(freevec).items()}, acc)
+    dense = {n: slice_.to_free(n, v) for n, v in acc.items()}
+    return {n: v for n, v in dense.items() if any(v)}
+
+
+@functools.lru_cache(maxsize=None)
+def plumbing_case(quotient):
+    """A dihedral:5 slice over Q(zeta_5), free or its simple quotient (whose
+    degree 0 keeps every position and whose higher degrees do not), and the
+    elements that act on it."""
+    alg = make_algebra("dihedral:5", 5, [Fraction(1, 5)])
+    w = irrep_of(alg, "rho1")
+    slice_ = (simple_quotient_slice(alg, w, PLUMBING_CUTOFF)[0] if quotient
+              else VermaSlice(alg, w, PLUMBING_CUTOFF))
+    assert slice_.quotiented == quotient
+    elements = [
+        alg.euler_element(),
+        alg.y(1),
+        alg.x(2) * _Z5 + alg.g(3),
+        alg.element(mixed_terms(alg, random.Random(3))),
+    ]
+    return slice_, elements
+
+
+class TestDensePlumbing:
+    """The dense <-> sparse conversions pass over the ZERO object at C level;
+    every result equals the plain coordinate-by-coordinate definition."""
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(vectors=st.lists(st.lists(plumbing_entries, max_size=12), max_size=4))
+    def test_sparse_and_prune_match_the_plain_definitions(self, vectors):
+        for vec in vectors:
+            out = linalg.sparse(vec)
+            assert out == _plain_sparse(vec)
+            assert all(out[j] is vec[j] for j in out)
+        mv = dict(enumerate(vectors))
+        assert _mv_prune(mv) == {n: v for n, v in mv.items() if any(v)}
+
+    def test_prune_reads_the_truth_of_every_entry_but_zero(self):
+        truthy_zero = Scalar(5, (0, 0, 0, 0), 1)
+        mv = {0: [ZERO, ONE - ONE], 1: [ZERO, truthy_zero], 2: [], 3: [ZERO, ZERO]}
+        assert _mv_prune(mv) == {1: [ZERO, truthy_zero]}
+        assert bool(truthy_zero) and _mv_prune({0: [0, 0]}) == {}
+
+    @pytest.mark.parametrize("quotient", [False, True])
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(data=st.data())
+    def test_verma_action_matches_the_plain_plumbing(self, quotient, data):
+        slice_, elements = plumbing_case(quotient)
+        a = data.draw(st.sampled_from(elements))
+        degrees = data.draw(st.sets(st.integers(0, PLUMBING_CUTOFF - 1), min_size=1, max_size=3))
+        mv = {
+            n: data.draw(st.lists(plumbing_entries, min_size=slice_.dim(n), max_size=slice_.dim(n)))
+            for n in sorted(degrees)
+        }
+        for n, freevec in mv.items():
+            free = slice_.free_positions(n)
+            assert slice_.lift(n, freevec) == {free[i]: x for i, x in _plain_sparse(freevec).items()}
+        assert verma_action(slice_, a, mv) == _plain_verma_action(slice_, a, mv)
+
+    def test_an_image_inside_the_killed_space_is_dropped(self):
+        # L_{1/3}(triv) of s3 is one-dimensional: x1 sends its degree-0
+        # vector to a nonzero ambient row that is all killed
+        alg = make_algebra("s3", 1, [Fraction(1, 3)])
+        slice_, _ = simple_quotient_slice(alg, irrep_of(alg, "triv"), 2)
+        assert [slice_.dim(n) for n in range(3)] == [1, 0, 0]
+        cases = [(alg.x(1), {}), (alg.x(1) + alg.x(2) * 3, {}), (alg.x(1) + alg.one(), {0: [ONE]})]
+        for a, expected in cases:
+            assert verma_action(slice_, a, {0: [ONE]}) == expected
+            assert _plain_verma_action(slice_, a, {0: [ONE]}) == expected
 
 
 class TestDunklOracle:

@@ -11,6 +11,7 @@ import functools
 import gc
 import math
 import random
+import re
 import sys
 import weakref
 from fractions import Fraction
@@ -1177,9 +1178,12 @@ class TestMultiplyKernel:
         assert product == alg.one() and product.terms[(alg._zero_deg, 0, alg._zero_deg)].ell == 1
 
     def test_two_cyclotomic_fields_raise(self):
+        # the entry points refuse a Q(zeta_5) coefficient on this algebra
+        # (TestCoefficientField), so the operand is built from its terms to
+        # reach multiply's own check
         alg = property_algebra("dihedral:8")
-        z5 = alg.one() * Scalar.zeta(5)
         zero, x1 = alg._zero_deg, (1, 0)
+        z5 = PBWElement(alg, {(zero, 0, zero): Scalar.zeta(5)})
         # a Q(zeta_5) coefficient against the Q(zeta_8) image of g * x1
         g = next(g for g in range(len(alg.group)) if alg._pair_image(g, zero, x1, 0)[0] == 8)
         with pytest.raises(FieldMismatch):
@@ -1187,6 +1191,57 @@ class TestMultiplyKernel:
         # and against a Q(zeta_8) coefficient, over a rational image
         with pytest.raises(FieldMismatch):
             alg.multiply(z5, alg.one() * Scalar.zeta(8))
+
+    @pytest.mark.parametrize("ell", [1, 8])
+    def test_a_repeated_coefficient_is_made_once(self, ell):
+        # x^I * g = x^I g with nothing to straighten, so every output term of
+        # (sum of x^I) * (sum of g) carries the one coefficient u * v
+        alg = property_algebra("s3" if ell == 1 else "dihedral:8")
+        u = Scalar.zeta(ell) / 3 if ell > 1 else Scalar.rational(Fraction(2, 3))
+        v = Scalar.rational(Fraction(-3, 4))
+        xs = sum((alg.monomial(i, 0, alg._zero_deg) for i in monomials(alg.dim, 2)), alg.x(1))
+        gs = sum((alg.g(g) for g in range(1, len(alg.group))), alg.zero())
+        a, b = xs * u, gs * v
+        product = alg.multiply(a, b)
+        assert product == _multiply_by_terms(alg, a, b)
+        _assert_canonical(product)
+        coefs = list(product.terms.values())
+        assert len(coefs) == len(a.terms) * len(b.terms) > 10
+        assert coefs[0] == u * v and all(c is coefs[0] for c in coefs)
+        # a second, cancelling summand gives two distinct values and a zero
+        mixed = alg.multiply(a + alg.x(1) * (u - ONE), b - alg.g(1) * v)
+        assert mixed == _multiply_by_terms(alg, a + alg.x(1) * (u - ONE), b - alg.g(1) * v)
+        _assert_canonical(mixed)
+        assert len({id(c) for c in mixed.terms.values()}) == 2
+
+    @pytest.mark.parametrize("ell", [1, 8])
+    def test_a_repeated_coefficient_at_the_bit_limit(self, ell):
+        # every output term shares one denominator of exactly MAX_COEFF_BITS
+        # bits, which passes; one more bit raises, and so at a numerator
+        alg = property_algebra("s3" if ell == 1 else "dihedral:8")
+        u = Scalar.zeta(ell) if ell > 1 else ONE
+        half = MAX_COEFF_BITS // 2
+        xs = alg.x(1) + alg.x(2) + alg.x(1, 2)
+        gs = sum((alg.g(g) for g in range(1, len(alg.group))), alg.zero())
+        a = xs * (u * Fraction(1, 2**half))
+        fine = gs * Fraction(1, 2 ** (MAX_COEFF_BITS - 1 - half))
+        product = alg.multiply(a, fine)
+        assert len(product.terms) == 3 * (len(alg.group) - 1)
+        assert {c.den.bit_length() for c in product.terms.values()} == {MAX_COEFF_BITS}
+        with pytest.raises(CoefficientBlowup, match="MAX_COEFF_BITS = 1000000"):
+            alg.multiply(a, fine * Fraction(1, 2))
+        # the first distinct coefficient, from the leading 1, is far inside
+        # the limit; every later one is checked too
+        assert len({id(c) for c in alg.multiply(alg.one() + a, fine).terms.values()}) == 2
+        with pytest.raises(CoefficientBlowup):
+            alg.multiply(alg.one() + a, fine * Fraction(1, 2))
+        big = gs * 2 ** (MAX_COEFF_BITS - 1 - half)
+        product = alg.multiply(xs * (u * 2**half), big)
+        assert {max(c.bit_length() for c in coef.coeffs) for coef in product.terms.values()} == {
+            MAX_COEFF_BITS
+        }
+        with pytest.raises(CoefficientBlowup):
+            alg.multiply(xs * (u * 2**half), big * 2)
 
     @pytest.mark.parametrize("ell", [1, 8])
     def test_guard_at_the_bit_limit(self, ell):
@@ -1208,6 +1263,59 @@ class TestMultiplyKernel:
         assert max(c.bit_length() for c in coef.coeffs) == MAX_COEFF_BITS
         with pytest.raises(CoefficientBlowup):
             alg.multiply(alg.one() * (u * 2**half), big * 2)
+
+
+class TestCoefficientField:
+    """A coefficient enters an element only over Q or the algebra's own
+    Q(zeta_field_ell); each entry point raises FieldMismatch for another
+    cyclotomic field, before any product meets it."""
+
+    ENTRY_POINTS = {
+        "element": lambda alg, u: alg.element({(alg._zero_deg, 1, alg._zero_deg): u}),
+        "monomial": lambda alg, u: alg.monomial(alg._zero_deg, 1, alg._zero_deg, u),
+        "add": lambda alg, u: alg.g(1) + u,
+        "radd": lambda alg, u: u + alg.g(1),
+        "sub": lambda alg, u: alg.g(1) - u,
+        "rsub": lambda alg, u: u - alg.g(1),
+        "mul": lambda alg, u: alg.g(1) * u,
+        "rmul": lambda alg, u: u * alg.g(1),
+    }
+
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    @pytest.mark.parametrize(
+        "name,foreign", [("dihedral:8", 5), ("dihedral:8", 3), ("dihedral:5", 8), ("s3", 5)]
+    )
+    def test_another_cyclotomic_field_is_refused(self, entry, name, foreign):
+        alg = property_algebra(name)
+        field = f"Q(zeta_{alg.field_ell})" if alg.field_ell > 1 else "Q"
+        message = f"a Q(zeta_{foreign}) coefficient in an algebra over {field}"
+        with pytest.raises(FieldMismatch, match=re.escape(message)):
+            self.ENTRY_POINTS[entry](alg, Scalar.zeta(foreign))
+
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    @pytest.mark.parametrize("name", sorted(PROPERTY_ALGEBRAS))
+    def test_the_algebras_field_and_q_are_taken(self, entry, name):
+        alg = property_algebra(name)
+        zero = alg._zero_deg
+        values = [Scalar.rational(Fraction(3, 2)), Scalar.zeta(2)]
+        if alg.field_ell > 1:
+            values.append(Scalar.zeta(alg.field_ell, 3) / 7)
+        for u in values:
+            out = self.ENTRY_POINTS[entry](alg, u)
+            if entry in ("add", "radd", "sub", "rsub"):
+                sign = -1 if entry == "sub" else 1
+                g_sign = -1 if entry == "rsub" else 1
+                expected = {(zero, 0, zero): u * sign, (zero, 1, zero): ONE * g_sign}
+            else:
+                expected = {(zero, 1, zero): u}
+            assert out.terms == expected
+
+    def test_a_mixed_sum_no_longer_builds(self):
+        # the sum used to print z + z*g3, two fields under one z
+        alg = property_algebra("dihedral:8")
+        with pytest.raises(FieldMismatch):
+            alg.one() * Scalar.zeta(5) + alg.g(3) * Scalar.zeta(8)
+        assert str(alg.one() * Scalar.zeta(8) + alg.g(3) * Scalar.zeta(8)) == "z + z*g3"
 
 
 def test_chain_keys_each_degree_once_and_starts_only_at_zero():
