@@ -156,10 +156,20 @@ class VermaSlice:
     # -- coordinate plumbing (sparse ambient rows) --------------------------
 
     def to_free(self, n: int, vec: dict) -> list:
-        if not self.killed[n]:
+        return self._free_image(n, vec) or [ZERO] * self.dim(n)
+
+    def _free_image(self, n: int, vec: dict) -> list:
+        """to_free(n, vec) for a settled vec, but [] when its class is zero:
+        the one reduction off the killed pivots settles it, so the class is
+        zero when nothing is left, and then no dense list is made."""
+        killed = self.killed[n]
+        if killed:
+            vec = linalg.reduce_against(vec, killed)
+        if not vec:
+            return []
+        if not killed:
             return linalg.dense(vec, self.full_dim(n))
-        reduced = linalg.reduce_against(vec, self.killed[n])
-        return [reduced.get(p, ZERO) for p in self.free_positions(n)]
+        return [vec.get(p, ZERO) for p in self.free_positions(n)]
 
     def _check_degree(self, n: int, least: int = 0):
         """Raise ValueError unless least <= n <= cutoff."""
@@ -696,15 +706,8 @@ def verma_action(slice_: VermaSlice, a: PBWElement, mv: dict) -> dict:
     for n, freevec in mv.items():
         slice_._check_vector(n, freevec)
         slice_._apply(a, n, slice_.lift(n, freevec), acc)
-    # the images are settled, so a degree is zero when nothing of it is
-    # left off the killed pivots
-    out = {}
-    for n, vec in acc.items():
-        if slice_.killed[n]:
-            vec = linalg.reduce_against(vec, slice_.killed[n])
-        if vec:
-            out[n] = slice_.to_free(n, vec)
-    return out
+    images = {n: slice_._free_image(n, v) for n, v in acc.items()}
+    return {n: v for n, v in images.items() if v}
 
 
 # ---------------------------------------------------------------------------

@@ -10,16 +10,12 @@ are built on them.
 
 from __future__ import annotations
 
-from itertools import compress, repeat
-from operator import is_not
-
 from .scalars import ZERO, ONE, _accumulate, _settle
 
 
 def sparse(vec) -> dict:
-    """The nonzero entries of a dense vector, by column.  The ZERO object
-    itself, the usual filler, is passed over without a Python step."""
-    return {j: x for j, x in compress(enumerate(vec), map(is_not, vec, repeat(ZERO))) if x}
+    """The nonzero entries of a dense vector, by column."""
+    return {j: x for j, x in enumerate(vec) if x is not ZERO and x}
 
 
 def dense(row: dict, ncols: int) -> list:

@@ -812,15 +812,22 @@ def _plain_sparse(vec):
     return {j: x for j, x in enumerate(vec) if x is not ZERO and x}
 
 
+def _plain_to_free(slice_, n, vec):
+    """A sparse ambient vector's free coordinates: reduced off the killed
+    pivots, then read at every free position."""
+    reduced = linalg.reduce_against(vec, slice_.killed[n])
+    return [reduced.get(p, ZERO) for p in slice_.free_positions(n)]
+
+
 def _plain_verma_action(slice_, a, mv):
     """verma_action with its conversions written coordinate by coordinate:
-    every vector lifted through free_positions, every image made dense by
-    to_free and kept when any(v)."""
+    every vector lifted through free_positions, every image made dense and
+    kept when any(v)."""
     acc = {}
     for n, freevec in mv.items():
         free = slice_.free_positions(n)
         slice_._apply(a, n, {free[i]: x for i, x in _plain_sparse(freevec).items()}, acc)
-    dense = {n: slice_.to_free(n, v) for n, v in acc.items()}
+    dense = {n: _plain_to_free(slice_, n, v) for n, v in acc.items()}
     return {n: v for n, v in dense.items() if any(v)}
 
 
@@ -844,8 +851,10 @@ def plumbing_case(quotient):
 
 
 class TestDensePlumbing:
-    """The dense <-> sparse conversions pass over the ZERO object at C level;
-    every result equals the plain coordinate-by-coordinate definition."""
+    """The dense <-> sparse conversions of verma_action (`_mv_prune` passes
+    over the ZERO object at C level, `lift` skips the remap of a degree with
+    nothing killed, a zero class makes no dense list) equal the plain
+    coordinate-by-coordinate definitions."""
 
     @settings(derandomize=True, deadline=None, max_examples=60)
     @given(vectors=st.lists(st.lists(plumbing_entries, max_size=12), max_size=4))
@@ -878,6 +887,21 @@ class TestDensePlumbing:
             free = slice_.free_positions(n)
             assert slice_.lift(n, freevec) == {free[i]: x for i, x in _plain_sparse(freevec).items()}
         assert verma_action(slice_, a, mv) == _plain_verma_action(slice_, a, mv)
+
+    @pytest.mark.parametrize("quotient", [False, True])
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(data=st.data())
+    def test_to_free_matches_the_plain_definition(self, quotient, data):
+        slice_, _ = plumbing_case(quotient)
+        n = data.draw(st.integers(0, PLUMBING_CUTOFF))
+        full = slice_.full_dim(n)
+        vec = data.draw(st.one_of(
+            st.dictionaries(st.integers(0, full - 1), plumbing_entries, max_size=full),
+            # a killed row: a nonzero ambient vector whose class is zero
+            st.sampled_from(list(slice_.killed[n].values()) or [{}]),
+        ))
+        assert slice_.to_free(n, vec) == _plain_to_free(slice_, n, vec)
+        assert len(slice_.to_free(n, vec)) == slice_.dim(n)
 
     def test_an_image_inside_the_killed_space_is_dropped(self):
         # L_{1/3}(triv) of s3 is one-dimensional: x1 sends its degree-0

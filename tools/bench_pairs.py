@@ -2,13 +2,11 @@
 
     python3 tools/bench_pairs.py --parent REV [--change REV] --out BENCH_46.json \
         [--workload NAME ...] [--seeds 1-10] [--claim WORKLOAD:METRIC] \
-        [--unseen-seeds 11-20] [--traced 3] [--trace-metric NAME ...] \
-        [--what-changed TEXT] [--seconds 4]
+        [--unseen-seeds 11-20] [--traced 3]
 
 Run from the root of a git checkout.  Each revision is exported with
-`git archive` into its own directory (under --workdir, a fresh temporary
-directory by default), so a run sees the committed files only.  For every
-workload and seed, one pair runs
+`git archive` into its own fresh temporary directory, so a run sees the
+committed files only.  For every workload and seed, one pair runs
 
     python3 perfbench/run.py --workload W --seed S --seconds 4 --trace 0
 
@@ -24,7 +22,7 @@ count) and its median beats the parent's by more than the parent's
 interquartile range.  --unseen-seeds repeats the claimed workload on further
 seeds and applies the rule to them too.  --traced K runs K traced passes
 (`--trace 1`, seed 0) per side on the claimed workload, alternating as the
-pairs do, and records the median of each --trace-metric.
+pairs do, and records the median of each of TRACE_METRICS.
 
 Standard library only; the children run with PYTHONDONTWRITEBYTECODE=1, so
 every worker compiles the sources as a fresh checkout does.
@@ -46,6 +44,15 @@ from pathlib import Path
 
 END_TO_END = {"wall_s": "lower", "setup_s": "lower", "peak_rss_mb": "lower", "ok_frac": "higher"}
 WORKLOADS = ("session-warm", "pbw-banach", "verma-q", "verma-cyclotomic")
+SECONDS = 4
+# the trace metrics that show where a saving on the claimed workload lies
+TRACE_METRICS = (
+    "pbw.multiply.self_s",
+    "pbw.multiply.calls",
+    "category_o.total.self_s",
+    "category_o.verma_action.calls",
+    "trace.traced_wall_s",
+)
 RULE = (
     "the change wins at least 9 of 10 pairs and the median drop exceeds "
     "the parent's interquartile spread"
@@ -69,10 +76,10 @@ def export(repo: Path, rev: str, dest: Path) -> str:
     return commit
 
 
-def run(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
+def run(tree: Path, workload: str, seed: int, trace: int) -> dict:
     """The metric values of one benchmark run in tree."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", str(trace)]
+           "--seconds", str(SECONDS), "--trace", str(trace)]
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     proc = subprocess.run(cmd, cwd=tree, env=env, capture_output=True, text=True)
     if proc.returncode != 0:
@@ -123,51 +130,26 @@ def claim_verdict(row: dict, metric: str) -> dict:
             f"parent_iqr_{unit}": iqr, "met": 10 * wins >= 9 * n and drop > iqr}
 
 
-def measure(trees: dict, workload: str, seeds: list, seconds: float) -> dict:
+def measure(trees: dict, workload: str, seeds: list) -> dict:
     pairs = []
     for i, seed in enumerate(seeds):
-        pairs.append(alternate(i, trees, lambda t: run(t, workload, seed, seconds, 0)))
+        pairs.append(alternate(i, trees, lambda t: run(t, workload, seed, 0)))
         p, c = pairs[-1]["parent"]["wall_s"], pairs[-1]["change"]["wall_s"]
         print(f"# {workload} seed {seed}: wall_s parent {p:.4f} change {c:.4f}", file=sys.stderr)
     return metric_rows(pairs, seeds)
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--parent", required=True, help="git revision of the parent")
-    parser.add_argument("--change", default="HEAD", help="git revision of the change")
-    parser.add_argument("--out", required=True, type=Path)
-    parser.add_argument("--workload", action="append", choices=WORKLOADS)
-    parser.add_argument("--seeds", default="1-10", type=seed_range)
-    parser.add_argument("--seconds", default=4.0, type=float)
-    parser.add_argument("--claim", help="WORKLOAD:METRIC whose gain is claimed")
-    parser.add_argument("--unseen-seeds", type=seed_range)
-    parser.add_argument("--traced", default=0, type=int)
-    parser.add_argument("--trace-metric", action="append", default=[])
-    parser.add_argument("--what-changed", default="")
-    parser.add_argument("--workdir", type=Path)
-    args = parser.parse_args(argv)
-    workloads = args.workload or list(WORKLOADS)
-    claim = args.claim.split(":") if args.claim else None
-    if claim and (claim[0] not in workloads or claim[1] not in END_TO_END):
-        parser.error("--claim names a measured workload and an end-to-end metric")
-    if (args.unseen_seeds or args.traced) and not claim:
-        parser.error("--unseen-seeds and --traced need --claim")
-
-    repo = Path.cwd()
-    workdir = args.workdir or Path(tempfile.mkdtemp(prefix="bench_pairs_"))
-    trees = {"parent": workdir / "parent", "change": workdir / "change"}
-    revs = {side: export(repo, rev, trees[side])
-            for side, rev in (("parent", args.parent), ("change", args.change))}
-
-    command = (f"`python3 perfbench/run.py --workload W --seed S --seconds {args.seconds:g} "
-               "--trace 0`")
+def record(trees: dict, revs: dict, workloads: list, seeds: list, claim, unseen_seeds,
+           traced: int) -> dict:
+    """The BENCH_<pr>.json contents: the pairs of every workload and, with
+    a claim, its verdicts, its unseen seeds and its traced runs."""
+    command = f"`python3 perfbench/run.py --workload W --seed S --seconds {SECONDS} --trace 0`"
     out = {
         "what": f"alternating parent/change pairs of {command}, each tree run from its own "
                 "checkout; pair i runs the parent first when i is even, the change first when "
                 "odd (tools/bench_pairs.py)",
         "parent": revs["parent"],
-        "change": args.what_changed or revs["change"],
+        "change": revs["change"],
         "machine": {
             "python": platform.python_version(),
             "cpus": os.cpu_count(),
@@ -179,16 +161,15 @@ def main(argv=None) -> int:
         "workloads": {},
     }
     for workload in workloads:
-        out["workloads"][workload] = measure(trees, workload, args.seeds, args.seconds)
+        out["workloads"][workload] = measure(trees, workload, seeds)
 
     if claim:
         workload, metric = claim
-        seeds = args.seeds
         verdicts = {f"seeds_{seeds[0]}_{seeds[-1]}":
                     claim_verdict(out["workloads"][workload][metric], metric)}
-        if args.unseen_seeds:
-            rows = measure(trees, workload, args.unseen_seeds, args.seconds)
-            seeds = args.unseen_seeds
+        if unseen_seeds:
+            rows = measure(trees, workload, unseen_seeds)
+            seeds = unseen_seeds
             verdicts[f"seeds_{seeds[0]}_{seeds[-1]}"] = claim_verdict(rows[metric], metric)
             out["unseen_seeds"] = {
                 "what": f"{len(seeds)} more pairs on {workload}, seeds {seeds[0]}-{seeds[-1]}, "
@@ -196,22 +177,47 @@ def main(argv=None) -> int:
                 "workloads": {workload: rows},
             }
         out["claim"] = {"workload": workload, "metric": metric, "rule": RULE, **verdicts}
-        if args.traced:
-            runs = [alternate(i, trees, lambda t: run(t, workload, 0, args.seconds, 1))
-                    for i in range(args.traced)]
+        if traced:
+            runs = [alternate(i, trees, lambda t: run(t, workload, 0, 1))
+                    for i in range(traced)]
             out["traced"] = {
-                "what": f"median of {args.traced} traced runs per side (`--trace 1`, seed 0) "
+                "what": f"median of {traced} traced runs per side (`--trace 1`, seed 0) "
                         f"on {workload}, alternating as the pairs do",
                 "metrics": {
                     name: {side: statistics.median(r[side][name] for r in runs)
                            for side in ("parent", "change")}
-                    for name in args.trace_metric
+                    for name in TRACE_METRICS
                 },
             }
         print(json.dumps(out["claim"], indent=1), file=sys.stderr)
 
     order = ("what", "parent", "change", "machine", "claim", "workloads", "unseen_seeds", "traced")
-    out = {key: out[key] for key in order if key in out}
+    return {key: out[key] for key in order if key in out}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", required=True, help="git revision of the parent")
+    parser.add_argument("--change", default="HEAD", help="git revision of the change")
+    parser.add_argument("--out", required=True, type=Path)
+    parser.add_argument("--workload", action="append", choices=WORKLOADS)
+    parser.add_argument("--seeds", default="1-10", type=seed_range)
+    parser.add_argument("--claim", help="WORKLOAD:METRIC whose gain is claimed")
+    parser.add_argument("--unseen-seeds", type=seed_range)
+    parser.add_argument("--traced", default=0, type=int)
+    args = parser.parse_args(argv)
+    workloads = args.workload or list(WORKLOADS)
+    claim = args.claim.split(":") if args.claim else None
+    if claim and (claim[0] not in workloads or claim[1] not in END_TO_END):
+        parser.error("--claim names a measured workload and an end-to-end metric")
+    if (args.unseen_seeds or args.traced) and not claim:
+        parser.error("--unseen-seeds and --traced need --claim")
+
+    with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
+        trees = {"parent": Path(tmp, "parent"), "change": Path(tmp, "change")}
+        revs = {side: export(Path.cwd(), rev, trees[side])
+                for side, rev in (("parent", args.parent), ("change", args.change))}
+        out = record(trees, revs, workloads, args.seeds, claim, args.unseen_seeds, args.traced)
     args.out.write_text(json.dumps(out, indent=1) + "\n")
     return 0
 
