@@ -340,10 +340,10 @@ def analytic_verma_slice(
     # g sends 1 (x) w to 1 (x) rho(g) w, and x^M (x) w to a sum of
     # coef * x^A (x) rho(g) w with every coef an algebraic integer (the group
     # matrices are integral), whose valuation is >= 0; so the least
-    # valuation of an entry of rho(g) is the exponent.  It is <= 0, and 0
-    # exactly when rho(g) is p-integral.
-    for g, columns in enumerate(slice_._rho_columns):
-        norms[f"g{g}"] = min(vals[e].value for column in columns for _, e in column)
+    # valuation of a nonzero entry of rho(g) is the exponent.  It is <= 0,
+    # and 0 exactly when rho(g) is p-integral.
+    for g, matrix in enumerate(irrep.matrices):
+        norms[f"g{g}"] = min(vals[e].value for row in matrix for e in row if e)
 
     # the exponent of p^r y_i on the unit column col of degree n: the least
     # valuation of its image entries (each sums over group elements before it

@@ -24,7 +24,9 @@ from operator import is_not
 from . import linalg
 from .groups import Irrep
 from .pbw import AlgebraMismatch, CherednikAlgebra, PBWElement, _add_deg
-from .scalars import Scalar, ZERO, ONE, ComputationLimit, InvalidInput, _accumulate, _settle
+from .scalars import (
+    Scalar, ZERO, ONE, ComputationLimit, InvalidInput, _accumulate, _from_numerator, _settle,
+)
 
 
 class CutoffExceeded(ComputationLimit):
@@ -195,29 +197,29 @@ class VermaSlice:
         """Apply the (term, coef) pairs of one degree shift to a sparse
         degree-n vector; returns the sparse image plus `out` (consumed) when
         it is given.  While the pairs are not resolved on this irrep
-        (`_content`), each monomial's image goes through rho (`_scatter`);
+        (`_content`), each monomial's image goes through rho (`_scatter_sum`);
         once they are, x^mono (x) w_k reads its stored column, a flat tuple
-        (target, coefficient, ...) built by `_scatter` on the unit w_k, at
-        one product per entry.  `_apply` is its one caller."""
+        (target, coefficient, ...) built by `_scatter_sum` on the unit w_k,
+        at one product per entry.  `_apply` is its one caller."""
         entry = self._contents.get(pairs)
         if entry is None:
             entry = self._contents[pairs] = self._content(pairs)
         image, resolved = entry
         d = self.irrep.dim
-        acc = {} if out is None else out
         blocks: dict[int, list] = {}
         for p, v in vec.items():
             blocks.setdefault(p // d, []).append((p % d, v))
         monos = self._monos[n]
+        if resolved is None:
+            parts = [(image(monos[mi]), block) for mi, block in blocks.items()]
+            return self._scatter_sum(parts, out)
+        acc = {} if out is None else out
         for mi, block in blocks.items():
-            if resolved is None:
-                self._scatter(image(monos[mi]), block, acc)
-                continue
             mono = monos[mi]
             columns = resolved.get(mono)
             if columns is None:
                 flat = image(mono)
-                units = (_settle(self._scatter(flat, ((k, ONE),), {})) for k in range(d))
+                units = (self._scatter_sum([(flat, ((k, ONE),))]) for k in range(d))
                 columns = resolved[mono] = tuple(
                     tuple(x for item in unit.items() for x in item) for unit in units
                 )
@@ -226,6 +228,49 @@ class VermaSlice:
                 for tgt, coef in zip(column, column):
                     _accumulate(acc, tgt, v * coef)
         return _settle(acc)
+
+    def _scatter_sum(self, parts: list, out=None) -> dict:
+        """The settled sum of the images `_scatter` adds for the (flat,
+        block) parts, plus `out` (consumed) when it is given.  On a rational
+        slice (`_rho_q`) with rational values it is summed in plain ints over
+        D = lcm(dens of the block values) * lcm(dens of the image
+        coefficients) * R, with one canonical Scalar per distinct output
+        numerator; otherwise, and over Q(zeta_ell), by `_scatter`."""
+        rho = self._rho_q
+        if rho is not None:
+            # lcm over a 0 is 0: an irrational value leaves the int sum
+            den_v = math.lcm(*{v.den if v.ell == 1 else 0 for _, b in parts for _, v in b})
+            den_c = math.lcm(*{c.den if c.ell == 1 else 0 for f, _ in parts for c in f[2::3]})
+        if rho is None or not (den_v and den_c):
+            acc = {} if out is None else out
+            for flat, block in parts:
+                self._scatter(flat, block, acc)
+            return _settle(acc)
+        den_r, columns = rho
+        d, sums = self.irrep.dim, {}
+        get = sums.get
+        for flat, block in parts:
+            block = [(k, v.coeffs[0] * (den_v // v.den)) for k, v in block]
+            for t in range(0, len(flat), 3):
+                tgt, cols, coef = flat[t] * d, columns[flat[t + 1]], flat[t + 2]
+                nc = coef.coeffs[0] * (den_c // coef.den)
+                for k, nv in block:
+                    base = nv * nc
+                    for k2, nr in cols[k]:
+                        key = tgt + k2
+                        sums[key] = get(key, 0) + base * nr
+        den, made, acc = den_v * den_c * den_r, {}, {}
+        for key, num in sums.items():
+            if num:
+                coef = made.get(num)
+                if coef is None:
+                    coef = made[num] = _from_numerator(1, num, den)
+                acc[key] = coef
+        if not out:
+            return acc
+        for key, coef in acc.items():
+            _accumulate(out, key, coef)
+        return _settle(out)
 
     def _scatter(self, flat: tuple, block, acc: dict) -> dict:
         """Add the image of x^mono (x) sum v w_k over the (k, v) of block to
@@ -280,6 +325,20 @@ class VermaSlice:
         return [
             [[(k2, row[k]) for k2, row in enumerate(m) if row[k]] for k in range(d)]
             for m in self.irrep.matrices
+        ]
+
+    @cached_property
+    def _rho_q(self):
+        """(R, columns) on an algebra over Q with a rational irrep:
+        `_rho_columns` with each entry an int numerator over R, the lcm of
+        their denominators; None otherwise."""
+        entries = [e for cols in self._rho_columns for col in cols for _, e in col]
+        if self.algebra.field_ell != 1 or any(e.ell != 1 for e in entries):
+            return None
+        den = math.lcm(*{e.den for e in entries})
+        return den, [
+            [[(k2, e.coeffs[0] * (den // e.den)) for k2, e in col] for col in cols]
+            for cols in self._rho_columns
         ]
 
     def _apply(self, a: PBWElement, n: int, vec: dict, acc: dict) -> dict:

@@ -46,6 +46,7 @@ from helpers import (
     all_candidates_radical,
     brute_force_singular_dims,
     cli_job,
+    group_file_text,
     make_algebra,
     record_slices,
 )
@@ -762,6 +763,130 @@ class TestResolvedColumns:
             assert slice_ref() is None and alg_ref() is alg
             del alg
             assert alg_ref() is None
+
+
+# s3 from a group file whose `standard` irrep is conjugated by diag(7, 1),
+# the non-integral rational irrep of test_banach's negative g exponent, here
+# in the algebra's own table so that its columns resolve
+STANDARD7 = "begin irrep standard7 dim=2\ngen\n-1 7\n0 1\ngen\n1 0\n1/7 -1\nend\n"
+
+SCATTER_CASES = (
+    ("s3", 1, Fraction(1, 3), "standard"),
+    ("s3", 1, Fraction(2, 3), "sgn"),
+    ("s4", 1, Fraction(1, 2), "standard"),
+    ("s4", 1, Fraction(1, 4), "dim2"),
+    ("cyclic:2", 1, Fraction(1, 2), "triv"),
+    ("file:s3", 1, Fraction(1, 3), "standard7"),
+    ("dihedral:5", 5, Fraction(1, 5), "rho1"),
+)
+
+
+def scatter_algebra(spec, ell, c):
+    if spec != "file:s3":
+        return make_algebra(spec, ell, [c])
+    group, irreps = load_group_file(group_file_text("s3", ["triv", "sgn"]) + STANDARD7)
+    refl = find_reflections(group)
+    return CherednikAlgebra(group, ReflectionFunction(group, refl, [c]), irreps=irreps)
+
+
+def scalar_act(slice_, pairs, n, vec, out=None):
+    """Reference for `VermaSlice._act` in plain Scalar sums, term by term:
+    entry v at x^M (x) w_k, image entry coef * x^A (x) h w and entry
+    rho(h)[k2][k] add v * coef * rho(h)[k2][k] at x^A (x) w_k2.  Returns the
+    image without its zeros and how many of its touched entries cancelled."""
+    alg, d = slice_.algebra, slice_.irrep.dim
+    image, monos = alg.act_on_verma_terms(pairs), alg.monomial_table(n)[0]
+    total = dict(out or {})
+    for p, v in vec.items():
+        flat = iter(image(monos[p // d]))
+        for pos, h, coef in zip(flat, flat, flat):
+            for k2, row in enumerate(slice_.irrep.matrices[h]):
+                key = pos * d + k2
+                total[key] = total.get(key, ZERO) + v * coef * row[p % d]
+    image = {key: value for key, value in total.items() if value}
+    return image, len(total) - len(image)
+
+
+def sparse_rationals(rng, size, count):
+    """Up to count nonzero entries on positions below size, with
+    denominators 1-6."""
+    return {
+        p: Scalar.rational(Fraction(rng.choice((-5, -3, -2, -1, 1, 2, 4, 6)), rng.randint(1, 6)))
+        for p in rng.sample(range(size), min(count, size))
+    }
+
+
+class TestRationalScatter:
+    """Over Q `VermaSlice._act` sums one call's products in ints over one
+    common denominator and makes one Scalar per distinct output
+    (`VermaSlice._scatter_sum`); over Q(zeta_5) it keeps the Scalar scatter.
+    Both must equal plain Scalar sums: on a first slice, which scatters, and
+    on a second one, which builds and reads resolved columns."""
+
+    CUTOFF = 4
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("spec,ell,c,label", SCATTER_CASES, ids=lambda v: str(v))
+    def test_act_matches_scalar_sums(self, spec, ell, c, label, seed):
+        alg = scatter_algebra(spec, ell, c)
+        w, rng = irrep_of(alg, label), random.Random(seed)
+        slices = [VermaSlice(alg, w, self.CUTOFF) for _ in range(2)]
+        assert (slices[0]._rho_q is None) == (ell != 1)
+        mixed = [alg.element(shifted_terms(alg, rng)) for _ in range(2)]
+        for a in mixed + [alg.euler_element()]:
+            for shift, least_j, pairs in a.degree_split():
+                n = rng.randint(max(least_j, 1), self.CUTOFF - max(shift, 0))
+                vec = sparse_rationals(rng, slices[0].full_dim(n), 6)
+                # several monomial blocks, but on cyclic:2 (one monomial a degree)
+                assert len({p // w.dim for p in vec}) > 1 or alg.dim == 1
+                out = sparse_rationals(rng, slices[0].full_dim(n + shift), 3) if seed else None
+                expected, _ = scalar_act(slices[0], pairs, n, vec, out)
+                for slice_ in slices:
+                    assert slice_._act(pairs, n, vec, dict(out or {})) == expected
+                assert slices[0]._contents[pairs][1] is None
+                resolved = slices[1]._contents[pairs][1]
+                assert resolved is not None
+                # each stored column is the image of its unit vector
+                monos = alg.monomial_table(n)[1]
+                for mono, columns in resolved.items():
+                    for k, column in enumerate(columns):
+                        unit = {monos[mono] * w.dim + k: ONE}
+                        assert dict(zip(column[::2], column[1::2])) == scalar_act(
+                            slices[1], pairs, n, unit
+                        )[0]
+        # the sum of the group kills u - g1 u: every entry it touches cancels
+        one = alg._zero_deg
+        group_sum = alg.element({(one, g, one): 1 for g in range(len(alg.group))})
+        ((_, _, total),), ((_, _, g1),) = group_sum.degree_split(), alg.g(1).degree_split()
+        n = rng.choice((1, 3))
+        u = sparse_rationals(rng, slices[0].full_dim(n), 6)
+        gu, _ = scalar_act(slices[0], g1, n, u)
+        diff = {p: u.get(p, ZERO) - gu.get(p, ZERO) for p in sorted(u.keys() | gu.keys())}
+        vec = {p: x for p, x in diff.items() if x}
+        image, cancelled = scalar_act(slices[0], total, n, vec)
+        assert vec and image == {} and cancelled
+        for slice_ in slices:
+            assert slice_._act(total, n, vec) == {}
+
+    @pytest.mark.parametrize("spec,ell,c,label", SCATTER_CASES, ids=lambda v: str(v))
+    def test_two_degrees_into_one_match_scalar_sums(self, spec, ell, c, label):
+        # x1 + 3 y1 sends degree 1 to 0 and 2, and degree 3 to 2 and 4, so
+        # degree 3's `_act` call into degree 2 adds to degree 1's image
+        alg = scatter_algebra(spec, ell, c)
+        w, rng = irrep_of(alg, label), random.Random(7)
+        a = alg.x(1) + alg.y(1) * 3
+        (_, _, xs), (_, _, ys) = sorted(a.degree_split(), reverse=True)
+        for slice_ in [VermaSlice(alg, w, 4) for _ in range(2)]:
+            u, v = (sparse_rationals(rng, slice_.full_dim(n), 5) for n in (1, 3))
+            images = {
+                0: scalar_act(slice_, ys, 1, u)[0],
+                2: scalar_act(slice_, ys, 3, v, scalar_act(slice_, xs, 1, u)[0])[0],
+                4: scalar_act(slice_, xs, 3, v)[0],
+            }
+            mv = {n: linalg.dense(x, slice_.dim(n)) for n, x in ((1, u), (3, v))}
+            assert verma_action(slice_, a, mv) == {
+                n: linalg.dense(x, slice_.dim(n)) for n, x in images.items() if x
+            }
 
 
 class TestMvScale:

@@ -2,7 +2,7 @@
 
     python3 tools/bench_pairs.py --parent REV [--change REV] --out BENCH_46.json \
         [--workload NAME ...] [--seeds 1-10] [--claim WORKLOAD:METRIC] \
-        [--unseen-seeds 11-20] [--traced 3]
+        [--unseen-seeds 11-20] [--traced 3] [--stress S1,S2,S3]
 
 Run from the root of a git checkout.  Each revision is exported with
 `git archive` into its own fresh temporary directory, so a run sees the
@@ -22,7 +22,11 @@ count) and its median beats the parent's by more than the parent's
 interquartile range.  --unseen-seeds repeats the claimed workload on further
 seeds and applies the rule to them too.  --traced K runs K traced passes
 (`--trace 1`, seed 0) per side on the claimed workload, alternating as the
-pairs do, and records the median of each of TRACE_METRICS.
+pairs do, and records the median of each of TRACE_METRICS.  --stress IDS
+runs STRESS_PAIRS alternating pairs of `python3 stress/run.py ID` per job id,
+each a fresh process in each tree, and records each side's wall time (the
+whole runner process, timed here) and the job's verdict: `ok`, or the
+runner's line when its digest differs or the job fails.
 
 Standard library only; the children run with PYTHONDONTWRITEBYTECODE=1, so
 every worker compiles the sources as a fresh checkout does.
@@ -40,11 +44,13 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+import time
 from pathlib import Path
 
 END_TO_END = {"wall_s": "lower", "setup_s": "lower", "peak_rss_mb": "lower", "ok_frac": "higher"}
 WORKLOADS = ("session-warm", "pbw-banach", "verma-q", "verma-cyclotomic")
 SECONDS = 4
+STRESS_PAIRS = 5
 # the trace metrics that show where a saving on the claimed workload lies
 TRACE_METRICS = (
     "pbw.multiply.self_s",
@@ -72,7 +78,7 @@ def export(repo: Path, rev: str, dest: Path) -> str:
     data = subprocess.run(["git", "archive", commit], cwd=repo, check=True, capture_output=True).stdout
     dest.mkdir(parents=True)
     with tarfile.open(fileobj=io.BytesIO(data)) as tar:
-        tar.extractall(dest)
+        tar.extractall(dest, filter="data")
     return commit
 
 
@@ -87,6 +93,17 @@ def run(tree: Path, workload: str, seed: int, trace: int) -> dict:
         raise SystemExit(f"{' '.join(cmd)} exited with {proc.returncode} in {tree}")
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     return {name: m["value"] for name, m in result["metrics"].items()}
+
+
+def stress_run(tree: Path, job: str) -> dict:
+    """Wall seconds and verdict of `python3 stress/run.py job` in tree."""
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "stress/run.py", job], cwd=tree, env=env,
+                          capture_output=True, text=True)
+    wall = time.perf_counter() - start
+    line = proc.stdout.strip().split("\n", 1)[0]
+    return {"wall_s": wall, "status": "ok" if proc.returncode == 0 else line or proc.stderr[-200:]}
 
 
 def alternate(i: int, trees: dict, job) -> dict:
@@ -139,8 +156,25 @@ def measure(trees: dict, workload: str, seeds: list) -> dict:
     return metric_rows(pairs, seeds)
 
 
+def measure_stress(trees: dict, jobs: list) -> dict:
+    """STRESS_PAIRS alternating pairs per stress job: the pairs, both sides'
+    wall-time summaries, the pairs the change wins and the change of the
+    median as a fraction."""
+    out = {}
+    for job in jobs:
+        pairs = [alternate(i, trees, lambda t: stress_run(t, job)) for i in range(STRESS_PAIRS)]
+        walls = {side: [p[side]["wall_s"] for p in pairs] for side in ("parent", "change")}
+        parent, change = summary(walls["parent"]), summary(walls["change"])
+        print(f"# stress {job}: wall_s parent {parent['median']:.2f} change "
+              f"{change['median']:.2f}", file=sys.stderr)
+        out[job] = {"pairs": pairs, "parent": parent, "change": change,
+                    "change_better_pairs": sum(c < p for p, c in zip(*walls.values())),
+                    "median_change_frac": change["median"] / parent["median"] - 1}
+    return out
+
+
 def record(trees: dict, revs: dict, workloads: list, seeds: list, claim, unseen_seeds,
-           traced: int) -> dict:
+           traced: int, stress: list) -> dict:
     """The BENCH_<pr>.json contents: the pairs of every workload and, with
     a claim, its verdicts, its unseen seeds and its traced runs."""
     command = f"`python3 perfbench/run.py --workload W --seed S --seconds {SECONDS} --trace 0`"
@@ -191,7 +225,16 @@ def record(trees: dict, revs: dict, workloads: list, seeds: list, claim, unseen_
             }
         print(json.dumps(out["claim"], indent=1), file=sys.stderr)
 
-    order = ("what", "parent", "change", "machine", "claim", "workloads", "unseen_seeds", "traced")
+    if stress:
+        out["stress"] = {
+            "what": f"{STRESS_PAIRS} alternating pairs per job of `python3 stress/run.py ID`, "
+                    "each a fresh process timed whole; status is `ok` when the report's sha256 "
+                    "matches stress/digests.json",
+            "jobs": measure_stress(trees, stress),
+        }
+
+    order = ("what", "parent", "change", "machine", "claim", "workloads", "unseen_seeds", "traced",
+             "stress")
     return {key: out[key] for key in order if key in out}
 
 
@@ -205,6 +248,8 @@ def main(argv=None) -> int:
     parser.add_argument("--claim", help="WORKLOAD:METRIC whose gain is claimed")
     parser.add_argument("--unseen-seeds", type=seed_range)
     parser.add_argument("--traced", default=0, type=int)
+    parser.add_argument("--stress", type=lambda text: text.split(","), default=[],
+                        help="comma-separated stress job ids, such as S1,S2,S3")
     args = parser.parse_args(argv)
     workloads = args.workload or list(WORKLOADS)
     claim = args.claim.split(":") if args.claim else None
@@ -217,7 +262,8 @@ def main(argv=None) -> int:
         trees = {"parent": Path(tmp, "parent"), "change": Path(tmp, "change")}
         revs = {side: export(Path.cwd(), rev, trees[side])
                 for side, rev in (("parent", args.parent), ("change", args.change))}
-        out = record(trees, revs, workloads, args.seeds, claim, args.unseen_seeds, args.traced)
+        out = record(trees, revs, workloads, args.seeds, claim, args.unseen_seeds, args.traced,
+                     args.stress)
     args.out.write_text(json.dumps(out, indent=1) + "\n")
     return 0
 
