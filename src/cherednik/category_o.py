@@ -197,10 +197,10 @@ class VermaSlice:
         """Apply the (term, coef) pairs of one degree shift to a sparse
         degree-n vector; returns the sparse image plus `out` (consumed) when
         it is given.  While the pairs are not resolved on this irrep
-        (`_content`), each monomial's image goes through rho (`_scatter_sum`);
+        (`_content`), each monomial's image goes through rho (`_scatter`);
         once they are, x^mono (x) w_k reads its stored column, a flat tuple
-        (target, coefficient, ...) built by `_scatter_sum` on the unit w_k,
-        at one product per entry.  `_apply` is its one caller."""
+        (target, coefficient, ...) built by `_scatter` on the unit w_k, at
+        one product per entry.  `_apply` is its one caller."""
         entry = self._contents.get(pairs)
         if entry is None:
             entry = self._contents[pairs] = self._content(pairs)
@@ -212,14 +212,14 @@ class VermaSlice:
         monos = self._monos[n]
         if resolved is None:
             parts = [(image(monos[mi]), block) for mi, block in blocks.items()]
-            return self._scatter_sum(parts, out)
+            return self._scatter(parts, out)
         acc = {} if out is None else out
         for mi, block in blocks.items():
             mono = monos[mi]
             columns = resolved.get(mono)
             if columns is None:
                 flat = image(mono)
-                units = (self._scatter_sum([(flat, ((k, ONE),))]) for k in range(d))
+                units = (self._scatter([(flat, ((k, ONE),))]) for k in range(d))
                 columns = resolved[mono] = tuple(
                     tuple(x for item in unit.items() for x in item) for unit in units
                 )
@@ -229,25 +229,34 @@ class VermaSlice:
                     _accumulate(acc, tgt, v * coef)
         return _settle(acc)
 
-    def _scatter_sum(self, parts: list, out=None) -> dict:
-        """The settled sum of the images `_scatter` adds for the (flat,
-        block) parts, plus `out` (consumed) when it is given.  On a rational
-        slice (`_rho_q`) with rational values it is summed in plain ints over
-        D = lcm(dens of the block values) * lcm(dens of the image
-        coefficients) * R, with one canonical Scalar per distinct output
-        numerator; otherwise, and over Q(zeta_ell), by `_scatter`."""
-        rho = self._rho_q
+    def _scatter(self, parts: list, out=None) -> dict:
+        """The settled image of the (flat, block) parts plus `out` (consumed)
+        when it is given: flat is x^mono's image (`act_on_verma_terms`), a
+        flat tuple (pos, h, coefficient, ...) meaning coefficient *
+        x^M (x) rho(h) w with M at position pos of the target-degree
+        monomials, and block the (k, v) of the input sum v x^mono (x) w_k.
+        On a rational slice (`_rho_q`) with rational values every product
+        is an int over D = lcm(dens of the block values) * lcm(dens of the
+        image coefficients) * R, and each distinct output numerator makes
+        one canonical Scalar; otherwise, as over Q(zeta_ell), each product
+        is a Scalar added by `_accumulate`."""
+        d, rho = self.irrep.dim, self._rho_q
         if rho is not None:
             # lcm over a 0 is 0: an irrational value leaves the int sum
             den_v = math.lcm(*{v.den if v.ell == 1 else 0 for _, b in parts for _, v in b})
             den_c = math.lcm(*{c.den if c.ell == 1 else 0 for f, _ in parts for c in f[2::3]})
         if rho is None or not (den_v and den_c):
-            acc = {} if out is None else out
+            acc, columns = {} if out is None else out, self._rho_columns
             for flat, block in parts:
-                self._scatter(flat, block, acc)
+                for t in range(0, len(flat), 3):
+                    tgt, cols, coef = flat[t] * d, columns[flat[t + 1]], flat[t + 2]
+                    for k, v in block:
+                        vc = v * coef
+                        for k2, entry in cols[k]:
+                            _accumulate(acc, tgt + k2, vc * entry)
             return _settle(acc)
         den_r, columns = rho
-        d, sums = self.irrep.dim, {}
+        sums: dict = {}
         get = sums.get
         for flat, block in parts:
             block = [(k, v.coeffs[0] * (den_v // v.den)) for k, v in block]
@@ -271,21 +280,6 @@ class VermaSlice:
         for key, coef in acc.items():
             _accumulate(out, key, coef)
         return _settle(out)
-
-    def _scatter(self, flat: tuple, block, acc: dict) -> dict:
-        """Add the image of x^mono (x) sum v w_k over the (k, v) of block to
-        acc (unsettled), flat being x^mono's image (`act_on_verma_terms`): a
-        flat tuple (pos, h, coefficient, ...) meaning coefficient *
-        x^M (x) rho(h) w with M at position pos of the target-degree
-        monomials.  Returns acc."""
-        d, columns = self.irrep.dim, self._rho_columns
-        for t in range(0, len(flat), 3):
-            tgt, cols, coef = flat[t] * d, columns[flat[t + 1]], flat[t + 2]
-            for k, v in block:
-                vc = v * coef
-                for k2, entry in cols[k]:
-                    _accumulate(acc, tgt + k2, vc * entry)
-        return acc
 
     def _content(self, pairs: frozenset) -> tuple:
         """The image function of the pairs (`act_on_verma_terms`) and their

@@ -819,7 +819,7 @@ def sparse_rationals(rng, size, count):
 class TestRationalScatter:
     """Over Q `VermaSlice._act` sums one call's products in ints over one
     common denominator and makes one Scalar per distinct output
-    (`VermaSlice._scatter_sum`); over Q(zeta_5) it keeps the Scalar scatter.
+    (`VermaSlice._scatter`); over Q(zeta_5) it keeps the Scalar scatter.
     Both must equal plain Scalar sums: on a first slice, which scatters, and
     on a second one, which builds and reads resolved columns."""
 

@@ -175,8 +175,9 @@ def measure_stress(trees: dict, jobs: list) -> dict:
 
 def record(trees: dict, revs: dict, workloads: list, seeds: list, claim, unseen_seeds,
            traced: int, stress: list) -> dict:
-    """The BENCH_<pr>.json contents: the pairs of every workload and, with
-    a claim, its verdicts, its unseen seeds and its traced runs."""
+    """The BENCH_<pr>.json contents: the pairs of every workload, with a
+    claim its verdicts, its unseen seeds and its traced runs, and the pairs
+    of each stress job named."""
     command = f"`python3 perfbench/run.py --workload W --seed S --seconds {SECONDS} --trace 0`"
     out = {
         "what": f"alternating parent/change pairs of {command}, each tree run from its own "
