@@ -868,6 +868,17 @@ class TestRationalScatter:
         for slice_ in slices:
             assert slice_._act(total, n, vec) == {}
 
+    def test_an_irrational_value_on_a_rational_slice_takes_the_scalar_path(self):
+        # verma_action checks no coordinate's field, so a Q(zeta_5) value can
+        # reach a slice over Q; the int sum would drop its irrational part
+        alg = make_algebra("s3", 1, [Fraction(1, 3)])
+        slice_ = VermaSlice(alg, irrep_of(alg, "standard"), 3)
+        ((_, _, pairs),) = alg.x(1).degree_split()
+        vec = {0: Scalar.zeta(5), 3: Scalar.rational(Fraction(1, 2))}
+        image, _ = scalar_act(slice_, pairs, 1, vec)
+        assert any(not v.is_rational for v in image.values())
+        assert slice_._act(pairs, 1, vec) == image
+
     @pytest.mark.parametrize("spec,ell,c,label", SCATTER_CASES, ids=lambda v: str(v))
     def test_two_degrees_into_one_match_scalar_sums(self, spec, ell, c, label):
         # x1 + 3 y1 sends degree 1 to 0 and 2, and degree 3 to 2 and 4, so
